@@ -18,18 +18,25 @@ covariance condition:
 
 What is left is the T constraint on the surviving coefficients, solved
 in a canonical nullspace normal form.  Each slice dimension is cross
-checked against the Molien coefficient, so the linear solver and the
+checked against the Molien coefficient (past the cutoff, of a series
+extended to that degree), so the linear solver and the
 character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1.
+normalized to leading coefficient 1.  The sweep stops at the top degree
+of the Molien numerator.  The module is free, so by Stanley's criterion
+(Bull. AMS 1 (1979)) rank-many covariants, independent over C[theta, phi]
+and with the numerator's exponents as degrees, are a basis.  generators()
+checks count and degrees exactly; verify_free and det_relation check
+independence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclo import CycNum, ONE, ZERO, rational
 from .group import GroupTable
@@ -38,8 +45,6 @@ from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import Representation, rep_matrices
 from . import reference
-
-EXTRACTION_SWEEP = 54       # largest generator degree (30) + 24
 
 
 class CrossCheckError(RuntimeError):
@@ -119,15 +124,7 @@ class RowReducer:
         return red
 
 
-_INT_CYC: dict[int, CycNum] = {}
-
-
-def _icyc(n: int) -> CycNum:
-    v = _INT_CYC.get(n)
-    if v is None:
-        v = rational(n)
-        _INT_CYC[n] = v
-    return v
+_icyc = lru_cache(maxsize=None)(rational)     # small integers as CycNum
 
 
 def _binomial_table(d: int) -> list[list[int]]:
@@ -166,6 +163,7 @@ class CovariantEngine:
         self.gamma, self.theta, self.delta, self.phi = fundamental_invariants()
         self._mats: dict[int, list[Mat]] = {}
         self._molien: dict[int, MolienResult] = {}
+        self._molien_ext: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
         self._central: dict[int, CycNum] = {}
@@ -185,6 +183,15 @@ class CovariantEngine:
             self._molien[rid] = molien_series(self.reps[rid], self.table,
                                               self.cutoff, self.matrices(rid))
         return self._molien[rid]
+
+    def molien_through(self, rid: int, d: int) -> MolienResult:
+        """Molien series through degree d, extended past the cutoff on demand."""
+        if d <= self.cutoff:
+            return self.molien(rid)
+        if rid not in self._molien_ext or self._molien_ext[rid].cutoff < d:
+            self._molien_ext[rid] = molien_series(self.reps[rid], self.table, d,
+                                                  self.matrices(rid))
+        return self._molien_ext[rid]
 
     def central_scalar(self, rid: int) -> CycNum:
         """The scalar by which the central element zI acts in rho."""
@@ -316,8 +323,8 @@ class CovariantEngine:
             basis = tuple(VecPoly.from_coeffs(coords, v, rep.dim, d)
                           for v in basis_vecs)
             result = CovariantSlice(rid, d, tuple(coords), basis)
-        expected = self.molien(rid).coefficient(d) if d <= self.cutoff else None
-        if expected is not None and expected != result.dim:
+        expected = self.molien_through(rid, d).coefficient(d)
+        if expected != result.dim:
             raise CrossCheckError(
                 f"rho_{rid} degree {d}: solver dimension {result.dim}, "
                 f"Molien coefficient {expected}")
@@ -378,16 +385,23 @@ class CovariantEngine:
                 out.extend(b.mul_poly(f) for b in lower.basis)
         return out
 
-    def generators(self, rid: int, d_max: int = EXTRACTION_SWEEP) -> GeneratorSet:
-        """Minimal free-module generators, extracted degree by degree."""
+    def generators(self, rid: int) -> GeneratorSet:
+        """Minimal free-module generators, extracted degree by degree.
+
+        The sweep ends at the top degree of the Molien numerator, then checks
+        exactly that there are rank many generators and that their degrees
+        are the numerator's multiset (see the module docstring for why).
+        """
         cached = self._gens.get(rid)
         if cached is not None:
             return cached
         rep = self.reps[rid]
         residue = next(k for k in range(8)
                        if CycNum.zeta(k) == self.central_scalar(rid))
+        numerator = self.molien(rid).numerator
+        top = numerator[-1][0]
         gens: list[tuple[int, VecPoly]] = []
-        for d in range(residue, d_max + 1, 8):
+        for d in range(residue, top + 1, 8):
             sl = self.slice(rid, d)
             if not sl.basis:
                 continue
@@ -404,9 +418,14 @@ class CovariantEngine:
                 gens.append((d, VecPoly.from_coeffs(list(sl.coords), res, rep.dim, d)))
         if len(gens) != rep.dim:
             raise FreenessError(
-                f"rho_{rid}: {len(gens)} generators by degree {d_max}, "
+                f"rho_{rid}: {len(gens)} generators by degree {top}, "
                 f"expected {rep.dim}")
         result = GeneratorSet(rid, tuple(gens))
+        expected = tuple(g for g, c in numerator for _ in range(c))
+        if result.degrees != expected:
+            raise FreenessError(
+                f"rho_{rid}: generator degrees {result.degrees} by degree {top}, "
+                f"Molien numerator degrees {expected}")
         self._gens[rid] = result
         return result
 

@@ -10,7 +10,8 @@ c0 + c1*z + c2*z^2 + c3*z^3 reduced modulo z^4 + 1, where z = zeta_8
 
 Internally a value is stored as four integers over one positive common
 denominator, reduced so that gcd of all five numbers is 1.  Equality is
-therefore component-wise and values hash consistently.  Rationals are the
+therefore component-wise; rational values hash like the equal int or
+Fraction, so they are interchangeable as dict keys.  Rationals are the
 special case c1 = c2 = c3 = 0 (see the Fraction-valued ``coeffs`` view).
 """
 
@@ -200,7 +201,11 @@ class CycNum:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        n = self._n
+        if n[1] == n[2] == n[3] == 0:
+            # equal to an int or Fraction, so it must hash like one
+            return hash(Fraction(n[0], self._d))
+        return hash((n, self._d))
 
     def key(self):
         """Canonical hashable key (four numerators and the denominator)."""

@@ -3,7 +3,8 @@
 The group is built by breadth-first closure under right multiplication by
 the generators, so every element carries a shortest generator word and the
 element order (BFS layer, then discovery order) is deterministic.  On top
-of the closure we compute the Cayley table, inverses, element orders and
+of the closure we compute the Cayley table (read off the BFS tree, so only
+the generators are multiplied as matrices), inverses, element orders and
 the conjugacy classes, and align the classes with the reference column
 order: the 32 classes are represented by the literal matrices
 
@@ -51,11 +52,9 @@ class GroupElement:
 class GroupTable:
     """The closed group with Cayley table, inverses, orders and classes."""
 
-    def __init__(self, elements: list[GroupElement], index: dict,
-                 gen_names: list[str], gens: dict[str, Mat]):
+    def __init__(self, elements: list[GroupElement], index: dict, gens: dict[str, Mat]):
         self.elements = elements
         self.index = index
-        self.gen_names = gen_names
         self.gens = gens
         self.product: list[list[int]] | None = None
         self.inverse: list[int] | None = None
@@ -75,25 +74,24 @@ class GroupTable:
     # -- derived structure -------------------------------------------------------
 
     def compute_products(self) -> None:
-        """Cayley table and inverse table from exact matrix products."""
+        """Cayley table read off the BFS tree, and the inverse table.
+
+        Element j is parent(j) * last(j) with parent(j) < j, so by
+        associativity i * j = (i * parent(j)) * last(j): only right
+        multiplication by each generator is an exact matrix product.
+        """
         n = len(self.elements)
-        mats = [e.mat for e in self.elements]
-        product = []
+        right = {name: [self.index[e.mat.matmul(g).key()] for e in self.elements]
+                 for name, g in self.gens.items()}
+        tree = [(e.index, right[e.last], e.parent) for e in self.elements[1:]]
+        self.product = []
         for i in range(n):
-            mi = mats[i]
-            row = [self.index[mi.matmul(mats[j]).key()] for j in range(n)]
-            product.append(row)
-        self.product = product
-        ident = self.index[Mat.identity(mats[0].rows).key()]
-        inverse = [-1] * n
-        for i in range(n):
-            row = product[i]
-            for j in range(n):
-                if row[j] == ident:
-                    inverse[i] = j
-                    break
-        self.inverse = inverse
-        self.identity = ident
+            row = [i] * n               # element 0 is the identity
+            for j, perm, parent in tree:
+                row[j] = perm[row[parent]]
+            self.product.append(row)
+        self.inverse = [row.index(0) for row in self.product]
+        self.identity = 0
 
     def compute_orders(self) -> None:
         n = len(self.elements)
@@ -126,12 +124,6 @@ class GroupTable:
         self.classes = blocks
         self.class_of = class_of
 
-    def evaluate_word(self, word: str) -> Mat:
-        m = Mat.identity(self.gens[self.gen_names[0]].rows)
-        for ch in word:
-            m = m.matmul(self.gens[ch])
-        return m
-
 
 def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTable:
     """Breadth-first closure of a generating set of invertible matrices.
@@ -163,7 +155,7 @@ def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTab
                 index[k] = idx
                 next_frontier.append(idx)
         frontier = next_frontier
-    return GroupTable(elements, index, names, gmap)
+    return GroupTable(elements, index, gmap)
 
 
 def build_group() -> GroupTable:

@@ -75,9 +75,6 @@ class Mat:
     def row(self, i: int) -> tuple[CycNum, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[CycNum, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list[list[CycNum]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -137,10 +134,6 @@ class Mat:
             base = base.matmul(base)
             k >>= 1
         return result
-
-    def transpose(self) -> Mat:
-        return Mat(self.cols, self.rows,
-                   [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     def trace(self) -> CycNum:
         if self.rows != self.cols:

@@ -137,9 +137,8 @@ def character_table() -> list[list[CycNum]]:
     return rows
 
 
-# Minimal covariant degrees of the rank-1 modules (representations 1..8)
-# and the octahedral-form exponents (a, b) of their generators gamma^a delta^b.
-LINEAR_GENERATOR_DEGREES = [0, 12, 6, 18, 12, 24, 18, 30]
+# Octahedral-form exponents (a, b) of the rank-1 generators gamma^a delta^b
+# (representations 1..8); their degrees are GENERATOR_DEGREES[1..8].
 LINEAR_GENERATOR_POWERS = {1: (0, 0), 2: (2, 0), 3: (1, 0), 4: (3, 0),
                            5: (0, 1), 6: (2, 1), 7: (1, 1), 8: (3, 1)}
 

@@ -58,7 +58,6 @@ class Representation:
     dim: int
     img_t: Mat
     img_d: Mat
-    recipe: str
 
     def image(self, name: str) -> Mat:
         if name == "T":
@@ -96,9 +95,7 @@ def extract_subrep(parent_t: Mat, parent_d: Mat, span: list[Mat]) -> tuple[Mat, 
 
 def _twist(rid: int, k: int, base: Representation) -> Representation:
     t, d = LINEAR_IMAGES[k - 1]
-    return Representation(rid, base.dim,
-                          base.img_t.scale(t), base.img_d.scale(d),
-                          f"twist({k}x{base.rid})")
+    return Representation(rid, base.dim, base.img_t.scale(t), base.img_d.scale(d))
 
 
 def _e(n: int, *positions: int) -> Mat:
@@ -112,11 +109,10 @@ def build_all(table: GroupTable) -> list[Representation]:
 
     for k in range(1, 9):
         t, d = LINEAR_IMAGES[k - 1]
-        reps[k] = Representation(k, 1, Mat.from_rows([[t]]), Mat.from_rows([[d]]),
-                                 f"linear({t},{d})")
+        reps[k] = Representation(k, 1, Mat.from_rows([[t]]), Mat.from_rows([[d]]))
 
     nat_t, nat_d = table.gens["T"], table.gens["D"]
-    reps[9] = Representation(9, 2, nat_t, nat_d, "natural")
+    reps[9] = Representation(9, 2, nat_t, nat_d)
     for pos, k in enumerate(FAITHFUL_TWISTS[1:], start=10):
         reps[pos] = _twist(pos, k, reps[9])
 
@@ -124,7 +120,7 @@ def build_all(table: GroupTable) -> list[Representation]:
     t99, d99 = kron(nat_t, nat_t), kron(nat_d, nat_d)
     sym2 = [_e(4, 1), _e(4, 2, 3), _e(4, 4)]
     t21, d21 = extract_subrep(t99, d99, sym2)
-    reps[21] = Representation(21, 3, t21, d21, "extract(9x9, sym2)")
+    reps[21] = Representation(21, 3, t21, d21)
     for k in range(2, 9):
         reps[20 + k] = _twist(20 + k, k, reps[21])
 
@@ -132,7 +128,7 @@ def build_all(table: GroupTable) -> list[Representation]:
     t921, d921 = kron(nat_t, t21), kron(nat_d, d21)
     sym3 = [_e(6, 1), _e(6, 2, 4), _e(6, 3, 5), _e(6, 6)]
     t29, d29 = extract_subrep(t921, d921, sym3)
-    reps[29] = Representation(29, 4, t29, d29, "extract(9x21, sym3)")
+    reps[29] = Representation(29, 4, t29, d29)
     for k in (2, 3, 4):
         reps[28 + k] = _twist(28 + k, k, reps[29])
 
@@ -140,7 +136,7 @@ def build_all(table: GroupTable) -> list[Representation]:
     t929, d929 = kron(nat_t, t29), kron(nat_d, d29)
     plane = [_e(8, 1, 8), _e(8, 3, 6)]
     t19, d19 = extract_subrep(t929, d929, plane)
-    reps[19] = Representation(19, 2, t19, d19, "extract(9x29, plane)")
+    reps[19] = Representation(19, 2, t19, d19)
     reps[17] = _twist(17, 2, reps[19])
     reps[18] = _twist(18, 3, reps[19])
     reps[20] = _twist(20, 4, reps[19])
@@ -151,14 +147,6 @@ def build_all(table: GroupTable) -> list[Representation]:
     for r in out:
         _check_relations(r.rid, r.img_t, r.img_d)
     return out
-
-
-def evaluate(rep: Representation, word: str) -> Mat:
-    """Image of a group element given by its generator word."""
-    m = Mat.identity(rep.dim)
-    for ch in word:
-        m = m.matmul(rep.image(ch))
-    return m
 
 
 def rep_matrices(rep: Representation, table: GroupTable) -> list[Mat]:

@@ -1,7 +1,7 @@
 """One-stop construction of the group, representations and covariant engine.
 
-Building the session costs a few seconds (group closure, Cayley table,
-conjugacy classes, 32 representations); everything downstream is cached
+Building the session (group closure, Cayley table, conjugacy classes, 32
+representations) takes well under a second; everything downstream is cached
 inside the CovariantEngine, so tests and CLI commands share one session
 per process.
 """

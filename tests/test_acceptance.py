@@ -190,5 +190,5 @@ def test_full_group_covariance_certification(sess):
         vec = sess.engine.slice(r.rid, d).basis[0]
         mats = sess.mats[r.rid]
         for e in sess.table.elements:
-            assert covariance_check(vec, mats[e.index], e.mat)
+            assert covariance_check(vec, mats[e.index], e.mat), (r.rid, e.index)
     _ok("supporting: full-group covariance of a sampled slice per representation")

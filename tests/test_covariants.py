@@ -36,17 +36,6 @@ def test_reduced_solver_equals_plain_system(engine):
         assert fast.basis == dense.basis, (rid, d)
 
 
-def test_full_group_covariance_on_minimal_slices(sess):
-    # generator constraints suffice; certify against all 192 elements anyway
-    for r in sess.reps:
-        res = sess.engine.molien(r.rid)
-        d = next(d for d, c in enumerate(res.series) if c)
-        vec = sess.engine.slice(r.rid, d).basis[0]
-        mats = sess.mats[r.rid]
-        for e in sess.table.elements:
-            assert covariance_check(vec, mats[e.index], e.mat), (r.rid, e.index)
-
-
 def test_extraction_degrees_examples(engine):
     assert engine.generators(21).degrees == (2, 10, 18)
     assert engine.generators(13).degrees == (5, 13)
@@ -58,9 +47,34 @@ def test_extraction_degrees_all(engine):
         assert engine.generators(rid).degrees == tuple(sorted(want)), rid
 
 
+def test_extraction_stops_at_numerator_top_degree(sess):
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    for rid in (31, 29):
+        top = eng.molien(rid).numerator[-1][0]
+        eng.generators(rid)
+        solved = [d for r, d in eng._slices if r == rid]
+        assert solved and max(solved) <= top, (rid, top, sorted(solved))
+
+
+def test_extraction_rejects_wrong_numerator(sess):
+    # the sweep end and the final degree check both read the numerator, so
+    # a numerator that disagrees with the module must be fatal
+    from dataclasses import replace
+    from g9cov.covariants import CovariantEngine, FreenessError
+    good = sess.engine.molien(29)                 # degrees 3, 11, 19, 27
+    head, (top, count) = good.numerator[:-1], good.numerator[-1]
+    for numerator, degree in ((head, "19"), (head + ((top + 8, count),), "35")):
+        eng = CovariantEngine(sess.table, sess.reps)
+        eng._molien[29] = replace(good, numerator=numerator)
+        with pytest.raises(FreenessError, match=rf"rho_29\b.*degree {degree}\b"):
+            eng.generators(29)
+
+
 def test_generators_are_covariants(sess):
     # spot check: every generator satisfies the defining identity on both
-    # group generators (sufficiency is covered by the full-group test above)
+    # group generators (sufficiency is covered by the full-group test in
+    # test_acceptance.py)
     for rid in (9, 19, 21, 29, 32):
         mats = sess.mats[rid]
         t_idx = sess.table.lookup(sess.table.gens["T"])
@@ -116,6 +130,22 @@ def test_cross_check_guards_against_wrong_molien(sess):
     eng._molien[3] = replace(good, series=tuple(series))
     with pytest.raises(CrossCheckError):
         eng.slice(3, 6)
+
+
+def test_cross_check_past_cutoff_uses_extended_molien(sess):
+    # above the cutoff the slice is checked against a series extended to
+    # its degree, so a wrong extended coefficient must be fatal too
+    from dataclasses import replace
+    from g9cov.covariants import CovariantEngine, CrossCheckError
+    assert sess.engine.slice(3, 70).dim == sess.engine.molien_through(3, 70).series[70]
+    eng = CovariantEngine(sess.table, sess.reps)
+    good = eng.molien_through(3, 70)
+    assert good.cutoff == 70 and good.series[:65] == sess.engine.molien(3).series
+    series = list(good.series)
+    series[70] += 1
+    eng._molien_ext[3] = replace(good, series=tuple(series))
+    with pytest.raises(CrossCheckError, match="rho_3 degree 70"):
+        eng.slice(3, 70)
 
 
 def test_det_relations_all(engine):

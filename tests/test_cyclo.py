@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g9cov.cyclo import (CycNum, HALF_SQRT2, I_UNIT, ONE, SQRT2, Z, ZERO,
                          parse_zeta, render_zeta)
@@ -96,7 +97,39 @@ def test_canonical_form_and_hash():
     a = CycNum(Fraction(2, 4), Fraction(-6, 4))
     b = CycNum(Fraction(1, 2), Fraction(-3, 2))
     assert a == b and hash(a) == hash(b)
+    assert hash(CycNum(1)) == hash(1) and {1: "one"}.get(CycNum(1)) == "one"
     assert a.coeffs == (Fraction(1, 2), Fraction(-3, 2), Fraction(0), Fraction(0))
+
+
+fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50)
+cyc_values = st.tuples(fractions, fractions, fractions, fractions).map(
+    lambda parts: CycNum(*parts))
+# one value in several types: ints and Fractions, as themselves and as CycNum
+any_value = st.one_of(st.integers(-10**6, 10**6), fractions, cyc_values,
+                      fractions.map(CycNum), st.integers(-10**6, 10**6).map(CycNum))
+
+
+@given(any_value, any_value)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(fractions)
+def test_rational_cycnum_is_interchangeable_dict_key(q):
+    v = CycNum(q)
+    assert v == q and hash(v) == hash(q)
+    assert {q: "x"}.get(v) == "x" and {v: "x"}.get(q) == "x"
+    if q.denominator == 1:
+        assert {int(q): "x"}.get(v) == "x"
+
+
+@given(cyc_values)
+def test_hash_follows_canonical_form(a):
+    # the same value reached by arithmetic hashes the same
+    b = (a + ONE) - ONE
+    c = (a * Z) * Z.inverse()
+    assert a == b == c and hash(a) == hash(b) == hash(c)
 
 
 def test_json_round_trip():

@@ -54,9 +54,23 @@ def test_reference_classes_distinct(table):
     assert table.class_of[table.lookup(d)] == table.class_block_order[pos]
 
 
+def evaluate_word(table, word):
+    m = Mat.identity(2)
+    for ch in word:
+        m = m.matmul(table.gens[ch])
+    return m
+
+
+def brute_force_products(table):
+    """Cayley table from all n^2 exact matrix products: the oracle for the
+    table read off the BFS tree."""
+    mats = [e.mat for e in table.elements]
+    return [[table.lookup(a.matmul(b)) for b in mats] for a in mats]
+
+
 def test_words_reevaluate(table):
     for e in table.elements:
-        assert table.evaluate_word(e.word) == e.mat
+        assert evaluate_word(table, e.word) == e.mat
     # BFS words are shortest: lengths are monotone along discovery order
     lengths = [len(e.word) for e in table.elements]
     assert lengths == sorted(lengths)
@@ -68,6 +82,14 @@ def test_group_closed_under_product_and_inverse(table):
         assert 0 <= table.inverse[i] < n
         assert table.product[i][table.inverse[i]] == table.identity
     assert all(0 <= v < n for row in table.product for v in row)
+
+
+def test_products_match_exact_matrix_products():
+    t, d = standard_generators()
+    for gens in ([("T", t), ("D", d)], [("D", d)]):
+        group = closure(gens)
+        group.compute_products()
+        assert group.product == brute_force_products(group), gens
 
 
 def test_reference_matching_rejects_wrong_group():

