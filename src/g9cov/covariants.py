@@ -17,10 +17,33 @@ covariance condition:
     diagonal entry.
 
 What is left is the T constraint on the surviving coefficients, solved
-in a canonical nullspace normal form.  Each slice dimension is cross
-checked against the Molien coefficient (past the cutoff, of a series
-extended to that degree), so the linear solver and the
-character-theoretic pipeline certify each other degree by degree.
+in a canonical nullspace normal form: basis vector v_f is 1 at its free
+column f, 0 at the other free columns and has no support right of f,
+exactly what rref + nullspace_from_rref produce.
+
+linalg.certified_nullspace solves it multimodularly (Dixon, Numer. Math.
+40 (1982); rational reconstruction after Wang, SYMSAC 1981): all rows are
+eliminated in int64 modulo primes p = 1 (mod 8) under the four
+embeddings of Q(zeta_8) into F_p, the residues are combined by CRT and
+lifted to fractions.  The result is accepted only if exact checks prove
+it, whatever primes were used:
+
+  * every vector has the normal form above, so the vectors are
+    independent;
+  * at some prime the embedded rank is ncols - k; a rank mod p never
+    exceeds the rank over Q(zeta_8), so the nullity is at most k;
+  * A v = 0 for every row, by bounded CRT: each integer coordinate of the
+    integer-scaled A v is at most 4 * ncols * max|A| * max|V| in absolute
+    value and vanishes modulo certificate primes whose product exceeds
+    twice that, so it is 0.
+
+The k vectors then span the nullspace, and a nullspace vector whose last
+nonzero coordinate is f exists only for non-pivot f, so they are the
+normal-form basis, byte for byte.  Should the prime table run out, exact
+rref is the fallback.  The certificate never reads Molien: each slice
+dimension is still cross checked against the Molien coefficient (past
+the cutoff, of a series extended to that degree), so the linear solver
+and the character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
@@ -35,12 +58,13 @@ independence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import CycNum, ONE, ZERO, rational
+from .cyclo import CycNum, ZERO, rational
 from .group import GroupTable
-from .linalg import Mat, nullspace_from_rref, rref
+from .linalg import Mat, certified_nullspace, nullspace_from_rref, rref
 from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import Representation, rep_matrices
@@ -170,6 +194,9 @@ class CovariantEngine:
         self._subst: dict[int, list[list[int]]] = {}
         self._scalars: dict[tuple[int, int], BiPoly] = {}
         self._central_index = table.lookup(Mat.identity(2).scale(CycNum.zeta(1)))
+        # slices_solved; primes, primes_rejected, certificate_primes and
+        # fallbacks of certified_nullspace
+        self.counters: Counter[str] = Counter()
 
     # -- cached building blocks ---------------------------------------------------
 
@@ -270,43 +297,6 @@ class CovariantEngine:
                     rows.append(row)
         return rows
 
-    @staticmethod
-    def _nullspace_of_rows(rows: list[list[CycNum]], ncols: int) -> list[list[CycNum]]:
-        """Nullspace in normal form, touching as few rows as possible.
-
-        A leading subset of rows is eliminated; the resulting basis is then
-        checked against every remaining row, and any violated row joins the
-        subset.  On success the subset has the full row space, so the normal
-        form equals the one of the complete system.
-        """
-        if not rows:
-            return [[ONE if i == f else ZERO for i in range(ncols)]
-                    for f in range(ncols)]
-        take = min(len(rows), ncols + 8)
-        active = [list(r) for r in rows[:take]]
-        pending = rows[take:]
-        while True:
-            reduced, pivots = rref([list(r) for r in active])
-            basis = nullspace_from_rref(reduced, pivots, ncols)
-            if not basis:
-                return []
-            violated = None
-            for row in pending:
-                for vec in basis:
-                    acc = ZERO
-                    for c, v in zip(row, vec):
-                        if not c.is_zero() and not v.is_zero():
-                            acc = acc + c * v
-                    if not acc.is_zero():
-                        violated = row
-                        break
-                if violated is not None:
-                    break
-            if violated is None:
-                return basis
-            active.append(list(violated))
-            pending = [r for r in pending if r is not violated]
-
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
         key = (rid, d)
@@ -318,8 +308,9 @@ class CovariantEngine:
         if coords is None:
             result = CovariantSlice(rid, d, (), ())
         else:
-            rows = self._t_rows(rep, d, coords)
-            basis_vecs = self._nullspace_of_rows(rows, len(coords))
+            basis_vecs = certified_nullspace(self._t_rows(rep, d, coords),
+                                             len(coords), self.counters)
+            self.counters["slices_solved"] += 1
             basis = tuple(VecPoly.from_coeffs(coords, v, rep.dim, d)
                           for v in basis_vecs)
             result = CovariantSlice(rid, d, tuple(coords), basis)

@@ -1,15 +1,25 @@
-"""Dense exact linear algebra over Q(zeta_8).
+"""Exact linear algebra over Q(zeta_8).
 
-Matrices are immutable row-major tuples of CycNum.  Everything here is
-exact: determinants use fraction-free (Bareiss) elimination, inverses and
-nullspaces come from a deterministic reduced row echelon form whose pivot
-is always the first nonzero entry in column order, so repeated runs give
-byte-identical output.
+Matrices are immutable row-major tuples of CycNum.  Inverses, solves and
+the reference nullspace come from a deterministic reduced row echelon form
+(rref) whose pivot is always the first nonzero entry in column order, so
+repeated runs give byte-identical output.
+
+certified_nullspace returns the same normal-form nullspace without exact
+elimination: the rows, written over Z[zeta_8] by int_encoding, are
+reduced in int64 numpy modulo primes p = 1 (mod 8) under the four
+embeddings of Q(zeta_8) into F_p, lifted by CRT and rational
+reconstruction, and returned only once an exact certificate holds; exact
+rref is the fallback.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
+from math import isqrt, lcm
+
+import numpy as np
 
 from .cyclo import CycNum, ONE, ZERO, rational
 
@@ -164,37 +174,6 @@ class Mat:
 
     # -- elimination-based operations ----------------------------------------------
 
-    def det(self) -> CycNum:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return ONE
-        m = self.to_lists()
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return ZERO
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                row = m[i]
-                prow = m[k]
-                for j in range(k + 1, n):
-                    row[j] = (pivot * row[j] - mik * prow[j]) / prev
-                row[k] = ZERO
-            prev = pivot
-        d = m[n - 1][n - 1]
-        return -d if sign < 0 else d
-
     def inverse(self) -> Mat:
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
@@ -205,15 +184,6 @@ class Mat:
         if len(pivots) < n or pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         return Mat(n, n, [reduced[i][n + j] for i in range(n) for j in range(n)])
-
-    def nullspace(self) -> list[Mat]:
-        """Basis of the right nullspace as column vectors in normal form.
-
-        Each basis vector carries coordinate 1 at its own pivot-free column
-        and 0 at every other pivot-free column.
-        """
-        reduced, pivots = rref(self.to_lists())
-        return [Mat.column(v) for v in nullspace_from_rref(reduced, pivots, self.cols)]
 
 
 def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
@@ -267,6 +237,303 @@ def nullspace_from_rref(reduced: list[list[CycNum]], pivots: list[int],
             v[p] = -reduced[r][f]
         basis.append(v)
     return basis
+
+
+# -- Z[zeta_8] integer encoding ---------------------------------------------------
+
+# CYC_STRUCT[p, q, r] is the coefficient of z^r in z^p * z^q modulo z^4 + 1,
+# so the coordinates of a product are einsum("p,q,pqr->r", a, b, CYC_STRUCT).
+CYC_STRUCT = np.zeros((4, 4, 4), dtype=np.int64)
+for _p in range(4):
+    for _q in range(4):
+        CYC_STRUCT[_p, _q, (_p + _q) % 4] = 1 if _p + _q < 4 else -1
+
+
+def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer coordinates of equal-length groups of entries, one denominator per group.
+
+    Returns (nums, dens, max_abs): nums[g, e, :] are the four integer
+    coordinates (Python ints, dtype object) of entry e of group g over
+    dens[g], the group's least common denominator; max_abs bounds every
+    |num| and every den.
+    """
+    nums = np.zeros((len(groups), len(groups[0]) if groups else 0, 4), dtype=object)
+    dens = np.ones(len(groups), dtype=object)
+    max_abs = 1
+    for g, entries in enumerate(groups):
+        keys = [(e, x.key()) for e, x in enumerate(entries) if not x.is_zero()]
+        den = dens[g] = lcm(*(k[4] for _, k in keys))
+        for e, k in keys:
+            nums[g, e] = coords = [n * (den // k[4]) for n in k[:4]]
+            max_abs = max(max_abs, den, *map(abs, coords))
+    return nums, dens, max_abs
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries of absolute value below p.
+
+    The inner dimension is summed in blocks small enough that no partial
+    sum reaches 2^63.
+    """
+    step = max(1, (2 ** 63 - 1) // (p - 1) ** 2 - 1)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
+    return out
+
+
+# -- certified multimodular nullspace -----------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for odd 7 < n < 3.2e9."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_1_mod_8(below: int, count: int) -> tuple[int, ...]:
+    """The `count` largest primes p < below with p = 1 (mod 8), descending."""
+    out = []
+    n = (below - 2) // 8 * 8 + 1
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n -= 8
+    return tuple(out)
+
+
+# Elimination primes split completely in Q(zeta_8), so Z[zeta_8]/p is F_p^4
+# through the four embeddings zeta_8 -> w^k (k odd), and a product of two
+# residues stays below 2^62.  Certificate primes are smaller so that an int64
+# dot product sums 2^11 terms before it must reduce (see _dot_mod).
+ELIMINATION_PRIMES = _primes_1_mod_8(2 ** 31, 48)
+CERTIFICATE_PRIMES = _primes_1_mod_8(2 ** 26, 64)
+_EMBEDDINGS = (1, 3, 5, 7)
+
+
+def _embedding_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maps between coordinates and embeddings mod p, as 4x4 int64 matrices.
+
+    coords @ fwd gives the images under zeta_8 -> w^k for k = 1, 3, 5, 7;
+    images @ inv gives the coordinates back (the inverse Vandermonde,
+    1/4 * w^(-jk)).
+    """
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:     # a quadratic non-residue
+        a += 1
+    w = pow(a, (p - 1) // 8, p)                 # so w^4 = -1
+    quarter = pow(4, -1, p)
+    fwd = [[pow(w, j * k, p) for k in _EMBEDDINGS] for j in range(4)]
+    inv = [[quarter * pow(w, -j * k, p) % p for j in range(4)] for k in _EMBEDDINGS]
+    return np.array(fwd, dtype=np.int64), np.array(inv, dtype=np.int64)
+
+
+def _rref_mod(m: np.ndarray, p: int) -> list[int]:
+    """Reduce the int64 matrix m over F_p in place with the pivot rule of rref.
+
+    Returns the pivot columns.  Entries stay in [0, p), so with p < 2^31
+    every product is below 2^62.
+    """
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(m[r:, c])
+        if not len(nonzero):
+            continue
+        # rows from r down are zero left of c, so columns c.. are all that move
+        src = r + nonzero[0]
+        top = m[src, c:] * pow(int(m[src, c]), -1, p) % p
+        m[src, c:] = m[r, c:]
+        m[r, c:] = top
+        f = m[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        m[hit, c:] = (m[hit, c:] - f[hit, None] * top) % p
+        pivots.append(c)
+    return pivots
+
+
+class _IntRows:
+    """Rows over Q(zeta_8) scaled into Z[zeta_8], kept as their nonzero coordinates."""
+
+    def __init__(self, rows: list[list[CycNum]]):
+        # scaling a row by its denominator does not change the nullspace
+        nums, _, self.max_abs = int_encoding(rows)
+        self.shape = nums.shape
+        self.index = np.flatnonzero(nums)
+        self.values = nums.ravel()[self.index]
+
+    def mod(self, p: int, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the coordinates mod p, int64 of shape (rows, ncols * 4)."""
+        width = self.shape[1] * 4
+        a, b = np.searchsorted(self.index, (lo * width, hi * width))
+        out = np.zeros((hi - lo) * width, dtype=np.int64)
+        out[self.index[a:b] - lo * width] = self.values[a:b] % p
+        return out.reshape(hi - lo, width)
+
+    def embedded(self, p: int, powers: np.ndarray) -> np.ndarray:
+        """The image mod p under zeta_8 -> w, given powers = (w^j mod p)_j."""
+        entry, coord = np.divmod(self.index, 4)
+        values = (self.values % p).astype(np.int64) * powers[coord] % p
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
+        np.add.at(out, entry, values)
+        return out.reshape(self.shape[:2]) % p
+
+
+def _nullspace_mod(rows: _IntRows, p: int) -> tuple[list[int], np.ndarray] | None:
+    """Pivots and normal-form nullspace coordinates (free, ncols, 4) mod p.
+
+    None when the four embedded systems have different pivots.
+    """
+    ncols = rows.shape[1]
+    fwd, inv = _embedding_matrices(p)
+    lanes = []
+    for k in range(4):
+        m = rows.embedded(p, fwd[:, k])
+        got = _rref_mod(m, p)
+        if lanes and got != pivots:
+            return None
+        pivots = got
+        free = sorted(set(range(ncols)) - set(pivots))
+        vecs = np.zeros((len(free), ncols), dtype=np.int64)
+        vecs[range(len(free)), free] = 1
+        vecs[:, pivots] = (-m[:len(pivots), free]).T % p
+        lanes.append(vecs.reshape(-1))
+    coords = _dot_mod(np.stack(lanes, axis=1), inv, p)
+    return pivots, coords.reshape(len(free), ncols, 4)
+
+
+def _ratrec(y: int, m: int, bound: int) -> int | None:
+    """Denominator d <= bound of a fraction n/d = y (mod m) with |n| <= bound."""
+    r0, r1, t0, t1 = m, y, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
+
+
+def _reconstruct(residues: np.ndarray, m: int) -> tuple[np.ndarray, list[int]] | None:
+    """Rational reconstruction (Wang 1981) of each vector over one denominator.
+
+    A coordinate that is not yet a small integer at the running denominator
+    is reconstructed on its own (numerator and denominator below
+    sqrt(m / 2)) and its denominator joins the running one by lcm.  Returns
+    integer numerators shaped like residues and one denominator per vector,
+    or None unless every numerator lies 2^20 times inside (-m/2, m/2); a
+    wrong reconstruction rarely passes that test, and _certify rejects it.
+    """
+    bound, limit = isqrt(m // 2), m >> 20
+    out, dens = [], []
+    for vec in residues.reshape(len(residues), -1).tolist():
+        den = 1
+        for y in vec:
+            z = y * den % m
+            if min(z, m - z) > limit:
+                d = _ratrec(y, m, bound)
+                if d is None:
+                    return None
+                den = lcm(den, d)
+        nums = [y * den % m for y in vec]
+        nums = [z if z <= limit else z - m for z in nums]
+        if any(abs(z) > limit for z in nums):
+            return None
+        out.append(nums)
+        dens.append(den)
+    return np.array(out, dtype=object).reshape(residues.shape), dens
+
+
+def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
+             counters: Counter) -> bool:
+    """Exact check that vecs[i] / dens[i] is the normal-form basis vector of free[i].
+
+    Checks the normal form (1 at its own free column, 0 at the others and
+    right of it) and A v = 0 by bounded CRT:
+    every coordinate of A v is an integer of absolute value at most
+    4 * ncols * max|A| * max|V|, so if it vanishes modulo primes whose
+    product exceeds twice that, it is 0.
+    """
+    for i, f in enumerate(free):
+        v = vecs[i]
+        if v[f].tolist() != [dens[i], 0, 0, 0] or v[free[:i]].any() or v[f + 1:].any():
+            return False
+    nrows, ncols = rows.shape[:2]
+    bound = 4 * ncols * rows.max_abs * max(map(abs, vecs.flat), default=0)
+    cleared = 1
+    for q in CERTIFICATE_PRIMES:
+        if cleared > 2 * bound:
+            break
+        counters["certificate_primes"] += 1
+        v = np.einsum("fcq,pqr->cpfr", (vecs % q).astype(np.int64), CYC_STRUCT)
+        v = v.reshape(ncols * 4, len(free) * 4)
+        for lo in range(0, nrows, 64):      # row blocks keep the residues small
+            if _dot_mod(rows.mod(q, lo, min(lo + 64, nrows)), v, q).any():
+                return False
+        cleared *= q
+    return cleared > 2 * bound
+
+
+def certified_nullspace(rows: list[list[CycNum]], ncols: int,
+                        counters: Counter | None = None) -> list[list[CycNum]]:
+    """The nullspace basis of nullspace_from_rref(rref(rows)), computed mod p.
+
+    Eliminates all rows modulo ELIMINATION_PRIMES until the reconstructed
+    basis passes _certify, at a prime where every embedded rank is
+    ncols - len(basis).  A rank mod p never exceeds the true rank, so the
+    nullity is at most len(basis); the certified vectors are independent
+    nullspace vectors in normal form, hence the unique normal-form basis.
+    If the primes run out, falls back to exact rref.  Counts primes,
+    rejected primes, certificate primes and fallbacks in `counters`.
+    """
+    counters = Counter() if counters is None else counters
+    if not rows:
+        return [[ONE if i == f else ZERO for i in range(ncols)] for f in range(ncols)]
+    int_rows = _IntRows(rows)
+    pivots, combined = None, 0
+    for p in ELIMINATION_PRIMES:
+        counters["primes"] += 1
+        got = _nullspace_mod(int_rows, p)
+        if got is None:
+            counters["primes_rejected"] += 1
+            continue
+        if pivots is None or (-len(got[0]), got[0]) < (-len(pivots), pivots):
+            # a rank mod p only drops, and among equal ranks the true pivots
+            # come first, so everything combined so far was unlucky
+            counters["primes_rejected"] += combined
+            pivots, residues, modulus, combined = got[0], got[1].astype(object), p, 1
+        elif got[0] != pivots:
+            counters["primes_rejected"] += 1
+            continue
+        else:
+            lift = (got[1] - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
+            residues = residues + modulus * lift.astype(object)
+            modulus *= p
+            combined += 1
+        free = sorted(set(range(ncols)) - set(pivots))
+        if not free:
+            return []       # full rank at p, hence over Q(zeta_8)
+        rec = _reconstruct(residues, modulus)
+        if rec is not None and _certify(int_rows, rec[0], rec[1], free, counters):
+            vecs, dens = rec
+            return [[CycNum._make(tuple(e), den) for e in vec.tolist()]
+                    for vec, den in zip(vecs, dens)]
+    counters["fallbacks"] += 1
+    reduced, pivots = rref(list(rows))
+    return nullspace_from_rref(reduced, pivots, ncols)
 
 
 def solve_exact(a: Mat, b: Mat) -> Mat:

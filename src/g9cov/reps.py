@@ -33,7 +33,7 @@ import numpy as np
 
 from .cyclo import CycNum, I_UNIT, ONE, ZERO
 from .group import GroupTable
-from .linalg import Mat, kron, solve_exact
+from .linalg import CYC_STRUCT, Mat, int_encoding, kron, solve_exact
 
 LINEAR_IMAGES = [
     (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT),
@@ -211,41 +211,6 @@ def verify_census(reps: list[Representation], table: GroupTable,
 
 # -- exhaustive homomorphism certification ---------------------------------------
 
-_CYC_STRUCT = np.zeros((4, 4, 4), dtype=np.int64)
-for _p in range(4):
-    for _q in range(4):
-        _CYC_STRUCT[_p, _q, (_p + _q) % 4] = 1 if _p + _q < 4 else -1
-
-
-def _int_encoding(mats: list[Mat]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Common-denominator integer encoding of a family of equal-size matrices.
-
-    Returns (nums, dens, max_abs) with nums[g, i, j, :] the four integer
-    coordinates of entry (i, j) of the g-th matrix over denominator dens[g].
-    """
-    n = len(mats)
-    m = mats[0].rows
-    nums = np.zeros((n, m, m, 4), dtype=object)
-    dens = np.zeros(n, dtype=object)
-    max_abs = 0
-    for g, mat in enumerate(mats):
-        den = 1
-        for e in mat.entries:
-            k = e.key()
-            d = k[4]
-            den = den * d // np.gcd(den, d)
-        dens[g] = den
-        for i in range(m):
-            for j in range(m):
-                k = mat.at(i, j).key()
-                scale = den // k[4]
-                for p in range(4):
-                    v = k[p] * scale
-                    nums[g, i, j, p] = v
-                    max_abs = max(max_abs, abs(v), den)
-    return nums, dens, max_abs
-
-
 def verify_homomorphism(rep: Representation, table: GroupTable,
                         mats: list[Mat] | None = None) -> int:
     """Check rho(g) rho(h) = rho(gh) for every ordered pair of elements.
@@ -259,7 +224,8 @@ def verify_homomorphism(rep: Representation, table: GroupTable,
     n = len(table)
     m = rep.dim
     prod = np.array(table.product, dtype=np.int64)
-    nums_obj, dens_obj, max_abs = _int_encoding(mats)
+    nums_obj, dens_obj, max_abs = int_encoding([mat.entries for mat in mats])
+    nums_obj = nums_obj.reshape(n, m, m, 4)
     # worst entry of a product: m cyc-multiplies of 4 cross terms each,
     # then cross-multiplied by a denominator product
     bound = 4 * m * max_abs * max_abs * max_abs
@@ -267,7 +233,7 @@ def verify_homomorphism(rep: Representation, table: GroupTable,
         nums = nums_obj.astype(np.int64)
         dens = dens_obj.astype(np.int64)
         for g in range(n):
-            lhs = np.einsum("ikp,hkjq,pqr->hijr", nums[g], nums, _CYC_STRUCT,
+            lhs = np.einsum("ikp,hkjq,pqr->hijr", nums[g], nums, CYC_STRUCT,
                             optimize=True)
             target = prod[g]
             rhs = nums[target]

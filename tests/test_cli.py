@@ -107,9 +107,19 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["molien", "--rep", "40"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["covariants", "--rep", "9", "--degree", "-1"])
-    assert exc.value.code == 2
+    for argv in (["covariants", "--rep", "9", "--degree", "-1"],
+                 ["covariants", "--rep", "9", "--degree", str(cli.MAX_DEGREE + 1)],
+                 ["molien", "--rep", "9", "--terms", "0"],
+                 ["molien", "--rep", "all", "--terms", str(cli.MAX_DEGREE + 1)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_degree_limit_is_accepted(capsys):
+    code, out = run_cli(capsys, "molien", "--rep", "1", "--terms", str(cli.MAX_DEGREE))
+    assert code == 0 and out.startswith("rho_1: 1 + t^8")
+    assert cli.MAX_DEGREE >= 128    # every benchmark command stays valid
 
 
 def test_verify_only_molien(capsys):

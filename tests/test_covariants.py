@@ -201,3 +201,101 @@ def test_degree_zero_slices(engine):
     # only the trivial representation has constants
     for rid in range(1, 33):
         assert engine.slice(rid, 0).dim == (1 if rid == 1 else 0)
+
+
+def _rows(engine, rid, d):
+    rep = engine.reps[rid]
+    coords = engine._kept_coords(rep, d)
+    return (engine._t_rows(rep, d, coords), len(coords)) if coords else ([], 0)
+
+
+def _oracle(rows, ncols):
+    from g9cov.linalg import nullspace_from_rref, rref
+    reduced, pivots = rref(list(rows))
+    return nullspace_from_rref(reduced, pivots, ncols)
+
+
+def test_certified_nullspace_equals_exact_rref(engine):
+    # the multimodular solver against the exact elimination oracle on every
+    # slice with rows through degree 40, and on two deep slices
+    from collections import Counter
+    from g9cov.linalg import certified_nullspace
+    cases = [(r, d) for r in range(1, 33) for d in range(41)] + [(25, 70), (30, 63)]
+    counters = Counter()
+    solved = 0
+    for rid, d in cases:
+        rows, ncols = _rows(engine, rid, d)
+        if rows:
+            assert certified_nullspace(rows, ncols, counters) == _oracle(rows, ncols), (rid, d)
+            solved += 1
+    assert solved == 163
+    assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
+
+
+def test_engine_counts_slices_and_primes(sess):
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    eng.slice(29, 27)
+    eng.slice(29, 27)       # cached
+    eng.slice(29, 28)       # ruled out by the central character
+    assert eng.counters["slices_solved"] == 1
+    assert eng.counters["primes"] >= 1 and eng.counters["certificate_primes"] >= 1
+    assert eng.counters["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("fault", ["off_nullspace", "off_normal_form"])
+def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
+    # a wrong reconstruction: the certificate must reject every attempt, the
+    # exact fallback must engage, and the basis stays right
+    from g9cov import linalg
+    from g9cov.covariants import CovariantEngine
+    honest = linalg._reconstruct
+
+    def corrupt(residues, m):
+        got = honest(residues, m)
+        if got is not None:
+            vecs, dens = got
+            vecs = vecs.copy()
+            if fault == "off_nullspace":
+                # for rho_21 in degree 18 column 0 is a pivot column left of
+                # vector 0's free column: caught by A v = 0
+                vecs[0, 0, 1] += 1
+            else:
+                # v_0 + v_1 stays in the nullspace but is nonzero at the free
+                # column of v_1: caught by the normal form
+                vecs[0] = vecs[0] * dens[1] + vecs[1] * dens[0]
+                dens = [dens[0] * dens[1]] + dens[1:]
+            got = vecs, dens
+        return got
+
+    eng = CovariantEngine(sess.table, sess.reps)
+    monkeypatch.setattr(linalg, "_reconstruct", corrupt)
+    basis = eng.slice(21, 18).basis
+    assert eng.counters["fallbacks"] == 1
+    assert eng.counters["primes"] == len(linalg.ELIMINATION_PRIMES)
+    monkeypatch.undo()
+    assert basis == sess.engine.slice_dense(21, 18).basis
+
+
+def test_certificate_needs_enough_primes(engine):
+    # a coordinate shifted by a product of certificate primes vanishes modulo
+    # each of them; the magnitude bound must demand a prime that sees it
+    from collections import Counter
+    from math import prod
+    from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows, int_encoding
+    rows, ncols = _rows(engine, 29, 35)
+    basis = _oracle(rows, ncols)
+    vecs, dens, _ = int_encoding(basis)
+    free = [max(c for c in range(ncols) if not v[c].is_zero()) for v in basis]
+    pivot = min(set(range(free[0])) - set(free))
+    int_rows = _IntRows(rows)
+    counters = Counter()
+    assert _certify(int_rows, vecs, list(dens), free, counters)
+    honest = counters["certificate_primes"]
+    for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
+        bad = vecs.copy()
+        bad[0, pivot, 2] += shift
+        counters = Counter()
+        assert not _certify(int_rows, bad, list(dens), free, counters), shift
+        assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
+    assert counters["certificate_primes"] > honest + 2

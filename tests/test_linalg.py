@@ -1,12 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
-from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO
+from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, Z, rational
 from g9cov.group import standard_generators
-from g9cov.linalg import (Mat, ShapeError, SingularMatrixError, kron,
-                          mat_from_json, mat_to_json, solve_exact)
+from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
+                          SingularMatrixError, _dot_mod, _embedding_matrices, _is_prime,
+                          certified_nullspace, int_encoding, kron, mat_from_json,
+                          mat_to_json, nullspace_from_rref, rref, solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -31,22 +36,6 @@ def test_matmul_identity_random():
         rnd_mat(rng, 2).matmul(rnd_mat(rng, 3))
 
 
-def test_det_examples():
-    t, d = standard_generators()
-    assert t.det() == CycNum(-1)
-    assert d.det() == I_UNIT
-    assert Mat.identity(4).det() == ONE
-    with pytest.raises(ShapeError):
-        Mat.zeros(2, 3).det()
-
-
-def test_det_multiplicative_sampled():
-    rng = random.Random(5)
-    for _ in range(30):
-        a, b = rnd_mat(rng, 3), rnd_mat(rng, 3)
-        assert a.matmul(b).det() == a.det() * b.det()
-
-
 def test_inverse_examples():
     t, d = standard_generators()
     assert d.inverse() == d ** 3
@@ -56,26 +45,122 @@ def test_inverse_examples():
         Mat.from_rows([[1, 1], [1, 1]]).inverse()
 
 
+def oracle_nullspace(rows, ncols):
+    reduced, pivots = rref([list(r) for r in rows])
+    return nullspace_from_rref(reduced, pivots, ncols)
+
+
+def cyc_rows(rows):
+    return [[rational(x) for x in r] for r in rows]
+
+
 def test_nullspace_examples():
-    assert Mat.identity(3).nullspace() == []
-    ns = Mat.zeros(2, 2).nullspace()
-    assert [tuple(v.entries) for v in ns] == [(ONE, ZERO), (ZERO, ONE)]
+    assert certified_nullspace(cyc_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
+    assert certified_nullspace(cyc_rows([[0, 0], [0, 0]]), 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert certified_nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
     # hand elimination of [[1,1],[1,1]]: one free column, vector (-1, 1)
-    ns = Mat.from_rows([[1, 1], [1, 1]]).nullspace()
-    assert len(ns) == 1
-    assert tuple(ns[0].entries) == (CycNum(-1), ONE)
+    assert certified_nullspace(cyc_rows([[1, 1], [1, 1]]), 2) == [[CycNum(-1), ONE]]
+    # one free column right of a fractional pivot: (-1/3 z, 1)
+    assert certified_nullspace(cyc_rows([[3, Z]]), 2) == [[CycNum(0, Fraction(-1, 3)), ONE]]
 
 
 def test_nullspace_exactness_and_rank():
     rng = random.Random(9)
     for _ in range(20):
-        m = Mat(3, 5, [CycNum(rng.randint(-2, 2)) for _ in range(15)])
-        basis = m.nullspace()
+        rows = cyc_rows([[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)])
+        basis = certified_nullspace(rows, 5)
+        assert basis == oracle_nullspace(rows, 5)
+        m = Mat.from_rows(rows)
         for v in basis:
-            assert all(e.is_zero() for e in m.matmul(v).entries)
-        if basis:
-            stacked = Mat.from_rows([[v.at(i, 0) for v in basis] for i in range(5)])
-            assert stacked.nullspace() == []  # basis has full column rank
+            assert all(e.is_zero() for e in m.matmul(Mat.column(v)).entries)
+        assert len(rref([list(v) for v in basis])[1]) == len(basis)   # independent
+
+
+def test_certified_nullspace_matches_rref_on_cyclotomic_rows():
+    # dependent rows with fractional cyclotomic entries: low rank, many free columns
+    rng = random.Random(33)
+    counters = Counter()
+    for _ in range(15):
+        ncols = rng.randint(2, 9)
+        base = [[CycNum(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)])
+                 if rng.random() < 0.6 else ZERO for _ in range(ncols)]
+                for _ in range(rng.randint(1, 4))]
+        rows = base + [[sum((rng.randint(-3, 3) * r[c] for r in base), ZERO)
+                        for c in range(ncols)] for _ in range(3)]
+        rng.shuffle(rows)
+        assert certified_nullspace(rows, ncols, counters) == oracle_nullspace(rows, ncols)
+    assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
+
+
+def test_prime_tables():
+    for table, below in ((ELIMINATION_PRIMES, 2 ** 31), (CERTIFICATE_PRIMES, 2 ** 26)):
+        assert list(table) == sorted(set(table), reverse=True) and table[0] < below
+        for p in table[:3] + table[-2:]:
+            assert p % 8 == 1 and all(p % q for q in range(3, isqrt(p) + 1, 2)), p
+    # includes the Carmichael numbers and base-2 strong pseudoprimes below 5000
+    assert [n for n in range(9, 5000, 2) if _is_prime(n)] == \
+        [n for n in range(9, 5000, 2) if all(n % q for q in range(3, isqrt(n) + 1, 2))]
+
+
+def test_embedding_matrices_invert():
+    # coordinates -> embeddings -> coordinates is the identity mod p
+    for p in ELIMINATION_PRIMES[:2]:
+        fwd, inv = _embedding_matrices(p)
+        back = (np.array(fwd, dtype=object) @ np.array(inv, dtype=object)) % p
+        assert (back == np.eye(4, dtype=np.int64)).all()
+        w = int(fwd[1, 0])
+        assert pow(w, 4, p) == p - 1
+
+
+def test_dot_mod_no_overflow():
+    p = ELIMINATION_PRIMES[0]
+    rng = np.random.default_rng(1)
+    a = rng.integers(0, p, (3, 40))
+    b = rng.integers(-p + 1, p, (40, 2))
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert (_dot_mod(a, b, p) == want).all()
+
+
+def test_int_encoding_round_trip():
+    rng = random.Random(4)
+    groups = [[CycNum(*[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(4)])
+               if rng.random() < 0.7 else ZERO for _ in range(5)] for _ in range(6)]
+    nums, dens, max_abs = int_encoding(groups)
+    assert nums.shape == (6, 5, 4)
+    for g, entries in enumerate(groups):
+        for e, x in enumerate(entries):
+            assert CycNum(*[Fraction(int(n), int(dens[g])) for n in nums[g, e]]) == x
+    assert max_abs == max([abs(n) for n in nums.flat] + list(dens))
+
+
+def test_rank_drop_at_a_prime_is_rejected():
+    # [[1, 1], [1, 1 + p]] has rank 2 but rank 1 modulo p: the kernel vector
+    # (-1, 1) read off at p must not survive, the next prime supersedes it
+    p = ELIMINATION_PRIMES[0]
+    counters = Counter()
+    assert certified_nullspace(cyc_rows([[1, 1], [1, 1 + p]]), 2, counters) == []
+    assert counters["primes"] == 2 and counters["primes_rejected"] == 1
+    assert counters["fallbacks"] == 0
+
+
+def test_rank_drop_in_one_embedding_is_rejected():
+    # z - w vanishes under zeta_8 -> w modulo p only, so the four embedded
+    # ranks of [[1, 1], [1, 1 + z - w]] disagree at p
+    p = ELIMINATION_PRIMES[0]
+    w = int(_embedding_matrices(p)[0][1, 0])
+    counters = Counter()
+    rows = cyc_rows([[1, 1], [1, 1 + Z - w]])
+    assert certified_nullspace(rows, 2, counters) == oracle_nullspace(rows, 2) == []
+    assert counters["primes"] == 2 and counters["primes_rejected"] == 1
+
+
+def test_pivot_shift_at_a_prime_is_rejected():
+    # [[p, 1]]: modulo p the pivot moves from column 0 to column 1 at equal rank
+    p = ELIMINATION_PRIMES[0]
+    counters = Counter()
+    rows = cyc_rows([[p, 1]])
+    assert certified_nullspace(rows, 2, counters) == [[CycNum(Fraction(-1, p)), ONE]]
+    assert counters["primes_rejected"] == 1 and counters["fallbacks"] == 0
 
 
 def test_kron_reference_values():
