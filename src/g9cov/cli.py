@@ -333,20 +333,24 @@ def _check_tau(sess: Session) -> str:
 
 
 def _check_invariants(sess: Session) -> str:
+    """The octahedral identities and the (co)invariance of gamma, theta, delta, phi.
+
+    f(s x) = c_s f(x) for s in {T, D} with scalars c_s gives f(g x) = c_g f(x)
+    at every g = s1...sk of G9 = <T, D>, c_g the (commuting) product of the c_s.
+    """
     gamma, theta, delta, phi = poly.fundamental_invariants()
     if not (phi - (delta * delta + (gamma ** 4).scale(66))).is_zero():
         raise CheckFailure("phi = delta^2 + 66 gamma^4 fails")
     if gamma.tau() != -gamma or theta.tau() != theta:
         raise CheckFailure("tau action on gamma/theta fails")
-    chi3 = {e.index: sess.mats[3][e.index].at(0, 0) for e in sess.table.elements}
-    chi5 = {e.index: sess.mats[5][e.index].at(0, 0) for e in sess.table.elements}
-    for e in sess.table.elements:
-        if theta.substitute(e.mat) != theta or phi.substitute(e.mat) != phi:
-            raise CheckFailure(f"theta/phi moved by element {e.index}")
-        if gamma.substitute(e.mat) != gamma.scale(chi3[e.index]):
-            raise CheckFailure(f"gamma is not rho_3-covariant at element {e.index}")
-        if delta.substitute(e.mat) != delta.scale(chi5[e.index]):
-            raise CheckFailure(f"delta is not rho_5-covariant at element {e.index}")
+    for name, mat in sess.table.gens.items():
+        index = sess.table.lookup(mat)
+        if theta.substitute(mat) != theta or phi.substitute(mat) != phi:
+            raise CheckFailure(f"theta/phi moved by element {index}")
+        if gamma.substitute(mat) != gamma.scale(sess.rep(3).image(name).at(0, 0)):
+            raise CheckFailure(f"gamma is not rho_3-covariant at element {index}")
+        if delta.substitute(mat) != delta.scale(sess.rep(5).image(name).at(0, 0)):
+            raise CheckFailure(f"delta is not rho_5-covariant at element {index}")
     return ("phi = delta^2 + 66 gamma^4; theta, phi fixed by all 192 elements; "
             "gamma, delta covariant for rho_3, rho_5; tau signs correct")
 

@@ -2,8 +2,8 @@
 
 A rho-covariant is a vector F of homogeneous polynomials with
 F(s x) = rho(s) F(x) for every group element s.  The two generator
-constraints suffice: covariance multiplies along words, and the
-homomorphism property of rho is certified exhaustively elsewhere.
+constraints suffice: covariance multiplies along words, and that rho is
+a homomorphism is certified on the Cayley edges (reps.verify_homomorphism).
 
 The degree-d slice is computed as the nullspace of an exact linear
 system on the coefficients of F.  Two reductions cut the system down

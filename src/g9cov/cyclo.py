@@ -32,13 +32,9 @@ class CycNum:
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, n0=0, n1=0, n2=0, n3=0, den=1, _raw=False):
-        if _raw:
-            # trusted, already-reduced integers
-            self._n = (n0, n1, n2, n3)
-            self._d = den
-            return
-        parts = [Fraction(n0), Fraction(n1), Fraction(n2), Fraction(n3)]
+    def __init__(self, n0=0, n1=0, n2=0, n3=0, den=1):
+        """(n0 + n1 z + n2 z^2 + n3 z^3) / den for rational n_i and den != 0."""
+        parts = [Fraction(n) / den for n in (n0, n1, n2, n3)]
         den_all = 1
         for p in parts:
             den_all = den_all * p.denominator // gcd(den_all, p.denominator)

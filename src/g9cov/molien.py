@@ -125,27 +125,3 @@ def numerator_of(series: list[int], cutoff: int) -> list[tuple[int, int]]:
                 raise MolienError(f"numerator coefficient {v} at degree {d}")
             out.append((d, v))
     return out
-
-
-def molien_series_elementwise(rep: Representation, table: GroupTable,
-                              cutoff: int = DEFAULT_CUTOFF,
-                              mats: list[Mat] | None = None) -> list[int]:
-    """Naive 192-term element sum; cross-check for the class-summed formula."""
-    if mats is None:
-        mats = rep_matrices(rep, table)
-    acc = [ZERO] * (cutoff + 1)
-    for e in table.elements:
-        tr_inv = mats[table.inverse[e.index]].trace()
-        if tr_inv.is_zero():
-            continue
-        expansion = _inverse_det_series(e.mat.trace(), _det2(e.mat), cutoff)
-        for n in range(cutoff + 1):
-            acc[n] = acc[n] + tr_inv * expansion[n]
-    order = len(table)
-    out = []
-    for n, value in enumerate(acc):
-        q = value.as_fraction() / order
-        if q.denominator != 1:
-            raise MolienError(f"element sum gave non-integer {q} at t^{n}")
-        out.append(int(q))
-    return out

@@ -43,6 +43,9 @@ LINEAR_IMAGES = [
 # twist order for the faithful 2-dimensional family rho_9..rho_16
 FAITHFUL_TWISTS = [1, 3, 2, 4, 5, 7, 6, 8]
 
+# verify_homomorphism takes its int64 path only below this magnitude bound
+INT64_BOUND = 2 ** 62
+
 
 class ExtractionError(RuntimeError):
     """A chosen subspace is not invariant under a generator image."""
@@ -160,14 +163,6 @@ def rep_matrices(rep: Representation, table: GroupTable) -> list[Mat]:
     return mats
 
 
-def character(rep: Representation, table: GroupTable,
-              mats: list[Mat] | None = None) -> list[CycNum]:
-    """Trace at the 32 reference class representatives, in column order."""
-    if mats is None:
-        mats = rep_matrices(rep, table)
-    return [mats[i].trace() for i in table.class_reps]
-
-
 def inner_product(row_a: list[CycNum], row_b: list[CycNum],
                   table: GroupTable) -> Fraction:
     """(1/|G|) sum over classes of |C| a(C) conj(b(C)); rational for characters."""
@@ -180,13 +175,26 @@ def inner_product(row_a: list[CycNum], row_b: list[CycNum],
     return acc.as_fraction() / len(table)
 
 
-def character_table(reps: list[Representation], table: GroupTable,
-                    all_mats: dict[int, list[Mat]] | None = None) -> list[list[CycNum]]:
-    rows = []
-    for rep in reps:
-        mats = all_mats[rep.rid] if all_mats else None
-        rows.append(character(rep, table, mats))
-    return rows
+def class_traces(rep: Representation, table: GroupTable) -> list[CycNum]:
+    """Traces at the 32 reference classes, in column order.
+
+    A trace is constant on a class, so each class is read at its first BFS
+    element (a shortest word): only those and their ancestors get an image.
+    """
+    images = {table.identity: Mat.identity(rep.dim)}
+
+    def image(i: int) -> Mat:
+        if i not in images:
+            e = table.elements[i]
+            images[i] = image(e.parent).matmul(rep.image(e.last))
+        return images[i]
+
+    return [image(table.classes[bid][0]).trace() for bid in table.class_block_order]
+
+
+def character_table(reps: list[Representation], table: GroupTable) -> list[list[CycNum]]:
+    """One row of class traces per representation."""
+    return [class_traces(r, table) for r in reps]
 
 
 def verify_census(reps: list[Representation], table: GroupTable,
@@ -209,47 +217,42 @@ def verify_census(reps: list[Representation], table: GroupTable,
     return {"dims": dims, "sum_squares": total, "pairs_checked": len(reps) ** 2}
 
 
-# -- exhaustive homomorphism certification ---------------------------------------
+# -- homomorphism certification on the Cayley edges -------------------------------
 
 def verify_homomorphism(rep: Representation, table: GroupTable,
                         mats: list[Mat] | None = None) -> int:
     """Check rho(g) rho(h) = rho(gh) for every ordered pair of elements.
 
-    Uses an exact integer fast path (int64 with a proven magnitude bound);
-    falls back to the direct CycNum product check if the bound is too weak.
+    G9 = <T, D>: if rho(e) = I and rho(g) rho(s) = rho(gs) for all g and s in
+    {T, D}, then h = h's gives rho(g) rho(h) = rho(gh') rho(s) = rho(gh).
+    So only the 2 * |G| Cayley edges are checked, in int64 with a proven
+    magnitude bound, or with exact CycNum products if the bound is too weak.
     Returns the number of ordered pairs certified.
     """
     if mats is None:
         mats = rep_matrices(rep, table)
     n = len(table)
     m = rep.dim
-    prod = np.array(table.product, dtype=np.int64)
-    nums_obj, dens_obj, max_abs = int_encoding([mat.entries for mat in mats])
-    nums_obj = nums_obj.reshape(n, m, m, 4)
+    if mats[table.identity] != Mat.identity(m):
+        raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
+    nums, dens, max_abs = int_encoding([mat.entries for mat in mats])
+    nums = nums.reshape(n, m, m, 4)
     # worst entry of a product: m cyc-multiplies of 4 cross terms each,
     # then cross-multiplied by a denominator product
-    bound = 4 * m * max_abs * max_abs * max_abs
-    if bound < 2 ** 62:
-        nums = nums_obj.astype(np.int64)
-        dens = dens_obj.astype(np.int64)
-        for g in range(n):
-            lhs = np.einsum("ikp,hkjq,pqr->hijr", nums[g], nums, CYC_STRUCT,
+    fast = 4 * m * max_abs * max_abs * max_abs < INT64_BOUND
+    if fast:
+        nums, dens = nums.astype(np.int64), dens.astype(np.int64)
+    for s in (table.lookup(g) for g in table.gens.values()):
+        target = np.array([row[s] for row in table.product])
+        if fast:
+            lhs = np.einsum("gikp,kjq,pqr->gijr", nums, nums[s], CYC_STRUCT,
                             optimize=True)
-            target = prod[g]
-            rhs = nums[target]
-            lhs_scale = dens[target][:, None, None, None]
-            rhs_scale = (dens[g] * dens)[:, None, None, None]
-            if not np.array_equal(lhs * lhs_scale, rhs * rhs_scale):
-                bad = np.argwhere((lhs * lhs_scale) != (rhs * rhs_scale))[0]
-                raise CensusError(
-                    f"rho_{rep.rid}: homomorphism fails at pair ({g}, {bad[0]})")
-        return n * n
-    # exact fallback (unbounded integers)
-    for g in range(n):
-        mg = mats[g]
-        row = table.product[g]
-        for h in range(n):
-            if mg.matmul(mats[h]) != mats[row[h]]:
-                raise CensusError(
-                    f"rho_{rep.rid}: homomorphism fails at pair ({g}, {h})")
+            lhs = lhs * dens[target][:, None, None, None]
+            rhs = nums[target] * (dens * dens[s])[:, None, None, None]
+            bad = (lhs != rhs).any(axis=(1, 2, 3))
+        else:
+            bad = [mats[g].matmul(mats[s]) != mats[t] for g, t in enumerate(target)]
+        if any(bad):
+            g = int(np.flatnonzero(bad)[0])
+            raise CensusError(f"rho_{rep.rid}: homomorphism fails at pair ({g}, {s})")
     return n * n

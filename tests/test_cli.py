@@ -156,6 +156,21 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "FAIL invariants: phi = delta^2 + 66 gamma^4 fails" in out
 
 
+@pytest.mark.parametrize("terms, moved_by", [
+    ({(2, 0): 1, (0, 2): 1}, "D"),        # x^2 + y^2: fixed by T, not by D
+    ({(4, 0): 1, (0, 4): 1}, "T"),        # x^4 + y^4: fixed by D, not by T
+])
+def test_verify_invariants_names_the_moved_element(capsys, monkeypatch, table,
+                                                   terms, moved_by):
+    gamma, _, delta, phi = poly.fundamental_invariants()
+    monkeypatch.setattr(poly, "fundamental_invariants",
+                        lambda: (gamma, BiPoly(terms), delta, phi))
+    code, out = run_cli(capsys, "verify", "--only", "invariants")
+    assert code == 1
+    index = table.lookup(table.gens[moved_by])
+    assert f"FAIL invariants: theta/phi moved by element {index}\n" in out
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "series.json"
     code = cli.main(["molien", "--rep", "1", "--format", "json", "--out", str(target)])

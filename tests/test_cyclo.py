@@ -101,6 +101,14 @@ def test_canonical_form_and_hash():
     assert a.coeffs == (Fraction(1, 2), Fraction(-3, 2), Fraction(0), Fraction(0))
 
 
+def test_constructor_honours_den():
+    assert CycNum(1, 0, 0, 0, den=2) == Fraction(1, 2)
+    assert CycNum(2, 4, 0, 6, den=-4) == CycNum(Fraction(-1, 2), -1, 0, Fraction(-3, 2))
+    assert CycNum(Fraction(1, 3), den=Fraction(2, 3)) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        CycNum(1, den=0)
+
+
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50)
 cyc_values = st.tuples(fractions, fractions, fractions, fractions).map(
     lambda parts: CycNum(*parts))
@@ -130,6 +138,12 @@ def test_hash_follows_canonical_form(a):
     b = (a + ONE) - ONE
     c = (a * Z) * Z.inverse()
     assert a == b == c and hash(a) == hash(b) == hash(c)
+
+
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 4),
+       st.integers(-10**6, 10**6).filter(bool))
+def test_constructor_den_matches_make(nums, den):
+    assert CycNum(*nums, den=den) == CycNum._make(nums, den)
 
 
 def test_json_round_trip():

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from g9cov import reference
+from g9cov import reference, reps as reps_module
 from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import standard_generators
 from g9cov.linalg import Mat, kron
-from g9cov.reps import (ExtractionError, extract_subrep, inner_product,
-                        rep_matrices, verify_census, verify_homomorphism)
+from g9cov.reps import (CensusError, ExtractionError, Representation,
+                        extract_subrep, inner_product, rep_matrices,
+                        verify_census, verify_homomorphism)
 
 H = Fraction(1, 2)
 
@@ -150,6 +151,73 @@ def test_twist_coherence(sess):
 
 def test_homomorphism_single_rep(sess):
     assert verify_homomorphism(sess.reps[28], sess.table, sess.mats[29]) == 192 * 192
+
+
+def _scaled_at(mats, g, factor):
+    out = list(mats)
+    out[g] = mats[g].scale(factor)
+    return out
+
+
+def test_homomorphism_catches_every_single_corrupted_image(sess):
+    # the Cayley edges of T and D touch every element, so scaling any one
+    # non-identity image by z^2 breaks some edge
+    rep, mats = sess.rep(29), sess.mats[29]
+    for g in range(1, len(sess.table)):
+        with pytest.raises(CensusError, match="rho_29: homomorphism fails"):
+            verify_homomorphism(rep, sess.table, _scaled_at(mats, g, CycNum.zeta(2)))
+
+
+def test_homomorphism_checks_the_edges_of_both_generators(sess):
+    # scaling a whole right coset g<s> by z^2 keeps every s-edge intact
+    # (g = the other generator keeps e and s out of it), so only the other
+    # generator's edges can expose it
+    table, rep, mats = sess.table, sess.rep(29), sess.mats[29]
+    for name, other_name in (("T", "D"), ("D", "T")):
+        s, other = table.lookup(table.gens[name]), table.lookup(table.gens[other_name])
+        coset, x = [other], table.product[other][s]
+        while x != other:
+            coset.append(x)
+            x = table.product[x][s]
+        bad = list(mats)
+        for c in coset:
+            bad[c] = mats[c].scale(CycNum.zeta(2))
+        with pytest.raises(CensusError, match=rf", {other}\)$"):
+            verify_homomorphism(rep, table, bad)
+
+
+def test_homomorphism_requires_identity_image(sess):
+    # all-zero images satisfy every edge 0 * 0 = 0; only rho(e) = I rules them out
+    zero = Mat.from_rows([[0] * 4] * 4)
+    with pytest.raises(CensusError, match="identity"):
+        verify_homomorphism(sess.rep(29), sess.table, [zero] * len(sess.table))
+
+
+def test_wrong_generator_image_fails_edge_check(table):
+    # diag(1, z) has order 8, so images built along the BFS words of G9
+    # cannot form a homomorphism
+    t, _ = standard_generators()
+    bad = Representation(9, 2, t, Mat.diagonal([1, CycNum.zeta(1)]))
+    with pytest.raises(CensusError, match="rho_9: homomorphism fails"):
+        verify_homomorphism(bad, table, rep_matrices(bad, table))
+
+
+def test_exact_fallback_agrees_with_int64_path(sess, monkeypatch):
+    rep, mats = sess.rep(29), sess.mats[29]
+    corrupted = _scaled_at(mats, 57, CycNum.zeta(2))
+    fast = verify_homomorphism(rep, sess.table, mats)
+    with pytest.raises(CensusError) as fast_fail:
+        verify_homomorphism(rep, sess.table, corrupted)
+
+    products = []
+    matmul = Mat.matmul
+    monkeypatch.setattr(Mat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(reps_module, "INT64_BOUND", 0)
+    assert verify_homomorphism(rep, sess.table, mats) == fast == 192 * 192
+    assert len(products) == 2 * 192          # one exact product per Cayley edge
+    with pytest.raises(CensusError) as exact_fail:
+        verify_homomorphism(rep, sess.table, corrupted)
+    assert str(exact_fail.value) == str(fast_fail.value)
 
 
 def test_character_table_vs_reference_detailed(sess):
