@@ -49,11 +49,24 @@ Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
 normalized to leading coefficient 1.  The sweep stops at the top degree
-of the Molien numerator.  The module is free, so by Stanley's criterion
-(Bull. AMS 1 (1979)) rank-many covariants, independent over C[theta, phi]
-and with the numerator's exponents as degrees, are a basis.  generators()
-checks count and degrees exactly; verify_free and det_relation check
-independence.
+of the Molien numerator.  The module is free (Chevalley, Amer. J. Math.
+77 (1955)), so by Stanley's criterion (Bull. AMS 1 (1979)) rank-many
+covariants, independent over C[theta, phi] and with the numerator's
+exponents as degrees, are a basis.  generators() checks count and degrees
+exactly.  verify_free proves independence and span without elimination:
+
+  * det[g_1 .. g_m] != 0 (generator_det, shared with det_relation; for
+    rank 1 the generator itself), so the g_j are independent over C(x, y);
+  * theta and phi are algebraically independent: a nonzero relation
+    between forms of degrees 8 and 24 can be taken weighted homogeneous,
+    and divided by a power of theta it becomes a polynomial over C
+    satisfied by phi / theta^3, which is then constant; so it suffices
+    that theta != 0 and phi is not a constant multiple of theta^3;
+  * so sum_j p_j(theta, phi) g_j = 0 forces each p_j(theta, phi) = 0 and
+    then each p_j = 0: the products theta^a phi^b g_j are independent;
+  * they are covariants, and in each degree d <= cutoff they are exactly
+    as many as the Molien coefficient dim M(rho)_d (an integer count), so
+    they span every slice through the cutoff.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from functools import lru_cache
 
 from .cyclo import CycNum, ZERO, rational
 from .group import GroupTable
-from .linalg import Mat, certified_nullspace, nullspace_from_rref, rref
+from .linalg import Mat, certified_nullspace, rref
 from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import Representation, rep_matrices
@@ -193,6 +206,7 @@ class CovariantEngine:
         self._central: dict[int, CycNum] = {}
         self._subst: dict[int, list[list[int]]] = {}
         self._scalars: dict[tuple[int, int], BiPoly] = {}
+        self._dets: dict[int, BiPoly] = {}
         self._central_index = table.lookup(Mat.identity(2).scale(CycNum.zeta(1)))
         # slices_solved; primes, primes_rejected, certificate_primes and
         # fallbacks of certified_nullspace
@@ -322,49 +336,6 @@ class CovariantEngine:
         self._slices[key] = result
         return result
 
-    def slice_dense(self, rid: int, d: int) -> CovariantSlice:
-        """Reference solver: the plain T and D constraint system, no pruning.
-
-        Used in tests to certify that the reduced solver above computes the
-        same normal-form basis.
-        """
-        rep = self.reps[rid]
-        m = rep.dim
-        coords = [(j, a) for j in range(m) for a in range(d, -1, -1)]
-        col_index = {c: i for i, c in enumerate(coords)}
-        ncols = len(coords)
-        u = self._subst_table(d)
-        rows = []
-        scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
-        for j in range(m):
-            for b in range(d, -1, -1):
-                row = [ZERO] * ncols
-                for a in range(d + 1):
-                    if u[a][b]:
-                        row[col_index[(j, a)]] = _icyc(u[a][b])
-                for l in range(m):
-                    s = scaled_t.at(j, l)
-                    if not s.is_zero():
-                        idx = col_index[(l, b)]
-                        row[idx] = row[idx] - s
-                rows.append(row)
-        img_d = rep.img_d
-        i_pow = [CycNum.zeta(0), CycNum.zeta(2), CycNum.zeta(4), CycNum.zeta(6)]
-        for j in range(m):
-            for b in range(d, -1, -1):
-                row = [ZERO] * ncols
-                row[col_index[(j, b)]] = i_pow[(d - b) % 4]
-                for l in range(m):
-                    s = img_d.at(j, l)
-                    if not s.is_zero():
-                        idx = col_index[(l, b)]
-                        row[idx] = row[idx] - s
-                rows.append(row)
-        reduced, pivots = rref(rows)
-        basis = [VecPoly.from_coeffs(coords, v, m, d)
-                 for v in nullspace_from_rref(reduced, pivots, ncols)]
-        return CovariantSlice(rid, d, tuple(coords), tuple(basis))
-
     # -- generators -------------------------------------------------------------------
 
     def decomposables(self, rid: int, d: int) -> list[VecPoly]:
@@ -421,51 +392,52 @@ class CovariantEngine:
         return result
 
     def verify_free(self, rid: int, cutoff: int | None = None) -> dict:
-        """Free-module check: scaled generators fill every slice exactly.
+        """Free-module check: theta^a phi^b g_j fill every slice through cutoff.
 
-        For each degree d <= cutoff the products theta^a phi^b g_j of degree
-        d must be linearly independent and as many as the Molien coefficient.
+        Checks exactly the hypotheses of the freeness argument (Stanley,
+        Bull. AMS 1 (1979); Chevalley, Amer. J. Math. 77 (1955); proof in
+        the module docstring), with no elimination: the products of each
+        degree d are as many as the Molien coefficient, theta and phi are
+        algebraically independent, and det[g_j] is nonzero.  Then the
+        products are independent and span every slice through cutoff.
+        Raises FreenessError naming the representation (and the degree).
         """
         cutoff = self.cutoff if cutoff is None else cutoff
         genset = self.generators(rid)
-        series = self.molien(rid).series
-        rep = self.reps[rid]
-        checked = 0
+        series = self.molien_through(rid, cutoff).series
         for d in range(cutoff + 1):
-            prods = []
-            for gdeg, g in genset.gens:
-                rest = d - gdeg
-                if rest < 0 or rest % 8:
-                    continue
-                for b in range(rest // 24 + 1):
-                    rem = rest - 24 * b
-                    if rem % 8 == 0:
-                        prods.append(g.mul_poly(self.scalar_poly(rem // 8, b)))
-            expected = series[d]
-            if len(prods) != expected:
+            # products theta^a phi^b g_j of degree d: d - d_j - 24 b = 8 a >= 0
+            count = sum(1 for dj in genset.degrees for b24 in range(0, d - dj + 1, 24)
+                        if (d - dj - b24) % 8 == 0)
+            if count != series[d]:
                 raise FreenessError(
-                    f"rho_{rid} degree {d}: {len(prods)} products, "
-                    f"Molien coefficient {expected}")
-            if prods:
-                coords = [(j, a) for j in range(rep.dim) for a in range(d, -1, -1)]
-                reducer = RowReducer(len(coords))
-                for p in prods:
-                    if reducer.add(p.coeff_vector(coords)) is None:
-                        raise FreenessError(
-                            f"rho_{rid} degree {d}: dependent products")
-            checked += 1
-        return {"rep": rid, "degrees_checked": checked,
+                    f"rho_{rid} degree {d}: {count} products, "
+                    f"Molien coefficient {series[d]}")
+        # forms of degrees 8 and 24 are algebraically dependent exactly when
+        # one is zero or phi is a constant multiple of theta^3
+        theta3 = self.scalar_poly(3, 0)
+        if theta3.is_zero() or self.phi.is_zero() or (
+                self.phi.normalized() == theta3.normalized()):
+            raise FreenessError(
+                f"rho_{rid}: theta and phi are algebraically dependent")
+        if self.generator_det(rid).is_zero():
+            raise FreenessError(f"rho_{rid}: generator determinant is zero")
+        return {"rep": rid, "degrees_checked": cutoff + 1,
                 "generator_degrees": genset.degrees}
 
     # -- determinant factorization -----------------------------------------------------
 
+    def generator_det(self, rid: int) -> BiPoly:
+        """det[g_1 .. g_m], generators as columns; for rank 1 the generator."""
+        if rid not in self._dets:
+            cols = [g.components for _, g in self.generators(rid).gens]
+            self._dets[rid] = _poly_det([list(row) for row in zip(*cols)])
+        return self._dets[rid]
+
     def det_relation(self, rid: int) -> tuple[int, int, CycNum]:
         """Factor det[generators] as c * delta^e * gamma^k; returns (e, k, c)."""
         genset = self.generators(rid)
-        m = self.reps[rid].dim
-        cols = [g for _, g in genset.gens]
-        det = _poly_det([[cols[j].components[i] for j in range(m)]
-                         for i in range(m)])
+        det = self.generator_det(rid)
         if det.is_zero():
             raise FactorizationError(f"rho_{rid}: generator determinant is zero")
         total = det.degree()
@@ -607,8 +579,3 @@ def _poly_det(mat: list[list[BiPoly]]) -> BiPoly:
         return acc
 
     return minor(tuple(range(n)), 0)
-
-
-def covariance_check(vec: VecPoly, image: Mat, natural: Mat) -> bool:
-    """Exact check of F(s x) = rho(s) F(x) for one group element."""
-    return vec.substitute(natural) == vec.mat_apply(image)

@@ -77,9 +77,6 @@ class CycNum:
             raise ValueError(f"not a rational number: {self}")
         return Fraction(self._n[0], self._d)
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self._d == 1
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):

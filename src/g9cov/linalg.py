@@ -85,9 +85,6 @@ class Mat:
     def row(self, i: int) -> tuple[CycNum, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_lists(self) -> list[list[CycNum]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra ---------------------------------------------------------------
 
     def __mul__(self, other):
@@ -574,8 +571,3 @@ def kron(a: Mat, b: Mat) -> Mat:
 def mat_to_json(m: Mat) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [e.to_json() for e in m.entries]}
-
-
-def mat_from_json(data: dict) -> Mat:
-    return Mat(data["rows"], data["cols"],
-               [CycNum.from_json(e) for e in data["entries"]])

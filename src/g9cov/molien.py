@@ -5,7 +5,8 @@ tr(rho(s^{-1})) / det(I - t s), with the denominator taken in the natural
 2x2 action.  Both the numerator trace and det(I - t s) = 1 - tr(s) t +
 det(s) t^2 are class functions, so the sum runs over the 32 conjugacy
 classes weighted by class size; each 1/det factor is expanded by the
-series recurrence c_n = tr(s) c_{n-1} - det(s) c_{n-2}.
+series recurrence c_n = tr(s) c_{n-1} - det(s) c_{n-2}, once per class and
+cutoff for all representations.
 
 Every series produced here is proven to have non-negative integer
 coefficients, and multiplying by (1 - t^8)(1 - t^24) must leave an
@@ -15,6 +16,7 @@ integer polynomial whose coefficients sum to dim(rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclo import CycNum, ONE, ZERO
 from .group import GroupTable
@@ -57,14 +59,19 @@ def _det2(m: Mat) -> CycNum:
     return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
 
 
-def _inverse_det_series(trace: CycNum, det: CycNum, cutoff: int) -> list[CycNum]:
-    """Coefficients of 1 / (1 - trace*t + det*t^2) up to t^cutoff."""
+@lru_cache(maxsize=256)     # 32 classes at 8 cutoffs
+def _inverse_det_series(trace: CycNum, det: CycNum, cutoff: int) -> tuple[CycNum, ...]:
+    """Coefficients of 1 / (1 - trace*t + det*t^2) up to t^cutoff.
+
+    Memoized: the expansion depends only on the class, not on the
+    representation, so each class is expanded once per cutoff.
+    """
     coeffs = [ONE]
     if cutoff >= 1:
         coeffs.append(trace)
     for _ in range(2, cutoff + 1):
         coeffs.append(trace * coeffs[-1] - det * coeffs[-2])
-    return coeffs
+    return tuple(coeffs)
 
 
 def molien_series(rep: Representation, table: GroupTable,

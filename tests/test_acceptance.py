@@ -19,10 +19,10 @@ absorbed.
 from fractions import Fraction
 
 from g9cov import reference
-from g9cov.covariants import covariance_check
 from g9cov.group import class_orders, class_sizes
 from g9cov.poly import fundamental_invariants
 from g9cov.reps import inner_product, verify_homomorphism
+from oracles import covariance_check, verify_free_by_elimination
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -128,6 +128,8 @@ def test_criterion_08_freeness(sess):
     for rid in range(1, 33):
         report = sess.engine.verify_free(rid, 64)
         assert report["degrees_checked"] == 65
+        # the elimination oracle: every product theta^a phi^b g_j row-reduced
+        assert verify_free_by_elimination(sess.engine, rid, 64) == report, rid
     _ok("criterion 8: free-module Hilbert series equals Molien to degree 64")
 
 

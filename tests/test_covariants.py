@@ -1,9 +1,9 @@
 import pytest
 
 from g9cov import reference
-from g9cov.covariants import covariance_check
 from g9cov.cyclo import CycNum
 from g9cov.poly import BiPoly, fundamental_invariants
+from oracles import covariance_check, slice_dense, verify_free_by_elimination
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -32,7 +32,7 @@ def test_reduced_solver_equals_plain_system(engine):
                (19, 4), (29, 3), (1, 8), (17, 8), (31, 9), (25, 6), (12, 11)]
     for rid, d in samples:
         fast = engine.slice(rid, d)
-        dense = engine.slice_dense(rid, d)
+        dense = slice_dense(engine, rid, d)
         assert fast.basis == dense.basis, (rid, d)
 
 
@@ -95,9 +95,64 @@ def test_generator_normalization(engine):
 
 
 def test_free_module_spans(engine):
+    # the determinant proof against the elimination oracle through degree 64
     for rid in (1, 3, 9, 13, 19, 21, 25, 29, 31):
         report = engine.verify_free(rid)
         assert report["degrees_checked"] == 65
+        assert verify_free_by_elimination(engine, rid) == report
+
+
+def _engine_with_generators(sess, rid, gens):
+    from g9cov.covariants import CovariantEngine, GeneratorSet
+    eng = CovariantEngine(sess.table, sess.reps)
+    eng._gens[rid] = GeneratorSet(rid, tuple(gens))
+    return eng
+
+
+def test_free_rejects_zero_determinant(sess):
+    # rho_13 has generators in degrees 5 and 13; theta * g_5 in place of g_13
+    # keeps the degree multiset (and so the count) but makes det = 0
+    from g9cov.covariants import FreenessError
+    (d5, g5), (d13, _) = sess.engine.generators(13).gens
+    assert (d5, d13) == (5, 13)
+    eng = _engine_with_generators(sess, 13, [(5, g5), (13, g5.mul_poly(THETA))])
+    assert eng.generator_det(13).is_zero()
+    with pytest.raises(FreenessError, match=r"rho_13\b.*determinant is zero"):
+        eng.verify_free(13)
+    with pytest.raises(FreenessError, match=r"rho_13 degree 13: dependent products"):
+        verify_free_by_elimination(eng, 13)
+
+
+def test_free_rejects_shifted_degree(sess):
+    # a generator moved from degree 13 to 21 (theta * g_13): det stays
+    # nonzero, the count of products in degree 13 drops to 1
+    from g9cov.covariants import FreenessError
+    (_, g5), (_, g13) = sess.engine.generators(13).gens
+    eng = _engine_with_generators(sess, 13, [(5, g5), (21, g13.mul_poly(THETA))])
+    assert not eng.generator_det(13).is_zero()
+    with pytest.raises(FreenessError,
+                       match=r"rho_13 degree 13: 1 products, Molien coefficient 2"):
+        eng.verify_free(13)
+
+
+@pytest.mark.parametrize("phi", ["theta^3", "7 theta^3", "zero"])
+def test_free_rejects_dependent_invariants(sess, phi):
+    # phi is read only after the generators are in place, so only the
+    # independence check can catch a phi that is a multiple of theta^3
+    from g9cov.covariants import FreenessError
+    eng = _engine_with_generators(sess, 13, sess.engine.generators(13).gens)
+    eng.phi = {"theta^3": THETA ** 3, "7 theta^3": (THETA ** 3).scale(7),
+               "zero": BiPoly()}[phi]
+    with pytest.raises(FreenessError, match=r"rho_13: theta and phi are algebraically dependent"):
+        eng.verify_free(13)
+
+
+def test_free_accepts_independent_replacement_of_phi(sess):
+    # the independence check is not a comparison with the true phi: any
+    # degree-24 form off the line of theta^3 passes
+    eng = _engine_with_generators(sess, 13, sess.engine.generators(13).gens)
+    eng.phi = THETA ** 3 + DELTA * DELTA
+    assert eng.verify_free(13)["degrees_checked"] == 65
 
 
 def test_det_relation_examples(engine):
@@ -274,7 +329,7 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
     assert eng.counters["fallbacks"] == 1
     assert eng.counters["primes"] == len(linalg.ELIMINATION_PRIMES)
     monkeypatch.undo()
-    assert basis == sess.engine.slice_dense(21, 18).basis
+    assert basis == slice_dense(sess.engine, 21, 18).basis
 
 
 def test_certificate_needs_enough_primes(engine):

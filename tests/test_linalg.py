@@ -10,8 +10,14 @@ from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, Z, rational
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
                           SingularMatrixError, _dot_mod, _embedding_matrices, _is_prime,
-                          certified_nullspace, int_encoding, kron, mat_from_json,
-                          mat_to_json, nullspace_from_rref, rref, solve_exact)
+                          certified_nullspace, int_encoding, kron, mat_to_json,
+                          nullspace_from_rref, rref, solve_exact)
+
+
+def mat_from_json(data):
+    """Inverse of linalg.mat_to_json, which the CLI uses for group --format json."""
+    return Mat(data["rows"], data["cols"],
+               [CycNum.from_json(e) for e in data["entries"]])
 
 
 def rnd_mat(rng, n, m=None, span=3):

@@ -1,7 +1,7 @@
 import pytest
 
 from g9cov import reference
-from g9cov.cyclo import ZERO
+from g9cov.cyclo import ONE, ZERO
 from g9cov.molien import (CutoffError, MolienError, _det2, _inverse_det_series,
                           molien_series, numerator_of)
 
@@ -72,9 +72,32 @@ def test_numerator_matches_generator_degrees(engine):
 
 
 def test_class_sum_equals_element_sum(sess):
-    for rid in (9, 29):
+    for rid in range(1, 33):
         naive = molien_series_elementwise(sess.table, 40, sess.mats[rid])
-        assert naive == list(sess.engine.molien(rid).series[:41])
+        assert naive == list(sess.engine.molien(rid).series[:41]), rid
+
+
+def test_inverse_det_series_inverts_each_class_factor(table):
+    # expansion * (1 - tr t + det t^2) = 1 + O(t^(cutoff + 1)) for every class
+    cutoff = 64
+    for r in table.class_reps:
+        m = table.elements[r].mat
+        tr, det = m.trace(), _det2(m)
+        c = _inverse_det_series(tr, det, cutoff)
+        assert len(c) == cutoff + 1
+        prod = [c[n] - (tr * c[n - 1] if n >= 1 else ZERO)
+                + (det * c[n - 2] if n >= 2 else ZERO) for n in range(cutoff + 1)]
+        assert prod == [ONE] + [ZERO] * cutoff, table.elements[r].word
+
+
+def test_inverse_det_series_expanded_once_per_class(sess):
+    # the expansion depends only on the class: all 32 series at one cutoff
+    # expand at most 32 factors, not one per (rep, class) pair
+    _inverse_det_series.cache_clear()
+    for r in sess.reps:
+        molien_series(r, sess.table, 64, sess.mats[r.rid])
+    info = _inverse_det_series.cache_info()
+    assert info.misses <= 32 and info.misses + info.hits > 32, info
 
 
 def test_cutoff_guard(sess):
