@@ -230,15 +230,13 @@ def _check_group(sess: Session) -> str:
 
 
 def _check_census(sess: Session) -> str:
-    report = verify_census(sess.reps, sess.table, sess.chars)
+    report = verify_census(sess.reps, sess.table, sess.traces)
     return (f"dims {{1^8 2^12 3^8 4^4}}, sum of squares {report['sum_squares']}, "
             f"{report['pairs_checked']} orthogonality pairs")
 
 
 def _check_homomorphism(sess: Session) -> str:
-    pairs = 0
-    for r in sess.reps:
-        pairs += verify_homomorphism(r, sess.table, sess.mats[r.rid])
+    pairs = sum(verify_homomorphism(r, sess.table, sess.mats[r.rid]) for r in sess.reps)
     return f"{pairs} ordered pairs certified"
 
 

@@ -75,12 +75,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import CycNum, ZERO, rational
 from .group import GroupTable
 from .linalg import Mat, certified_nullspace, rref
 from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
-from .reps import Representation, rep_matrices
+from .reps import Representation, decode, rep_matrices, scalar_image
 from . import reference
 
 
@@ -198,7 +200,7 @@ class CovariantEngine:
         self.reps = {r.rid: r for r in reps}
         self.cutoff = cutoff
         self.gamma, self.theta, self.delta, self.phi = fundamental_invariants()
-        self._mats: dict[int, list[Mat]] = {}
+        self._mats: dict[int, np.ndarray] = {}
         self._molien: dict[int, MolienResult] = {}
         self._molien_ext: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
@@ -214,7 +216,7 @@ class CovariantEngine:
 
     # -- cached building blocks ---------------------------------------------------
 
-    def matrices(self, rid: int) -> list[Mat]:
+    def matrices(self, rid: int) -> np.ndarray:
         if rid not in self._mats:
             self._mats[rid] = rep_matrices(self.reps[rid], self.table)
         return self._mats[rid]
@@ -237,11 +239,11 @@ class CovariantEngine:
     def central_scalar(self, rid: int) -> CycNum:
         """The scalar by which the central element zI acts in rho."""
         if rid not in self._central:
-            m = self.matrices(rid)[self._central_index]
-            w = m.at(0, 0)
-            if m != Mat.identity(m.rows).scale(w):
+            img = self.matrices(rid)[self._central_index]
+            w = img[0, 0]
+            if not np.array_equal(img, scalar_image(len(img), w)):
                 raise CrossCheckError(f"rho_{rid}: central element is not scalar")
-            self._central[rid] = w
+            self._central[rid] = decode(w)
         return self._central[rid]
 
     def scalar_poly(self, a: int, b: int) -> BiPoly:

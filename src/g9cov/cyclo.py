@@ -69,14 +69,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return self._n == (0, 0, 0, 0)
 
-    def is_rational(self) -> bool:
-        return self._n[1] == self._n[2] == self._n[3] == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational number: {self}")
-        return Fraction(self._n[0], self._d)
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
@@ -216,11 +208,6 @@ class CycNum:
         """Serialize as four 'num/den' strings in basis order."""
         d = self._d
         return [f"{n}/{d}" for n in self._n]
-
-    @classmethod
-    def from_json(cls, parts) -> CycNum:
-        fracs = [Fraction(p) for p in parts]
-        return cls(*fracs)
 
 
 def _reduce(nums, den):

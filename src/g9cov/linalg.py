@@ -65,10 +65,6 @@ class Mat:
         return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> Mat:
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values: Iterable) -> Mat:
         values = [_cyc(v) for v in values]
         n = len(values)

@@ -4,9 +4,10 @@ The Hilbert series of the module of rho-covariants is the group average of
 tr(rho(s^{-1})) / det(I - t s), with the denominator taken in the natural
 2x2 action.  Both the numerator trace and det(I - t s) = 1 - tr(s) t +
 det(s) t^2 are class functions, so the sum runs over the 32 conjugacy
-classes weighted by class size; each 1/det factor is expanded by the
-series recurrence c_n = tr(s) c_{n-1} - det(s) c_{n-2}, once per class and
-cutoff for all representations.
+classes weighted by class size, in int64 on Z[zeta_8] coordinates: the
+traces come from the integer images of reps.rep_matrices, and each 1/det
+factor is expanded by the recurrence c_n = tr(s) c_{n-1} - det(s) c_{n-2},
+once per class and cutoff for all representations.
 
 Every series produced here is proven to have non-negative integer
 coefficients, and multiplying by (1 - t^8)(1 - t^24) must leave an
@@ -18,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import CycNum, ONE, ZERO
-from .group import GroupTable
-from .linalg import Mat
-from .reps import Representation, rep_matrices
+import numpy as np
+
+from .cyclo import CycNum
+from .group import GroupTable, class_sizes
+from .linalg import CYC_STRUCT, Mat
+from .reps import DEN, Representation, class_traces, decode, rep_matrices
 
 DEFAULT_CUTOFF = 64
 
@@ -60,47 +63,53 @@ def _det2(m: Mat) -> CycNum:
 
 
 @lru_cache(maxsize=256)     # 32 classes at 8 cutoffs
-def _inverse_det_series(trace: CycNum, det: CycNum, cutoff: int) -> tuple[CycNum, ...]:
-    """Coefficients of 1 / (1 - trace*t + det*t^2) up to t^cutoff.
+def _inverse_det_series(trace: CycNum, det: CycNum, cutoff: int) -> np.ndarray:
+    """Z[zeta_8] coordinates of 1 / (1 - trace*t + det*t^2) through t^cutoff.
 
-    Memoized: the expansion depends only on the class, not on the
-    representation, so each class is expanded once per cutoff.
+    A read-only int64 array; trace and det must be integral.  The eigenvalues
+    of s are roots of unity, so no coordinate of c_n exceeds n + 1.  Memoized
+    per (class, cutoff): the expansion does not depend on the representation.
     """
-    coeffs = [ONE]
-    if cutoff >= 1:
-        coeffs.append(trace)
-    for _ in range(2, cutoff + 1):
-        coeffs.append(trace * coeffs[-1] - det * coeffs[-2])
-    return tuple(coeffs)
+    if trace.key()[4] != 1 or det.key()[4] != 1:
+        raise MolienError(f"1/det(I - t s) needs integral trace and det, got {trace}, {det}")
+    by_tr, by_det = (np.einsum("p,pqr->qr", np.array(x.key()[:4]), CYC_STRUCT)
+                     for x in (trace, det))
+    out = np.zeros((cutoff + 1, 4), dtype=np.int64)
+    out[0, 0] = 1
+    for n in range(1, cutoff + 1):
+        out[n] = out[n - 1] @ by_tr - (out[n - 2] @ by_det if n >= 2 else 0)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=2)
+def _class_factors(table: GroupTable) -> tuple[tuple[CycNum, CycNum], ...]:
+    """(tr s, det s) of the natural matrix s at each reference class."""
+    return tuple((table.elements[r].mat.trace(), _det2(table.elements[r].mat))
+                 for r in table.class_reps)
 
 
 def molien_series(rep: Representation, table: GroupTable,
                   cutoff: int = DEFAULT_CUTOFF,
-                  mats: list[Mat] | None = None) -> MolienResult:
-    """Class-summed equivariant Molien series with its numerator."""
+                  mats: np.ndarray | None = None) -> MolienResult:
+    """Class-summed equivariant Molien series with its numerator.
+
+    One int64 sum over the classes of |C| tr rho(s^-1) / det(I - t s) with
+    traces over reps.DEN; each coefficient must be a non-negative integer.
+    """
     if mats is None:
         mats = rep_matrices(rep, table)
-    acc = [ZERO] * (cutoff + 1)
-    for pos, bid in enumerate(table.class_block_order):
-        r = table.class_reps[pos]
-        size = len(table.classes[bid])
-        tr_inv = mats[table.inverse[r]].trace()
-        if tr_inv.is_zero():
-            continue
-        natural = table.elements[r].mat
-        expansion = _inverse_det_series(natural.trace(), _det2(natural), cutoff)
-        weight = tr_inv * size
-        for n in range(cutoff + 1):
-            acc[n] = acc[n] + weight * expansion[n]
-    order = len(table)
-    series = []
-    for n, value in enumerate(acc):
-        if not value.is_rational():
-            raise MolienError(f"rho_{rep.rid}: coefficient of t^{n} is {value}")
-        q = value.as_fraction() / order
-        if q.denominator != 1 or q < 0:
-            raise MolienError(f"rho_{rep.rid}: coefficient of t^{n} is {q}")
-        series.append(int(q))
+    chi_inv = class_traces(mats[table.inverse], table)
+    expansions = np.stack([_inverse_det_series(tr, det, cutoff)
+                           for tr, det in _class_factors(table)])
+    acc = np.einsum("c,cp,cnq,pqr->nr", class_sizes(table), chi_inv, expansions,
+                    CYC_STRUCT, optimize=True)
+    scale = len(table) * DEN
+    bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] % scale != 0) | (acc[:, 0] < 0))
+    if len(bad):
+        raise MolienError(
+            f"rho_{rep.rid}: coefficient of t^{bad[0]} is {decode(acc[bad[0]], scale)}")
+    series = (acc[:, 0] // scale).tolist()
     numerator = numerator_of(series, cutoff)
     total = sum(c for _, c in numerator)
     if total != rep.dim:

@@ -313,24 +313,6 @@ class VecPoly:
             raise ValueError("module action needs a homogeneous scalar")
         return VecPoly([f * p for p in self.components], self.degree + f.degree())
 
-    def substitute(self, g: Mat) -> VecPoly:
-        """Componentwise substitution x -> g x."""
-        return VecPoly([p.substitute(g) for p in self.components], self.degree)
-
-    def mat_apply(self, m: Mat) -> VecPoly:
-        """Matrix action: (m F)_i = sum_j m[i, j] F_j."""
-        if m.cols != len(self):
-            raise ValueError("matrix width does not match vector length")
-        out = []
-        for i in range(m.rows):
-            acc = BiPoly()
-            for j in range(m.cols):
-                c = m.at(i, j)
-                if not c.is_zero():
-                    acc = acc + self.components[j].scale(c)
-            out.append(acc)
-        return VecPoly(out, self.degree)
-
     def tau(self) -> VecPoly:
         return VecPoly([p.tau() for p in self.components], self.degree)
 

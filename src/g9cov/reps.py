@@ -22,17 +22,25 @@ reference-table order (the plane extraction itself sits at 19); indices
 29..32 put the extraction first.  reference.py records the one known
 internal inconsistency of the reference character table against this
 numbering (rows 29..31).
+
+Every image entry lies in (1/4) Z[zeta_8]: rep_matrices builds the images
+of all elements BFS layer by layer as one int64 array per representation,
+(|G|, m, m, 4) coordinates over DEN = 4.  The homomorphism check, the class
+traces, the census Gram matrix, the central scalar and the Molien sums read
+these arrays.  Each integer path ends in an exact check: divisibility and
+|coordinate| <= COORD_BOUND per layer (so an image product, m <= 4 times 16
+coordinate products, stays below 2^63), the Gram equality, and Molien
+integrality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cyclo import CycNum, I_UNIT, ONE, ZERO
-from .group import GroupTable
+from .group import GroupTable, class_sizes
 from .linalg import CYC_STRUCT, Mat, int_encoding, kron, solve_exact
 
 LINEAR_IMAGES = [
@@ -43,12 +51,17 @@ LINEAR_IMAGES = [
 # twist order for the faithful 2-dimensional family rho_9..rho_16
 FAITHFUL_TWISTS = [1, 3, 2, 4, 5, 7, 6, 8]
 
-# verify_homomorphism takes its int64 path only below this magnitude bound
-INT64_BOUND = 2 ** 62
+DEN = 4
+COORD_BOUND = 2 ** 28
+TRACE_BOUND = 2 ** 26
 
 
 class ExtractionError(RuntimeError):
     """A chosen subspace is not invariant under a generator image."""
+
+
+class ImageError(RuntimeError):
+    """An image left (1/DEN) Z[zeta_8] or the int64 coordinate bound."""
 
 
 class CensusError(RuntimeError):
@@ -63,11 +76,7 @@ class Representation:
     img_d: Mat
 
     def image(self, name: str) -> Mat:
-        if name == "T":
-            return self.img_t
-        if name == "D":
-            return self.img_d
-        raise KeyError(name)
+        return {"T": self.img_t, "D": self.img_d}[name]
 
 
 def _check_relations(rid: int, img_t: Mat, img_d: Mat) -> None:
@@ -152,54 +161,83 @@ def build_all(table: GroupTable) -> list[Representation]:
     return out
 
 
-def rep_matrices(rep: Representation, table: GroupTable) -> list[Mat]:
-    """Images of all group elements, following the BFS discovery chain."""
-    mats: list[Mat] = [None] * len(table)  # type: ignore[list-item]
-    for e in table.elements:
-        if e.parent < 0:
-            mats[e.index] = Mat.identity(rep.dim)
-        else:
-            mats[e.index] = mats[e.parent].matmul(rep.image(e.last))
-    return mats
+def encode(rid: int, mat: Mat) -> np.ndarray:
+    """A matrix over (1/DEN) Z[zeta_8] as (rows, cols, 4) int64 numerators over DEN."""
+    nums, (den,), _ = int_encoding([mat.entries])
+    if DEN % den:
+        raise ImageError(f"rho_{rid}: a generator entry is not in (1/{DEN}) Z[zeta_8]")
+    out = nums.reshape(mat.rows, mat.cols, 4) * (DEN // den)
+    _check_bound(rid, out)
+    return out.astype(np.int64)
 
 
-def inner_product(row_a: list[CycNum], row_b: list[CycNum],
-                  table: GroupTable) -> Fraction:
-    """(1/|G|) sum over classes of |C| a(C) conj(b(C)); rational for characters."""
-    acc = ZERO
-    for pos, bid in enumerate(table.class_block_order):
-        size = len(table.classes[bid])
-        acc = acc + row_a[pos] * row_b[pos].conj() * size
-    if not acc.is_rational():
-        raise RuntimeError(f"non-rational character pairing: {acc}")
-    return acc.as_fraction() / len(table)
+def decode(nums, den: int = DEN) -> CycNum:
+    """The number with integer coordinates nums over den."""
+    return CycNum._make(tuple(int(n) for n in nums), den)
 
 
-def class_traces(rep: Representation, table: GroupTable) -> list[CycNum]:
-    """Traces at the 32 reference classes, in column order.
+def scalar_image(m: int, w) -> np.ndarray:
+    """w I_m for the coordinates w of one number."""
+    return np.eye(m, dtype=np.int64)[:, :, None] * np.asarray(w, dtype=np.int64)
 
-    A trace is constant on a class, so each class is read at its first BFS
-    element (a shortest word): only those and their ancestors get an image.
+
+def _check_bound(rid: int, nums: np.ndarray) -> None:
+    if nums.size and np.abs(nums).max() > COORD_BOUND:
+        raise ImageError(f"rho_{rid}: an image coordinate exceeds {COORD_BOUND}")
+
+
+def _right_factor(b: np.ndarray) -> np.ndarray:
+    """R with a.reshape(-1, 4m) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b m x m."""
+    m = len(b)
+    return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * m, 4 * m)
+
+
+def rep_matrices(rep: Representation, table: GroupTable) -> np.ndarray:
+    """Images of all elements: a read-only (|G|, m, m, 4) int64 array over DEN.
+
+    Per BFS layer and generator s, the elements whose word ends in s get
+    their parents' images times rho(s); ImageError names the representation.
     """
-    images = {table.identity: Mat.identity(rep.dim)}
+    m = rep.dim
+    factors = {name: _right_factor(encode(rep.rid, rep.image(name))) for name in table.gens}
+    out = np.zeros((len(table), m, m, 4), dtype=np.int64)
+    out[table.identity] = scalar_image(m, [DEN, 0, 0, 0])
+    steps: dict[tuple[int, str], list[int]] = {}
+    for e in table.elements[1:]:          # element 0 is the identity
+        steps.setdefault((len(e.word), e.last), []).append(e.index)
+    for (length, name), kids in steps.items():
+        prod = out[[table.elements[k].parent for k in kids]].reshape(-1, 4 * m) @ factors[name]
+        if (prod % DEN).any():
+            raise ImageError(f"rho_{rep.rid}: an image of word length {length} "
+                             f"is not in (1/{DEN}) Z[zeta_8]")
+        out[kids] = (prod // DEN).reshape(-1, m, m, 4)
+        _check_bound(rep.rid, out[kids])
+    out.flags.writeable = False
+    return out
 
-    def image(i: int) -> Mat:
-        if i not in images:
-            e = table.elements[i]
-            images[i] = image(e.parent).matmul(rep.image(e.last))
-        return images[i]
 
-    return [image(table.classes[bid][0]).trace() for bid in table.class_block_order]
+def class_traces(images: np.ndarray, table: GroupTable) -> np.ndarray:
+    """(32, 4) trace numerators over DEN at the reference classes, in column order."""
+    return np.einsum("cjjr->cr", images[table.class_reps])
 
 
-def character_table(reps: list[Representation], table: GroupTable) -> list[list[CycNum]]:
-    """One row of class traces per representation."""
-    return [class_traces(r, table) for r in reps]
+def character_table(images: list[np.ndarray], table: GroupTable) -> np.ndarray:
+    """Class traces of each representation's images, (len(images), 32, 4)."""
+    return np.stack([class_traces(x, table) for x in images])
+
+
+def character_gram(traces: np.ndarray, table: GroupTable) -> np.ndarray:
+    """|G| DEN^2 <chi_i, chi_j> for trace numerators X: X diag|C| conj(X)^T in int64."""
+    if np.abs(traces).max() > TRACE_BOUND:
+        raise CensusError(f"a trace coordinate exceeds {TRACE_BOUND}")
+    conj = traces[..., [0, 3, 2, 1]] * np.array([1, -1, -1, -1])
+    return np.einsum("icp,c,jcq,pqr->ijr", traces, class_sizes(table), conj,
+                     CYC_STRUCT, optimize=True)
 
 
 def verify_census(reps: list[Representation], table: GroupTable,
-                  rows: list[list[CycNum]]) -> dict:
-    """Dimension census and full orthonormality of the character rows."""
+                  traces: np.ndarray) -> dict:
+    """Dimension census and full orthonormality: the Gram matrix is |G| DEN^2 I."""
     dims = sorted(r.dim for r in reps)
     expected = sorted([1] * 8 + [2] * 12 + [3] * 8 + [4] * 4)
     if dims != expected:
@@ -207,52 +245,34 @@ def verify_census(reps: list[Representation], table: GroupTable,
     total = sum(r.dim ** 2 for r in reps)
     if total != len(table):
         raise CensusError(f"sum of squared dimensions is {total}, not {len(table)}")
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            val = inner_product(rows[i], rows[j], table)
-            want = Fraction(1 if i == j else 0)
-            if val != want:
-                raise CensusError(
-                    f"<chi_{i+1}, chi_{j+1}> = {val}, expected {want}")
+    gram = character_gram(traces, table)
+    scale = len(table) * DEN * DEN
+    bad = np.argwhere((gram != scalar_image(len(reps), [scale, 0, 0, 0])).any(axis=2))
+    if len(bad):
+        i, j = bad[0]
+        raise CensusError(f"<chi_{i+1}, chi_{j+1}> = {decode(gram[i, j], scale)}, "
+                          f"expected {int(i == j)}")
     return {"dims": dims, "sum_squares": total, "pairs_checked": len(reps) ** 2}
 
 
 # -- homomorphism certification on the Cayley edges -------------------------------
 
-def verify_homomorphism(rep: Representation, table: GroupTable,
-                        mats: list[Mat] | None = None) -> int:
+def verify_homomorphism(rep: Representation, table: GroupTable, mats: np.ndarray) -> int:
     """Check rho(g) rho(h) = rho(gh) for every ordered pair of elements.
 
     G9 = <T, D>: if rho(e) = I and rho(g) rho(s) = rho(gs) for all g and s in
     {T, D}, then h = h's gives rho(g) rho(h) = rho(gh') rho(s) = rho(gh).
-    So only the 2 * |G| Cayley edges are checked, in int64 with a proven
-    magnitude bound, or with exact CycNum products if the bound is too weak.
+    So only the 2 * |G| Cayley edges are checked, one int64 product through
+    CYC_STRUCT per generator on the image numerators, exact within COORD_BOUND.
     Returns the number of ordered pairs certified.
     """
-    if mats is None:
-        mats = rep_matrices(rep, table)
-    n = len(table)
-    m = rep.dim
-    if mats[table.identity] != Mat.identity(m):
+    if not np.array_equal(mats[table.identity], scalar_image(rep.dim, [DEN, 0, 0, 0])):
         raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
-    nums, dens, max_abs = int_encoding([mat.entries for mat in mats])
-    nums = nums.reshape(n, m, m, 4)
-    # worst entry of a product: m cyc-multiplies of 4 cross terms each,
-    # then cross-multiplied by a denominator product
-    fast = 4 * m * max_abs * max_abs * max_abs < INT64_BOUND
-    if fast:
-        nums, dens = nums.astype(np.int64), dens.astype(np.int64)
+    _check_bound(rep.rid, mats)
     for s in (table.lookup(g) for g in table.gens.values()):
-        target = np.array([row[s] for row in table.product])
-        if fast:
-            lhs = np.einsum("gikp,kjq,pqr->gijr", nums, nums[s], CYC_STRUCT,
-                            optimize=True)
-            lhs = lhs * dens[target][:, None, None, None]
-            rhs = nums[target] * (dens * dens[s])[:, None, None, None]
-            bad = (lhs != rhs).any(axis=(1, 2, 3))
-        else:
-            bad = [mats[g].matmul(mats[s]) != mats[t] for g, t in enumerate(target)]
-        if any(bad):
+        lhs = (mats.reshape(-1, 4 * rep.dim) @ _right_factor(mats[s])).reshape(mats.shape)
+        bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
+        if bad.any():
             g = int(np.flatnonzero(bad)[0])
             raise CensusError(f"rho_{rep.rid}: homomorphism fails at pair ({g}, {s})")
-    return n * n
+    return len(table) ** 2

@@ -1,10 +1,10 @@
 """One-stop construction of the group, representations and covariant engine.
 
 Building the session (group closure, Cayley table, conjugacy classes, 32
-generator image pairs) takes a fraction of a second.  The images of all
-192 elements (`mats`, per representation), the character table (`chars`)
-and everything downstream are built on first read and cached, so tests
-and CLI commands share one session per process.
+generator image pairs) takes a fraction of a second and builds no image.
+The integer images (`mats`, see reps), their class traces (`traces`), the
+characters decoded from them (`chars`) and everything downstream are built
+on first read and cached; tests and CLI commands share one session.
 """
 
 from __future__ import annotations
@@ -13,22 +13,23 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .covariants import CovariantEngine
 from .cyclo import CycNum
 from .group import GroupTable, build_group
-from .linalg import Mat
 from .molien import DEFAULT_CUTOFF
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
-from .reps import Representation, build_all, character_table, rep_matrices  # noqa: F401
+from .reps import Representation, build_all, character_table, decode, rep_matrices  # noqa: F401
 
 
 class _LazyMatrices(Mapping):
-    """rid -> images of all elements, built by the engine on first read."""
+    """rid -> image array of all elements, built by the engine on first read."""
 
     def __init__(self, engine: CovariantEngine):
         self._engine = engine
 
-    def __getitem__(self, rid: int) -> list[Mat]:
+    def __getitem__(self, rid: int) -> np.ndarray:
         return self._engine.matrices(rid)
 
     def __iter__(self):
@@ -45,12 +46,17 @@ class Session:
     engine: CovariantEngine
 
     @property
-    def mats(self) -> Mapping[int, list[Mat]]:
+    def mats(self) -> Mapping[int, np.ndarray]:
         return _LazyMatrices(self.engine)
 
     @cached_property
+    def traces(self) -> np.ndarray:
+        """(32, 32, 4) class-trace numerators over reps.DEN, rows by rep id."""
+        return character_table([self.mats[r.rid] for r in self.reps], self.table)
+
+    @cached_property
     def chars(self) -> list[list[CycNum]]:
-        return character_table(self.reps, self.table)
+        return [[decode(t) for t in row] for row in self.traces]
 
     def rep(self, rid: int) -> Representation:
         return self.engine.reps[rid]

@@ -4,10 +4,118 @@ Each one is the plain computation that a faster path in g9cov replaced;
 the tests compare the two.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 from g9cov.covariants import CovariantSlice, FreenessError, RowReducer
-from g9cov.cyclo import CycNum, ZERO, rational
-from g9cov.linalg import nullspace_from_rref, rref
-from g9cov.poly import VecPoly
+from g9cov.cyclo import CycNum, ONE, ZERO, rational
+from g9cov.linalg import Mat, nullspace_from_rref, rref
+from g9cov.molien import _det2
+from g9cov.poly import BiPoly, VecPoly
+
+
+def is_rational(x):
+    """Whether a CycNum lies in Q (its z, z^2 and z^3 coordinates are 0)."""
+    return x.coeffs[1:] == (0, 0, 0)
+
+
+def as_fraction(x):
+    """A rational CycNum as a Fraction; ValueError otherwise."""
+    if not is_rational(x):
+        raise ValueError(f"not a rational number: {x}")
+    return x.coeffs[0]
+
+
+@lru_cache(maxsize=None)
+def rep_matrices_exact(rep, table):
+    """Images of all group elements as CycNum matrices, following the BFS chain.
+
+    The reference for reps.rep_matrices, which builds the same images as
+    int64 Z[zeta_8] numerators.  Cached: the images never change.
+    """
+    mats = [None] * len(table)
+    for e in table.elements:
+        if e.parent < 0:
+            mats[e.index] = Mat.identity(rep.dim)
+        else:
+            mats[e.index] = mats[e.parent].matmul(rep.image(e.last))
+    return tuple(mats)
+
+
+def inner_product(row_a, row_b, table):
+    """(1/|G|) sum over classes of |C| a(C) conj(b(C)); rational for characters."""
+    acc = ZERO
+    for pos, bid in enumerate(table.class_block_order):
+        size = len(table.classes[bid])
+        acc = acc + row_a[pos] * row_b[pos].conj() * size
+    if not is_rational(acc):
+        raise RuntimeError(f"non-rational character pairing: {acc}")
+    return as_fraction(acc) / len(table)
+
+
+@lru_cache(maxsize=None)
+def inverse_det_series_exact(trace, det, cutoff):
+    """CycNum coefficients of 1 / (1 - trace*t + det*t^2) through t^cutoff."""
+    coeffs = [ONE, trace][:cutoff + 1]
+    for _ in range(2, cutoff + 1):
+        coeffs.append(trace * coeffs[-1] - det * coeffs[-2])
+    return tuple(coeffs)
+
+
+def molien_series_elementwise(table, cutoff, mats):
+    """Naive 192-term element sum in CycNum; oracle for the class-summed formula."""
+    acc = [ZERO] * (cutoff + 1)
+    for e in table.elements:
+        tr_inv = mats[table.inverse[e.index]].trace()
+        if tr_inv.is_zero():
+            continue
+        expansion = inverse_det_series_exact(e.mat.trace(), _det2(e.mat), cutoff)
+        for n in range(cutoff + 1):
+            acc[n] = acc[n] + tr_inv * expansion[n]
+    out = []
+    for n, value in enumerate(acc):
+        q = as_fraction(value) / len(table)
+        if q.denominator != 1:
+            raise ValueError(f"element sum gave non-integer {q} at t^{n}")
+        out.append(int(q))
+    return out
+
+
+def decode_images(images):
+    """The int64 image array of reps.rep_matrices as CycNum matrices."""
+    m = images.shape[1]
+    return [Mat(m, m, [CycNum(*map(int, e), den=4) for e in img.reshape(-1, 4)])
+            for img in images]
+
+
+def cyc_from_json(parts):
+    """Inverse of CycNum.to_json."""
+    return CycNum(*[Fraction(p) for p in parts])
+
+
+def mat_from_json(data):
+    """Inverse of linalg.mat_to_json, which the CLI uses for group --format json."""
+    return Mat(data["rows"], data["cols"], [cyc_from_json(e) for e in data["entries"]])
+
+
+def vec_substitute(vec, g):
+    """Componentwise substitution x -> g x of a VecPoly."""
+    return VecPoly([p.substitute(g) for p in vec.components], vec.degree)
+
+
+def mat_apply(vec, m):
+    """Matrix action on a VecPoly: (m F)_i = sum_j m[i, j] F_j."""
+    if m.cols != len(vec):
+        raise ValueError("matrix width does not match vector length")
+    out = []
+    for i in range(m.rows):
+        acc = BiPoly()
+        for j in range(m.cols):
+            c = m.at(i, j)
+            if not c.is_zero():
+                acc = acc + vec.components[j].scale(c)
+        out.append(acc)
+    return VecPoly(out, vec.degree)
 
 
 def slice_dense(engine, rid, d):
@@ -57,7 +165,7 @@ def slice_dense(engine, rid, d):
 
 def covariance_check(vec, image, natural):
     """Exact check of F(s x) = rho(s) F(x) for one group element."""
-    return vec.substitute(natural) == vec.mat_apply(image)
+    return vec_substitute(vec, natural) == mat_apply(vec, image)
 
 
 def verify_free_by_elimination(engine, rid, cutoff=None):

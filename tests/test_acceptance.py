@@ -21,8 +21,9 @@ from fractions import Fraction
 from g9cov import reference
 from g9cov.group import class_orders, class_sizes
 from g9cov.poly import fundamental_invariants
-from g9cov.reps import inner_product, verify_homomorphism
-from oracles import covariance_check, verify_free_by_elimination
+from g9cov.reps import verify_homomorphism
+from oracles import (covariance_check, inner_product, rep_matrices_exact,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -152,11 +153,13 @@ def test_criterion_10_invariant_identities(sess):
     assert (PHI - (DELTA * DELTA + (GAMMA ** 4).scale(66))).is_zero()
     assert GAMMA.tau() == -GAMMA
     assert THETA.tau() == THETA
+    mats3 = rep_matrices_exact(sess.rep(3), sess.table)
+    mats5 = rep_matrices_exact(sess.rep(5), sess.table)
     for e in sess.table.elements:
         assert THETA.substitute(e.mat) == THETA
         assert PHI.substitute(e.mat) == PHI
-        chi3 = sess.mats[3][e.index].at(0, 0)
-        chi5 = sess.mats[5][e.index].at(0, 0)
+        chi3 = mats3[e.index].at(0, 0)
+        chi5 = mats5[e.index].at(0, 0)
         assert GAMMA.substitute(e.mat) == GAMMA.scale(chi3)
         assert DELTA.substitute(e.mat) == DELTA.scale(chi5)
     _ok("criterion 10: phi identity, full-group invariance, covariance of the forms")
@@ -190,7 +193,7 @@ def test_full_group_covariance_certification(sess):
         res = sess.engine.molien(r.rid)
         d = next(d for d, c in enumerate(res.series) if c)
         vec = sess.engine.slice(r.rid, d).basis[0]
-        mats = sess.mats[r.rid]
+        mats = rep_matrices_exact(r, sess.table)
         for e in sess.table.elements:
             assert covariance_check(vec, mats[e.index], e.mat), (r.rid, e.index)
     _ok("supporting: full-group covariance of a sampled slice per representation")

@@ -3,7 +3,8 @@ import pytest
 from g9cov import reference
 from g9cov.cyclo import CycNum
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import covariance_check, slice_dense, verify_free_by_elimination
+from oracles import (covariance_check, rep_matrices_exact, slice_dense,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -76,7 +77,7 @@ def test_generators_are_covariants(sess):
     # group generators (sufficiency is covered by the full-group test in
     # test_acceptance.py)
     for rid in (9, 19, 21, 29, 32):
-        mats = sess.mats[rid]
+        mats = rep_matrices_exact(sess.rep(rid), sess.table)
         t_idx = sess.table.lookup(sess.table.gens["T"])
         d_idx = sess.table.lookup(sess.table.gens["D"])
         for _, g in sess.engine.generators(rid).gens:

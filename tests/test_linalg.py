@@ -12,12 +12,7 @@ from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeErro
                           SingularMatrixError, _dot_mod, _embedding_matrices, _is_prime,
                           certified_nullspace, int_encoding, kron, mat_to_json,
                           nullspace_from_rref, rref, solve_exact)
-
-
-def mat_from_json(data):
-    """Inverse of linalg.mat_to_json, which the CLI uses for group --format json."""
-    return Mat(data["rows"], data["cols"],
-               [CycNum.from_json(e) for e in data["entries"]])
+from oracles import mat_from_json
 
 
 def rnd_mat(rng, n, m=None, span=3):

@@ -1,28 +1,10 @@
 import pytest
 
-from g9cov import reference
-from g9cov.cyclo import ONE, ZERO
+from g9cov import molien, reference
+from g9cov.cyclo import CycNum, ONE, ZERO
 from g9cov.molien import (CutoffError, MolienError, _det2, _inverse_det_series,
                           molien_series, numerator_of)
-
-
-def molien_series_elementwise(table, cutoff, mats):
-    """Naive 192-term element sum; oracle for the class-summed formula."""
-    acc = [ZERO] * (cutoff + 1)
-    for e in table.elements:
-        tr_inv = mats[table.inverse[e.index]].trace()
-        if tr_inv.is_zero():
-            continue
-        expansion = _inverse_det_series(e.mat.trace(), _det2(e.mat), cutoff)
-        for n in range(cutoff + 1):
-            acc[n] = acc[n] + tr_inv * expansion[n]
-    out = []
-    for n, value in enumerate(acc):
-        q = value.as_fraction() / len(table)
-        if q.denominator != 1:
-            raise MolienError(f"element sum gave non-integer {q} at t^{n}")
-        out.append(int(q))
-    return out
+from oracles import molien_series_elementwise, rep_matrices_exact
 
 
 def test_trivial_rep_series(engine):
@@ -72,9 +54,34 @@ def test_numerator_matches_generator_degrees(engine):
 
 
 def test_class_sum_equals_element_sum(sess):
-    for rid in range(1, 33):
-        naive = molien_series_elementwise(sess.table, 40, sess.mats[rid])
-        assert naive == list(sess.engine.molien(rid).series[:41]), rid
+    # the int64 class sum against the CycNum element sum, through degree 64
+    for r in sess.reps:
+        naive = molien_series_elementwise(sess.table, 64, rep_matrices_exact(r, sess.table))
+        assert naive == list(sess.engine.molien(r.rid).series), r.rid
+
+
+def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
+    # one coefficient of one class's 1/det(I - t s) moved by 1 breaks
+    # integrality: at the identity class chi = dim, so t^16 gains dim / 192
+    target = sess.table.elements[sess.table.class_reps[0]].mat
+
+    def tampered(trace, det, cutoff):
+        out = _inverse_det_series(trace, det, cutoff)
+        if (trace, det) == (target.trace(), _det2(target)):
+            out = out.copy()
+            out[16, 0] += 1
+        return out
+
+    monkeypatch.setattr(molien, "_inverse_det_series", tampered)
+    for r in sess.reps:
+        with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^16 is"):
+            molien_series(r, sess.table, 64, sess.mats[r.rid])
+
+
+def test_inverse_det_series_needs_integral_class_data():
+    with pytest.raises(MolienError, match="integral trace and det"):
+        _inverse_det_series(CycNum(1, den=2), ONE, 8)
+    assert not _inverse_det_series(ONE, ONE, 8).flags.writeable
 
 
 def test_inverse_det_series_inverts_each_class_factor(table):
@@ -83,7 +90,7 @@ def test_inverse_det_series_inverts_each_class_factor(table):
     for r in table.class_reps:
         m = table.elements[r].mat
         tr, det = m.trace(), _det2(m)
-        c = _inverse_det_series(tr, det, cutoff)
+        c = [CycNum(*row) for row in _inverse_det_series(tr, det, cutoff).tolist()]
         assert len(c) == cutoff + 1
         prod = [c[n] - (tr * c[n - 1] if n >= 1 else ZERO)
                 + (det * c[n - 2] if n >= 2 else ZERO) for n in range(cutoff + 1)]

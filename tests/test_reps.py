@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from g9cov import reference, reps as reps_module
+from g9cov import reference
 from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import standard_generators
-from g9cov.linalg import Mat, kron
-from g9cov.reps import (CensusError, ExtractionError, Representation,
-                        extract_subrep, inner_product, rep_matrices,
-                        verify_census, verify_homomorphism)
+from g9cov.linalg import CYC_STRUCT, Mat, kron
+from g9cov.group import class_sizes
+from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
+                        Representation, character_gram, decode, extract_subrep,
+                        rep_matrices, verify_census, verify_homomorphism)
+from oracles import as_fraction, decode_images, inner_product, rep_matrices_exact
 
 H = Fraction(1, 2)
 
@@ -102,7 +105,7 @@ def test_character_spot_values(sess):
 
 def test_characters_are_class_functions(sess):
     for r in sess.reps:
-        mats = sess.mats[r.rid]
+        mats = rep_matrices_exact(r, sess.table)
         for block in sess.table.classes:
             traces = {mats[i].trace() for i in block}
             assert len(traces) == 1
@@ -119,17 +122,17 @@ def test_inner_product_against_raw_sum(sess):
     from g9cov.cyclo import ZERO
     for i, j in [(0, 0), (8, 8), (8, 14), (20, 22), (28, 30)]:
         acc = ZERO
-        mi = rep_matrices(sess.reps[i], sess.table)
-        mj = rep_matrices(sess.reps[j], sess.table)
+        mi = rep_matrices_exact(sess.reps[i], sess.table)
+        mj = rep_matrices_exact(sess.reps[j], sess.table)
         for e in sess.table.elements:
             acc = acc + mi[e.index].trace() * mj[e.index].trace().conj()
         want = Fraction(1 if i == j else 0)
-        assert acc.as_fraction() / len(sess.table) == want
+        assert as_fraction(acc) / len(sess.table) == want
         assert inner_product(sess.chars[i], sess.chars[j], sess.table) == want
 
 
 def test_census(sess):
-    report = verify_census(sess.reps, sess.table, sess.chars)
+    report = verify_census(sess.reps, sess.table, sess.traces)
     assert report["sum_squares"] == 192
     assert report["pairs_checked"] == 1024
     dims = [r.dim for r in sess.reps]
@@ -153,10 +156,9 @@ def test_homomorphism_single_rep(sess):
     assert verify_homomorphism(sess.reps[28], sess.table, sess.mats[29]) == 192 * 192
 
 
-def _scaled_at(mats, g, factor):
-    out = list(mats)
-    out[g] = mats[g].scale(factor)
-    return out
+def _times_z2(images):
+    """Multiply every entry by z^2 = i, on the integer coordinates."""
+    return np.einsum("...p,pr->...r", images, CYC_STRUCT[:, 2])
 
 
 def test_homomorphism_catches_every_single_corrupted_image(sess):
@@ -164,8 +166,10 @@ def test_homomorphism_catches_every_single_corrupted_image(sess):
     # non-identity image by z^2 breaks some edge
     rep, mats = sess.rep(29), sess.mats[29]
     for g in range(1, len(sess.table)):
+        bad = mats.copy()
+        bad[g] = _times_z2(mats[g])
         with pytest.raises(CensusError, match="rho_29: homomorphism fails"):
-            verify_homomorphism(rep, sess.table, _scaled_at(mats, g, CycNum.zeta(2)))
+            verify_homomorphism(rep, sess.table, bad)
 
 
 def test_homomorphism_checks_the_edges_of_both_generators(sess):
@@ -179,18 +183,16 @@ def test_homomorphism_checks_the_edges_of_both_generators(sess):
         while x != other:
             coset.append(x)
             x = table.product[x][s]
-        bad = list(mats)
-        for c in coset:
-            bad[c] = mats[c].scale(CycNum.zeta(2))
+        bad = mats.copy()
+        bad[coset] = _times_z2(mats[coset])
         with pytest.raises(CensusError, match=rf", {other}\)$"):
             verify_homomorphism(rep, table, bad)
 
 
 def test_homomorphism_requires_identity_image(sess):
     # all-zero images satisfy every edge 0 * 0 = 0; only rho(e) = I rules them out
-    zero = Mat.from_rows([[0] * 4] * 4)
     with pytest.raises(CensusError, match="identity"):
-        verify_homomorphism(sess.rep(29), sess.table, [zero] * len(sess.table))
+        verify_homomorphism(sess.rep(29), sess.table, np.zeros_like(sess.mats[29]))
 
 
 def test_wrong_generator_image_fails_edge_check(table):
@@ -202,22 +204,57 @@ def test_wrong_generator_image_fails_edge_check(table):
         verify_homomorphism(bad, table, rep_matrices(bad, table))
 
 
-def test_exact_fallback_agrees_with_int64_path(sess, monkeypatch):
-    rep, mats = sess.rep(29), sess.mats[29]
-    corrupted = _scaled_at(mats, 57, CycNum.zeta(2))
-    fast = verify_homomorphism(rep, sess.table, mats)
-    with pytest.raises(CensusError) as fast_fail:
-        verify_homomorphism(rep, sess.table, corrupted)
+def test_kernel_images_equal_exact_oracle(sess):
+    # every coordinate of every image of every representation, decoded
+    for r in sess.reps:
+        assert decode_images(sess.mats[r.rid]) == list(rep_matrices_exact(r, sess.table)), r.rid
 
-    products = []
-    matmul = Mat.matmul
-    monkeypatch.setattr(Mat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
-    monkeypatch.setattr(reps_module, "INT64_BOUND", 0)
-    assert verify_homomorphism(rep, sess.table, mats) == fast == 192 * 192
-    assert len(products) == 2 * 192          # one exact product per Cayley edge
-    with pytest.raises(CensusError) as exact_fail:
-        verify_homomorphism(rep, sess.table, corrupted)
-    assert str(exact_fail.value) == str(fast_fail.value)
+
+def test_kernel_images_are_read_only(sess):
+    with pytest.raises(ValueError):
+        sess.mats[9][0, 0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("d_entry, match", [
+    (CycNum(1, den=8), r"rho_1: a generator entry is not in \(1/4\) Z\[zeta_8\]"),
+    (CycNum(1, den=4), r"rho_1: an image of word length 2 is not in \(1/4\)"),
+    (CycNum(2 ** 27), rf"rho_1: an image coordinate exceeds {COORD_BOUND}"),
+    (CycNum(2 ** 20), rf"rho_1: an image coordinate exceeds {COORD_BOUND}"),
+], ids=["generator-eighth", "product-sixteenth", "generator-bound", "product-bound"])
+def test_kernel_rejects_images_outside_its_range(table, d_entry, match):
+    # D = [[1/8]]: outside (1/4) Z[zeta_8] already; D = [[1/4]]: D^2 = 1/16 is;
+    # D = [[2^27]] is 2^29 quarters; D = [[2^20]]: D^2 is 2^42 quarters
+    bad = Representation(1, 1, Mat.from_rows([[1]]), Mat.from_rows([[d_entry]]))
+    with pytest.raises(ImageError, match=match):
+        rep_matrices(bad, table)
+
+
+def test_integer_gram_equals_inner_product(sess):
+    # every census Gram entry against the CycNum class sum, on the true
+    # traces and on traces with chi_5 moved by 1/4 at the class of z^3 I
+    scale = len(sess.table) * 16
+    gram = character_gram(sess.traces, sess.table)
+    for i in range(32):
+        for j in range(32):
+            want = inner_product(sess.chars[i], sess.chars[j], sess.table)
+            assert decode(gram[i, j], scale) == CycNum(want), (i, j)
+    bad = sess.traces.copy()
+    bad[4, 3, 0] += 1
+    gram = character_gram(bad, sess.table)
+    rows = [[decode(t) for t in row] for row in bad]
+    sizes = class_sizes(sess.table)
+    for j in range(32):
+        raw = sum((size * a * b.conj() for size, a, b in zip(sizes, rows[4], rows[j])),
+                  CycNum(0))
+        assert decode(gram[4, j], scale) == raw / len(sess.table), j
+
+
+def test_census_names_a_tampered_pair(sess):
+    # chi_5 at the class of z^3 I moved by 1/4: its pairing with chi_1 breaks first
+    bad = sess.traces.copy()
+    bad[4, 3, 0] += 1
+    with pytest.raises(CensusError, match=r"^<chi_1, chi_5> = .*, expected 0$"):
+        verify_census(sess.reps, sess.table, bad)
 
 
 def test_character_table_vs_reference_detailed(sess):

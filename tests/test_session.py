@@ -1,20 +1,60 @@
-from g9cov import cli
-from g9cov.reps import character_table, rep_matrices
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from g9cov import cli, covariants, molien, reps, session
 from g9cov.session import get_session
+from oracles import rep_matrices_exact
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _run(fresh, argv, capsys):
+    args = cli.build_parser().parse_args(argv)
+    {"group": cli.cmd_group, "molien": cli.cmd_molien}[argv[0]](args, fresh)
+    capsys.readouterr()
 
 
 def test_session_builds_images_on_first_read(capsys):
     fresh = get_session.__wrapped__()
-    assert fresh.engine._mats == {}
-    cli.cmd_group(cli.build_parser().parse_args(["group"]), fresh)
-    capsys.readouterr()
+    assert fresh.engine._mats == {}          # the session build itself reads no images
+    assert "traces" not in vars(fresh) and "chars" not in vars(fresh)
+    _run(fresh, ["group"], capsys)
     assert fresh.engine._mats == {}          # the group listing reads no images
-    assert fresh.mats[29] == rep_matrices(fresh.rep(29), fresh.table)
+    assert np.array_equal(fresh.mats[29], reps.rep_matrices(fresh.rep(29), fresh.table))
     assert list(fresh.engine._mats) == [29]
     assert len(fresh.mats) == 32 and list(fresh.mats) == list(range(1, 33))
-    assert fresh.chars == character_table(fresh.reps, fresh.table)
-    assert list(fresh.engine._mats) == [29]  # the characters read no full image lists
-    built = {r.rid: rep_matrices(r, fresh.table) for r in fresh.reps}
+    built = {r.rid: rep_matrices_exact(r, fresh.table) for r in fresh.reps}
     at_reference = [[built[r.rid][i].trace() for i in fresh.table.class_reps]
                     for r in fresh.reps]
     assert fresh.chars == at_reference
+    assert sorted(fresh.engine._mats) == list(range(1, 33))
+
+
+def test_one_rep_queries_build_only_that_rep(capsys):
+    fresh = get_session.__wrapped__()
+    fresh.engine.slice(29, 3)
+    assert list(fresh.engine._mats) == [29]
+    fresh = get_session.__wrapped__()
+    _run(fresh, ["molien", "--rep", "29"], capsys)
+    assert list(fresh.engine._mats) == [29]
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # perfbench/spans.py wraps these names by attribute; a rename must fail
+    # here rather than in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    names = [(session, "rep_matrices"), (covariants, "rep_matrices"),
+             (molien, "rep_matrices"), (session, "character_table"),
+             (cli, "verify_census"), (cli, "verify_homomorphism"),
+             (cli, "molien_series"), (covariants, "molien_series")]
+    before = [getattr(owner, attr) for owner, attr in names]
+    assert before[:3] == [reps.rep_matrices] * 3
+    undo = spans.instrument(spans.Tracer())
+    try:
+        assert all(getattr(o, a) is not b for (o, a), b in zip(names, before))
+    finally:
+        undo()
+    assert [getattr(owner, attr) for owner, attr in names] == before
