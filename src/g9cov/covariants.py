@@ -16,15 +16,17 @@ covariance condition:
     per component j, the x^a y^(d-a) with i^(d-a) equal to the j-th
     diagonal entry.
 
-What is left is the T constraint on the surviving coefficients, solved
-in a canonical nullspace normal form: basis vector v_f is 1 at its free
-column f, 0 at the other free columns and has no support right of f,
-exactly what rref + nullspace_from_rref produce.
+What is left is the T constraint on the surviving coefficients, built
+(times reps.DEN, with no CycNum) as an integer array of Z[zeta_8]
+coordinates and solved in a canonical nullspace normal form: basis
+vector v_f is 1 at its free column f, 0 at the other free columns and
+has no support right of f, exactly what rref + nullspace_from_rref
+produce.
 
 linalg.certified_nullspace solves it multimodularly (Dixon, Numer. Math.
-40 (1982); rational reconstruction after Wang, SYMSAC 1981): all rows are
-eliminated in int64 modulo primes p = 1 (mod 8) under the four
-embeddings of Q(zeta_8) into F_p, the residues are combined by CRT and
+40 (1982); rational reconstruction after Wang, SYMSAC 1981): the four
+embeddings of Q(zeta_8) into F_p are eliminated together in one int64
+array modulo primes p = 1 (mod 8), the residues are combined by CRT and
 lifted to fractions.  The result is accepted only if exact checks prove
 it, whatever primes were used:
 
@@ -73,16 +75,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .cyclo import CycNum, ZERO, rational
+from .cyclo import CycNum, ZERO
 from .group import GroupTable
-from .linalg import Mat, certified_nullspace, rref
+from .linalg import CYC_STRUCT, Mat, certified_nullspace, rref
 from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
-from .reps import Representation, decode, rep_matrices, scalar_image
+from .reps import DEN, Representation, decode, rep_matrices, scalar_image
 from . import reference
 
 
@@ -163,31 +165,20 @@ class RowReducer:
         return red
 
 
-_icyc = lru_cache(maxsize=None)(rational)     # small integers as CycNum
+def _binomial_table(d: int) -> np.ndarray:
+    """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), Python ints.
 
-
-def _binomial_table(d: int) -> list[list[int]]:
-    """table[a][b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a)."""
-    plus = [[1]]
-    minus = [[1]]
-    for _ in range(d):
-        prev = plus[-1]
-        plus.append([(prev[i - 1] if i else 0) + (prev[i] if i < len(prev) else 0)
-                     for i in range(len(prev) + 1)])
-        prev = minus[-1]
-        minus.append([(prev[i - 1] if i else 0) - (prev[i] if i < len(prev) else 0)
-                      for i in range(len(prev) + 1)])
-    table = []
-    for a in range(d + 1):
-        pa, mb = plus[a], minus[d - a]
-        row = [0] * (d + 1)
-        for i, pi in enumerate(pa):
-            if pi:
-                for j, mj in enumerate(mb):
-                    if mj:
-                        row[i + j] += pi * mj
-        table.append(row)
-    # reindex as [a][b]
+    Row 0 is (x-y)^d.  For P_a = (x+y)^a (x-y)^(d-a), y (P_a + P_(a+1)) =
+    x (P_(a+1) - P_a), so each next row is a running sum of the previous.
+    """
+    table = np.empty((d + 1, d + 1), dtype=object)
+    table[0] = [comb(d, b) * (-1) ** (d - b) for b in range(d + 1)]
+    for a in range(d):
+        step = np.empty(d + 1, dtype=object)
+        step[0] = (-1) ** (d - a - 1)
+        step[1:] = -(table[a, :-1] + table[a, 1:])
+        table[a + 1] = np.cumsum(step)
+    table.flags.writeable = False
     return table
 
 
@@ -206,12 +197,14 @@ class CovariantEngine:
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
         self._central: dict[int, CycNum] = {}
-        self._subst: dict[int, list[list[int]]] = {}
+        self._subst: dict[int, np.ndarray] = {}
         self._scalars: dict[tuple[int, int], BiPoly] = {}
         self._dets: dict[int, BiPoly] = {}
         self._central_index = table.lookup(Mat.identity(2).scale(CycNum.zeta(1)))
-        # slices_solved; primes, primes_rejected, certificate_primes and
-        # fallbacks of certified_nullspace
+        self._t_index = table.lookup(table.gens["T"])
+        # slices_solved, and the rows and cells (rows x columns) of their
+        # systems; primes, primes_rejected, certificate_primes and fallbacks
+        # of certified_nullspace
         self.counters: Counter[str] = Counter()
 
     # -- cached building blocks ---------------------------------------------------
@@ -253,7 +246,7 @@ class CovariantEngine:
             self._scalars[key] = (self.theta ** a) * (self.phi ** b)
         return self._scalars[key]
 
-    def _subst_table(self, d: int) -> list[list[int]]:
+    def _subst_table(self, d: int) -> np.ndarray:
         if d not in self._subst:
             self._subst[d] = _binomial_table(d)
         return self._subst[d]
@@ -280,38 +273,28 @@ class CovariantEngine:
         return coords
 
     def _t_rows(self, rep: Representation, d: int,
-                coords: list[tuple[int, int]]) -> list[list[CycNum]]:
-        """Rows of the T constraint on the kept coefficients.
+                coords: list[tuple[int, int]]) -> np.ndarray:
+        """The T constraint on the kept coefficients, times DEN, over Z[zeta_8].
 
-        The substitution side is scaled by sqrt(2)^d so its entries are the
-        integer coefficients of (x+y)^a (x-y)^(d-a).
+        Row (j, b) is DEN * u[a, b] at each column (j, a), u the
+        _subst_table(d), minus the numerators over DEN of rho(T) scaled
+        by sqrt(2)^d at the columns (l, b): scaling the substitution side
+        by sqrt(2)^d makes it the integer coefficients of (x+y)^a (x-y)^(d-a).
+        Returns (rows, len(coords), 4) Python-int coordinates, rows (j, b)
+        in order j, then b descending, with the zero rows dropped.
         """
-        u = self._subst_table(d)
         m = rep.dim
-        scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
-        col_index = {c: i for i, c in enumerate(coords)}
-        ncols = len(coords)
-        rows = []
-        for j in range(m):
-            kept_a = [a for (jj, a) in coords if jj == j]
-            for b in range(d, -1, -1):
-                row = [ZERO] * ncols
-                nonzero = False
-                for a in kept_a:
-                    v = u[a][b]
-                    if v:
-                        row[col_index[(j, a)]] = _icyc(v)
-                        nonzero = True
-                for l in range(m):
-                    if (l, b) in col_index:
-                        s = scaled_t.at(j, l)
-                        if not s.is_zero():
-                            idx = col_index[(l, b)]
-                            row[idx] = row[idx] - s
-                            nonzero = True
-                if nonzero:
-                    rows.append(row)
-        return rows
+        t = self.matrices(rep.rid)[self._t_index]
+        if d % 2:       # times sqrt(2) = z - z^3
+            t = t @ np.tensordot([0, 1, 0, -1], CYC_STRUCT, axes=(0, 1))
+        scaled = t.astype(object) * 2 ** (d // 2)
+        comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
+        cols = np.arange(len(coords))
+        rows = np.zeros((m, d + 1, len(coords), 4), dtype=object)   # row (j, b) at [j, d - b]
+        rows[comp, :, cols, 0] = DEN * self._subst_table(d)[expo, ::-1]
+        rows[:, d - expo, cols] -= scaled[:, comp]
+        rows = rows.reshape(m * (d + 1), len(coords), 4)
+        return rows[(rows != 0).any(axis=(1, 2))]
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
@@ -324,9 +307,11 @@ class CovariantEngine:
         if coords is None:
             result = CovariantSlice(rid, d, (), ())
         else:
-            basis_vecs = certified_nullspace(self._t_rows(rep, d, coords),
-                                             len(coords), self.counters)
+            rows = self._t_rows(rep, d, coords)
+            basis_vecs = certified_nullspace(rows, len(coords), self.counters)
             self.counters["slices_solved"] += 1
+            self.counters["rows"] += len(rows)
+            self.counters["cells"] += rows.shape[0] * rows.shape[1]
             basis = tuple(VecPoly.from_coeffs(coords, v, rep.dim, d)
                           for v in basis_vecs)
             result = CovariantSlice(rid, d, tuple(coords), basis)

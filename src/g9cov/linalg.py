@@ -6,11 +6,11 @@ the reference nullspace come from a deterministic reduced row echelon form
 repeated runs give byte-identical output.
 
 certified_nullspace returns the same normal-form nullspace without exact
-elimination: the rows, written over Z[zeta_8] by int_encoding, are
-reduced in int64 numpy modulo primes p = 1 (mod 8) under the four
-embeddings of Q(zeta_8) into F_p, lifted by CRT and rational
-reconstruction, and returned only once an exact certificate holds; exact
-rref is the fallback.
+elimination: it takes the rows as an integer array of Z[zeta_8]
+coordinates, reduces the four embeddings of Q(zeta_8) into F_p together
+as one int64 numpy array modulo primes p = 1 (mod 8), lifts the result
+by CRT and rational reconstruction, and returns it only once an exact
+certificate holds; exact rref is the fallback.
 """
 
 from __future__ import annotations
@@ -333,43 +333,49 @@ def _embedding_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(fwd, dtype=np.int64), np.array(inv, dtype=np.int64)
 
 
-def _rref_mod(m: np.ndarray, p: int) -> list[int]:
-    """Reduce the int64 matrix m over F_p in place with the pivot rule of rref.
+def _rref_lanes(m: np.ndarray, p: int) -> list[int] | None:
+    """Reduce each lane m[k] over F_p in place with the pivot rule of rref.
 
-    Returns the pivot columns.  Entries stay in [0, p), so with p < 2^31
-    every product is below 2^62.
+    m is int64 of shape (lanes, rows, cols) with entries in [0, p), so with
+    p < 2^31 every product is below 2^62.  Returns the pivot columns, or
+    None at the first column where some lanes have a pivot and others not.
     """
-    nrows, ncols = m.shape
+    nlanes, nrows, ncols = m.shape
+    lanes = np.arange(nlanes)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        nonzero = np.flatnonzero(m[r:, c])
-        if not len(nonzero):
+        nonzero = m[:, r:, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
             continue
+        if not has.all():
+            return None
         # rows from r down are zero left of c, so columns c.. are all that move
-        src = r + nonzero[0]
-        top = m[src, c:] * pow(int(m[src, c]), -1, p) % p
-        m[src, c:] = m[r, c:]
-        m[r, c:] = top
-        f = m[:, c].copy()
-        f[r] = 0
-        hit = np.flatnonzero(f)
-        m[hit, c:] = (m[hit, c:] - f[hit, None] * top) % p
+        src = r + nonzero.argmax(axis=1)
+        inv = np.array([pow(int(x), -1, p) for x in m[lanes, src, c]], dtype=np.int64)
+        top = m[lanes, src, c:] * inv[:, None] % p
+        m[lanes, src, c:] = m[lanes, r, c:]
+        m[lanes, r, c:] = top
+        f = m[:, :, c].copy()
+        f[:, r] = 0
+        # only rows nonzero at c in some lane change
+        hit = np.flatnonzero(f.any(axis=0))
+        m[:, hit, c:] = (m[:, hit, c:] - f[:, hit, None] * top[:, None, :]) % p
         pivots.append(c)
     return pivots
 
 
 class _IntRows:
-    """Rows over Q(zeta_8) scaled into Z[zeta_8], kept as their nonzero coordinates."""
+    """Rows over Z[zeta_8], kept as their nonzero coordinates."""
 
-    def __init__(self, rows: list[list[CycNum]]):
-        # scaling a row by its denominator does not change the nullspace
-        nums, _, self.max_abs = int_encoding(rows)
-        self.shape = nums.shape
-        self.index = np.flatnonzero(nums)
-        self.values = nums.ravel()[self.index]
+    def __init__(self, rows: np.ndarray):
+        self.shape = rows.shape
+        self.index = np.flatnonzero(rows)
+        self.values = rows.ravel()[self.index]
+        self.max_abs = max(map(abs, self.values.tolist()), default=1)
 
     def mod(self, p: int, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 of the coordinates mod p, int64 of shape (rows, ncols * 4)."""
@@ -379,35 +385,37 @@ class _IntRows:
         out[self.index[a:b] - lo * width] = self.values[a:b] % p
         return out.reshape(hi - lo, width)
 
-    def embedded(self, p: int, powers: np.ndarray) -> np.ndarray:
-        """The image mod p under zeta_8 -> w, given powers = (w^j mod p)_j."""
+    def embedded(self, p: int, fwd: np.ndarray) -> np.ndarray:
+        """The images mod p under zeta_8 -> w^k, k = 1, 3, 5, 7: int64 (4, rows, ncols).
+
+        fwd holds the powers w^(jk) mod p, as _embedding_matrices returns it.
+        """
         entry, coord = np.divmod(self.index, 4)
-        values = (self.values % p).astype(np.int64) * powers[coord] % p
-        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
-        np.add.at(out, entry, values)
-        return out.reshape(self.shape[:2]) % p
+        values = (self.values % p).astype(np.int64)
+        out = np.zeros((4, self.shape[0] * self.shape[1]), dtype=np.int64)
+        for k in range(4):
+            np.add.at(out[k], entry, values * fwd[coord, k] % p)
+        out %= p
+        return out.reshape(4, *self.shape[:2])
 
 
 def _nullspace_mod(rows: _IntRows, p: int) -> tuple[list[int], np.ndarray] | None:
     """Pivots and normal-form nullspace coordinates (free, ncols, 4) mod p.
 
-    None when the four embedded systems have different pivots.
+    The images under zeta_8 -> w^k, k = 1, 3, 5, 7, are reduced together;
+    None when their pivots differ.
     """
     ncols = rows.shape[1]
     fwd, inv = _embedding_matrices(p)
-    lanes = []
-    for k in range(4):
-        m = rows.embedded(p, fwd[:, k])
-        got = _rref_mod(m, p)
-        if lanes and got != pivots:
-            return None
-        pivots = got
-        free = sorted(set(range(ncols)) - set(pivots))
-        vecs = np.zeros((len(free), ncols), dtype=np.int64)
-        vecs[range(len(free)), free] = 1
-        vecs[:, pivots] = (-m[:len(pivots), free]).T % p
-        lanes.append(vecs.reshape(-1))
-    coords = _dot_mod(np.stack(lanes, axis=1), inv, p)
+    m = rows.embedded(p, fwd)
+    pivots = _rref_lanes(m, p)
+    if pivots is None:
+        return None
+    free = sorted(set(range(ncols)) - set(pivots))
+    vecs = np.zeros((4, len(free), ncols), dtype=np.int64)
+    vecs[:, range(len(free)), free] = 1
+    vecs[:, :, pivots] = (-m[:, :len(pivots), free]).transpose(0, 2, 1) % p
+    coords = _dot_mod(vecs.reshape(4, -1).T, inv, p)
     return pivots, coords.reshape(len(free), ncols, 4)
 
 
@@ -480,20 +488,22 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
     return cleared > 2 * bound
 
 
-def certified_nullspace(rows: list[list[CycNum]], ncols: int,
+def certified_nullspace(rows: np.ndarray, ncols: int,
                         counters: Counter | None = None) -> list[list[CycNum]]:
     """The nullspace basis of nullspace_from_rref(rref(rows)), computed mod p.
 
-    Eliminates all rows modulo ELIMINATION_PRIMES until the reconstructed
-    basis passes _certify, at a prime where every embedded rank is
-    ncols - len(basis).  A rank mod p never exceeds the true rank, so the
-    nullity is at most len(basis); the certified vectors are independent
-    nullspace vectors in normal form, hence the unique normal-form basis.
-    If the primes run out, falls back to exact rref.  Counts primes,
-    rejected primes, certificate primes and fallbacks in `counters`.
+    rows is an integer array (nrows, ncols, 4) of Z[zeta_8] coordinates
+    (Python ints or int64).  Eliminates all rows modulo ELIMINATION_PRIMES
+    until the reconstructed basis passes _certify, at a prime where every
+    embedded rank is ncols - len(basis).  A rank mod p never exceeds the
+    true rank, so the nullity is at most len(basis); the certified vectors
+    are independent nullspace vectors in normal form, hence the unique
+    normal-form basis.  If the primes run out, falls back to exact rref on
+    the rows decoded to CycNum.  Counts primes, rejected primes,
+    certificate primes and fallbacks in `counters`.
     """
     counters = Counter() if counters is None else counters
-    if not rows:
+    if not len(rows):
         return [[ONE if i == f else ZERO for i in range(ncols)] for f in range(ncols)]
     int_rows = _IntRows(rows)
     pivots, combined = None, 0
@@ -525,7 +535,7 @@ def certified_nullspace(rows: list[list[CycNum]], ncols: int,
             return [[CycNum._make(tuple(e), den) for e in vec.tolist()]
                     for vec, den in zip(vecs, dens)]
     counters["fallbacks"] += 1
-    reduced, pivots = rref(list(rows))
+    reduced, pivots = rref([[CycNum._make(tuple(e), 1) for e in row] for row in rows.tolist()])
     return nullspace_from_rref(reduced, pivots, ncols)
 
 

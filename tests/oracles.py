@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from g9cov.covariants import CovariantSlice, FreenessError, RowReducer
 from g9cov.cyclo import CycNum, ONE, ZERO, rational
-from g9cov.linalg import Mat, nullspace_from_rref, rref
+from g9cov.linalg import Mat, int_encoding, nullspace_from_rref, rref
 from g9cov.molien import _det2
 from g9cov.poly import BiPoly, VecPoly
 
@@ -118,6 +118,75 @@ def mat_apply(vec, m):
     return VecPoly(out, vec.degree)
 
 
+def binomial_table(d):
+    """table[a][b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a)."""
+    plus = [[1]]
+    minus = [[1]]
+    for _ in range(d):
+        prev = plus[-1]
+        plus.append([(prev[i - 1] if i else 0) + (prev[i] if i < len(prev) else 0)
+                     for i in range(len(prev) + 1)])
+        prev = minus[-1]
+        minus.append([(prev[i - 1] if i else 0) - (prev[i] if i < len(prev) else 0)
+                      for i in range(len(prev) + 1)])
+    table = []
+    for a in range(d + 1):
+        pa, mb = plus[a], minus[d - a]
+        row = [0] * (d + 1)
+        for i, pi in enumerate(pa):
+            if pi:
+                for j, mj in enumerate(mb):
+                    if mj:
+                        row[i + j] += pi * mj
+        table.append(row)
+    return table
+
+
+def t_rows_exact(rep, d, coords):
+    """CycNum rows of the T constraint on the kept coefficients.
+
+    The reference for CovariantEngine._t_rows, which builds the same rows
+    times reps.DEN as integer Z[zeta_8] coordinates.  The substitution side
+    is scaled by sqrt(2)^d so its entries are the integer coefficients of
+    (x+y)^a (x-y)^(d-a).  Rows that get no entry are dropped.
+    """
+    u = binomial_table(d)
+    m = rep.dim
+    scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
+    col_index = {c: i for i, c in enumerate(coords)}
+    ncols = len(coords)
+    rows = []
+    for j in range(m):
+        kept_a = [a for (jj, a) in coords if jj == j]
+        for b in range(d, -1, -1):
+            row = [ZERO] * ncols
+            nonzero = False
+            for a in kept_a:
+                v = u[a][b]
+                if v:
+                    row[col_index[(j, a)]] = rational(v)
+                    nonzero = True
+            for l in range(m):
+                if (l, b) in col_index:
+                    s = scaled_t.at(j, l)
+                    if not s.is_zero():
+                        idx = col_index[(l, b)]
+                        row[idx] = row[idx] - s
+                        nonzero = True
+            if nonzero:
+                rows.append(row)
+    return rows
+
+
+def int_rows(rows):
+    """CycNum rows as the integer Z[zeta_8] array certified_nullspace takes.
+
+    Each row is scaled by its least common denominator, which leaves the
+    nullspace unchanged.
+    """
+    return int_encoding(rows)[0]
+
+
 def slice_dense(engine, rid, d):
     """Reference solver: the plain T and D constraint system, no pruning.
 
@@ -130,7 +199,7 @@ def slice_dense(engine, rid, d):
     coords = [(j, a) for j in range(m) for a in range(d, -1, -1)]
     col_index = {c: i for i, c in enumerate(coords)}
     ncols = len(coords)
-    u = engine._subst_table(d)
+    u = binomial_table(d)
     rows = []
     scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
     for j in range(m):

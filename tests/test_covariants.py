@@ -3,8 +3,8 @@ import pytest
 from g9cov import reference
 from g9cov.cyclo import CycNum
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (covariance_check, rep_matrices_exact, slice_dense,
-                     verify_free_by_elimination)
+from oracles import (covariance_check, int_rows, rep_matrices_exact, slice_dense,
+                     t_rows_exact, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -262,7 +262,51 @@ def test_degree_zero_slices(engine):
 def _rows(engine, rid, d):
     rep = engine.reps[rid]
     coords = engine._kept_coords(rep, d)
-    return (engine._t_rows(rep, d, coords), len(coords)) if coords else ([], 0)
+    return (t_rows_exact(rep, d, coords), len(coords)) if coords else ([], 0)
+
+
+def test_integer_t_rows_equal_exact_rows(engine):
+    # the integer system is DEN times the CycNum rows, zero rows dropped;
+    # rho_30 in degree 255 has coefficients past 2^63, so nothing may wrap
+    from g9cov.reps import DEN
+    cases = [(r, d) for r in range(1, 33) for d in range(41)] + \
+        [(25, 70), (30, 63), (30, 255)]
+    checked = 0
+    for rid, d in cases:
+        rep = engine.reps[rid]
+        coords = engine._kept_coords(rep, d)
+        if not coords:
+            continue
+        got = engine._t_rows(rep, d, coords)
+        assert got.shape[1:] == (len(coords), 4) and got.dtype == object, (rid, d)
+        want = [r for r in t_rows_exact(rep, d, coords) if any(not x.is_zero() for x in r)]
+        assert [[CycNum._make(tuple(e), DEN) for e in row] for row in got.tolist()] == want, \
+            (rid, d)
+        checked += 1
+    assert checked == 164
+    assert max(abs(x) for x in got.flat) > 2 ** 63
+
+
+def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
+    # the T system is assembled and eliminated with no CycNum and no
+    # int_encoding; CycNum appears only in the certified basis vectors
+    from g9cov import linalg
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    rep = eng.reps[29]
+    coords = eng._kept_coords(rep, 27)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built on the slice path")
+    monkeypatch.setattr(linalg, "int_encoding", forbidden)
+    monkeypatch.setattr(CycNum, "__init__", forbidden)
+    monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
+    rows = eng._t_rows(rep, 27, coords)
+    got = linalg._nullspace_mod(linalg._IntRows(rows), linalg.ELIMINATION_PRIMES[0])
+    monkeypatch.undo()
+    assert got is not None and len(got[0]) + len(got[1]) == len(coords)
+    basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
+    assert basis == _oracle(t_rows_exact(rep, 27, coords), len(coords))
 
 
 def _oracle(rows, ncols):
@@ -282,7 +326,8 @@ def test_certified_nullspace_equals_exact_rref(engine):
     for rid, d in cases:
         rows, ncols = _rows(engine, rid, d)
         if rows:
-            assert certified_nullspace(rows, ncols, counters) == _oracle(rows, ncols), (rid, d)
+            assert certified_nullspace(int_rows(rows), ncols, counters) == \
+                _oracle(rows, ncols), (rid, d)
             solved += 1
     assert solved == 163
     assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
@@ -295,6 +340,8 @@ def test_engine_counts_slices_and_primes(sess):
     eng.slice(29, 27)       # cached
     eng.slice(29, 28)       # ruled out by the central character
     assert eng.counters["slices_solved"] == 1
+    # 28 kept columns; all 4 x 28 rows (j, b) are nonzero
+    assert eng.counters["rows"] == 112 and eng.counters["cells"] == 112 * 28
     assert eng.counters["primes"] >= 1 and eng.counters["certificate_primes"] >= 1
     assert eng.counters["fallbacks"] == 0
 
@@ -344,14 +391,14 @@ def test_certificate_needs_enough_primes(engine):
     vecs, dens, _ = int_encoding(basis)
     free = [max(c for c in range(ncols) if not v[c].is_zero()) for v in basis]
     pivot = min(set(range(free[0])) - set(free))
-    int_rows = _IntRows(rows)
+    system = _IntRows(int_rows(rows))
     counters = Counter()
-    assert _certify(int_rows, vecs, list(dens), free, counters)
+    assert _certify(system, vecs, list(dens), free, counters)
     honest = counters["certificate_primes"]
     for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
         bad = vecs.copy()
         bad[0, pivot, 2] += shift
         counters = Counter()
-        assert not _certify(int_rows, bad, list(dens), free, counters), shift
+        assert not _certify(system, bad, list(dens), free, counters), shift
         assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
     assert counters["certificate_primes"] > honest + 2

@@ -9,10 +9,11 @@ import pytest
 from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, Z, rational
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
-                          SingularMatrixError, _dot_mod, _embedding_matrices, _is_prime,
+                          SingularMatrixError, _IntRows, _dot_mod, _embedding_matrices,
+                          _is_prime, _nullspace_mod,
                           certified_nullspace, int_encoding, kron, mat_to_json,
                           nullspace_from_rref, rref, solve_exact)
-from oracles import mat_from_json
+from oracles import int_rows, mat_from_json
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -56,20 +57,22 @@ def cyc_rows(rows):
 
 
 def test_nullspace_examples():
-    assert certified_nullspace(cyc_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
-    assert certified_nullspace(cyc_rows([[0, 0], [0, 0]]), 2) == [[ONE, ZERO], [ZERO, ONE]]
-    assert certified_nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert certified_nullspace(int_rows(cyc_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])), 3) == []
+    assert certified_nullspace(int_rows(cyc_rows([[0, 0], [0, 0]])), 2) == \
+        [[ONE, ZERO], [ZERO, ONE]]
+    assert certified_nullspace(int_rows([]), 2) == [[ONE, ZERO], [ZERO, ONE]]
     # hand elimination of [[1,1],[1,1]]: one free column, vector (-1, 1)
-    assert certified_nullspace(cyc_rows([[1, 1], [1, 1]]), 2) == [[CycNum(-1), ONE]]
+    assert certified_nullspace(int_rows(cyc_rows([[1, 1], [1, 1]])), 2) == [[CycNum(-1), ONE]]
     # one free column right of a fractional pivot: (-1/3 z, 1)
-    assert certified_nullspace(cyc_rows([[3, Z]]), 2) == [[CycNum(0, Fraction(-1, 3)), ONE]]
+    assert certified_nullspace(int_rows(cyc_rows([[3, Z]])), 2) == \
+        [[CycNum(0, Fraction(-1, 3)), ONE]]
 
 
 def test_nullspace_exactness_and_rank():
     rng = random.Random(9)
     for _ in range(20):
         rows = cyc_rows([[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)])
-        basis = certified_nullspace(rows, 5)
+        basis = certified_nullspace(int_rows(rows), 5)
         assert basis == oracle_nullspace(rows, 5)
         m = Mat.from_rows(rows)
         for v in basis:
@@ -89,7 +92,8 @@ def test_certified_nullspace_matches_rref_on_cyclotomic_rows():
         rows = base + [[sum((rng.randint(-3, 3) * r[c] for r in base), ZERO)
                         for c in range(ncols)] for _ in range(3)]
         rng.shuffle(rows)
-        assert certified_nullspace(rows, ncols, counters) == oracle_nullspace(rows, ncols)
+        assert certified_nullspace(int_rows(rows), ncols, counters) == \
+            oracle_nullspace(rows, ncols)
     assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
 
 
@@ -139,7 +143,7 @@ def test_rank_drop_at_a_prime_is_rejected():
     # (-1, 1) read off at p must not survive, the next prime supersedes it
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
-    assert certified_nullspace(cyc_rows([[1, 1], [1, 1 + p]]), 2, counters) == []
+    assert certified_nullspace(int_rows(cyc_rows([[1, 1], [1, 1 + p]])), 2, counters) == []
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
     assert counters["fallbacks"] == 0
 
@@ -151,7 +155,7 @@ def test_rank_drop_in_one_embedding_is_rejected():
     w = int(_embedding_matrices(p)[0][1, 0])
     counters = Counter()
     rows = cyc_rows([[1, 1], [1, 1 + Z - w]])
-    assert certified_nullspace(rows, 2, counters) == oracle_nullspace(rows, 2) == []
+    assert certified_nullspace(int_rows(rows), 2, counters) == oracle_nullspace(rows, 2) == []
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
 
 
@@ -160,8 +164,44 @@ def test_pivot_shift_at_a_prime_is_rejected():
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
     rows = cyc_rows([[p, 1]])
-    assert certified_nullspace(rows, 2, counters) == [[CycNum(Fraction(-1, p)), ONE]]
+    assert certified_nullspace(int_rows(rows), 2, counters) == [[CycNum(Fraction(-1, p)), ONE]]
     assert counters["primes_rejected"] == 1 and counters["fallbacks"] == 0
+
+
+def test_rank_drop_at_a_later_column_is_rejected():
+    # the four embeddings of [[1, 1, 1], [1, 1, 1 + z - w]] all pivot at
+    # column 0, none at column 1, and only the image under zeta_8 -> w lacks
+    # a pivot at column 2: the batched elimination must reject p there
+    p = ELIMINATION_PRIMES[0]
+    w = int(_embedding_matrices(p)[0][1, 0])
+    rows = cyc_rows([[1, 1, 1], [1, 1, 1 + Z - w]])
+    assert _nullspace_mod(_IntRows(int_rows(rows)), p) is None
+    counters = Counter()
+    assert certified_nullspace(int_rows(rows), 3, counters) == oracle_nullspace(rows, 3)
+    assert counters["primes"] == 2 and counters["primes_rejected"] == 1
+    assert counters["fallbacks"] == 0
+
+
+def test_embeddings_may_pivot_and_eliminate_on_different_rows():
+    # z - w^3 vanishes only under zeta_8 -> w^3, so that embedding takes
+    # row 1 as its column-0 pivot and the other three take row 0; z - w
+    # vanishes only under zeta_8 -> w, so row 2 is eliminated at column 0 in
+    # the other three alone.  Ranks and pivot columns agree: no prime is
+    # rejected
+    p = ELIMINATION_PRIMES[0]
+    fwd = _embedding_matrices(p)[0]
+    w, w3 = int(fwd[1, 0]), int(fwd[1, 1])
+    rows = cyc_rows([[Z - w3, 1, 1, 0], [1, 0, 1, 2], [Z - w, 1, 0, 1], [2, 0, 2, 4]])
+    got = _nullspace_mod(_IntRows(int_rows(rows)), p)
+    want = oracle_nullspace(rows, 4)
+    nums, dens, _ = int_encoding(want)
+    assert got is not None and got[0] == [0, 1, 2]
+    # the residues themselves: CRT and reconstruction could mask one bad prime
+    assert got[1].tolist() == [[[n * pow(den, -1, p) % p for n in e] for e in vec]
+                               for vec, den in zip(nums.tolist(), dens.tolist())]
+    counters = Counter()
+    assert certified_nullspace(int_rows(rows), 4, counters) == want
+    assert counters["primes_rejected"] == 0 and counters["fallbacks"] == 0
 
 
 def test_kron_reference_values():
