@@ -6,24 +6,40 @@ constraints suffice: covariance multiplies along words, and that rho is
 a homomorphism is certified on the Cayley edges (reps.verify_homomorphism).
 
 The degree-d slice is computed as the nullspace of an exact linear
-system on the coefficients of F.  Two reductions cut the system down
-before any elimination happens, both exact consequences of the same
-covariance condition:
+system on the coefficients c_(j,a) of x^a y^(d-a) in F_j.  Three
+reductions cut the system down before any elimination happens, all exact
+consequences of the same covariance condition:
 
   * the central element zI acts on degree-d polynomials by z^d and on
     the module by a scalar; unless these agree the slice is zero;
   * every rho(D) here is diagonal, so the D constraint just selects,
     per component j, the x^a y^(d-a) with i^(d-a) equal to the j-th
-    diagonal entry.
+    diagonal entry;
+  * the swap tau: (x, y) -> (y, x) is T D^2 T (checked as 2x2 matrices),
+    so every covariant has F(y, x) = rho(T) rho(D)^2 rho(T) F(x, y).  That
+    matrix is checked to be a signed permutation of order 2, with sign s_l
+    at (l, perm[l]), so c_(l,a) = s_l c_(perm[l], d-a): the kept
+    coordinates fall into swap pairs and each pair's right-most coordinate
+    is one unknown, c = E u.  A coordinate that is its own partner with
+    s_l = -1, or whose partner is not kept, is 0.
 
-What is left is the T constraint on the surviving coefficients, built
+What is left is the T constraint A on the kept coefficients, built
 (times reps.DEN, with no CycNum) as an integer array of Z[zeta_8]
-coordinates and solved in a canonical nullspace normal form: basis
-vector v_f is 1 at its free column f, 0 at the other free columns and
-has no support right of f, exactly what rref + nullspace_from_rref
-produce.
+coordinates.  It is solved as B, the rows (j, b) with 2b >= d of A E:
+about half the unknowns and half the rows.  Three facts make this exact:
 
-linalg.certified_nullspace solves it multimodularly (Dixon, Numer. Math.
+  * null(A) lies in im(E) by the swap reduction above, and E is
+    injective, so null(A) = E null(A E);
+  * on swap-symmetric F, G = F o T - rho(T) F satisfies
+    G o tau = rho(D^2) G, so row (j, b) of A E is rho(D^2)_jj times row
+    (j, d - b).  This is checked exactly on every system before the rows
+    with 2b < d are dropped, so null(A E) = null(B);
+  * each unknown sits at its pair's right-most column, so E maps the
+    canonical nullspace normal form of B onto that of A: basis vector v_f
+    is 1 at its free column f, 0 at the other free columns and has no
+    support right of f, exactly what rref + nullspace_from_rref produce.
+
+linalg.certified_nullspace solves B multimodularly (Dixon, Numer. Math.
 40 (1982); rational reconstruction after Wang, SYMSAC 1981): the four
 embeddings of Q(zeta_8) into F_p are eliminated together in one int64
 array modulo primes p = 1 (mod 8), the residues are combined by CRT and
@@ -34,18 +50,19 @@ it, whatever primes were used:
     independent;
   * at some prime the embedded rank is ncols - k; a rank mod p never
     exceeds the rank over Q(zeta_8), so the nullity is at most k;
-  * A v = 0 for every row, by bounded CRT: each integer coordinate of the
-    integer-scaled A v is at most 4 * ncols * max|A| * max|V| in absolute
+  * B v = 0 for every row, by bounded CRT: each integer coordinate of the
+    integer-scaled B v is at most 4 * ncols * max|B| * max|V| in absolute
     value and vanishes modulo certificate primes whose product exceeds
     twice that, so it is 0.
 
 The k vectors then span the nullspace, and a nullspace vector whose last
 nonzero coordinate is f exists only for non-pivot f, so they are the
-normal-form basis, byte for byte.  Should the prime table run out, exact
-rref is the fallback.  The certificate never reads Molien: each slice
-dimension is still cross checked against the Molien coefficient (past
-the cutoff, of a series extended to that degree), so the linear solver
-and the character-theoretic pipeline certify each other degree by degree.
+normal-form basis of B, and E maps them to that of A, byte for byte.
+Should the prime table run out, exact rref of B is the fallback.  The
+certificate never reads Molien: each slice dimension is still cross
+checked against the Molien coefficient (past the cutoff, of a series
+extended to that degree), so the linear solver and the
+character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
@@ -133,6 +150,37 @@ class TauRecord:
     witness: VecPoly | None
 
 
+@dataclass(frozen=True)
+class _Symmetry:
+    residue: int                # the central scalar is zeta_8^residue
+    expo: tuple[int, ...]       # rho(D)_jj = i^expo[j], so rho(D^2)_jj = (-1)^expo[j]
+    perm: tuple[int, ...]       # rho(tau) has sign[l] at (l, perm[l]), tau = T D^2 T
+    sign: tuple[int, ...]
+
+
+def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
+                 sign: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The columns of E: each unknown is a swap pair's right-most coordinate.
+
+    Covariants satisfy c_(l, a) = sign[l] * c_(perm[l], d - a).  Returns
+    reps, the coordinate index of each unknown in ascending order, and
+    mates, (unknown, partner index, sign) for each pair of two coordinates.
+    A coordinate whose partner is not kept, or that is its own partner
+    with sign -1, is 0 and belongs to no unknown.
+    """
+    index = {c: i for i, c in enumerate(coords)}
+    reps: list[int] = []
+    mates: list[tuple[int, int, int]] = []
+    for i, (l, a) in enumerate(coords):
+        k = index.get((perm[l], d - a))
+        if k is None or k > i or (k == i and sign[l] < 0):
+            continue
+        if k < i:
+            mates.append((len(reps), k, sign[l]))
+        reps.append(i)
+    return reps, mates
+
+
 class RowReducer:
     """Incremental row echelon form over Q(zeta_8) for rank questions."""
 
@@ -196,12 +244,15 @@ class CovariantEngine:
         self._molien_ext: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
-        self._central: dict[int, CycNum] = {}
         self._subst: dict[int, np.ndarray] = {}
         self._scalars: dict[tuple[int, int], BiPoly] = {}
         self._dets: dict[int, BiPoly] = {}
+        self._symmetries: dict[int, _Symmetry] = {}
+        t, d = table.gens["T"], table.gens["D"]
+        if t.matmul(d).matmul(d).matmul(t) != Mat.from_rows([[0, 1], [1, 0]]):
+            raise CrossCheckError("T D^2 T is not the swap (x, y) -> (y, x)")
         self._central_index = table.lookup(Mat.identity(2).scale(CycNum.zeta(1)))
-        self._t_index = table.lookup(table.gens["T"])
+        self._t_index = table.lookup(t)
         # slices_solved, and the rows and cells (rows x columns) of their
         # systems; primes, primes_rejected, certificate_primes and fallbacks
         # of certified_nullspace
@@ -229,16 +280,6 @@ class CovariantEngine:
                                                   self.matrices(rid))
         return self._molien_ext[rid]
 
-    def central_scalar(self, rid: int) -> CycNum:
-        """The scalar by which the central element zI acts in rho."""
-        if rid not in self._central:
-            img = self.matrices(rid)[self._central_index]
-            w = img[0, 0]
-            if not np.array_equal(img, scalar_image(len(img), w)):
-                raise CrossCheckError(f"rho_{rid}: central element is not scalar")
-            self._central[rid] = decode(w)
-        return self._central[rid]
-
     def scalar_poly(self, a: int, b: int) -> BiPoly:
         """theta^a * phi^b, cached."""
         key = (a, b)
@@ -253,35 +294,69 @@ class CovariantEngine:
 
     # -- the slice solver -----------------------------------------------------------
 
+    def _symmetry(self, rid: int) -> _Symmetry:
+        """The central residue, D exponents and swap pattern of rho_rid, cached.
+
+        Raises CrossCheckError, naming the representation, unless rho(D) is
+        diagonal with powers of i, rho(T) rho(D)^2 rho(T) is a signed
+        permutation of order 2 and the central element zI acts by a power
+        of zeta_8 times the identity.
+        """
+        if rid not in self._symmetries:
+            rep = self.reps[rid]
+            img_d = rep.img_d
+            if not img_d.is_diagonal():
+                raise CrossCheckError(f"rho_{rid}: D image is not diagonal")
+            i_powers = [CycNum.zeta(2 * e) for e in range(4)]
+            expo = tuple(next((e for e, w in enumerate(i_powers) if w == img_d.at(j, j)), None)
+                         for j in range(rep.dim))
+            if None in expo:
+                raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
+            # rho(tau) = rho(T) rho(D)^2 rho(T) times DEN^2, with rho(D)^2 = diag((-1)^e_j)
+            d2 = (-1) ** np.array(expo)
+            t = self.matrices(rid)[self._t_index]
+            tau = np.einsum("ljp,j,jkq,pqr->lkr", t, d2, t, CYC_STRUCT)
+            ids = np.arange(rep.dim)
+            perm = (tau != 0).any(axis=2).argmax(axis=1)
+            sign = tau[ids, perm, 0] // DEN ** 2
+            signed = np.zeros_like(tau)
+            signed[ids, perm, 0] = sign * DEN ** 2
+            if not (np.isin(sign, (-1, 1)).all() and np.array_equal(tau, signed)
+                    and np.array_equal(perm[perm], ids) and np.array_equal(sign[perm], sign)):
+                raise CrossCheckError(f"rho_{rid}: rho(T) rho(D)^2 rho(T) is not a "
+                                      f"signed permutation of order 2")
+            central = self.matrices(rid)[self._central_index]
+            if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):
+                raise CrossCheckError(f"rho_{rid}: central element is not scalar")
+            residue = next((k for k in range(8) if CycNum.zeta(k) == decode(central[0, 0])),
+                           None)
+            if residue is None:
+                raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
+            self._symmetries[rid] = _Symmetry(residue, expo, tuple(perm.tolist()),
+                                              tuple(sign.tolist()))
+        return self._symmetries[rid]
+
     def _kept_coords(self, rep: Representation, d: int) -> list[tuple[int, int]] | None:
         """Coordinates surviving the central and diagonal-D constraints.
 
         Returns None when the central scalar rules the whole degree out.
         """
-        if CycNum.zeta(d) != self.central_scalar(rep.rid):
+        sym = self._symmetry(rep.rid)
+        if (d - sym.residue) % 8:
             return None
-        img_d = rep.img_d
-        if not img_d.is_diagonal():
-            raise CrossCheckError(f"rho_{rep.rid}: D image is not diagonal")
-        eigen = [img_d.at(j, j) for j in range(rep.dim)]
-        powers = [CycNum.zeta(0), CycNum.zeta(2), CycNum.zeta(4), CycNum.zeta(6)]
-        coords = []
-        for j, lam in enumerate(eigen):
-            for a in range(d, -1, -1):
-                if powers[(d - a) % 4] == lam:
-                    coords.append((j, a))
-        return coords
+        return [(j, a) for j, e in enumerate(sym.expo)
+                for a in range(d, -1, -1) if (d - a - e) % 4 == 0]
 
     def _t_rows(self, rep: Representation, d: int,
                 coords: list[tuple[int, int]]) -> np.ndarray:
-        """The T constraint on the kept coefficients, times DEN, over Z[zeta_8].
+        """The T constraint on the coefficients at coords, times DEN, over Z[zeta_8].
 
         Row (j, b) is DEN * u[a, b] at each column (j, a), u the
         _subst_table(d), minus the numerators over DEN of rho(T) scaled
         by sqrt(2)^d at the columns (l, b): scaling the substitution side
         by sqrt(2)^d makes it the integer coefficients of (x+y)^a (x-y)^(d-a).
-        Returns (rows, len(coords), 4) Python-int coordinates, rows (j, b)
-        in order j, then b descending, with the zero rows dropped.
+        Returns (m, d + 1, len(coords), 4) Python-int coordinates, row (j, b)
+        at [j, d - b].
         """
         m = rep.dim
         t = self.matrices(rep.rid)[self._t_index]
@@ -290,11 +365,35 @@ class CovariantEngine:
         scaled = t.astype(object) * 2 ** (d // 2)
         comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
         cols = np.arange(len(coords))
-        rows = np.zeros((m, d + 1, len(coords), 4), dtype=object)   # row (j, b) at [j, d - b]
+        rows = np.zeros((m, d + 1, len(coords), 4), dtype=object)
         rows[comp, :, cols, 0] = DEN * self._subst_table(d)[expo, ::-1]
         rows[:, d - expo, cols] -= scaled[:, comp]
-        rows = rows.reshape(m * (d + 1), len(coords), 4)
-        return rows[(rows != 0).any(axis=(1, 2))]
+        return rows
+
+    def _tau_system(self, rep: Representation, d: int, coords: list[tuple[int, int]]
+                    ) -> tuple[list[int], list[tuple[int, int, int]], np.ndarray]:
+        """The T constraint on the swap-paired unknowns: (reps, mates, rows).
+
+        Unknown g is the coefficient at coords[reps[g]]; (g, k, s) in mates
+        sets coords[k] to s times it (see _tau_pairing).  The rows are the
+        T rows (j, b) with 2b >= d of A E, in order j, then b descending,
+        zero rows dropped; each other row (j, b) must equal rho(D^2)_jj
+        times row (j, d - b), or CrossCheckError names the representation
+        and the degree.
+        """
+        sym = self._symmetry(rep.rid)
+        reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
+        rows = self._t_rows(rep, d, [coords[i] for i in reps])
+        if mates:
+            g, k, s = np.array(mates).T
+            rows[:, :, g] += self._t_rows(rep, d, [coords[i] for i in k]) * s[:, None]
+        h = d // 2 + 1
+        d2 = (-1) ** np.array(sym.expo)[:, None, None, None]
+        if not np.array_equal(rows[:, h:], rows[:, ::-1][:, h:] * d2):
+            raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
+                                  f"rho(D^2) times its swapped row")
+        rows = rows[:, :h].reshape(rep.dim * h, len(reps), 4)
+        return reps, mates, rows[(rows != 0).any(axis=(1, 2))]
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
@@ -307,14 +406,20 @@ class CovariantEngine:
         if coords is None:
             result = CovariantSlice(rid, d, (), ())
         else:
-            rows = self._t_rows(rep, d, coords)
-            basis_vecs = certified_nullspace(rows, len(coords), self.counters)
+            reps, mates, rows = self._tau_system(rep, d, coords)
+            reduced = certified_nullspace(rows, len(reps), self.counters)
             self.counters["slices_solved"] += 1
             self.counters["rows"] += len(rows)
             self.counters["cells"] += rows.shape[0] * rows.shape[1]
-            basis = tuple(VecPoly.from_coeffs(coords, v, rep.dim, d)
-                          for v in basis_vecs)
-            result = CovariantSlice(rid, d, tuple(coords), basis)
+            basis = []
+            for u in reduced:       # E u: the coefficients at every kept coordinate
+                vec = [ZERO] * len(coords)
+                for g, i in enumerate(reps):
+                    vec[i] = u[g]
+                for g, k, s in mates:
+                    vec[k] = u[g] if s > 0 else -u[g]
+                basis.append(VecPoly.from_coeffs(coords, vec, rep.dim, d))
+            result = CovariantSlice(rid, d, tuple(coords), tuple(basis))
         expected = self.molien_through(rid, d).coefficient(d)
         if expected != result.dim:
             raise CrossCheckError(
@@ -345,8 +450,7 @@ class CovariantEngine:
         if cached is not None:
             return cached
         rep = self.reps[rid]
-        residue = next(k for k in range(8)
-                       if CycNum.zeta(k) == self.central_scalar(rid))
+        residue = self._symmetry(rid).residue
         numerator = self.molien(rid).numerator
         top = numerator[-1][0]
         gens: list[tuple[int, VecPoly]] = []

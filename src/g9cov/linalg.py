@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -316,12 +317,13 @@ CERTIFICATE_PRIMES = _primes_1_mod_8(2 ** 26, 64)
 _EMBEDDINGS = (1, 3, 5, 7)
 
 
+@lru_cache(maxsize=None)
 def _embedding_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maps between coordinates and embeddings mod p, as 4x4 int64 matrices.
+    """Maps between coordinates and embeddings mod p, as read-only 4x4 int64 matrices.
 
     coords @ fwd gives the images under zeta_8 -> w^k for k = 1, 3, 5, 7;
     images @ inv gives the coordinates back (the inverse Vandermonde,
-    1/4 * w^(-jk)).
+    1/4 * w^(-jk)).  Cached per prime: every slice uses the same few.
     """
     a = 2
     while pow(a, (p - 1) // 2, p) != p - 1:     # a quadratic non-residue
@@ -330,7 +332,10 @@ def _embedding_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
     quarter = pow(4, -1, p)
     fwd = [[pow(w, j * k, p) for k in _EMBEDDINGS] for j in range(4)]
     inv = [[quarter * pow(w, -j * k, p) % p for j in range(4)] for k in _EMBEDDINGS]
-    return np.array(fwd, dtype=np.int64), np.array(inv, dtype=np.int64)
+    out = np.array(fwd, dtype=np.int64), np.array(inv, dtype=np.int64)
+    for m in out:
+        m.flags.writeable = False
+    return out
 
 
 def _rref_lanes(m: np.ndarray, p: int) -> list[int] | None:

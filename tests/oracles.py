@@ -178,6 +178,25 @@ def t_rows_exact(rep, d, coords):
     return rows
 
 
+def tau_reduced_rows(full, d, reps, mates):
+    """The rows (j, b) with 2b >= d of A E, zero rows dropped, as nested lists.
+
+    The reference for the rows of CovariantEngine._tau_system: full is the
+    T system A on every kept coordinate, (m, d + 1, ncols, 4) with row
+    (j, b) at [j, d - b]; column g of A E is A at reps[g], plus s times A
+    at k for each (g, k, s) in mates.
+    """
+    out = []
+    for j in range(len(full)):
+        for b in range(d, (d + 1) // 2 - 1, -1):
+            row = [list(full[j, d - b, i]) for i in reps]
+            for g, k, s in mates:
+                row[g] = [x + s * y for x, y in zip(row[g], full[j, d - b, k])]
+            if any(any(entry) for entry in row):
+                out.append(row)
+    return out
+
+
 def int_rows(rows):
     """CycNum rows as the integer Z[zeta_8] array certified_nullspace takes.
 

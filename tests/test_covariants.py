@@ -4,7 +4,7 @@ from g9cov import reference
 from g9cov.cyclo import CycNum
 from g9cov.poly import BiPoly, fundamental_invariants
 from oracles import (covariance_check, int_rows, rep_matrices_exact, slice_dense,
-                     t_rows_exact, verify_free_by_elimination)
+                     t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -266,8 +266,10 @@ def _rows(engine, rid, d):
 
 
 def test_integer_t_rows_equal_exact_rows(engine):
-    # the integer system is DEN times the CycNum rows, zero rows dropped;
-    # rho_30 in degree 255 has coefficients past 2^63, so nothing may wrap
+    # the integer system is DEN times the CycNum rows, zero rows dropped, and
+    # the swap-reduced system (which must pass its dropped-row check) is the
+    # upper half of its rows times E; rho_30 in degree 255 has coefficients
+    # past 2^63, so nothing may wrap
     from g9cov.reps import DEN
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + \
         [(25, 70), (30, 63), (30, 255)]
@@ -277,19 +279,24 @@ def test_integer_t_rows_equal_exact_rows(engine):
         coords = engine._kept_coords(rep, d)
         if not coords:
             continue
-        got = engine._t_rows(rep, d, coords)
-        assert got.shape[1:] == (len(coords), 4) and got.dtype == object, (rid, d)
+        full = engine._t_rows(rep, d, coords)
+        assert full.shape == (rep.dim, d + 1, len(coords), 4) and full.dtype == object, (rid, d)
+        got = full.reshape(-1, len(coords), 4)
+        got = got[(got != 0).any(axis=(1, 2))]
         want = [r for r in t_rows_exact(rep, d, coords) if any(not x.is_zero() for x in r)]
         assert [[CycNum._make(tuple(e), DEN) for e in row] for row in got.tolist()] == want, \
             (rid, d)
+        reps, mates, reduced = engine._tau_system(rep, d, coords)
+        assert reduced.tolist() == tau_reduced_rows(full, d, reps, mates), (rid, d)
         checked += 1
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
+    assert max(abs(x) for x in reduced.flat) > 2 ** 63
 
 
 def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
-    # the T system is assembled and eliminated with no CycNum and no
-    # int_encoding; CycNum appears only in the certified basis vectors
+    # the T system is assembled, reduced and eliminated with no CycNum and
+    # no int_encoding; CycNum appears only in the certified basis vectors
     from g9cov import linalg
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
@@ -301,10 +308,10 @@ def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
     monkeypatch.setattr(linalg, "int_encoding", forbidden)
     monkeypatch.setattr(CycNum, "__init__", forbidden)
     monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
-    rows = eng._t_rows(rep, 27, coords)
+    reps, _, rows = eng._tau_system(rep, 27, coords)
     got = linalg._nullspace_mod(linalg._IntRows(rows), linalg.ELIMINATION_PRIMES[0])
     monkeypatch.undo()
-    assert got is not None and len(got[0]) + len(got[1]) == len(coords)
+    assert got is not None and len(got[0]) + len(got[1]) == len(reps)
     basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
     assert basis == _oracle(t_rows_exact(rep, 27, coords), len(coords))
 
@@ -316,8 +323,9 @@ def _oracle(rows, ncols):
 
 
 def test_certified_nullspace_equals_exact_rref(engine):
-    # the multimodular solver against the exact elimination oracle on every
-    # slice with rows through degree 40, and on two deep slices
+    # the multimodular solver, on the full system and on the engine's
+    # swap-reduced one, against the exact elimination oracle on every slice
+    # with rows through degree 40, and on two deep slices
     from collections import Counter
     from g9cov.linalg import certified_nullspace
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + [(25, 70), (30, 63)]
@@ -326,8 +334,12 @@ def test_certified_nullspace_equals_exact_rref(engine):
     for rid, d in cases:
         rows, ncols = _rows(engine, rid, d)
         if rows:
-            assert certified_nullspace(int_rows(rows), ncols, counters) == \
-                _oracle(rows, ncols), (rid, d)
+            want = _oracle(rows, ncols)
+            assert certified_nullspace(int_rows(rows), ncols, counters) == want, (rid, d)
+            # the swap-reduced system of the engine gives the same basis
+            coords = engine._kept_coords(engine.reps[rid], d)
+            assert [b.coeff_vector(coords) for b in engine.slice(rid, d).basis] == want, \
+                (rid, d)
             solved += 1
     assert solved == 163
     assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
@@ -340,8 +352,9 @@ def test_engine_counts_slices_and_primes(sess):
     eng.slice(29, 27)       # cached
     eng.slice(29, 28)       # ruled out by the central character
     assert eng.counters["slices_solved"] == 1
-    # 28 kept columns; all 4 x 28 rows (j, b) are nonzero
-    assert eng.counters["rows"] == 112 and eng.counters["cells"] == 112 * 28
+    # 28 kept columns pair into 14 unknowns; the 4 x 14 rows (j, b) with
+    # 2b >= 27 are all nonzero
+    assert eng.counters["rows"] == 56 and eng.counters["cells"] == 56 * 14
     assert eng.counters["primes"] >= 1 and eng.counters["certificate_primes"] >= 1
     assert eng.counters["fallbacks"] == 0
 
@@ -360,8 +373,9 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
             vecs, dens = got
             vecs = vecs.copy()
             if fault == "off_nullspace":
-                # for rho_21 in degree 18 column 0 is a pivot column left of
-                # vector 0's free column: caught by A v = 0
+                # for rho_21 in degree 18 column 0 of the swap-reduced system
+                # is a pivot column left of vector 0's free column 5: caught
+                # by A v = 0
                 vecs[0, 0, 1] += 1
             else:
                 # v_0 + v_1 stays in the nullspace but is nonzero at the free
@@ -402,3 +416,85 @@ def test_certificate_needs_enough_primes(engine):
         assert not _certify(system, bad, list(dens), free, counters), shift
         assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
     assert counters["certificate_primes"] > honest + 2
+
+
+def test_tau_pairing_keeps_right_most_coordinates():
+    # components 0 and 1 swap, 2 and 3 are fixed; degree 2
+    from g9cov.covariants import _tau_pairing
+    coords = [(0, 2), (0, 1), (1, 2), (1, 1), (1, 0), (2, 2), (2, 1), (2, 0), (3, 1)]
+    reps, mates = _tau_pairing(coords, 2, (1, 0, 2, 3), (1, 1, -1, 1))
+    # (1, 2) pairs with (0, 0), which is not kept; (2, 1) is its own
+    # partner with sign -1; (3, 1) is its own partner with sign 1
+    assert [coords[i] for i in reps] == [(1, 1), (1, 0), (2, 0), (3, 1)]
+    assert mates == [(0, 1, 1), (1, 0, 1), (2, 5, -1)]
+
+
+def _engine_with_images(sess, rid, img_t=None, img_d=None):
+    from dataclasses import replace
+    from g9cov.covariants import CovariantEngine
+    rep = sess.rep(rid)
+    fake = replace(rep, img_t=rep.img_t if img_t is None else img_t,
+                   img_d=rep.img_d if img_d is None else img_d)
+    return CovariantEngine(sess.table, [fake if r.rid == rid else r for r in sess.reps])
+
+
+@pytest.mark.parametrize("fault", ["swap", "d_eigenvalue", "central", "tau_entries",
+                                   "tau_order", "pairing_sign", "dropped_row"])
+def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
+    # every fact the swap reduction rests on is checked exactly, and each
+    # fault is caught by its own check, named in the message
+    import copy
+    from g9cov import covariants
+    from g9cov.covariants import CovariantEngine, CrossCheckError
+    from g9cov.linalg import Mat
+    from g9cov.reps import DEN, scalar_image
+    tau_msg = r"rho\(T\) rho\(D\)\^2 rho\(T\) is not a signed permutation of order 2"
+    rid, d = 9, 1
+    if fault == "swap":
+        table = copy.copy(sess.table)
+        table.gens = dict(table.gens, D=table.gens["T"])
+        with pytest.raises(CrossCheckError, match=r"T D\^2 T is not the swap"):
+            CovariantEngine(table, sess.reps)
+        return
+    if fault == "d_eigenvalue":
+        eng, msg = _engine_with_images(sess, 9, img_d=Mat.diagonal([1, CycNum(0, 0, 2, 0)])), \
+            r"rho_9: a D eigenvalue is not a power of i"
+    elif fault == "central":
+        # zI acting by 2
+        eng, msg = CovariantEngine(sess.table, sess.reps), \
+            r"rho_9: central scalar is not a power of zeta_8"
+        images = eng.matrices(9).copy()
+        images[eng._central_index] = scalar_image(2, [2 * DEN, 0, 0, 0])
+        eng._mats[9] = images
+    elif fault == "tau_entries":
+        # sqrt(2) T makes rho(tau) twice the swap: an involutive pattern
+        # with entries 2, not +-1
+        t = sess.rep(9).img_t.scale(CycNum(0, 1, 0, -1))
+        eng, msg = _engine_with_images(sess, 9, img_t=t), rf"rho_9: {tau_msg}"
+    elif fault == "tau_order":
+        # a 3-cycle for T makes rho(tau) a signed 3-cycle
+        cycle = Mat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        rid, d = 21, 2
+        eng, msg = _engine_with_images(sess, 21, img_t=cycle), rf"rho_21: {tau_msg}"
+    else:
+        rid, d = 29, 27
+        eng = CovariantEngine(sess.table, sess.reps)
+        msg = r"rho_29 degree 27: a dropped T row is not rho\(D\^2\) times its swapped row"
+        if fault == "pairing_sign":
+            honest = covariants._tau_pairing
+
+            def flipped(*args):
+                reps, mates = honest(*args)
+                (g, k, s), rest = mates[0], mates[1:]
+                return reps, [(g, k, -s)] + rest
+            monkeypatch.setattr(covariants, "_tau_pairing", flipped)
+        else:
+            honest = CovariantEngine._t_rows
+
+            def tampered(self, rep, d, coords):
+                rows = honest(self, rep, d, coords)
+                rows[0, d, 0, 0] += 1       # row (0, b = 0), dropped as 2b < d
+                return rows
+            monkeypatch.setattr(CovariantEngine, "_t_rows", tampered)
+    with pytest.raises(CrossCheckError, match=msg):
+        eng.slice(rid, d)

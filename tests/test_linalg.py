@@ -108,9 +108,12 @@ def test_prime_tables():
 
 
 def test_embedding_matrices_invert():
-    # coordinates -> embeddings -> coordinates is the identity mod p
+    # coordinates -> embeddings -> coordinates is the identity mod p; the
+    # matrices are built once per prime and shared read-only
     for p in ELIMINATION_PRIMES[:2]:
         fwd, inv = _embedding_matrices(p)
+        assert _embedding_matrices(p)[0] is fwd
+        assert not fwd.flags.writeable and not inv.flags.writeable
         back = (np.array(fwd, dtype=object) @ np.array(inv, dtype=object)) % p
         assert (back == np.eye(4, dtype=np.int64)).all()
         w = int(fwd[1, 0])
