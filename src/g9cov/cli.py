@@ -22,10 +22,12 @@ import json
 import sys
 
 from . import poly, reference
+from .covariants import FREENESS_DEGREE
 from .cyclo import render_zeta
 from .group import class_orders, class_sizes
 from .linalg import mat_to_json
-from .molien import molien_series
+# molien_series is re-exported: perfbench/spans.py wraps it under this name
+from .molien import molien_series  # noqa: F401
 from .reps import verify_census, verify_homomorphism
 from .session import Session, get_session
 
@@ -141,11 +143,8 @@ def cmd_chartable(args, sess: Session) -> int:
 
 
 def _molien_payload(sess: Session, rid: int, terms: int) -> dict:
-    if terms <= sess.engine.cutoff:
-        res = sess.engine.molien(rid)
-    else:
-        res = molien_series(sess.rep(rid), sess.table, terms, sess.mats[rid])
-    series = [(d, c) for d, c in enumerate(res.series[:terms + 1]) if c]
+    res = sess.engine.molien(rid)
+    series = [(d, c) for d, c in enumerate(res.series(terms)) if c]
     return {"rep": rid, "terms": series, "numerator": list(res.numerator)}
 
 
@@ -264,8 +263,8 @@ def _check_molien(sess: Session) -> str:
         got = res.head(len(head))
         if got != head:
             raise CheckFailure(f"rho_{rid} series head {got}, reference {head}")
-        if res.series[0] != (1 if rid == 1 else 0):
-            raise CheckFailure(f"rho_{rid} has constant term {res.series[0]}")
+        if res.coefficient(0) != (1 if rid == 1 else 0):
+            raise CheckFailure(f"rho_{rid} has constant term {res.coefficient(0)}")
         total = sum(c for _, c in res.numerator)
         if total != sess.rep(rid).dim:
             raise CheckFailure(f"rho_{rid} numerator sums to {total}")
@@ -301,7 +300,7 @@ def _check_linear(sess: Session) -> str:
 def _check_freeness(sess: Session) -> str:
     for rid in range(1, 33):
         sess.engine.verify_free(rid)
-    return f"free-module spans verified to degree {sess.engine.cutoff} for all reps"
+    return f"free-module spans verified to degree {FREENESS_DEGREE} for all reps"
 
 
 def _check_determinants(sess: Session) -> str:

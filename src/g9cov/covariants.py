@@ -60,8 +60,7 @@ nonzero coordinate is f exists only for non-pivot f, so they are the
 normal-form basis of B, and E maps them to that of A, byte for byte.
 Should the prime table run out, exact rref of B is the fallback.  The
 certificate never reads Molien: each slice dimension is still cross
-checked against the Molien coefficient (past the cutoff, of a series
-extended to that degree), so the linear solver and the
+checked against the Molien coefficient, so the linear solver and the
 character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
@@ -83,9 +82,11 @@ exactly.  verify_free proves independence and span without elimination:
     that theta != 0 and phi is not a constant multiple of theta^3;
   * so sum_j p_j(theta, phi) g_j = 0 forces each p_j(theta, phi) = 0 and
     then each p_j = 0: the products theta^a phi^b g_j are independent;
-  * they are covariants, and in each degree d <= cutoff they are exactly
-    as many as the Molien coefficient dim M(rho)_d (an integer count), so
-    they span every slice through the cutoff.
+  * they are covariants, and in each degree d they are exactly as many as
+    the Molien coefficient dim M(rho)_d: generators() checks that their
+    degrees are the numerator's multiset, which makes the count in degree d
+    the closed form of MolienResult.coefficient (verify_free recounts it
+    through FREENESS_DEGREE), so they span every slice.
 """
 
 from __future__ import annotations
@@ -99,10 +100,12 @@ import numpy as np
 from .cyclo import CycNum, ZERO
 from .group import GroupTable
 from .linalg import CYC_STRUCT, Mat, certified_nullspace, rref
-from .molien import DEFAULT_CUTOFF, MolienResult, molien_series
+from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, decode, rep_matrices, scalar_image
 from . import reference
+
+FREENESS_DEGREE = 64    # verify_free counts products in each degree through this
 
 
 class CrossCheckError(RuntimeError):
@@ -231,21 +234,17 @@ def _binomial_table(d: int) -> np.ndarray:
 
 
 class CovariantEngine:
-    """Shared caches for slices, generators and scalar-polynomial products."""
+    """Shared caches for slices, generators and their determinants."""
 
-    def __init__(self, table: GroupTable, reps: list[Representation],
-                 cutoff: int = DEFAULT_CUTOFF):
+    def __init__(self, table: GroupTable, reps: list[Representation]):
         self.table = table
         self.reps = {r.rid: r for r in reps}
-        self.cutoff = cutoff
         self.gamma, self.theta, self.delta, self.phi = fundamental_invariants()
         self._mats: dict[int, np.ndarray] = {}
         self._molien: dict[int, MolienResult] = {}
-        self._molien_ext: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
         self._subst: dict[int, np.ndarray] = {}
-        self._scalars: dict[tuple[int, int], BiPoly] = {}
         self._dets: dict[int, BiPoly] = {}
         self._symmetries: dict[int, _Symmetry] = {}
         t, d = table.gens["T"], table.gens["D"]
@@ -268,24 +267,8 @@ class CovariantEngine:
     def molien(self, rid: int) -> MolienResult:
         if rid not in self._molien:
             self._molien[rid] = molien_series(self.reps[rid], self.table,
-                                              self.cutoff, self.matrices(rid))
+                                              self.matrices(rid))
         return self._molien[rid]
-
-    def molien_through(self, rid: int, d: int) -> MolienResult:
-        """Molien series through degree d, extended past the cutoff on demand."""
-        if d <= self.cutoff:
-            return self.molien(rid)
-        if rid not in self._molien_ext or self._molien_ext[rid].cutoff < d:
-            self._molien_ext[rid] = molien_series(self.reps[rid], self.table, d,
-                                                  self.matrices(rid))
-        return self._molien_ext[rid]
-
-    def scalar_poly(self, a: int, b: int) -> BiPoly:
-        """theta^a * phi^b, cached."""
-        key = (a, b)
-        if key not in self._scalars:
-            self._scalars[key] = (self.theta ** a) * (self.phi ** b)
-        return self._scalars[key]
 
     def _subst_table(self, d: int) -> np.ndarray:
         if d not in self._subst:
@@ -420,7 +403,7 @@ class CovariantEngine:
                     vec[k] = u[g] if s > 0 else -u[g]
                 basis.append(VecPoly.from_coeffs(coords, vec, rep.dim, d))
             result = CovariantSlice(rid, d, tuple(coords), tuple(basis))
-        expected = self.molien_through(rid, d).coefficient(d)
+        expected = self.molien(rid).coefficient(d)
         if expected != result.dim:
             raise CrossCheckError(
                 f"rho_{rid} degree {d}: solver dimension {result.dim}, "
@@ -482,38 +465,37 @@ class CovariantEngine:
         self._gens[rid] = result
         return result
 
-    def verify_free(self, rid: int, cutoff: int | None = None) -> dict:
-        """Free-module check: theta^a phi^b g_j fill every slice through cutoff.
+    def verify_free(self, rid: int) -> dict:
+        """Free-module check: theta^a phi^b g_j fill every slice.
 
         Checks exactly the hypotheses of the freeness argument (Stanley,
         Bull. AMS 1 (1979); Chevalley, Amer. J. Math. 77 (1955); proof in
         the module docstring), with no elimination: the products of each
-        degree d are as many as the Molien coefficient, theta and phi are
-        algebraically independent, and det[g_j] is nonzero.  Then the
-        products are independent and span every slice through cutoff.
+        degree d <= FREENESS_DEGREE are as many as the Molien coefficient,
+        theta and phi are algebraically independent, and det[g_j] is
+        nonzero.  Then the products are independent and span every slice.
         Raises FreenessError naming the representation (and the degree).
         """
-        cutoff = self.cutoff if cutoff is None else cutoff
         genset = self.generators(rid)
-        series = self.molien_through(rid, cutoff).series
-        for d in range(cutoff + 1):
+        mol = self.molien(rid)
+        for d in range(FREENESS_DEGREE + 1):
             # products theta^a phi^b g_j of degree d: d - d_j - 24 b = 8 a >= 0
             count = sum(1 for dj in genset.degrees for b24 in range(0, d - dj + 1, 24)
                         if (d - dj - b24) % 8 == 0)
-            if count != series[d]:
+            if count != mol.coefficient(d):
                 raise FreenessError(
                     f"rho_{rid} degree {d}: {count} products, "
-                    f"Molien coefficient {series[d]}")
+                    f"Molien coefficient {mol.coefficient(d)}")
         # forms of degrees 8 and 24 are algebraically dependent exactly when
         # one is zero or phi is a constant multiple of theta^3
-        theta3 = self.scalar_poly(3, 0)
+        theta3 = self.theta ** 3
         if theta3.is_zero() or self.phi.is_zero() or (
                 self.phi.normalized() == theta3.normalized()):
             raise FreenessError(
                 f"rho_{rid}: theta and phi are algebraically dependent")
         if self.generator_det(rid).is_zero():
             raise FreenessError(f"rho_{rid}: generator determinant is zero")
-        return {"rep": rid, "degrees_checked": cutoff + 1,
+        return {"rep": rid, "degrees_checked": FREENESS_DEGREE + 1,
                 "generator_degrees": genset.degrees}
 
     # -- determinant factorization -----------------------------------------------------

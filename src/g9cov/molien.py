@@ -5,13 +5,24 @@ tr(rho(s^{-1})) / det(I - t s), with the denominator taken in the natural
 2x2 action.  Both the numerator trace and det(I - t s) = 1 - tr(s) t +
 det(s) t^2 are class functions, so the sum runs over the 32 conjugacy
 classes weighted by class size, in int64 on Z[zeta_8] coordinates: the
-traces come from the integer images of reps.rep_matrices, and each 1/det
-factor is expanded by the recurrence c_n = tr(s) c_{n-1} - det(s) c_{n-2},
-once per class and cutoff for all representations.
+traces come from the integer images of reps.rep_matrices.
 
-Every series produced here is proven to have non-negative integer
-coefficients, and multiplying by (1 - t^8)(1 - t^24) must leave an
-integer polynomial whose coefficients sum to dim(rho).
+The invariant ring is C[theta, phi] with degrees 8 and 24.  Every element
+of G9 has order dividing 24, and an element with a repeated eigenvalue is
+scalar, so central of order dividing 8; hence det(I - t s_c) divides
+(1 - t^8)(1 - t^24) and, for every class c,
+
+    Q_c = (1 - t^8)(1 - t^24) / det(I - t s_c)
+
+is a polynomial of degree 30.  It is computed once per class by exact
+division from the low end, and the two remainder terms (t^31, t^32) are
+checked to be zero.  The numerator P_rho is then a finite class sum of
+|C| tr rho(s_c^-1) Q_c over |G|, proven to have non-negative integer
+coefficients summing to dim(rho), and the Hilbert series is exactly
+P_rho / ((1 - t^8)(1 - t^24)) in every degree: no series is truncated.
+Since the covariant module is free over C[theta, phi] (Chevalley, Amer.
+J. Math. 77 (1955)), P_rho also lists its generator degrees (Stanley,
+Bull. AMS 1 (1979)).
 """
 
 from __future__ import annotations
@@ -26,35 +37,36 @@ from .group import GroupTable, class_sizes
 from .linalg import CYC_STRUCT, Mat
 from .reps import DEN, Representation, class_traces, decode, rep_matrices
 
-DEFAULT_CUTOFF = 64
+TOP = 30        # degree of each class numerator Q_c
 
 
 class MolienError(RuntimeError):
-    """A Molien coefficient came out non-integral or negative."""
-
-
-class CutoffError(ValueError):
-    """The series cutoff is too small to read off the numerator."""
+    """A class numerator or a Molien numerator coefficient failed an exact check."""
 
 
 @dataclass(frozen=True)
 class MolienResult:
     rep_id: int
-    cutoff: int
-    series: tuple[int, ...]            # coefficients c_0 .. c_cutoff
     numerator: tuple[tuple[int, int], ...]   # (degree, coefficient), ascending
 
     def coefficient(self, d: int) -> int:
-        return self.series[d]
+        """dim M(rho)_d: numerator term (g, n) adds n * #{8a + 24b = d - g}."""
+        return sum(n * ((d - g) // 24 + 1) for g, n in self.numerator
+                   if g <= d and (d - g) % 8 == 0)
+
+    def series(self, n: int) -> tuple[int, ...]:
+        """The coefficients c_0 .. c_n."""
+        return tuple(self.coefficient(d) for d in range(n + 1))
 
     def head(self, n_terms: int) -> list[tuple[int, int]]:
         """The first n nonzero (degree, coefficient) pairs."""
         out = []
-        for d, c in enumerate(self.series):
+        d = 0
+        while self.numerator and len(out) < n_terms:
+            c = self.coefficient(d)
             if c:
                 out.append((d, c))
-                if len(out) == n_terms:
-                    break
+            d += 1
         return out
 
 
@@ -62,82 +74,65 @@ def _det2(m: Mat) -> CycNum:
     return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
 
 
-@lru_cache(maxsize=256)     # 32 classes at 8 cutoffs
-def _inverse_det_series(trace: CycNum, det: CycNum, cutoff: int) -> np.ndarray:
-    """Z[zeta_8] coordinates of 1 / (1 - trace*t + det*t^2) through t^cutoff.
+@lru_cache(maxsize=32)
+def _class_numerator(label: str, trace: CycNum, det: CycNum) -> np.ndarray:
+    """Z[zeta_8] coordinates of (1 - t^8)(1 - t^24) / (1 - trace*t + det*t^2).
 
-    A read-only int64 array; trace and det must be integral.  The eigenvalues
-    of s are roots of unity, so no coordinate of c_n exceeds n + 1.  Memoized
-    per (class, cutoff): the expansion does not depend on the representation.
+    A read-only int64 (TOP + 1, 4) array for the class named label; trace
+    and det must be integral.
+    Exact division from the low end by q_n = u_n + trace q_(n-1) -
+    det q_(n-2), u the dividend: the power series quotient is a polynomial
+    of degree TOP exactly when the remainder terms q_(TOP+1), q_(TOP+2)
+    vanish, since u_n = 0 above TOP + 2 and every later term follows from
+    those two.
+    Memoized per class: Q_c does not depend on the representation.
     """
     if trace.key()[4] != 1 or det.key()[4] != 1:
-        raise MolienError(f"1/det(I - t s) needs integral trace and det, got {trace}, {det}")
+        raise MolienError(f"class {label}: Q_c needs integral trace and det, "
+                          f"got {trace}, {det}")
     by_tr, by_det = (np.einsum("p,pqr->qr", np.array(x.key()[:4]), CYC_STRUCT)
                      for x in (trace, det))
-    out = np.zeros((cutoff + 1, 4), dtype=np.int64)
-    out[0, 0] = 1
-    for n in range(1, cutoff + 1):
-        out[n] = out[n - 1] @ by_tr - (out[n - 2] @ by_det if n >= 2 else 0)
+    out = np.zeros((TOP + 3, 4), dtype=np.int64)
+    out[[0, 8, 24, 32], 0] = 1, -1, -1, 1        # the dividend (1 - t^8)(1 - t^24)
+    for n in range(1, TOP + 3):
+        out[n] += out[n - 1] @ by_tr - (out[n - 2] @ by_det if n >= 2 else 0)
+    if out[TOP + 1:].any():
+        raise MolienError(f"class {label}: 1 - ({trace})t + ({det})t^2 does not "
+                          f"divide (1 - t^8)(1 - t^24)")
+    out = out[:TOP + 1]
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=2)
-def _class_factors(table: GroupTable) -> tuple[tuple[CycNum, CycNum], ...]:
-    """(tr s, det s) of the natural matrix s at each reference class."""
-    return tuple((table.elements[r].mat.trace(), _det2(table.elements[r].mat))
-                 for r in table.class_reps)
+def _class_factors(table: GroupTable) -> tuple[tuple[str, CycNum, CycNum], ...]:
+    """(label, tr s, det s) of the natural matrix s at each reference class."""
+    return tuple((label, table.elements[r].mat.trace(), _det2(table.elements[r].mat))
+                 for label, r in zip(table.class_labels, table.class_reps))
 
 
 def molien_series(rep: Representation, table: GroupTable,
-                  cutoff: int = DEFAULT_CUTOFF,
                   mats: np.ndarray | None = None) -> MolienResult:
-    """Class-summed equivariant Molien series with its numerator.
+    """Exact equivariant Molien numerator of rep.
 
-    One int64 sum over the classes of |C| tr rho(s^-1) / det(I - t s) with
-    traces over reps.DEN; each coefficient must be a non-negative integer.
+    One int64 sum over the classes of |C| tr rho(s^-1) Q_c with traces over
+    reps.DEN; each coefficient must be a non-negative integer, and they
+    must sum to dim(rho).
     """
     if mats is None:
         mats = rep_matrices(rep, table)
     chi_inv = class_traces(mats[table.inverse], table)
-    expansions = np.stack([_inverse_det_series(tr, det, cutoff)
-                           for tr, det in _class_factors(table)])
-    acc = np.einsum("c,cp,cnq,pqr->nr", class_sizes(table), chi_inv, expansions,
+    numerators = np.stack([_class_numerator(*factor) for factor in _class_factors(table)])
+    acc = np.einsum("c,cp,cnq,pqr->nr", class_sizes(table), chi_inv, numerators,
                     CYC_STRUCT, optimize=True)
     scale = len(table) * DEN
     bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] % scale != 0) | (acc[:, 0] < 0))
     if len(bad):
-        raise MolienError(
-            f"rho_{rep.rid}: coefficient of t^{bad[0]} is {decode(acc[bad[0]], scale)}")
-    series = (acc[:, 0] // scale).tolist()
-    numerator = numerator_of(series, cutoff)
+        raise MolienError(f"rho_{rep.rid}: coefficient of t^{bad[0]} is "
+                          f"{decode(acc[bad[0]], scale)} in the Molien numerator")
+    numerator = tuple((d, c) for d, c in enumerate((acc[:, 0] // scale).tolist()) if c)
     total = sum(c for _, c in numerator)
     if total != rep.dim:
         raise MolienError(
             f"rho_{rep.rid}: numerator coefficients sum to {total}, not dim {rep.dim}")
-    return MolienResult(rep.rid, cutoff, tuple(series), tuple(numerator))
-
-
-def numerator_of(series: list[int], cutoff: int) -> list[tuple[int, int]]:
-    """Multiply a series by (1 - t^8)(1 - t^24) and read off the polynomial.
-
-    The product must vanish in degrees above cutoff - 32 (else the cutoff
-    cannot prove the tail is zero) and have non-negative coefficients.
-    """
-    if cutoff < 60:
-        raise CutoffError("cutoff must be at least 60 to isolate the numerator")
-
-    def c(d: int) -> int:
-        return series[d] if 0 <= d <= cutoff else 0
-
-    out = []
-    for d in range(cutoff + 1):
-        v = c(d) - c(d - 8) - c(d - 24) + c(d - 32)
-        if v:
-            if d > cutoff - 32:
-                raise CutoffError(
-                    f"numerator has residual degree-{d} term at cutoff {cutoff}")
-            if v < 0:
-                raise MolienError(f"numerator coefficient {v} at degree {d}")
-            out.append((d, v))
-    return out
+    return MolienResult(rep.rid, numerator)

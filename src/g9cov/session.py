@@ -18,7 +18,6 @@ import numpy as np
 from .covariants import CovariantEngine
 from .cyclo import CycNum
 from .group import GroupTable, build_group
-from .molien import DEFAULT_CUTOFF
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
 from .reps import Representation, build_all, character_table, decode, rep_matrices  # noqa: F401
 
@@ -62,8 +61,8 @@ class Session:
         return self.engine.reps[rid]
 
 
-@lru_cache(maxsize=2)
-def get_session(cutoff: int = DEFAULT_CUTOFF) -> Session:
+@lru_cache(maxsize=1)
+def get_session() -> Session:
     table = build_group()
     reps = build_all(table)
-    return Session(table, reps, CovariantEngine(table, reps, cutoff))
+    return Session(table, reps, CovariantEngine(table, reps))

@@ -256,20 +256,25 @@ def covariance_check(vec, image, natural):
     return vec_substitute(vec, natural) == mat_apply(vec, image)
 
 
-def verify_free_by_elimination(engine, rid, cutoff=None):
+@lru_cache(maxsize=None)
+def scalar_product(theta, phi, a, b):
+    """theta^a * phi^b, memoized on the forms themselves."""
+    return (theta ** a) * (phi ** b)
+
+
+def verify_free_by_elimination(engine, rid, top):
     """Free-module check by row reduction of every product theta^a phi^b g_j.
 
-    For each degree d <= cutoff the products of degree d must be linearly
+    For each degree d <= top the products of degree d must be linearly
     independent and as many as the Molien coefficient.  Returns the same
-    report as CovariantEngine.verify_free, which proves this from the
-    generator determinant instead.
+    report as CovariantEngine.verify_free (with top = FREENESS_DEGREE),
+    which proves this from the generator determinant instead.
     """
-    cutoff = engine.cutoff if cutoff is None else cutoff
     genset = engine.generators(rid)
-    series = engine.molien_through(rid, cutoff).series
+    mol = engine.molien(rid)
     rep = engine.reps[rid]
     checked = 0
-    for d in range(cutoff + 1):
+    for d in range(top + 1):
         prods = []
         for gdeg, g in genset.gens:
             rest = d - gdeg
@@ -278,8 +283,9 @@ def verify_free_by_elimination(engine, rid, cutoff=None):
             for b in range(rest // 24 + 1):
                 rem = rest - 24 * b
                 if rem % 8 == 0:
-                    prods.append(g.mul_poly(engine.scalar_poly(rem // 8, b)))
-        expected = series[d]
+                    prods.append(g.mul_poly(
+                        scalar_product(engine.theta, engine.phi, rem // 8, b)))
+        expected = mol.coefficient(d)
         if len(prods) != expected:
             raise FreenessError(
                 f"rho_{rid} degree {d}: {len(prods)} products, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -74,6 +75,24 @@ def test_molien_all_reps(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["generators", "--rep", "all"])
     assert exc.value.code == 2
+
+
+# sha256 of stdout: the molien pins cover every degree through 256 of all
+# 32 series, the verify pin every check's detail line
+PINNED_OUTPUTS = [
+    (["verify"], "78737441582a6c61dbbecd1a3ce035d751f27406c2e619f64cdb08c32cf1643d"),
+    (["molien", "--rep", "all", "--terms", "256", "--numerator"],
+     "0e5b98642ed8fd34cec338b9b1cb5e4fc60f939d394642f4b846988736a0686d"),
+    (["molien", "--rep", "all", "--terms", "256", "--numerator", "--format", "json"],
+     "5e14d27315f681901124c3568042f495c4bd5930aeda9aba2b73b3289daccfdf"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS, ids=["verify", "molien", "molien-json"])
+def test_output_bytes_pinned(capsys, argv, sha256):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_group_json_deterministic(capsys):

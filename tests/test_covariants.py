@@ -59,17 +59,23 @@ def test_extraction_stops_at_numerator_top_degree(sess):
 
 
 def test_extraction_rejects_wrong_numerator(sess):
-    # the sweep end and the final degree check both read the numerator, so
-    # a numerator that disagrees with the module must be fatal
+    # the sweep end, the slice cross-checks and the final degree check all
+    # read the numerator, so a numerator that disagrees with the module
+    # must be fatal
     from dataclasses import replace
-    from g9cov.covariants import CovariantEngine, FreenessError
+    from g9cov.covariants import CovariantEngine, CrossCheckError, FreenessError
     good = sess.engine.molien(29)                 # degrees 3, 11, 19, 27
     head, (top, count) = good.numerator[:-1], good.numerator[-1]
-    for numerator, degree in ((head, "19"), (head + ((top + 8, count),), "35")):
-        eng = CovariantEngine(sess.table, sess.reps)
-        eng._molien[29] = replace(good, numerator=numerator)
-        with pytest.raises(FreenessError, match=rf"rho_29\b.*degree {degree}\b"):
-            eng.generators(29)
+    eng = CovariantEngine(sess.table, sess.reps)
+    eng._molien[29] = replace(good, numerator=head)
+    with pytest.raises(FreenessError, match=r"rho_29\b.*degree 19\b"):
+        eng.generators(29)
+    # the top generator moved up by 8 leaves degree 27 one short
+    eng = CovariantEngine(sess.table, sess.reps)
+    eng._molien[29] = replace(good, numerator=head + ((top + 8, count),))
+    with pytest.raises(CrossCheckError, match=r"rho_29 degree 27: solver dimension 5, "
+                                              r"Molien coefficient 4"):
+        eng.generators(29)
 
 
 def test_generators_are_covariants(sess):
@@ -100,7 +106,7 @@ def test_free_module_spans(engine):
     for rid in (1, 3, 9, 13, 19, 21, 25, 29, 31):
         report = engine.verify_free(rid)
         assert report["degrees_checked"] == 65
-        assert verify_free_by_elimination(engine, rid) == report
+        assert verify_free_by_elimination(engine, rid, 64) == report
 
 
 def _engine_with_generators(sess, rid, gens):
@@ -121,7 +127,7 @@ def test_free_rejects_zero_determinant(sess):
     with pytest.raises(FreenessError, match=r"rho_13\b.*determinant is zero"):
         eng.verify_free(13)
     with pytest.raises(FreenessError, match=r"rho_13 degree 13: dependent products"):
-        verify_free_by_elimination(eng, 13)
+        verify_free_by_elimination(eng, 13, 64)
 
 
 def test_free_rejects_shifted_degree(sess):
@@ -181,25 +187,21 @@ def test_cross_check_guards_against_wrong_molien(sess):
     from g9cov.covariants import CovariantEngine, CrossCheckError
     eng = CovariantEngine(sess.table, sess.reps)
     good = sess.engine.molien(3)
-    series = list(good.series)
-    series[6] += 1
-    eng._molien[3] = replace(good, series=tuple(series))
+    assert good.numerator == ((6, 1),)
+    eng._molien[3] = replace(good, numerator=((6, 2),))
     with pytest.raises(CrossCheckError):
         eng.slice(3, 6)
 
 
-def test_cross_check_past_cutoff_uses_extended_molien(sess):
-    # above the cutoff the slice is checked against a series extended to
-    # its degree, so a wrong extended coefficient must be fatal too
+def test_cross_check_above_degree_64(sess):
+    # every degree reads the same exact numerator, so a wrong coefficient
+    # must be fatal above degree 64 too
     from dataclasses import replace
     from g9cov.covariants import CovariantEngine, CrossCheckError
-    assert sess.engine.slice(3, 70).dim == sess.engine.molien_through(3, 70).series[70]
+    good = sess.engine.molien(3)
+    assert sess.engine.slice(3, 70).dim == good.coefficient(70) == 3
     eng = CovariantEngine(sess.table, sess.reps)
-    good = eng.molien_through(3, 70)
-    assert good.cutoff == 70 and good.series[:65] == sess.engine.molien(3).series
-    series = list(good.series)
-    series[70] += 1
-    eng._molien_ext[3] = replace(good, series=tuple(series))
+    eng._molien[3] = replace(good, numerator=((6, 2),))
     with pytest.raises(CrossCheckError, match="rho_3 degree 70"):
         eng.slice(3, 70)
 

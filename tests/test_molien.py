@@ -2,8 +2,7 @@ import pytest
 
 from g9cov import molien, reference
 from g9cov.cyclo import CycNum, ONE, ZERO
-from g9cov.molien import (CutoffError, MolienError, _det2, _inverse_det_series,
-                          molien_series, numerator_of)
+from g9cov.molien import MolienError, _class_numerator, _det2, molien_series
 from oracles import molien_series_elementwise, rep_matrices_exact
 
 
@@ -35,7 +34,7 @@ def test_numerator_from_series_head():
 def test_numerators_all(engine, reps):
     for r in reps:
         res = engine.molien(r.rid)
-        assert res.series[0] == (1 if r.rid == 1 else 0)
+        assert res.coefficient(0) == (1 if r.rid == 1 else 0)
         assert sum(c for _, c in res.numerator) == r.dim
         assert all(c > 0 for _, c in res.numerator)
 
@@ -57,59 +56,87 @@ def test_class_sum_equals_element_sum(sess):
     # the int64 class sum against the CycNum element sum, through degree 64
     for r in sess.reps:
         naive = molien_series_elementwise(sess.table, 64, rep_matrices_exact(r, sess.table))
-        assert naive == list(sess.engine.molien(r.rid).series), r.rid
+        assert naive == list(sess.engine.molien(r.rid).series(64)), r.rid
+
+
+def test_coefficient_closed_form_inverts_denominator(engine):
+    # the closed form times (1 - t^8)(1 - t^24) gives back the numerator in
+    # every degree through 256, and nothing above it
+    for rid in range(1, 33):
+        res = engine.molien(rid)
+        c = res.series(256)
+        prod = {d: c[d] - (c[d - 8] if d >= 8 else 0) - (c[d - 24] if d >= 24 else 0)
+                + (c[d - 32] if d >= 32 else 0) for d in range(257)}
+        assert {d: v for d, v in prod.items() if v} == dict(res.numerator), rid
 
 
 def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
-    # one coefficient of one class's 1/det(I - t s) moved by 1 breaks
-    # integrality: at the identity class chi = dim, so t^16 gains dim / 192
-    target = sess.table.elements[sess.table.class_reps[0]].mat
+    # one coefficient of one class's Q_c moved by 1 breaks integrality: at
+    # the identity class chi = dim, so t^16 gains dim / 192
+    target = sess.table.class_labels[0]
 
-    def tampered(trace, det, cutoff):
-        out = _inverse_det_series(trace, det, cutoff)
-        if (trace, det) == (target.trace(), _det2(target)):
+    def tampered(label, trace, det):
+        out = _class_numerator(label, trace, det)
+        if label == target:
             out = out.copy()
             out[16, 0] += 1
         return out
 
-    monkeypatch.setattr(molien, "_inverse_det_series", tampered)
+    monkeypatch.setattr(molien, "_class_numerator", tampered)
     for r in sess.reps:
         with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^16 is"):
-            molien_series(r, sess.table, 64, sess.mats[r.rid])
+            molien_series(r, sess.table, sess.mats[r.rid])
 
 
-def test_inverse_det_series_needs_integral_class_data():
-    with pytest.raises(MolienError, match="integral trace and det"):
-        _inverse_det_series(CycNum(1, den=2), ONE, 8)
-    assert not _inverse_det_series(ONE, ONE, 8).flags.writeable
+def test_class_numerator_needs_integral_class_data():
+    with pytest.raises(MolienError, match="class x: Q_c needs integral trace and det"):
+        _class_numerator("x", CycNum(1, den=2), ONE)
+    with pytest.raises(MolienError, match="class x: Q_c needs integral trace and det"):
+        _class_numerator("x", ONE, CycNum(1, den=2))
+    assert not _class_numerator("x", ONE, ONE).flags.writeable
 
 
-def test_inverse_det_series_inverts_each_class_factor(table):
-    # expansion * (1 - tr t + det t^2) = 1 + O(t^(cutoff + 1)) for every class
-    cutoff = 64
-    for r in table.class_reps:
+def test_class_numerator_rejects_factor_that_does_not_divide():
+    # 1 - 3t + t^2 has no root of unity as a root, so the remainder is not 0
+    with pytest.raises(MolienError, match=r"class x: 1 - \(3\)t \+ \(1\)t\^2 does not divide"):
+        _class_numerator("x", CycNum(3), ONE)
+
+
+def test_class_numerator_times_class_factor_is_denominator(table):
+    # Q_c * (1 - tr t + det t^2) = (1 - t^8)(1 - t^24) exactly, every class
+    want = [ZERO] * 33
+    for d, v in ((0, 1), (8, -1), (24, -1), (32, 1)):
+        want[d] = CycNum(v)
+    for label, r in zip(table.class_labels, table.class_reps):
         m = table.elements[r].mat
         tr, det = m.trace(), _det2(m)
-        c = [CycNum(*row) for row in _inverse_det_series(tr, det, cutoff).tolist()]
-        assert len(c) == cutoff + 1
-        prod = [c[n] - (tr * c[n - 1] if n >= 1 else ZERO)
-                + (det * c[n - 2] if n >= 2 else ZERO) for n in range(cutoff + 1)]
-        assert prod == [ONE] + [ZERO] * cutoff, table.elements[r].word
+        q = [CycNum(*row) for row in _class_numerator(label, tr, det).tolist()]
+        assert len(q) == 31
+        q += [ZERO, ZERO]
+        prod = [q[n] - (tr * q[n - 1] if n >= 1 else ZERO)
+                + (det * q[n - 2] if n >= 2 else ZERO) for n in range(33)]
+        assert prod == want, label
 
 
-def test_inverse_det_series_expanded_once_per_class(sess):
-    # the expansion depends only on the class: all 32 series at one cutoff
-    # expand at most 32 factors, not one per (rep, class) pair
-    _inverse_det_series.cache_clear()
+def test_class_numerator_built_once_per_class(sess):
+    # Q_c depends only on the class: all 32 numerators build at most 32
+    # class numerators, not one per (rep, class) pair, and share them
+    _class_numerator.cache_clear()
     for r in sess.reps:
-        molien_series(r, sess.table, 64, sess.mats[r.rid])
-    info = _inverse_det_series.cache_info()
+        molien_series(r, sess.table, sess.mats[r.rid])
+    info = _class_numerator.cache_info()
     assert info.misses <= 32 and info.misses + info.hits > 32, info
+    for label, r in zip(sess.table.class_labels, sess.table.class_reps):
+        m = sess.table.elements[r].mat
+        assert not _class_numerator(label, m.trace(), _det2(m)).flags.writeable, label
 
 
 def test_cutoff_guard(sess):
-    with pytest.raises(CutoffError):
-        molien_series(sess.reps[0], sess.table, 40, sess.mats[1])
-    # a lone coefficient above cutoff - 32 cannot be separated from the tail
-    with pytest.raises(CutoffError):
-        numerator_of([0] * 40 + [1] + [0] * 20, 60)
+    # the numerator is exact, so no series length is too short to read it
+    # and there is no cutoff left to pass: 40 terms, once refused, are the
+    # head of the same series read to degree 256
+    res = molien_series(sess.reps[0], sess.table, sess.mats[1])
+    assert res.numerator == ((0, 1),)
+    assert res.series(40) == res.series(256)[:41]
+    with pytest.raises(TypeError):
+        molien_series(sess.reps[0], sess.table, sess.mats[1], 40)
