@@ -39,8 +39,9 @@ about half the unknowns and half the rows.  Three facts make this exact:
     is 1 at its free column f, 0 at the other free columns and has no
     support right of f, exactly what rref + nullspace_from_rref produce.
 
-linalg.certified_nullspace solves B multimodularly (Dixon, Numer. Math.
-40 (1982); rational reconstruction after Wang, SYMSAC 1981): the four
+linalg.certified_nullspace solves B multimodularly (Cabay, "Exact
+solution of linear equations", SYMSAM 1971; rational reconstruction after
+Wang, SYMSAC 1981): the four
 embeddings of Q(zeta_8) into F_p are eliminated together in one int64
 array modulo primes p = 1 (mod 8), the residues are combined by CRT and
 lifted to fractions.  The result is accepted only if exact checks prove
@@ -99,7 +100,9 @@ import numpy as np
 
 from .cyclo import CycNum, ZERO
 from .group import GroupTable
-from .linalg import CYC_STRUCT, Mat, certified_nullspace, rref
+from .linalg import CYC_STRUCT, Mat, certified_nullspace, int_encoding
+# rref is re-exported: perfbench/spans.py wraps it under this name
+from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, decode, rep_matrices, scalar_image
@@ -190,10 +193,6 @@ class RowReducer:
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: dict[int, list[CycNum]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
     def reduce(self, vec: list[CycNum]) -> list[CycNum]:
         vec = list(vec)
@@ -319,16 +318,22 @@ class CovariantEngine:
                                               tuple(sign.tolist()))
         return self._symmetries[rid]
 
+    def _d_coords(self, rep: Representation, d: int) -> list[tuple[int, int]]:
+        """Coordinates (j, a) where x^a y^(d-a) meets the diagonal-D constraint.
+
+        D = diag(1, i) scales x^a y^(d-a) by i^(d-a), which must be rho(D)_jj.
+        """
+        return [(j, a) for j, e in enumerate(self._symmetry(rep.rid).expo)
+                for a in range(d, -1, -1) if (d - a - e) % 4 == 0]
+
     def _kept_coords(self, rep: Representation, d: int) -> list[tuple[int, int]] | None:
         """Coordinates surviving the central and diagonal-D constraints.
 
         Returns None when the central scalar rules the whole degree out.
         """
-        sym = self._symmetry(rep.rid)
-        if (d - sym.residue) % 8:
+        if (d - self._symmetry(rep.rid).residue) % 8:
             return None
-        return [(j, a) for j, e in enumerate(sym.expo)
-                for a in range(d, -1, -1) if (d - a - e) % 4 == 0]
+        return self._d_coords(rep, d)
 
     def _t_rows(self, rep: Representation, d: int,
                 coords: list[tuple[int, int]]) -> np.ndarray:
@@ -377,6 +382,25 @@ class CovariantEngine:
                                   f"rho(D^2) times its swapped row")
         rows = rows[:, :h].reshape(rep.dim * h, len(reps), 4)
         return reps, mates, rows[(rows != 0).any(axis=(1, 2))]
+
+    def covariance_failure(self, rid: int, vec: VecPoly) -> str | None:
+        """The first generator, "D" then "T", at which vec is not rho_rid-covariant.
+
+        Returns None when vec(s x) = rho_rid(s) vec(x) for s = D and s = T,
+        hence for every element of G9 = <T, D>.  D holds exactly when vec
+        has no support outside _d_coords; T exactly when the integer T rows
+        of the solver (_t_rows) annihilate vec's coefficients there.
+        """
+        rep = self.reps[rid]
+        coords = self._d_coords(rep, vec.degree)
+        try:
+            coeffs = vec.coeff_vector(coords)
+        except ValueError:
+            return "D"
+        nums, _, _ = int_encoding([coeffs])
+        image = np.einsum("jbcp,cq,pqr->jbr", self._t_rows(rep, vec.degree, coords),
+                          nums[0], CYC_STRUCT)
+        return "T" if image.any() else None
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
@@ -536,24 +560,29 @@ class CovariantEngine:
     # -- swap-symmetry structure ----------------------------------------------------------
 
     def tau_structure(self, rid: int) -> list[TauRecord]:
-        """Search, per generator, for a swap-symmetric representative.
+        """Per generator of a rank-3 or rank-4 module, a swap-symmetric representative.
 
-        For each generator degree the affine family generator + span of the
-        decomposables of that degree is searched for a vector matching the
-        component pattern (f, g, s*tau(f)) with tau(g) = s*g in rank 3, or
+        The pattern is (f, g, s*tau(f)) with tau(g) = s*g in rank 3, or
         (f, g, s*tau(g), s*tau(f)) in rank 4, with the sign s fixed per
-        representation.  Absence is reported, never silently passed.
+        representation (reference.TAU_SIGNS), that is F o tau = s * P F
+        for the reversal P.  Every covariant satisfies F o tau = rho(tau) F
+        (tau = T D^2 T, see the module docstring), and _symmetry certifies
+        rho(tau) exactly as a signed permutation.  So when that permutation
+        is the reversal with every sign s, each generator is its own
+        witness; this is checked exactly on each generator all the same.
+        Otherwise every record has found=False: absence is reported, never
+        silently passed.
         """
-        rep = self.reps[rid]
-        if rep.dim < 3:
+        m = self.reps[rid].dim
+        if m < 3:
             return []
         s = reference.TAU_SIGNS[rid]
-        genset = self.generators(rid)
+        sym = self._symmetry(rid)
+        pattern = sym.perm == tuple(range(m - 1, -1, -1)) and sym.sign == (s,) * m
         records = []
-        for d, g in genset.gens:
-            dec = self.decomposables(rid, d)
-            witness = self._tau_solve(rep.dim, s, g, dec)
-            records.append(TauRecord(d, witness is not None, witness))
+        for d, g in self.generators(rid).gens:
+            found = pattern and all(c.is_zero() for c in self._tau_constraints(m, s, g))
+            records.append(TauRecord(d, found, g if found else None))
         return records
 
     @staticmethod
@@ -562,34 +591,6 @@ class CovariantEngine:
         if dim == 3:
             return [c[2] - c[0].tau().scale(s), c[1].tau() - c[1].scale(s)]
         return [c[2] - c[1].tau().scale(s), c[3] - c[0].tau().scale(s)]
-
-    def _tau_solve(self, dim: int, s: int, g: VecPoly,
-                   dec: list[VecPoly]) -> VecPoly | None:
-        d = g.degree
-        base = self._tau_constraints(dim, s, g)
-        cols = [self._tau_constraints(dim, s, w + g) for w in dec]
-        # subtract the affine part so cols hold the linear action on each w
-        cols = [[cw - cb for cw, cb in zip(col, base)] for col in cols]
-        rows = []
-        nslots = len(base)
-        for slot in range(nslots):
-            for a in range(d, -1, -1):
-                row = [col[slot].coeff(a, d - a) for col in cols]
-                row.append(-base[slot].coeff(a, d - a))
-                rows.append(row)
-        reduced, pivots = rref(rows)
-        if any(p == len(dec) for p in pivots):
-            return None
-        lam = [ZERO] * len(dec)
-        for r, p in enumerate(pivots):
-            lam[p] = reduced[r][len(dec)]
-        v = g
-        for coeff, w in zip(lam, dec):
-            if not coeff.is_zero():
-                v = v + w.scale(coeff)
-        if any(not c.is_zero() for c in self._tau_constraints(dim, s, v)):
-            raise RuntimeError("tau witness failed its own constraints")
-        return v
 
     # -- rank-1 closed forms -----------------------------------------------------------------
 

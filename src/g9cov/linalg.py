@@ -1,7 +1,7 @@
 """Exact linear algebra over Q(zeta_8).
 
-Matrices are immutable row-major tuples of CycNum.  Inverses, solves and
-the reference nullspace come from a deterministic reduced row echelon form
+Matrices are immutable row-major tuples of CycNum.  Solves and the
+reference nullspace come from a deterministic reduced row echelon form
 (rref) whose pivot is always the first nonzero entry in column order, so
 repeated runs give byte-identical output.
 
@@ -30,7 +30,7 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ZeroDivisionError):
-    """Matrix inversion was requested for a singular matrix."""
+    """A solve was requested with dependent coefficient columns."""
 
 
 def _cyc(x) -> CycNum:
@@ -129,7 +129,7 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeError("power of a non-square matrix")
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("negative power of a matrix")
         result = Mat.identity(self.rows)
         base = self
         while k:
@@ -165,19 +165,6 @@ class Mat:
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"Mat[{rows}]"
-
-    # -- elimination-based operations ----------------------------------------------
-
-    def inverse(self) -> Mat:
-        if self.rows != self.cols:
-            raise ShapeError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)]
-               for i in range(n)]
-        reduced, pivots = rref(aug)
-        if len(pivots) < n or pivots != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return Mat(n, n, [reduced[i][n + j] for i in range(n) for j in range(n)])
 
 
 def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:

@@ -157,7 +157,9 @@ class BiPoly:
         """f evaluated at x -> g11 x + g12 y, y -> g21 x + g22 y.
 
         This realizes the substitution action f |-> f(g x); powers of the two
-        image linear forms are built once and reused across terms.
+        image linear forms are built once and reused across terms.  No
+        production code calls it: the covariance checks use the integer T
+        action of CovariantEngine, and tests use this as its oracle.
         """
         if g.rows != 2 or g.cols != 2:
             raise ValueError("substitution needs a 2x2 matrix")

@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from g9cov import cli, poly
+from g9cov import cli, poly, reference
 from g9cov.poly import BiPoly
 
 
@@ -175,19 +176,54 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "FAIL invariants: phi = delta^2 + 66 gamma^4 fails" in out
 
 
-@pytest.mark.parametrize("terms, moved_by", [
-    ({(2, 0): 1, (0, 2): 1}, "D"),        # x^2 + y^2: fixed by T, not by D
-    ({(4, 0): 1, (0, 4): 1}, "T"),        # x^4 + y^4: fixed by D, not by T
-])
+@pytest.mark.parametrize("form, terms, moved_by, message", [
+    # x^2 + y^2: fixed by T, not by D
+    ("theta", {(2, 0): 1, (0, 2): 1}, "D", "theta/phi moved by element {}"),
+    # x^4 + y^4: fixed by D, not by T
+    ("theta", {(4, 0): 1, (0, 4): 1}, "T", "theta/phi moved by element {}"),
+    # x^5 y moved from 1 to 2: D support kept; the phi identity and tau fail too
+    ("gamma", {(5, 1): 2, (1, 5): -1}, "T",
+     "phi = delta^2 + 66 gamma^4 fails; tau action on gamma/theta fails; "
+     "gamma is not rho_3-covariant at element {}"),
+    # x^8 y^4 moved from -33 to -32: D support kept; the phi identity fails too
+    ("delta", {(12, 0): 1, (8, 4): -32, (4, 8): -33, (0, 12): 1}, "T",
+     "phi = delta^2 + 66 gamma^4 fails; delta is not rho_5-covariant at element {}"),
+], ids=["terms0-D", "terms1-T", "gamma-T", "delta-T"])
 def test_verify_invariants_names_the_moved_element(capsys, monkeypatch, table,
-                                                   terms, moved_by):
-    gamma, _, delta, phi = poly.fundamental_invariants()
-    monkeypatch.setattr(poly, "fundamental_invariants",
-                        lambda: (gamma, BiPoly(terms), delta, phi))
+                                                   form, terms, moved_by, message):
+    forms = dict(zip(("gamma", "theta", "delta", "phi"), poly.fundamental_invariants()))
+    forms[form] = BiPoly(terms)
+    monkeypatch.setattr(poly, "fundamental_invariants", lambda: tuple(forms.values()))
     code, out = run_cli(capsys, "verify", "--only", "invariants")
     assert code == 1
     index = table.lookup(table.gens[moved_by])
-    assert f"FAIL invariants: theta/phi moved by element {index}\n" in out
+    assert f"FAIL invariants: {message.format(index)}\n" in out
+
+
+def test_verify_tau_reports_a_wrong_sign(capsys, monkeypatch):
+    # rho_21's swap pattern has sign +1; claiming -1 must fail every generator
+    monkeypatch.setitem(reference.TAU_SIGNS, 21, -reference.TAU_SIGNS[21])
+    code, out = run_cli(capsys, "verify", "--only", "tau")
+    assert code == 1
+    assert ("FAIL tau: no swap-symmetric representative at "
+            "[(21, 2), (21, 10), (21, 18)]\n") in out
+
+
+def test_perfbench_spans_find_every_wrapped_name(monkeypatch):
+    # perfbench/spans.py wraps module names of g9cov; renaming or deleting
+    # one of them breaks `perfbench/run.py --trace 1`, and must fail here
+    from g9cov import covariants, linalg
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    substitute = poly.BiPoly.substitute
+    undo = spans.instrument(spans.Tracer())
+    try:
+        assert poly.BiPoly.substitute is not substitute
+        assert covariants.rref is not linalg.rref
+    finally:
+        undo()
+    assert poly.BiPoly.substitute is substitute
+    assert covariants.rref is linalg.rref
 
 
 def test_out_file(tmp_path, capsys):

@@ -244,6 +244,56 @@ def test_tau_structure_quadruples(engine):
             assert gt == -g.tau() and ft == -f.tau()
 
 
+@pytest.mark.parametrize("fault", ["swap_sign", "generator"])
+def test_tau_structure_reports_absence(sess, fault):
+    # the witness is the generator itself only while rho(tau) is the
+    # reversal with the reference sign and the generator has the pattern
+    from dataclasses import replace
+    from g9cov.poly import VecPoly
+    gens = sess.engine.generators(21).gens
+    if fault == "swap_sign":
+        eng = _engine_with_generators(sess, 21, gens)
+        eng._symmetries[21] = replace(eng._symmetry(21), sign=(1, -1, 1))
+        expected = [False, False, False]
+    else:
+        (d, g), rest = gens[0], gens[1:]
+        f0, f1, f2 = g.components
+        eng = _engine_with_generators(sess, 21, ((d, VecPoly([f0, f1, f2.scale(2)])),) + rest)
+        expected = [False, True, True]
+    records = eng.tau_structure(21)
+    assert [r.found for r in records] == expected
+    assert [r.witness is not None for r in records] == expected
+
+
+def test_covariance_failure_matches_substitution_oracle(sess):
+    # the integer predicate against substitution and the matrix action, on
+    # the lowest-degree slice basis vector of every representation, as is
+    # and with one coefficient bumped by 1 (x^d, then x^(d-1) y, of
+    # component 0): it names the first generator, D then T, the oracle rejects
+    from g9cov.cyclo import ONE
+    from g9cov.group import standard_generators
+    from g9cov.poly import VecPoly
+    t, d = standard_generators()
+    engine = sess.engine
+    seen = set()
+    for rid in range(1, 33):
+        rep = sess.rep(rid)
+        deg = engine.molien(rid).numerator[0][0]
+        vec = engine.slice(rid, deg).basis[0]
+        assert engine.covariance_failure(rid, vec) is None, rid
+        for a in range(deg, max(deg - 2, -1), -1):
+            bumped = vec + VecPoly.from_coeffs([(0, a)], [ONE], rep.dim, deg)
+            if not covariance_check(bumped, rep.image("D"), d):
+                expected = "D"
+            elif not covariance_check(bumped, rep.image("T"), t):
+                expected = "T"
+            else:
+                expected = None
+            assert engine.covariance_failure(rid, bumped) == expected, (rid, a)
+            seen.add(expected)
+    assert seen == {"D", "T", None}
+
+
 def test_rank_one_closed_forms(engine):
     consts = engine.verify_linear_generators()
     assert set(consts) == set(range(1, 9))
