@@ -54,7 +54,8 @@ it, whatever primes were used:
   * B v = 0 for every row, by bounded CRT: each integer coordinate of the
     integer-scaled B v is at most 4 * ncols * max|B| * max|V| in absolute
     value and vanishes modulo certificate primes whose product exceeds
-    twice that, so it is 0.
+    twice that, so it is 0.  As q = 1 (mod 8), Z[zeta_8]/q is F_q^4 through
+    the four embeddings that elimination reduces: B v is checked in them.
 
 The k vectors then span the nullspace, and a nullspace vector whose last
 nonzero coordinate is f exists only for non-pivot f, so they are the
@@ -190,8 +191,7 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
 class RowReducer:
     """Incremental row echelon form over Q(zeta_8) for rank questions."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: dict[int, list[CycNum]] = {}
 
     def reduce(self, vec: list[CycNum]) -> list[CycNum]:
@@ -465,7 +465,7 @@ class CovariantEngine:
             sl = self.slice(rid, d)
             if not sl.basis:
                 continue
-            reducer = RowReducer(len(sl.coords))
+            reducer = RowReducer()
             for vec in self.decomposables(rid, d):
                 reducer.add(vec.coeff_vector(list(sl.coords)))
             for b in sl.basis:

@@ -52,10 +52,12 @@ class GroupElement:
 class GroupTable:
     """The closed group with Cayley table, inverses, orders and classes."""
 
-    def __init__(self, elements: list[GroupElement], index: dict, gens: dict[str, Mat]):
+    def __init__(self, elements: list[GroupElement], index: dict, gens: dict[str, Mat],
+                 right: dict[str, list[int]]):
         self.elements = elements
         self.index = index
         self.gens = gens
+        self.right = right      # right[name][i] = index of element i * gens[name]
         self.product: list[list[int]] | None = None
         self.inverse: list[int] | None = None
         self.orders: list[int] | None = None
@@ -77,13 +79,11 @@ class GroupTable:
         """Cayley table read off the BFS tree, and the inverse table.
 
         Element j is parent(j) * last(j) with parent(j) < j, so by
-        associativity i * j = (i * parent(j)) * last(j): only right
-        multiplication by each generator is an exact matrix product.
+        associativity i * j = (i * parent(j)) * last(j): the right action of
+        each generator, which the closure recorded, is the only matrix product.
         """
         n = len(self.elements)
-        right = {name: [self.index[e.mat.matmul(g).key()] for e in self.elements]
-                 for name, g in self.gens.items()}
-        tree = [(e.index, right[e.last], e.parent) for e in self.elements[1:]]
+        tree = [(e.index, self.right[e.last], e.parent) for e in self.elements[1:]]
         self.product = []
         for i in range(n):
             row = [i] * n               # element 0 is the identity
@@ -137,6 +137,7 @@ def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTab
     ident = Mat.identity(size)
     elements = [GroupElement(0, ident, "", -1, "")]
     index = {ident.key(): 0}
+    right: dict[str, list[int]] = {name: [] for name in names}
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -145,17 +146,16 @@ def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTab
             for name in names:
                 m = base.mat.matmul(gmap[name])
                 k = m.key()
-                if k in index:
-                    continue
-                idx = len(elements)
-                if idx >= limit:
-                    raise NotFinitelyClosedError(
-                        f"closure exceeded {limit} elements")
-                elements.append(GroupElement(idx, m, base.word + name, ei, name))
-                index[k] = idx
-                next_frontier.append(idx)
+                if k not in index:
+                    idx = len(elements)
+                    if idx >= limit:
+                        raise NotFinitelyClosedError(f"closure exceeded {limit} elements")
+                    elements.append(GroupElement(idx, m, base.word + name, ei, name))
+                    index[k] = idx
+                    next_frontier.append(idx)
+                right[name].append(index[k])
         frontier = next_frontier
-    return GroupTable(elements, index, gmap)
+    return GroupTable(elements, index, gmap, right)
 
 
 def build_group() -> GroupTable:

@@ -10,7 +10,10 @@ elimination: it takes the rows as an integer array of Z[zeta_8]
 coordinates, reduces the four embeddings of Q(zeta_8) into F_p together
 as one int64 numpy array modulo primes p = 1 (mod 8), lifts the result
 by CRT and rational reconstruction, and returns it only once an exact
-certificate holds; exact rref is the fallback.
+certificate holds; exact rref is the fallback.  As p splits completely in
+Q(zeta_8), Z[zeta_8]/p is F_p^4 through those four embeddings (Washington,
+Introduction to Cyclotomic Fields, Thm 2.13), so the certificate reads the
+residues of A v in the same four lanes.
 """
 
 from __future__ import annotations
@@ -253,13 +256,14 @@ def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.nda
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for int64 arrays with entries of absolute value below p.
 
-    The inner dimension is summed in blocks small enough that no partial
-    sum reaches 2^63.
+    Leading axes are batch axes, as for np.matmul, so the four embedding
+    lanes (4, n, k) @ (4, k, m) take one call.  The inner dimension is
+    summed in blocks small enough that no partial sum reaches 2^63.
     """
     step = max(1, (2 ** 63 - 1) // (p - 1) ** 2 - 1)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
-        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
+    out = a[..., :step] @ b[..., :step, :] % p
+    for s in range(step, a.shape[-1], step):
+        out = (out + a[..., s:s + step] @ b[..., s:s + step, :]) % p
     return out
 
 
@@ -295,10 +299,12 @@ def _primes_1_mod_8(below: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Elimination primes split completely in Q(zeta_8), so Z[zeta_8]/p is F_p^4
-# through the four embeddings zeta_8 -> w^k (k odd), and a product of two
-# residues stays below 2^62.  Certificate primes are smaller so that an int64
-# dot product sums 2^11 terms before it must reduce (see _dot_mod).
+# Both tables hold primes p = 1 (mod 8), which split completely in
+# Q(zeta_8): Z[zeta_8]/p is F_p^4 through the four embeddings zeta_8 -> w^k
+# (k odd), the lanes that elimination reduces and the certificate checks.
+# Elimination primes keep a product of two residues below 2^62; certificate
+# primes are smaller so that an int64 dot product of lanes sums 2^11 terms
+# before it must reduce (see _dot_mod).
 ELIMINATION_PRIMES = _primes_1_mod_8(2 ** 31, 48)
 CERTIFICATE_PRIMES = _primes_1_mod_8(2 ** 26, 64)
 _EMBEDDINGS = (1, 3, 5, 7)
@@ -368,14 +374,6 @@ class _IntRows:
         self.index = np.flatnonzero(rows)
         self.values = rows.ravel()[self.index]
         self.max_abs = max(map(abs, self.values.tolist()), default=1)
-
-    def mod(self, p: int, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of the coordinates mod p, int64 of shape (rows, ncols * 4)."""
-        width = self.shape[1] * 4
-        a, b = np.searchsorted(self.index, (lo * width, hi * width))
-        out = np.zeros((hi - lo) * width, dtype=np.int64)
-        out[self.index[a:b] - lo * width] = self.values[a:b] % p
-        return out.reshape(hi - lo, width)
 
     def embedded(self, p: int, fwd: np.ndarray) -> np.ndarray:
         """The images mod p under zeta_8 -> w^k, k = 1, 3, 5, 7: int64 (4, rows, ncols).
@@ -458,24 +456,24 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
     right of it) and A v = 0 by bounded CRT:
     every coordinate of A v is an integer of absolute value at most
     4 * ncols * max|A| * max|V|, so if it vanishes modulo primes whose
-    product exceeds twice that, it is 0.
+    product exceeds twice that, it is 0.  A certificate prime q is 1 mod 8,
+    so Z[zeta_8]/q is F_q^4 through the four embeddings zeta_8 -> w^k, and
+    A v vanishes mod q exactly when all four embedded products A_k v_k do.
     """
     for i, f in enumerate(free):
         v = vecs[i]
         if v[f].tolist() != [dens[i], 0, 0, 0] or v[free[:i]].any() or v[f + 1:].any():
             return False
-    nrows, ncols = rows.shape[:2]
-    bound = 4 * ncols * rows.max_abs * max(map(abs, vecs.flat), default=0)
+    bound = 4 * rows.shape[1] * rows.max_abs * max(map(abs, vecs.flat), default=0)
     cleared = 1
     for q in CERTIFICATE_PRIMES:
         if cleared > 2 * bound:
             break
         counters["certificate_primes"] += 1
-        v = np.einsum("fcq,pqr->cpfr", (vecs % q).astype(np.int64), CYC_STRUCT)
-        v = v.reshape(ncols * 4, len(free) * 4)
-        for lo in range(0, nrows, 64):      # row blocks keep the residues small
-            if _dot_mod(rows.mod(q, lo, min(lo + 64, nrows)), v, q).any():
-                return False
+        fwd, _ = _embedding_matrices(q)
+        v = _dot_mod((vecs % q).astype(np.int64), fwd, q)     # (free, ncols, 4)
+        if _dot_mod(rows.embedded(q, fwd), v.transpose(2, 1, 0), q).any():
+            return False
         cleared *= q
     return cleared > 2 * bound
 

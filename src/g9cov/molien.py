@@ -35,7 +35,9 @@ import numpy as np
 from .cyclo import CycNum
 from .group import GroupTable, class_sizes
 from .linalg import CYC_STRUCT, Mat
-from .reps import DEN, Representation, class_traces, decode, rep_matrices
+from .reps import DEN, Representation, class_traces, decode
+# rep_matrices is re-exported: perfbench/spans.py wraps it under this name
+from .reps import rep_matrices  # noqa: F401
 
 TOP = 30        # degree of each class numerator Q_c
 
@@ -112,15 +114,13 @@ def _class_factors(table: GroupTable) -> tuple[tuple[str, CycNum, CycNum], ...]:
 
 
 def molien_series(rep: Representation, table: GroupTable,
-                  mats: np.ndarray | None = None) -> MolienResult:
+                  mats: np.ndarray) -> MolienResult:
     """Exact equivariant Molien numerator of rep.
 
     One int64 sum over the classes of |C| tr rho(s^-1) Q_c with traces over
     reps.DEN; each coefficient must be a non-negative integer, and they
     must sum to dim(rho).
     """
-    if mats is None:
-        mats = rep_matrices(rep, table)
     chi_inv = class_traces(mats[table.inverse], table)
     numerators = np.stack([_class_numerator(*factor) for factor in _class_factors(table)])
     acc = np.einsum("c,cp,cnq,pqr->nr", class_sizes(table), chi_inv, numerators,

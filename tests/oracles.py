@@ -98,9 +98,33 @@ def mat_from_json(data):
     return Mat(data["rows"], data["cols"], [cyc_from_json(e) for e in data["entries"]])
 
 
+@lru_cache(maxsize=None)
+def _image_power(g, row, k):
+    """(g[row, 0] x + g[row, 1] y)^k, memoized per matrix, row and exponent."""
+    if k == 0:
+        return BiPoly.constant(1)
+    return _image_power(g, row, k - 1) * BiPoly({(1, 0): g.at(row, 0), (0, 1): g.at(row, 1)})
+
+
+@lru_cache(maxsize=None)
+def _monomial_image(g, a, b):
+    """x^a y^b evaluated at x -> g x, memoized per matrix and exponents."""
+    return _image_power(g, 0, a) * _image_power(g, 1, b)
+
+
 def vec_substitute(vec, g):
-    """Componentwise substitution x -> g x of a VecPoly."""
-    return VecPoly([p.substitute(g) for p in vec.components], vec.degree)
+    """Componentwise substitution x -> g x of a VecPoly.
+
+    The same expansion as BiPoly.substitute, but the images of the
+    monomials are shared across calls: the full-group covariance tests
+    substitute every group element into many vectors.
+    """
+    def substitute(p):
+        out = BiPoly()
+        for (a, b), c in p.terms.items():
+            out = out + _monomial_image(g, a, b).scale(c)
+        return out
+    return VecPoly([substitute(p) for p in vec.components], vec.degree)
 
 
 def mat_apply(vec, m):
@@ -292,7 +316,7 @@ def verify_free_by_elimination(engine, rid, top):
                 f"Molien coefficient {expected}")
         if prods:
             coords = [(j, a) for j in range(rep.dim) for a in range(d, -1, -1)]
-            reducer = RowReducer(len(coords))
+            reducer = RowReducer()
             for p in prods:
                 if reducer.add(p.coeff_vector(coords)) is None:
                     raise FreenessError(

@@ -448,7 +448,8 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
 
 def test_certificate_needs_enough_primes(engine):
     # a coordinate shifted by a product of certificate primes vanishes modulo
-    # each of them; the magnitude bound must demand a prime that sees it
+    # each of them; the magnitude bound must demand a prime that sees it,
+    # whichever of the four Z[zeta_8] coordinates is shifted
     from collections import Counter
     from math import prod
     from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows, int_encoding
@@ -461,13 +462,14 @@ def test_certificate_needs_enough_primes(engine):
     counters = Counter()
     assert _certify(system, vecs, list(dens), free, counters)
     honest = counters["certificate_primes"]
-    for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
-        bad = vecs.copy()
-        bad[0, pivot, 2] += shift
-        counters = Counter()
-        assert not _certify(system, bad, list(dens), free, counters), shift
-        assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
-    assert counters["certificate_primes"] > honest + 2
+    for coord in range(4):
+        for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
+            bad = vecs.copy()
+            bad[0, pivot, coord] += shift
+            counters = Counter()
+            assert not _certify(system, bad, list(dens), free, counters), (coord, shift)
+            assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
+        assert counters["certificate_primes"] > honest + 2
 
 
 def test_tau_pairing_keeps_right_most_coordinates():

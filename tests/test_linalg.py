@@ -114,12 +114,16 @@ def test_embedding_matrices_invert():
 
 
 def test_dot_mod_no_overflow():
-    p = ELIMINATION_PRIMES[0]
+    # signed 2-d operands at an elimination prime; four batched lanes with
+    # entries near a certificate prime, summed over more than one inner block
     rng = np.random.default_rng(1)
-    a = rng.integers(0, p, (3, 40))
-    b = rng.integers(-p + 1, p, (40, 2))
-    want = (a.astype(object) @ b.astype(object)) % p
-    assert (_dot_mod(a, b, p) == want).all()
+    p, q = ELIMINATION_PRIMES[0], CERTIFICATE_PRIMES[0]
+    cases = [(p, rng.integers(0, p, (3, 40)), rng.integers(-p + 1, p, (40, 2))),
+             (q, rng.integers(q - 50, q, (4, 3, 5000)), rng.integers(q - 50, q, (4, 5000, 2)))]
+    for p, a, b in cases:
+        want = (a.astype(object) @ b.astype(object)) % p
+        got = _dot_mod(a, b, p)
+        assert got.shape == want.shape and (got == want).all()
 
 
 def test_int_encoding_round_trip():
