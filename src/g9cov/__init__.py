@@ -7,6 +7,13 @@ series, and computes and verifies the modules of vector-valued
 invariants (covariants) over the invariant ring C[theta, phi].
 """
 
+import os
+
+# g9cov builds no float array: every numpy product is int64 or object, so
+# BLAS is never called.  One OpenBLAS thread saves the worker threads it
+# would start (and spin) at numpy's import; a value the user sets still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cyclo import CycNum, Rat
 from .group import GroupTable, build_group, standard_generators
 from .linalg import Mat, kron

@@ -2,10 +2,11 @@
 
 The group is built by breadth-first closure under right multiplication by
 the generators, so every element carries a shortest generator word and the
-element order (BFS layer, then discovery order) is deterministic.  On top
-of the closure we compute the Cayley table (read off the BFS tree, so only
-the generators are multiplied as matrices), inverses, element orders and
-the conjugacy classes, and align the classes with the reference column
+element order (BFS layer, then discovery order) is deterministic; its
+products are int64 coordinates over DEN = 2, as G9 lies in (1/2) Z[zeta_8].
+On top of the closure we compute the Cayley table (read off the BFS tree, so
+only the generators are multiplied as matrices), inverses, element orders
+and the conjugacy classes, and align the classes with the reference column
 order: the 32 classes are represented by the literal matrices
 
     z^k I (k=0..7),  z^k D^2 (k=0..3),  z^k D (k=0..7),
@@ -17,11 +18,16 @@ with z = zeta_8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .cyclo import CycNum, HALF_SQRT2, I_UNIT
-from .linalg import Mat
+from .linalg import Mat, right_factor
 
 CLOSURE_LIMIT = 10_000
+DEN = 2
+COORD_BOUND = 2 ** 24       # n x n products sum 4n terms below 2^48: int64 for n < 2^13
 
 
 class NotFinitelyClosedError(RuntimeError):
@@ -40,13 +46,28 @@ def standard_generators() -> tuple[Mat, Mat]:
     return t, d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     index: int
-    mat: Mat
     word: str        # left-to-right product of generators, "" for the identity
     parent: int      # index of the element this was discovered from (-1 for identity)
     last: str        # generator appended to the parent's word ("" for identity)
+    coords: np.ndarray   # (n, n, 4) int64 coordinates over DEN; `mat` decodes on first read
+
+    @cached_property
+    def mat(self) -> Mat:
+        n = len(self.coords)
+        return Mat(n, n, [CycNum._make(tuple(c), DEN)
+                          for c in self.coords.reshape(-1, 4).tolist()])
+
+
+def _coords(mat: Mat) -> tuple[int, ...] | None:
+    """Entry coordinates over DEN, or None outside (1/DEN) Z[zeta_8] or COORD_BOUND."""
+    keys = [e.key() for e in mat.entries]
+    if any(DEN % k[4] for k in keys):
+        return None
+    out = tuple(n * (DEN // k[4]) for k in keys for n in k[:4])
+    return out if max(map(abs, out)) <= COORD_BOUND else None
 
 
 class GroupTable:
@@ -55,7 +76,7 @@ class GroupTable:
     def __init__(self, elements: list[GroupElement], index: dict, gens: dict[str, Mat],
                  right: dict[str, list[int]]):
         self.elements = elements
-        self.index = index
+        self.index = index      # coordinates over DEN, flattened (see _coords) -> index
         self.gens = gens
         self.right = right      # right[name][i] = index of element i * gens[name]
         self.product: list[list[int]] | None = None
@@ -71,7 +92,7 @@ class GroupTable:
 
     def lookup(self, mat: Mat) -> int:
         """Index of a matrix in the group; raises KeyError if absent."""
-        return self.index[mat.key()]
+        return self.index[_coords(mat)]
 
     # -- derived structure -------------------------------------------------------
 
@@ -129,33 +150,48 @@ def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTab
     """Breadth-first closure of a generating set of invertible matrices.
 
     Each element records a minimal-length word over the generator names.
-    Raises NotFinitelyClosedError past ``limit`` elements.
+    Each BFS layer is multiplied by one generator at a time in int64
+    coordinates over DEN; ValueError names a generator or word that leaves
+    (1/DEN) Z[zeta_8] or COORD_BOUND.  Raises NotFinitelyClosedError past
+    ``limit`` elements.
     """
-    names = [name for name, _ in gens]
-    gmap = {name: m for name, m in gens}
-    size = gens[0][1].rows
-    ident = Mat.identity(size)
-    elements = [GroupElement(0, ident, "", -1, "")]
-    index = {ident.key(): 0}
-    right: dict[str, list[int]] = {name: [] for name in names}
+    n = gens[0][1].rows
+    factors = {}
+    for name, g in gens:
+        if (c := _coords(g)) is None:
+            raise ValueError(f"generator {name} leaves (1/{DEN}) Z[zeta_8] or COORD_BOUND")
+        factors[name] = right_factor(np.array(c, dtype=np.int64).reshape(n, n, 4))
+    ident = np.eye(n, dtype=np.int64)[:, :, None] * np.array([DEN, 0, 0, 0])
+    elements = [GroupElement(0, "", -1, "", ident)]
+    index = {tuple(ident.ravel().tolist()): 0}
+    right: dict[str, list[int]] = {name: [] for name, _ in gens}
     frontier = [0]
     while frontier:
+        length = len(elements[frontier[0]].word) + 1
+        layer = np.stack([elements[i].coords for i in frontier]).reshape(-1, 4 * n)
+        prods, keys = {}, {}
+        for name, factor in factors.items():
+            prod, rem = np.divmod(layer @ factor, DEN)
+            if rem.any() or np.abs(prod).max() > COORD_BOUND:
+                raise ValueError(f"a word of length {length} ending in {name} leaves "
+                                 f"(1/{DEN}) Z[zeta_8] or COORD_BOUND")
+            prods[name] = prod.reshape(-1, n, n, 4)
+            keys[name] = list(map(tuple, prod.reshape(len(frontier), -1).tolist()))
         next_frontier = []
-        for ei in frontier:
-            base = elements[ei]
-            for name in names:
-                m = base.mat.matmul(gmap[name])
-                k = m.key()
+        for row, ei in enumerate(frontier):
+            for name in factors:
+                k = keys[name][row]
                 if k not in index:
                     idx = len(elements)
                     if idx >= limit:
                         raise NotFinitelyClosedError(f"closure exceeded {limit} elements")
-                    elements.append(GroupElement(idx, m, base.word + name, ei, name))
+                    elements.append(GroupElement(idx, elements[ei].word + name, ei, name,
+                                                 prods[name][row]))
                     index[k] = idx
                     next_frontier.append(idx)
                 right[name].append(index[k])
         frontier = next_frontier
-    return GroupTable(elements, index, gmap, right)
+    return GroupTable(elements, index, dict(gens), right)
 
 
 def build_group() -> GroupTable:

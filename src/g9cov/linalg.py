@@ -128,20 +128,6 @@ class Mat:
     def __neg__(self) -> Mat:
         return self.scale(-1)
 
-    def __pow__(self, k: int) -> Mat:
-        if self.rows != self.cols:
-            raise ShapeError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power of a matrix")
-        result = Mat.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            k >>= 1
-        return result
-
     def trace(self) -> CycNum:
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
@@ -160,10 +146,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def key(self):
-        """Canonical hashable key built from the reduced entry coordinates."""
-        return (self.rows, self.cols) + tuple(e.key() for e in self.entries)
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -233,6 +215,12 @@ for _p in range(4):
         CYC_STRUCT[_p, _q, (_p + _q) % 4] = 1 if _p + _q < 4 else -1
 
 
+def right_factor(b: np.ndarray) -> np.ndarray:
+    """R with a.reshape(-1, 4m) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b m x m."""
+    m = len(b)
+    return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * m, 4 * m)
+
+
 def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer coordinates of equal-length groups of entries, one denominator per group.
 
@@ -269,44 +257,32 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 # -- certified multimodular nullspace -----------------------------------------------
 
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for odd 7 < n < 3.2e9."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_1_mod_8(below: int, count: int) -> tuple[int, ...]:
-    """The `count` largest primes p < below with p = 1 (mod 8), descending."""
-    out = []
-    n = (below - 2) // 8 * 8 + 1
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 8
-    return tuple(out)
-
-
 # Both tables hold primes p = 1 (mod 8), which split completely in
 # Q(zeta_8): Z[zeta_8]/p is F_p^4 through the four embeddings zeta_8 -> w^k
 # (k odd), the lanes that elimination reduces and the certificate checks.
 # Elimination primes keep a product of two residues below 2^62; certificate
 # primes are smaller so that an int64 dot product of lanes sums 2^11 terms
-# before it must reduce (see _dot_mod).
-ELIMINATION_PRIMES = _primes_1_mod_8(2 ** 31, 48)
-CERTIFICATE_PRIMES = _primes_1_mod_8(2 ** 26, 64)
+# before it must reduce (see _dot_mod).  Each table lists the largest such
+# primes below its bound (2^31 and 2^26), descending; a test recomputes them.
+ELIMINATION_PRIMES = (
+    2147483497, 2147483489, 2147483353, 2147483249, 2147483137, 2147483033, 2147482937,
+    2147482921, 2147482873, 2147482817, 2147482801, 2147482697, 2147482681, 2147482577,
+    2147482481, 2147482417, 2147482409, 2147482361, 2147482273, 2147482121, 2147482081,
+    2147481937, 2147481793, 2147481673, 2147481529, 2147481353, 2147481337, 2147481209,
+    2147480969, 2147480921, 2147480897, 2147480849, 2147480641, 2147480369, 2147480297,
+    2147480161, 2147480009, 2147479937, 2147479897, 2147479753, 2147479681, 2147479657,
+    2147479601, 2147479513, 2147479489, 2147479361, 2147479273, 2147479129,
+)
+CERTIFICATE_PRIMES = (
+    67108777, 67108753, 67108729, 67108721, 67108649, 67108633, 67108529, 67108369,
+    67108313, 67108289, 67108201, 67108177, 67108081, 67108049, 67108033, 67108009,
+    67107977, 67107913, 67107881, 67107809, 67107793, 67107737, 67107713, 67107697,
+    67107673, 67107641, 67107617, 67107569, 67107553, 67107497, 67107473, 67107457,
+    67107289, 67107241, 67107217, 67107097, 67106833, 67106761, 67106737, 67106657,
+    67106561, 67106393, 67106257, 67106113, 67106033, 67105937, 67105873, 67105849,
+    67105769, 67105729, 67105609, 67105553, 67105481, 67105393, 67105369, 67105249,
+    67105201, 67105193, 67105081, 67104977, 67104913, 67104857, 67104841, 67104833,
+)
 _EMBEDDINGS = (1, 3, 5, 7)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .cyclo import CycNum, I_UNIT, ONE, ZERO
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, Mat, int_encoding, kron, solve_exact
+from .linalg import CYC_STRUCT, Mat, int_encoding, kron, right_factor, solve_exact
 
 LINEAR_IMAGES = [
     (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT),
@@ -80,10 +80,12 @@ class Representation:
 
 
 def _check_relations(rid: int, img_t: Mat, img_d: Mat) -> None:
-    n = img_t.rows
-    if img_t.matmul(img_t) != Mat.identity(n):
+    t, d = encode(rid, img_t), encode(rid, img_d)
+    ident = scalar_image(len(t), [DEN, 0, 0, 0])
+    if not np.array_equal(_times(rid, t, right_factor(t), "T^2"), ident):
         raise ExtractionError(f"rho_{rid}: T image is not an involution")
-    if img_d ** 4 != Mat.identity(n):
+    d2 = _times(rid, d, right_factor(d), "D^2")
+    if not np.array_equal(_times(rid, d2, right_factor(d2), "D^4"), ident):
         raise ExtractionError(f"rho_{rid}: D image has order not dividing 4")
 
 
@@ -186,10 +188,13 @@ def _check_bound(rid: int, nums: np.ndarray) -> None:
         raise ImageError(f"rho_{rid}: an image coordinate exceeds {COORD_BOUND}")
 
 
-def _right_factor(b: np.ndarray) -> np.ndarray:
-    """R with a.reshape(-1, 4m) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b m x m."""
-    m = len(b)
-    return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * m, 4 * m)
+def _times(rid: int, a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
+    """a b over DEN for images a (..., m, m, 4), factor = right_factor(b); ImageError names what."""
+    prod, rem = np.divmod(a.reshape(-1, len(factor)) @ factor, DEN)
+    if rem.any():
+        raise ImageError(f"rho_{rid}: {what} is not in (1/{DEN}) Z[zeta_8]")
+    _check_bound(rid, prod)
+    return prod.reshape(a.shape)
 
 
 def rep_matrices(rep: Representation, table: GroupTable) -> np.ndarray:
@@ -199,19 +204,15 @@ def rep_matrices(rep: Representation, table: GroupTable) -> np.ndarray:
     their parents' images times rho(s); ImageError names the representation.
     """
     m = rep.dim
-    factors = {name: _right_factor(encode(rep.rid, rep.image(name))) for name in table.gens}
+    factors = {name: right_factor(encode(rep.rid, rep.image(name))) for name in table.gens}
     out = np.zeros((len(table), m, m, 4), dtype=np.int64)
     out[table.identity] = scalar_image(m, [DEN, 0, 0, 0])
     steps: dict[tuple[int, str], list[int]] = {}
     for e in table.elements[1:]:          # element 0 is the identity
         steps.setdefault((len(e.word), e.last), []).append(e.index)
     for (length, name), kids in steps.items():
-        prod = out[[table.elements[k].parent for k in kids]].reshape(-1, 4 * m) @ factors[name]
-        if (prod % DEN).any():
-            raise ImageError(f"rho_{rep.rid}: an image of word length {length} "
-                             f"is not in (1/{DEN}) Z[zeta_8]")
-        out[kids] = (prod // DEN).reshape(-1, m, m, 4)
-        _check_bound(rep.rid, out[kids])
+        out[kids] = _times(rep.rid, out[[table.elements[k].parent for k in kids]],
+                           factors[name], f"an image of word length {length}")
     out.flags.writeable = False
     return out
 
@@ -270,7 +271,7 @@ def verify_homomorphism(rep: Representation, table: GroupTable, mats: np.ndarray
         raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
     _check_bound(rep.rid, mats)
     for s in (table.lookup(g) for g in table.gens.values()):
-        lhs = (mats.reshape(-1, 4 * rep.dim) @ _right_factor(mats[s])).reshape(mats.shape)
+        lhs = (mats.reshape(-1, 4 * rep.dim) @ right_factor(mats[s])).reshape(mats.shape)
         bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
         if bad.any():
             g = int(np.flatnonzero(bad)[0])

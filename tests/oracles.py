@@ -9,7 +9,8 @@ from functools import lru_cache
 
 from g9cov.covariants import CovariantSlice, FreenessError, RowReducer
 from g9cov.cyclo import CycNum, ONE, ZERO, rational
-from g9cov.linalg import Mat, int_encoding, nullspace_from_rref, rref
+from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
+from g9cov.linalg import Mat, ShapeError, int_encoding, nullspace_from_rref, rref
 from g9cov.molien import _det2
 from g9cov.poly import BiPoly, VecPoly
 
@@ -40,6 +41,86 @@ def rep_matrices_exact(rep, table):
         else:
             mats[e.index] = mats[e.parent].matmul(rep.image(e.last))
     return tuple(mats)
+
+
+def mat_pow(m, k):
+    """m^k for a square Mat and k >= 0 by repeated squaring."""
+    if m.rows != m.cols:
+        raise ShapeError("power of a non-square matrix")
+    if k < 0:
+        raise ValueError("negative power of a matrix")
+    result = Mat.identity(m.rows)
+    while k:
+        if k & 1:
+            result = result.matmul(m)
+        m = m.matmul(m)
+        k >>= 1
+    return result
+
+
+def mat_key(m):
+    """Canonical hashable key built from the reduced entry coordinates."""
+    return (m.rows, m.cols) + tuple(e.key() for e in m.entries)
+
+
+def closure_exact(gens, limit=CLOSURE_LIMIT):
+    """The BFS closure of group.closure in CycNum matrix products.
+
+    Returns (mats, words, parents, right) in discovery order; right[name][i]
+    is the index of element i times the generator name.  The reference for
+    the integer closure, which must find the same elements in the same order.
+    """
+    size = gens[0][1].rows
+    mats, words, parents = [Mat.identity(size)], [""], [-1]
+    index = {mat_key(mats[0]): 0}
+    right = {name: [] for name, _ in gens}
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for ei in frontier:
+            for name, g in gens:
+                m = mats[ei].matmul(g)
+                k = mat_key(m)
+                if k not in index:
+                    if len(mats) >= limit:
+                        raise NotFinitelyClosedError(f"closure exceeded {limit} elements")
+                    index[k] = len(mats)
+                    next_frontier.append(len(mats))
+                    mats.append(m)
+                    words.append(words[ei] + name)
+                    parents.append(ei)
+                right[name].append(index[k])
+        frontier = next_frontier
+    return mats, words, parents, right
+
+
+def _is_prime(n):
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for odd 7 < n < 3.2e9."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_1_mod_8(below, count):
+    """The `count` largest primes p < below with p = 1 (mod 8), descending."""
+    out = []
+    n = (below - 2) // 8 * 8 + 1
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n -= 8
+    return tuple(out)
 
 
 def inner_product(row_a, row_b, table):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from g9cov.cyclo import CycNum
 from g9cov.group import (NotFinitelyClosedError, class_orders, class_sizes,
                          closure, standard_generators)
 from g9cov.linalg import Mat
+from oracles import closure_exact
 
 
 def test_closure_sizes(table):
@@ -21,6 +23,34 @@ def test_closure_guard():
     shear = Mat.from_rows([[1, 1], [0, 1]])
     with pytest.raises(NotFinitelyClosedError):
         closure([("S", shear)], limit=500)
+    # the integer closure works over (1/2) Z[zeta_8] and names a generator outside it
+    third = Mat.diagonal([Fraction(1, 3), 1])
+    with pytest.raises(ValueError, match=r"generator S leaves \(1/2\) Z\[zeta_8\]"):
+        closure([("T", standard_generators()[0]), ("S", third)])
+    # products are checked too: S^2 = diag(1/4, 1) leaves (1/2) Z[zeta_8],
+    # and the powers of diag(2, 1) leave the coordinate bound
+    for entry, length in ((Fraction(1, 2), 2), (2, 24)):
+        with pytest.raises(ValueError, match=rf"word of length {length} ending in S leaves"):
+            closure([("S", Mat.diagonal([entry, 1]))])
+
+
+def test_integer_closure_matches_exact_closure():
+    t, d = standard_generators()
+    # outside both groups; diag(1/3, 1) has an entry outside (1/2) Z[zeta_8]
+    outside = [t.scale(2), Mat.diagonal([Fraction(1, 2), 1]), Mat.diagonal([Fraction(1, 3), 1]),
+               Mat.from_rows([[1, 1], [0, 1]]), Mat.identity(1)]
+    for gens in ([("T", t), ("D", d)], [("D", d)]):
+        group = closure(gens)
+        mats, words, parents, right = closure_exact(gens)
+        assert [e.mat for e in group.elements] == mats, gens
+        assert [e.word for e in group.elements] == words
+        assert [e.parent for e in group.elements] == parents
+        assert [e.last for e in group.elements] == [w[-1:] for w in words]
+        assert group.right == right
+        assert [group.lookup(m) for m in mats] == list(range(len(mats)))
+        for m in outside:
+            with pytest.raises(KeyError):
+                group.lookup(m)
 
 
 def test_class_count_and_sizes(table):

@@ -10,10 +10,10 @@ from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, Z, rational
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
                           SingularMatrixError, _IntRows, _dot_mod, _embedding_matrices,
-                          _is_prime, _nullspace_mod,
+                          _nullspace_mod,
                           certified_nullspace, int_encoding, kron, mat_to_json,
                           nullspace_from_rref, rref, solve_exact)
-from oracles import int_rows, mat_from_json
+from oracles import _is_prime, _primes_1_mod_8, int_rows, mat_from_json, mat_pow
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -25,9 +25,9 @@ def rnd_mat(rng, n, m=None, span=3):
 def test_generator_relations():
     t, d = standard_generators()
     assert t.matmul(t) == Mat.identity(2)
-    assert d ** 4 == Mat.identity(2)
+    assert mat_pow(d, 4) == Mat.identity(2)
     with pytest.raises(ValueError, match="negative power"):
-        d ** -1
+        mat_pow(d, -1)
 
 
 def test_matmul_identity_random():
@@ -91,6 +91,9 @@ def test_certified_nullspace_matches_rref_on_cyclotomic_rows():
 
 
 def test_prime_tables():
+    # the literal tables are the largest primes = 1 (mod 8) below their bounds
+    assert ELIMINATION_PRIMES == _primes_1_mod_8(2 ** 31, 48)
+    assert CERTIFICATE_PRIMES == _primes_1_mod_8(2 ** 26, 64)
     for table, below in ((ELIMINATION_PRIMES, 2 ** 31), (CERTIFICATE_PRIMES, 2 ** 26)):
         assert list(table) == sorted(set(table), reverse=True) and table[0] < below
         for p in table[:3] + table[-2:]:

@@ -9,9 +9,9 @@ from g9cov.group import standard_generators
 from g9cov.linalg import CYC_STRUCT, Mat, kron
 from g9cov.group import class_sizes
 from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
-                        Representation, character_gram, decode, extract_subrep,
-                        rep_matrices, verify_census, verify_homomorphism)
-from oracles import as_fraction, decode_images, inner_product, rep_matrices_exact
+                        Representation, _check_relations, character_gram, decode,
+                        extract_subrep, rep_matrices, verify_census, verify_homomorphism)
+from oracles import as_fraction, decode_images, inner_product, mat_pow, rep_matrices_exact
 
 H = Fraction(1, 2)
 
@@ -50,7 +50,7 @@ def test_plane_extraction_matrices(reps):
 def test_generator_relations_all(reps):
     for r in reps:
         assert r.img_t.matmul(r.img_t) == Mat.identity(r.dim)
-        assert r.img_d ** 4 == Mat.identity(r.dim)
+        assert mat_pow(r.img_d, 4) == Mat.identity(r.dim)
 
 
 def test_tensor_with_sym3_diagonal(reps):
@@ -75,6 +75,18 @@ def test_extract_subrep_rejects_non_invariant_span():
     bad = [Mat.column([1, 0, 0, 0]), Mat.column([0, 1, 0, 0])]
     with pytest.raises(ExtractionError):
         extract_subrep(t99, d99, bad)
+
+
+@pytest.mark.parametrize("rid", [1, 9, 21, 29])
+def test_relation_check_rejects_scaled_generators(reps, rid):
+    # the relations are checked on the integer images; i T squares to -I and
+    # z D has fourth power -I, so each must be named
+    r = by_id(reps, rid)
+    _check_relations(rid, r.img_t, r.img_d)
+    with pytest.raises(ExtractionError, match=rf"rho_{rid}: T image is not an involution"):
+        _check_relations(rid, r.img_t.scale(I_UNIT), r.img_d)
+    with pytest.raises(ExtractionError, match=rf"rho_{rid}: D image has order not dividing 4"):
+        _check_relations(rid, r.img_t, r.img_d.scale(CycNum.zeta(1)))
 
 
 def evaluate(rep, word):

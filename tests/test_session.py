@@ -1,8 +1,12 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import g9cov
 from g9cov import cli, covariants, molien, reps, session
 from g9cov.session import get_session
 from oracles import rep_matrices_exact
@@ -58,3 +62,20 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     finally:
         undo()
     assert [getattr(owner, attr) for owner, attr in names] == before
+
+
+def test_import_sets_one_blas_thread():
+    # importing g9cov (as conftest did here) sets the variable, so the child
+    # starts without it; a value set before the import is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(g9cov.__file__).resolve().parents[1])
+    probe = ("import os, g9cov; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir('/proc/self/task')))")
+
+    def run():
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    assert run() == ["1", "1"]          # the variable and the thread count
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert run()[0] == "2"
