@@ -25,8 +25,9 @@ consequences of the same covariance condition:
 
 What is left is the T constraint A on the kept coefficients, built
 (times reps.DEN, with no CycNum) as an integer array of Z[zeta_8]
-coordinates.  It is solved as B, the rows (j, b) with 2b >= d of A E:
-about half the unknowns and half the rows.  Three facts make this exact:
+coordinates, int64 whenever a bound from d and rho(T) proves it fits.
+It is solved as B, the rows (j, b) with 2b >= d of A E: about half the
+unknowns and half the rows.  Three facts make this exact:
 
   * null(A) lies in im(E) by the swap reduction above, and E is
     injective, so null(A) = E null(A E);
@@ -39,31 +40,51 @@ about half the unknowns and half the rows.  Three facts make this exact:
     is 1 at its free column f, 0 at the other free columns and has no
     support right of f, exactly what rref + nullspace_from_rref produce.
 
-linalg.certified_nullspace solves B multimodularly (Cabay, "Exact
-solution of linear equations", SYMSAM 1971; rational reconstruction after
-Wang, SYMSAC 1981): the four
-embeddings of Q(zeta_8) into F_p are eliminated together in one int64
-array modulo primes p = 1 (mod 8), the residues are combined by CRT and
-lifted to fractions.  The result is accepted only if exact checks prove
-it, whatever primes were used:
+B is solved over Q.  For k = 3, 5, 7 let sigma_k be the automorphism
+zeta_8 -> zeta_8^k of Q(zeta_8), applied entrywise (on coordinates it is a
+signed permutation).  _symmetry checks exactly, for s = T and D, that
+sigma_k(s) lies in G9 and that sigma_k(rho(sigma_k(s))) = rho(s).  Then:
+
+  * sigma_k is a field automorphism, so it is multiplicative on
+    matrices and maps G9 = <T, D> into G9; so g -> sigma_k(rho(sigma_k(g)))
+    is a homomorphism of G9, equal to rho on the generators, hence to rho;
+  * applying sigma_k to the coefficients of a covariant F gives F' with
+    F'(sigma_k(g) x) = sigma_k(rho(g)) F'(x).  As sigma_k is an involution
+    (k^2 = 1 mod 8), g = sigma_k(h) gives F'(h x) = rho(h) F'(x): sigma_k
+    maps M(rho)_d onto itself;
+  * null(A) is M(rho)_d on the kept coordinates, and E has entries 0 and
+    +-1, so null(B) = {u : E u in null(A)} is sigma_k-stable;
+  * sigma_k maps a normal-form basis vector of null(B) to a vector of
+    null(B) in the same normal form, and that basis is unique, so sigma_k
+    fixes it: it is rational;
+  * a rational v has B v = 0 exactly when B_r v = 0 for each r, where
+    B = sum_r B_r zeta_8^r.  So null(B) = null_Q([B_0; B_1; B_2; B_3])
+    tensored with Q(zeta_8), and the two have the same normal-form basis,
+    byte for byte.
+
+linalg.certified_nullspace solves that integer matrix multimodularly
+(Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
+reconstruction after Wang, SYMSAC 1981): it is eliminated as one int64
+array modulo primes p, the residues are combined by CRT and lifted to
+fractions.  The result is accepted only if exact checks prove it,
+whatever primes were used:
 
   * every vector has the normal form above, so the vectors are
     independent;
-  * at some prime the embedded rank is ncols - k; a rank mod p never
-    exceeds the rank over Q(zeta_8), so the nullity is at most k;
-  * B v = 0 for every row, by bounded CRT: each integer coordinate of the
-    integer-scaled B v is at most 4 * ncols * max|B| * max|V| in absolute
-    value and vanishes modulo certificate primes whose product exceeds
-    twice that, so it is 0.  As q = 1 (mod 8), Z[zeta_8]/q is F_q^4 through
-    the four embeddings that elimination reduces: B v is checked in them.
+  * at some prime the rank is ncols - k; a rank mod p never exceeds the
+    rank over Q, so the nullity is at most k;
+  * B_r v = 0 for every row, by bounded CRT: each entry of the
+    integer-scaled product is at most ncols * max|B_r| * max|V| in
+    absolute value and vanishes modulo certificate primes whose product
+    exceeds twice that, so it is 0.
 
 The k vectors then span the nullspace, and a nullspace vector whose last
 nonzero coordinate is f exists only for non-pivot f, so they are the
 normal-form basis of B, and E maps them to that of A, byte for byte.
-Should the prime table run out, exact rref of B is the fallback.  The
-certificate never reads Molien: each slice dimension is still cross
-checked against the Molien coefficient, so the linear solver and the
-character-theoretic pipeline certify each other degree by degree.
+Should the prime table run out, exact rref of the rational rows is the
+fallback.  The certificate never reads Molien: each slice dimension is
+still cross checked against the Molien coefficient, so the linear solver
+and the character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
@@ -95,6 +116,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -215,6 +237,14 @@ class RowReducer:
         return red
 
 
+def _galois(x: np.ndarray, k: int) -> np.ndarray:
+    """zeta_8 -> zeta_8^k (k odd) on Z[zeta_8] coordinates x[..., 4]: a signed permutation."""
+    out = np.empty_like(x)
+    for p in range(4):
+        out[..., p * k % 4] = x[..., p] if p * k % 8 < 4 else -x[..., p]
+    return out
+
+
 def _binomial_table(d: int) -> np.ndarray:
     """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), Python ints.
 
@@ -276,13 +306,30 @@ class CovariantEngine:
 
     # -- the slice solver -----------------------------------------------------------
 
+    @cached_property
+    def _galois_gens(self) -> list[tuple[int, str, int, int]]:
+        """(k, name, index of s, index of sigma_k(s)) for k = 3, 5, 7 and s = T, D.
+
+        Raises CrossCheckError unless every sigma_k(s) lies in G9.
+        """
+        out = []
+        for k in (3, 5, 7):
+            for name, s in self.table.gens.items():
+                try:
+                    image = self.table.lookup(Mat(2, 2, [e.galois(k) for e in s.entries]))
+                except KeyError:
+                    raise CrossCheckError(f"sigma_{k}({name}) is not in G9") from None
+                out.append((k, name, self.table.lookup(s), image))
+        return out
+
     def _symmetry(self, rid: int) -> _Symmetry:
         """The central residue, D exponents and swap pattern of rho_rid, cached.
 
         Raises CrossCheckError, naming the representation, unless rho(D) is
         diagonal with powers of i, rho(T) rho(D)^2 rho(T) is a signed
-        permutation of order 2 and the central element zI acts by a power
-        of zeta_8 times the identity.
+        permutation of order 2, the central element zI acts by a power
+        of zeta_8 times the identity and sigma_k(rho(sigma_k(s))) = rho(s)
+        for k = 3, 5, 7 and s = T, D (see the module docstring).
         """
         if rid not in self._symmetries:
             rep = self.reps[rid]
@@ -296,7 +343,8 @@ class CovariantEngine:
                 raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
             # rho(tau) = rho(T) rho(D)^2 rho(T) times DEN^2, with rho(D)^2 = diag((-1)^e_j)
             d2 = (-1) ** np.array(expo)
-            t = self.matrices(rid)[self._t_index]
+            images = self.matrices(rid)
+            t = images[self._t_index]
             tau = np.einsum("ljp,j,jkq,pqr->lkr", t, d2, t, CYC_STRUCT)
             ids = np.arange(rep.dim)
             perm = (tau != 0).any(axis=2).argmax(axis=1)
@@ -307,13 +355,17 @@ class CovariantEngine:
                     and np.array_equal(perm[perm], ids) and np.array_equal(sign[perm], sign)):
                 raise CrossCheckError(f"rho_{rid}: rho(T) rho(D)^2 rho(T) is not a "
                                       f"signed permutation of order 2")
-            central = self.matrices(rid)[self._central_index]
+            central = images[self._central_index]
             if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):
                 raise CrossCheckError(f"rho_{rid}: central element is not scalar")
             residue = next((k for k in range(8) if CycNum.zeta(k) == decode(central[0, 0])),
                            None)
             if residue is None:
                 raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
+            for k, name, s, image in self._galois_gens:
+                if not np.array_equal(_galois(images[image], k), images[s]):
+                    raise CrossCheckError(f"rho_{rid}: sigma_{k}(rho(sigma_{k}({name}))) "
+                                          f"is not rho({name})")
             self._symmetries[rid] = _Symmetry(residue, expo, tuple(perm.tolist()),
                                               tuple(sign.tolist()))
         return self._symmetries[rid]
@@ -343,18 +395,21 @@ class CovariantEngine:
         _subst_table(d), minus the numerators over DEN of rho(T) scaled
         by sqrt(2)^d at the columns (l, b): scaling the substitution side
         by sqrt(2)^d makes it the integer coefficients of (x+y)^a (x-y)^(d-a).
-        Returns (m, d + 1, len(coords), 4) Python-int coordinates, row (j, b)
-        at [j, d - b].
+        Returns (m, d + 1, len(coords), 4) integer coordinates, row (j, b) at
+        [j, d - b]: int64 when twice the entry bound (|u[a, b]| <= 2^d) fits,
+        so that _tau_system's sums of two columns do too, else Python ints.
         """
         m = rep.dim
         t = self.matrices(rep.rid)[self._t_index]
         if d % 2:       # times sqrt(2) = z - z^3
             t = t @ np.tensordot([0, 1, 0, -1], CYC_STRUCT, axes=(0, 1))
-        scaled = t.astype(object) * 2 ** (d // 2)
+        bound = DEN * 2 ** d + int(np.abs(t).max()) * 2 ** (d // 2)
+        dtype = np.int64 if 2 * bound < 2 ** 63 else object
+        scaled = t.astype(dtype) * 2 ** (d // 2)
         comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
         cols = np.arange(len(coords))
-        rows = np.zeros((m, d + 1, len(coords), 4), dtype=object)
-        rows[comp, :, cols, 0] = DEN * self._subst_table(d)[expo, ::-1]
+        rows = np.zeros((m, d + 1, len(coords), 4), dtype=dtype)
+        rows[comp, :, cols, 0] = DEN * self._subst_table(d)[expo, ::-1].astype(dtype)
         rows[:, d - expo, cols] -= scaled[:, comp]
         return rows
 
@@ -363,25 +418,29 @@ class CovariantEngine:
         """The T constraint on the swap-paired unknowns: (reps, mates, rows).
 
         Unknown g is the coefficient at coords[reps[g]]; (g, k, s) in mates
-        sets coords[k] to s times it (see _tau_pairing).  The rows are the
-        T rows (j, b) with 2b >= d of A E, in order j, then b descending,
-        zero rows dropped; each other row (j, b) must equal rho(D^2)_jj
-        times row (j, d - b), or CrossCheckError names the representation
-        and the degree.
+        sets coords[k] to s times it (see _tau_pairing).  The rows of B are
+        the T rows (j, b) with 2b >= d of A E, in order j, then b
+        descending, zero rows dropped; each other row (j, b) must equal
+        rho(D^2)_jj times row (j, d - b), or CrossCheckError names the
+        representation and the degree.  rows[r] is B_r, the integer
+        coefficient of zeta_8^r in B, shape (4, len(B), len(reps)).
         """
         sym = self._symmetry(rep.rid)
         reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
-        rows = self._t_rows(rep, d, [coords[i] for i in reps])
+        rows = self._t_rows(rep, d, coords)
         if mates:
             g, k, s = np.array(mates).T
-            rows[:, :, g] += self._t_rows(rep, d, [coords[i] for i in k]) * s[:, None]
+            mate = rows[:, :, k]
+            mate *= s[:, None]      # in place: the peak stays at twice the full system
+            rows[:, :, np.array(reps)[g]] += mate
+        rows = rows[:, :, reps]
         h = d // 2 + 1
         d2 = (-1) ** np.array(sym.expo)[:, None, None, None]
         if not np.array_equal(rows[:, h:], rows[:, ::-1][:, h:] * d2):
             raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
                                   f"rho(D^2) times its swapped row")
         rows = rows[:, :h].reshape(rep.dim * h, len(reps), 4)
-        return reps, mates, rows[(rows != 0).any(axis=(1, 2))]
+        return reps, mates, rows[(rows != 0).any(axis=(1, 2))].transpose(2, 0, 1)
 
     def covariance_failure(self, rid: int, vec: VecPoly) -> str | None:
         """The first generator, "D" then "T", at which vec is not rho_rid-covariant.
@@ -414,10 +473,11 @@ class CovariantEngine:
             result = CovariantSlice(rid, d, (), ())
         else:
             reps, mates, rows = self._tau_system(rep, d, coords)
-            reduced = certified_nullspace(rows, len(reps), self.counters)
+            # the basis is rational (module docstring): solve [B_0; B_1; B_2; B_3]
+            reduced = certified_nullspace(np.concatenate(rows), len(reps), self.counters)
             self.counters["slices_solved"] += 1
-            self.counters["rows"] += len(rows)
-            self.counters["cells"] += rows.shape[0] * rows.shape[1]
+            self.counters["rows"] += rows.shape[1]
+            self.counters["cells"] += rows.shape[1] * rows.shape[2]
             basis = []
             for u in reduced:       # E u: the coefficients at every kept coordinate
                 vec = [ZERO] * len(coords)

@@ -104,13 +104,12 @@ class GroupTable:
         each generator, which the closure recorded, is the only matrix product.
         """
         n = len(self.elements)
-        tree = [(e.index, self.right[e.last], e.parent) for e in self.elements[1:]]
-        self.product = []
-        for i in range(n):
-            row = [i] * n               # element 0 is the identity
-            for j, perm, parent in tree:
-                row[j] = perm[row[parent]]
-            self.product.append(row)
+        right = {name: np.array(perm) for name, perm in self.right.items()}
+        cols = np.empty((n, n), dtype=np.int64)     # cols[j, i] = i * j
+        cols[0] = np.arange(n)                      # element 0 is the identity
+        for e in self.elements[1:]:
+            cols[e.index] = right[e.last][cols[e.parent]]
+        self.product = cols.T.tolist()
         self.inverse = [row.index(0) for row in self.product]
         self.identity = 0
 

@@ -5,22 +5,20 @@ reference nullspace come from a deterministic reduced row echelon form
 (rref) whose pivot is always the first nonzero entry in column order, so
 repeated runs give byte-identical output.
 
-certified_nullspace returns the same normal-form nullspace without exact
-elimination: it takes the rows as an integer array of Z[zeta_8]
-coordinates, reduces the four embeddings of Q(zeta_8) into F_p together
-as one int64 numpy array modulo primes p = 1 (mod 8), lifts the result
-by CRT and rational reconstruction, and returns it only once an exact
-certificate holds; exact rref is the fallback.  As p splits completely in
-Q(zeta_8), Z[zeta_8]/p is F_p^4 through those four embeddings (Washington,
-Introduction to Cyclotomic Fields, Thm 2.13), so the certificate reads the
-residues of A v in the same four lanes.
+certified_nullspace returns the same normal-form nullspace of an integer
+matrix without exact elimination: it reduces the matrix as one int64 numpy
+array modulo word-size primes, lifts the result by CRT and rational
+reconstruction, and returns it only once an exact certificate holds; exact
+rref is the fallback.  It works over Q.  A system B = sum_r B_r zeta_8^r
+over Q(zeta_8) whose normal-form nullspace basis is known to be rational
+is passed as the rational rows [B_0; B_1; B_2; B_3], which have the same
+normal-form basis (the covariants module proves this for its slices).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -242,28 +240,25 @@ def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.nda
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 arrays with entries of absolute value below p.
+    """a @ b mod p for 2-d int64 arrays with entries of absolute value below p.
 
-    Leading axes are batch axes, as for np.matmul, so the four embedding
-    lanes (4, n, k) @ (4, k, m) take one call.  The inner dimension is
-    summed in blocks small enough that no partial sum reaches 2^63.
+    The inner dimension is summed in blocks small enough that no partial sum
+    reaches 2^63.
     """
     step = max(1, (2 ** 63 - 1) // (p - 1) ** 2 - 1)
-    out = a[..., :step] @ b[..., :step, :] % p
-    for s in range(step, a.shape[-1], step):
-        out = (out + a[..., s:s + step] @ b[..., s:s + step, :]) % p
+    out = a[:, :step] @ b[:step] % p
+    for s in range(step, a.shape[1], step):
+        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
     return out
 
 
 # -- certified multimodular nullspace -----------------------------------------------
 
-# Both tables hold primes p = 1 (mod 8), which split completely in
-# Q(zeta_8): Z[zeta_8]/p is F_p^4 through the four embeddings zeta_8 -> w^k
-# (k odd), the lanes that elimination reduces and the certificate checks.
 # Elimination primes keep a product of two residues below 2^62; certificate
-# primes are smaller so that an int64 dot product of lanes sums 2^11 terms
-# before it must reduce (see _dot_mod).  Each table lists the largest such
-# primes below its bound (2^31 and 2^26), descending; a test recomputes them.
+# primes are smaller so that an int64 dot product sums 2^11 terms before it
+# must reduce (see _dot_mod).  Each table lists the largest primes p = 1
+# (mod 8) below its bound (2^31 and 2^26), descending, and a test recomputes
+# them; the elimination is over Q, so any primes below the bounds would do.
 ELIMINATION_PRIMES = (
     2147483497, 2147483489, 2147483353, 2147483249, 2147483137, 2147483033, 2147482937,
     2147482921, 2147482873, 2147482817, 2147482801, 2147482697, 2147482681, 2147482577,
@@ -283,106 +278,61 @@ CERTIFICATE_PRIMES = (
     67105769, 67105729, 67105609, 67105553, 67105481, 67105393, 67105369, 67105249,
     67105201, 67105193, 67105081, 67104977, 67104913, 67104857, 67104841, 67104833,
 )
-_EMBEDDINGS = (1, 3, 5, 7)
 
 
-@lru_cache(maxsize=None)
-def _embedding_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maps between coordinates and embeddings mod p, as read-only 4x4 int64 matrices.
+def _rref_mod(m: np.ndarray, p: int) -> list[int]:
+    """Reduce m over F_p in place with the pivot rule of rref; returns the pivot columns.
 
-    coords @ fwd gives the images under zeta_8 -> w^k for k = 1, 3, 5, 7;
-    images @ inv gives the coordinates back (the inverse Vandermonde,
-    1/4 * w^(-jk)).  Cached per prime: every slice uses the same few.
+    m is int64 of shape (rows, cols) with entries in [0, p), so with
+    p < 2^31 every product is below 2^62.
     """
-    a = 2
-    while pow(a, (p - 1) // 2, p) != p - 1:     # a quadratic non-residue
-        a += 1
-    w = pow(a, (p - 1) // 8, p)                 # so w^4 = -1
-    quarter = pow(4, -1, p)
-    fwd = [[pow(w, j * k, p) for k in _EMBEDDINGS] for j in range(4)]
-    inv = [[quarter * pow(w, -j * k, p) % p for j in range(4)] for k in _EMBEDDINGS]
-    out = np.array(fwd, dtype=np.int64), np.array(inv, dtype=np.int64)
-    for m in out:
-        m.flags.writeable = False
-    return out
-
-
-def _rref_lanes(m: np.ndarray, p: int) -> list[int] | None:
-    """Reduce each lane m[k] over F_p in place with the pivot rule of rref.
-
-    m is int64 of shape (lanes, rows, cols) with entries in [0, p), so with
-    p < 2^31 every product is below 2^62.  Returns the pivot columns, or
-    None at the first column where some lanes have a pivot and others not.
-    """
-    nlanes, nrows, ncols = m.shape
-    lanes = np.arange(nlanes)
+    nrows, ncols = m.shape
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        nonzero = m[:, r:, c] != 0
-        has = nonzero.any(axis=1)
-        if not has.any():
+        nonzero = np.flatnonzero(m[r:, c])
+        if not len(nonzero):
             continue
-        if not has.all():
-            return None
         # rows from r down are zero left of c, so columns c.. are all that move
-        src = r + nonzero.argmax(axis=1)
-        inv = np.array([pow(int(x), -1, p) for x in m[lanes, src, c]], dtype=np.int64)
-        top = m[lanes, src, c:] * inv[:, None] % p
-        m[lanes, src, c:] = m[lanes, r, c:]
-        m[lanes, r, c:] = top
-        f = m[:, :, c].copy()
-        f[:, r] = 0
-        # only rows nonzero at c in some lane change
-        hit = np.flatnonzero(f.any(axis=0))
-        m[:, hit, c:] = (m[:, hit, c:] - f[:, hit, None] * top[:, None, :]) % p
+        src = r + nonzero[0]
+        top = m[src, c:] * pow(int(m[src, c]), -1, p) % p
+        m[src, c:] = m[r, c:]
+        m[r, c:] = top
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        m[hit, c:] = (m[hit, c:] - m[hit, c, None] * top) % p
         pivots.append(c)
     return pivots
 
 
 class _IntRows:
-    """Rows over Z[zeta_8], kept as their nonzero coordinates."""
+    """The nonzero rows of an integer matrix, kept as their nonzero entries."""
 
     def __init__(self, rows: np.ndarray):
+        rows = rows[(rows != 0).any(axis=1)]
         self.shape = rows.shape
         self.index = np.flatnonzero(rows)
         self.values = rows.ravel()[self.index]
         self.max_abs = max(map(abs, self.values.tolist()), default=1)
 
-    def embedded(self, p: int, fwd: np.ndarray) -> np.ndarray:
-        """The images mod p under zeta_8 -> w^k, k = 1, 3, 5, 7: int64 (4, rows, ncols).
-
-        fwd holds the powers w^(jk) mod p, as _embedding_matrices returns it.
-        """
-        entry, coord = np.divmod(self.index, 4)
-        values = (self.values % p).astype(np.int64)
-        out = np.zeros((4, self.shape[0] * self.shape[1]), dtype=np.int64)
-        for k in range(4):
-            np.add.at(out[k], entry, values * fwd[coord, k] % p)
-        out %= p
-        return out.reshape(4, *self.shape[:2])
+    def mod(self, p: int) -> np.ndarray:
+        """The rows mod p, int64 in [0, p)."""
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
+        out[self.index] = self.values % p
+        return out.reshape(self.shape)
 
 
-def _nullspace_mod(rows: _IntRows, p: int) -> tuple[list[int], np.ndarray] | None:
-    """Pivots and normal-form nullspace coordinates (free, ncols, 4) mod p.
-
-    The images under zeta_8 -> w^k, k = 1, 3, 5, 7, are reduced together;
-    None when their pivots differ.
-    """
-    ncols = rows.shape[1]
-    fwd, inv = _embedding_matrices(p)
-    m = rows.embedded(p, fwd)
-    pivots = _rref_lanes(m, p)
-    if pivots is None:
-        return None
-    free = sorted(set(range(ncols)) - set(pivots))
-    vecs = np.zeros((4, len(free), ncols), dtype=np.int64)
-    vecs[:, range(len(free)), free] = 1
-    vecs[:, :, pivots] = (-m[:, :len(pivots), free]).transpose(0, 2, 1) % p
-    coords = _dot_mod(vecs.reshape(4, -1).T, inv, p)
-    return pivots, coords.reshape(len(free), ncols, 4)
+def _nullspace_mod(rows: _IntRows, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivots and normal-form nullspace vectors (free, ncols) mod p."""
+    m = rows.mod(p)
+    pivots = _rref_mod(m, p)
+    free = sorted(set(range(rows.shape[1])) - set(pivots))
+    vecs = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
+    vecs[range(len(free)), free] = 1
+    vecs[:, pivots] = (-m[:len(pivots), free]).T % p
+    return pivots, vecs
 
 
 def _ratrec(y: int, m: int, bound: int) -> int | None:
@@ -406,7 +356,7 @@ def _reconstruct(residues: np.ndarray, m: int) -> tuple[np.ndarray, list[int]] |
     """
     bound, limit = isqrt(m // 2), m >> 20
     out, dens = [], []
-    for vec in residues.reshape(len(residues), -1).tolist():
+    for vec in residues.tolist():
         den = 1
         for y in vec:
             z = y * den % m
@@ -429,26 +379,22 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
     """Exact check that vecs[i] / dens[i] is the normal-form basis vector of free[i].
 
     Checks the normal form (1 at its own free column, 0 at the others and
-    right of it) and A v = 0 by bounded CRT:
-    every coordinate of A v is an integer of absolute value at most
-    4 * ncols * max|A| * max|V|, so if it vanishes modulo primes whose
-    product exceeds twice that, it is 0.  A certificate prime q is 1 mod 8,
-    so Z[zeta_8]/q is F_q^4 through the four embeddings zeta_8 -> w^k, and
-    A v vanishes mod q exactly when all four embedded products A_k v_k do.
+    right of it) and A v = 0 by bounded CRT: every entry of A v is an
+    integer of absolute value at most ncols * max|A| * max|V| (Python ints,
+    so the bound cannot wrap), so if it vanishes modulo primes whose
+    product exceeds twice that, it is 0.
     """
     for i, f in enumerate(free):
         v = vecs[i]
-        if v[f].tolist() != [dens[i], 0, 0, 0] or v[free[:i]].any() or v[f + 1:].any():
+        if v[f] != dens[i] or v[free[:i]].any() or v[f + 1:].any():
             return False
-    bound = 4 * rows.shape[1] * rows.max_abs * max(map(abs, vecs.flat), default=0)
+    bound = rows.shape[1] * rows.max_abs * max(map(abs, vecs.flat), default=0)
     cleared = 1
     for q in CERTIFICATE_PRIMES:
         if cleared > 2 * bound:
             break
         counters["certificate_primes"] += 1
-        fwd, _ = _embedding_matrices(q)
-        v = _dot_mod((vecs % q).astype(np.int64), fwd, q)     # (free, ncols, 4)
-        if _dot_mod(rows.embedded(q, fwd), v.transpose(2, 1, 0), q).any():
+        if _dot_mod(rows.mod(q), (vecs.T % q).astype(np.int64), q).any():
             return False
         cleared *= q
     return cleared > 2 * bound
@@ -456,29 +402,25 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
 
 def certified_nullspace(rows: np.ndarray, ncols: int,
                         counters: Counter | None = None) -> list[list[CycNum]]:
-    """The nullspace basis of nullspace_from_rref(rref(rows)), computed mod p.
+    """The nullspace basis of nullspace_from_rref(rref(rows)) over Q, computed mod p.
 
-    rows is an integer array (nrows, ncols, 4) of Z[zeta_8] coordinates
-    (Python ints or int64).  Eliminates all rows modulo ELIMINATION_PRIMES
-    until the reconstructed basis passes _certify, at a prime where every
-    embedded rank is ncols - len(basis).  A rank mod p never exceeds the
-    true rank, so the nullity is at most len(basis); the certified vectors
-    are independent nullspace vectors in normal form, hence the unique
-    normal-form basis.  If the primes run out, falls back to exact rref on
-    the rows decoded to CycNum.  Counts primes, rejected primes,
+    rows is an integer matrix (nrows, ncols) of Python ints or int64.
+    Eliminates it modulo ELIMINATION_PRIMES until the reconstructed basis
+    passes _certify, at a prime where the rank is ncols - len(basis).  A
+    rank mod p never exceeds the true rank, so the nullity is at most
+    len(basis); the certified vectors are independent nullspace vectors in
+    normal form, hence the unique normal-form basis.  If the primes run
+    out, falls back to exact rref.  Counts primes, rejected primes,
     certificate primes and fallbacks in `counters`.
     """
     counters = Counter() if counters is None else counters
-    if not len(rows):
-        return [[ONE if i == f else ZERO for i in range(ncols)] for f in range(ncols)]
     int_rows = _IntRows(rows)
+    if not int_rows.shape[0]:
+        return [[ONE if i == f else ZERO for i in range(ncols)] for f in range(ncols)]
     pivots, combined = None, 0
     for p in ELIMINATION_PRIMES:
         counters["primes"] += 1
         got = _nullspace_mod(int_rows, p)
-        if got is None:
-            counters["primes_rejected"] += 1
-            continue
         if pivots is None or (-len(got[0]), got[0]) < (-len(pivots), pivots):
             # a rank mod p only drops, and among equal ranks the true pivots
             # come first, so everything combined so far was unlucky
@@ -494,14 +436,13 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
             combined += 1
         free = sorted(set(range(ncols)) - set(pivots))
         if not free:
-            return []       # full rank at p, hence over Q(zeta_8)
+            return []       # full rank at p, hence over Q
         rec = _reconstruct(residues, modulus)
         if rec is not None and _certify(int_rows, rec[0], rec[1], free, counters):
-            vecs, dens = rec
-            return [[CycNum._make(tuple(e), den) for e in vec.tolist()]
-                    for vec, den in zip(vecs, dens)]
+            return [[CycNum._make((n, 0, 0, 0), den) for n in vec.tolist()]
+                    for vec, den in zip(*rec)]
     counters["fallbacks"] += 1
-    reduced, pivots = rref([[CycNum._make(tuple(e), 1) for e in row] for row in rows.tolist()])
+    reduced, pivots = rref([[rational(x) for x in row] for row in rows.tolist()])
     return nullspace_from_rref(reduced, pivots, ncols)
 
 

@@ -7,6 +7,8 @@ the tests compare the two.
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from g9cov.covariants import CovariantSlice, FreenessError, RowReducer
 from g9cov.cyclo import CycNum, ONE, ZERO, rational
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
@@ -309,6 +311,17 @@ def int_rows(rows):
     nullspace unchanged.
     """
     return int_encoding(rows)[0]
+
+
+def stacked_rows(rows):
+    """CycNum rows B = sum_r B_r z^r as the integer matrix [B_0; B_1; B_2; B_3].
+
+    The rational rows certified_nullspace takes: over Q they have the
+    nullspace of B intersected with Q^ncols, each row of B scaled by its
+    least common denominator.
+    """
+    nums = int_rows(rows)
+    return np.concatenate(nums.transpose(2, 0, 1))
 
 
 def slice_dense(engine, rid, d):

@@ -79,17 +79,21 @@ def test_molien_all_reps(capsys):
 
 
 # sha256 of stdout: the molien pins cover every degree through 256 of all
-# 32 series, the verify pin every check's detail line
+# 32 series, the verify pin every check's detail line; the deep slice, a
+# basis reconstructed from 16 primes, guards the multiprime path
 PINNED_OUTPUTS = [
     (["verify"], "78737441582a6c61dbbecd1a3ce035d751f27406c2e619f64cdb08c32cf1643d"),
     (["molien", "--rep", "all", "--terms", "256", "--numerator"],
      "0e5b98642ed8fd34cec338b9b1cb5e4fc60f939d394642f4b846988736a0686d"),
     (["molien", "--rep", "all", "--terms", "256", "--numerator", "--format", "json"],
      "5e14d27315f681901124c3568042f495c4bd5930aeda9aba2b73b3289daccfdf"),
+    (["covariants", "--rep", "21", "--degree", "250"],
+     "4df4f6101febaa495523fdd7cbaecaeb89eb6a7166bbd9abc0ea11076efd2f21"),
 ]
 
 
-@pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS, ids=["verify", "molien", "molien-json"])
+@pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
+                         ids=["verify", "molien", "molien-json", "covariants-21-250"])
 def test_output_bytes_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from g9cov import reference
 from g9cov.cyclo import CycNum
 from g9cov.poly import BiPoly, fundamental_invariants
 from oracles import (covariance_check, int_rows, rep_matrices_exact, slice_dense,
-                     t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
+                     stacked_rows, t_rows_exact, tau_reduced_rows,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -321,7 +323,8 @@ def test_integer_t_rows_equal_exact_rows(engine):
     # the integer system is DEN times the CycNum rows, zero rows dropped, and
     # the swap-reduced system (which must pass its dropped-row check) is the
     # upper half of its rows times E; rho_30 in degree 255 has coefficients
-    # past 2^63, so nothing may wrap
+    # past 2^63, so nothing may wrap: the rows are int64 only through
+    # degree 59, where the entry bound of _t_rows fits
     from g9cov.reps import DEN
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + \
         [(25, 70), (30, 63), (30, 255)]
@@ -332,14 +335,17 @@ def test_integer_t_rows_equal_exact_rows(engine):
         if not coords:
             continue
         full = engine._t_rows(rep, d, coords)
-        assert full.shape == (rep.dim, d + 1, len(coords), 4) and full.dtype == object, (rid, d)
+        assert full.shape == (rep.dim, d + 1, len(coords), 4), (rid, d)
+        assert full.dtype == (np.int64 if d < 60 else object), (rid, d)
         got = full.reshape(-1, len(coords), 4)
         got = got[(got != 0).any(axis=(1, 2))]
         want = [r for r in t_rows_exact(rep, d, coords) if any(not x.is_zero() for x in r)]
         assert [[CycNum._make(tuple(e), DEN) for e in row] for row in got.tolist()] == want, \
             (rid, d)
         reps, mates, reduced = engine._tau_system(rep, d, coords)
-        assert reduced.tolist() == tau_reduced_rows(full, d, reps, mates), (rid, d)
+        assert reduced.dtype == full.dtype, (rid, d)
+        assert np.moveaxis(reduced, 0, -1).tolist() == tau_reduced_rows(full, d, reps, mates), \
+            (rid, d)
         checked += 1
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
@@ -361,7 +367,8 @@ def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
     monkeypatch.setattr(CycNum, "__init__", forbidden)
     monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
     reps, _, rows = eng._tau_system(rep, 27, coords)
-    got = linalg._nullspace_mod(linalg._IntRows(rows), linalg.ELIMINATION_PRIMES[0])
+    got = linalg._nullspace_mod(linalg._IntRows(np.concatenate(rows)),
+                                linalg.ELIMINATION_PRIMES[0])
     monkeypatch.undo()
     assert got is not None and len(got[0]) + len(got[1]) == len(reps)
     basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
@@ -375,9 +382,11 @@ def _oracle(rows, ncols):
 
 
 def test_certified_nullspace_equals_exact_rref(engine):
-    # the multimodular solver, on the full system and on the engine's
-    # swap-reduced one, against the exact elimination oracle on every slice
-    # with rows through degree 40, and on two deep slices
+    # the multimodular solver over Q, on the four coordinate rows of the full
+    # system and on the engine's swap-reduced one, against the exact
+    # elimination oracle over Q(zeta_8) on every slice with rows through
+    # degree 40, and on two deep slices: the rational descent of the module
+    # docstring, checked case by case
     from collections import Counter
     from g9cov.linalg import certified_nullspace
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + [(25, 70), (30, 63)]
@@ -387,7 +396,7 @@ def test_certified_nullspace_equals_exact_rref(engine):
         rows, ncols = _rows(engine, rid, d)
         if rows:
             want = _oracle(rows, ncols)
-            assert certified_nullspace(int_rows(rows), ncols, counters) == want, (rid, d)
+            assert certified_nullspace(stacked_rows(rows), ncols, counters) == want, (rid, d)
             # the swap-reduced system of the engine gives the same basis
             coords = engine._kept_coords(engine.reps[rid], d)
             assert [b.coeff_vector(coords) for b in engine.slice(rid, d).basis] == want, \
@@ -428,7 +437,7 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
                 # for rho_21 in degree 18 column 0 of the swap-reduced system
                 # is a pivot column left of vector 0's free column 5: caught
                 # by A v = 0
-                vecs[0, 0, 1] += 1
+                vecs[0, 0] += 1
             else:
                 # v_0 + v_1 stays in the nullspace but is nonzero at the free
                 # column of v_1: caught by the normal form
@@ -447,27 +456,30 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
 
 
 def test_certificate_needs_enough_primes(engine):
-    # a coordinate shifted by a product of certificate primes vanishes modulo
+    # an entry shifted by a product of certificate primes vanishes modulo
     # each of them; the magnitude bound must demand a prime that sees it,
-    # whichever of the four Z[zeta_8] coordinates is shifted
+    # at whichever pivot column of the first vector the shift lands
     from collections import Counter
     from math import prod
     from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows, int_encoding
     rows, ncols = _rows(engine, 29, 35)
     basis = _oracle(rows, ncols)
-    vecs, dens, _ = int_encoding(basis)
+    nums, dens, _ = int_encoding(basis)
+    vecs = nums[..., 0]
+    assert not nums[..., 1:].any()      # the basis is rational
     free = [max(c for c in range(ncols) if not v[c].is_zero()) for v in basis]
-    pivot = min(set(range(free[0])) - set(free))
-    system = _IntRows(int_rows(rows))
+    pivots = sorted(set(range(free[0])) - set(free))[:4]
+    assert len(pivots) == 4
+    system = _IntRows(stacked_rows(rows))
     counters = Counter()
     assert _certify(system, vecs, list(dens), free, counters)
     honest = counters["certificate_primes"]
-    for coord in range(4):
+    for pivot in pivots:
         for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
             bad = vecs.copy()
-            bad[0, pivot, coord] += shift
+            bad[0, pivot] += shift
             counters = Counter()
-            assert not _certify(system, bad, list(dens), free, counters), (coord, shift)
+            assert not _certify(system, bad, list(dens), free, counters), (pivot, shift)
             assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
         assert counters["certificate_primes"] > honest + 2
 
@@ -490,6 +502,31 @@ def _engine_with_images(sess, rid, img_t=None, img_d=None):
     fake = replace(rep, img_t=rep.img_t if img_t is None else img_t,
                    img_d=rep.img_d if img_d is None else img_d)
     return CovariantEngine(sess.table, [fake if r.rid == rid else r for r in sess.reps])
+
+
+def test_galois_instability_is_caught(sess):
+    # rho_21 conjugated by P = diag(1, z, 1) is an equivalent representation
+    # with the same D image, rho(tau) and central scalar, but
+    # sigma_3(rho(sigma_3(T))) = sigma_3(P) rho_21(T) sigma_3(P)^-1 is not
+    # its T image.  Its slices have irrational normal-form bases (degree 2:
+    # dimension 1 over Q(zeta_8), none over Q), so the rational solve must
+    # not run
+    from g9cov.covariants import CrossCheckError
+    from g9cov.cyclo import Z
+    from g9cov.linalg import Mat
+    p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
+    rep = sess.rep(21)
+    eng = _engine_with_images(sess, 21, img_t=p.matmul(rep.img_t).matmul(p_inv))
+    dense = slice_dense(eng, 21, 2)
+    assert dense.dim == 1
+    assert any(c.key()[1:4] != (0, 0, 0) for poly in dense.basis[0].components
+               for c in poly.terms.values())
+    with pytest.raises(CrossCheckError, match=r"rho_21: sigma_3\(rho\(sigma_3\(T\)\)\) "
+                                              r"is not rho\(T\)"):
+        eng.slice(21, 2)
+    # the genuine representations all pass
+    for rid in range(1, 33):
+        sess.engine._symmetry(rid)
 
 
 @pytest.mark.parametrize("fault", ["swap", "d_eigenvalue", "central", "tau_entries",

@@ -6,11 +6,10 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, Z, rational
+from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
-                          SingularMatrixError, _IntRows, _dot_mod, _embedding_matrices,
-                          _nullspace_mod,
+                          SingularMatrixError, _IntRows, _certify, _dot_mod, _nullspace_mod,
                           certified_nullspace, int_encoding, kron, mat_to_json,
                           nullspace_from_rref, rref, solve_exact)
 from oracles import _is_prime, _primes_1_mod_8, int_rows, mat_from_json, mat_pow
@@ -49,23 +48,30 @@ def cyc_rows(rows):
     return [[rational(x) for x in r] for r in rows]
 
 
+def q_rows(rows, ncols):
+    """Integer rows as the (nrows, ncols) matrix certified_nullspace takes."""
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
 def test_nullspace_examples():
-    assert certified_nullspace(int_rows(cyc_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])), 3) == []
-    assert certified_nullspace(int_rows(cyc_rows([[0, 0], [0, 0]])), 2) == \
-        [[ONE, ZERO], [ZERO, ONE]]
-    assert certified_nullspace(int_rows([]), 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert certified_nullspace(q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), 3) == []
+    assert certified_nullspace(q_rows([[0, 0], [0, 0]], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert certified_nullspace(q_rows([], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
     # hand elimination of [[1,1],[1,1]]: one free column, vector (-1, 1)
-    assert certified_nullspace(int_rows(cyc_rows([[1, 1], [1, 1]])), 2) == [[CycNum(-1), ONE]]
-    # one free column right of a fractional pivot: (-1/3 z, 1)
-    assert certified_nullspace(int_rows(cyc_rows([[3, Z]])), 2) == \
-        [[CycNum(0, Fraction(-1, 3)), ONE]]
+    assert certified_nullspace(q_rows([[1, 1], [1, 1]], 2), 2) == [[CycNum(-1), ONE]]
+    # one free column right of a fractional pivot: (-1/3, 1)
+    assert certified_nullspace(q_rows([[3, 1]], 2), 2) == [[CycNum(Fraction(-1, 3)), ONE]]
+    # int64 rows give the same basis as Python ints
+    assert certified_nullspace(np.array([[3, 1]], dtype=np.int64), 2) == \
+        [[CycNum(Fraction(-1, 3)), ONE]]
 
 
 def test_nullspace_exactness_and_rank():
     rng = random.Random(9)
     for _ in range(20):
-        rows = cyc_rows([[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)])
-        basis = certified_nullspace(int_rows(rows), 5)
+        ints = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)]
+        rows = cyc_rows(ints)
+        basis = certified_nullspace(q_rows(ints, 5), 5)
         assert basis == oracle_nullspace(rows, 5)
         m = Mat.from_rows(rows)
         for v in basis:
@@ -73,19 +79,20 @@ def test_nullspace_exactness_and_rank():
         assert len(rref([list(v) for v in basis])[1]) == len(basis)   # independent
 
 
-def test_certified_nullspace_matches_rref_on_cyclotomic_rows():
-    # dependent rows with fractional cyclotomic entries: low rank, many free columns
+def test_certified_nullspace_matches_rref_on_rational_rows():
+    # dependent rows with fractional entries, each scaled to integers by its
+    # least common denominator: low rank, many free columns
     rng = random.Random(33)
     counters = Counter()
     for _ in range(15):
         ncols = rng.randint(2, 9)
-        base = [[CycNum(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)])
+        base = [[rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                  if rng.random() < 0.6 else ZERO for _ in range(ncols)]
                 for _ in range(rng.randint(1, 4))]
         rows = base + [[sum((rng.randint(-3, 3) * r[c] for r in base), ZERO)
                         for c in range(ncols)] for _ in range(3)]
         rng.shuffle(rows)
-        assert certified_nullspace(int_rows(rows), ncols, counters) == \
+        assert certified_nullspace(int_rows(rows)[..., 0], ncols, counters) == \
             oracle_nullspace(rows, ncols)
     assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
 
@@ -103,26 +110,13 @@ def test_prime_tables():
         [n for n in range(9, 5000, 2) if all(n % q for q in range(3, isqrt(n) + 1, 2))]
 
 
-def test_embedding_matrices_invert():
-    # coordinates -> embeddings -> coordinates is the identity mod p; the
-    # matrices are built once per prime and shared read-only
-    for p in ELIMINATION_PRIMES[:2]:
-        fwd, inv = _embedding_matrices(p)
-        assert _embedding_matrices(p)[0] is fwd
-        assert not fwd.flags.writeable and not inv.flags.writeable
-        back = (np.array(fwd, dtype=object) @ np.array(inv, dtype=object)) % p
-        assert (back == np.eye(4, dtype=np.int64)).all()
-        w = int(fwd[1, 0])
-        assert pow(w, 4, p) == p - 1
-
-
 def test_dot_mod_no_overflow():
-    # signed 2-d operands at an elimination prime; four batched lanes with
-    # entries near a certificate prime, summed over more than one inner block
+    # signed operands at an elimination prime; entries near a certificate
+    # prime, summed over more than one inner block
     rng = np.random.default_rng(1)
     p, q = ELIMINATION_PRIMES[0], CERTIFICATE_PRIMES[0]
     cases = [(p, rng.integers(0, p, (3, 40)), rng.integers(-p + 1, p, (40, 2))),
-             (q, rng.integers(q - 50, q, (4, 3, 5000)), rng.integers(q - 50, q, (4, 5000, 2)))]
+             (q, rng.integers(q - 50, q, (3, 5000)), rng.integers(q - 50, q, (5000, 2)))]
     for p, a, b in cases:
         want = (a.astype(object) @ b.astype(object)) % p
         got = _dot_mod(a, b, p)
@@ -146,65 +140,54 @@ def test_rank_drop_at_a_prime_is_rejected():
     # (-1, 1) read off at p must not survive, the next prime supersedes it
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
-    assert certified_nullspace(int_rows(cyc_rows([[1, 1], [1, 1 + p]])), 2, counters) == []
+    assert certified_nullspace(q_rows([[1, 1], [1, 1 + p]], 2), 2, counters) == []
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
     assert counters["fallbacks"] == 0
-
-
-def test_rank_drop_in_one_embedding_is_rejected():
-    # z - w vanishes under zeta_8 -> w modulo p only, so the four embedded
-    # ranks of [[1, 1], [1, 1 + z - w]] disagree at p
-    p = ELIMINATION_PRIMES[0]
-    w = int(_embedding_matrices(p)[0][1, 0])
-    counters = Counter()
-    rows = cyc_rows([[1, 1], [1, 1 + Z - w]])
-    assert certified_nullspace(int_rows(rows), 2, counters) == oracle_nullspace(rows, 2) == []
-    assert counters["primes"] == 2 and counters["primes_rejected"] == 1
 
 
 def test_pivot_shift_at_a_prime_is_rejected():
     # [[p, 1]]: modulo p the pivot moves from column 0 to column 1 at equal rank
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
-    rows = cyc_rows([[p, 1]])
-    assert certified_nullspace(int_rows(rows), 2, counters) == [[CycNum(Fraction(-1, p)), ONE]]
+    assert certified_nullspace(q_rows([[p, 1]], 2), 2, counters) == \
+        [[CycNum(Fraction(-1, p)), ONE]]
     assert counters["primes_rejected"] == 1 and counters["fallbacks"] == 0
 
 
 def test_rank_drop_at_a_later_column_is_rejected():
-    # the four embeddings of [[1, 1, 1], [1, 1, 1 + z - w]] all pivot at
-    # column 0, none at column 1, and only the image under zeta_8 -> w lacks
-    # a pivot at column 2: the batched elimination must reject p there
+    # [[1, 1, 1], [1, 1, 1 + p]] pivots at column 0 and, over Q, at column 2;
+    # modulo p it has no second pivot, so p's nullspace (two free columns)
+    # must give way to the next prime's (one free column)
     p = ELIMINATION_PRIMES[0]
-    w = int(_embedding_matrices(p)[0][1, 0])
-    rows = cyc_rows([[1, 1, 1], [1, 1, 1 + Z - w]])
-    assert _nullspace_mod(_IntRows(int_rows(rows)), p) is None
+    ints = [[1, 1, 1], [1, 1, 1 + p]]
+    assert _nullspace_mod(_IntRows(q_rows(ints, 3)), p)[0] == [0]
     counters = Counter()
-    assert certified_nullspace(int_rows(rows), 3, counters) == oracle_nullspace(rows, 3)
+    assert certified_nullspace(q_rows(ints, 3), 3, counters) == \
+        oracle_nullspace(cyc_rows(ints), 3)
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
     assert counters["fallbacks"] == 0
 
 
-def test_embeddings_may_pivot_and_eliminate_on_different_rows():
-    # z - w^3 vanishes only under zeta_8 -> w^3, so that embedding takes
-    # row 1 as its column-0 pivot and the other three take row 0; z - w
-    # vanishes only under zeta_8 -> w, so row 2 is eliminated at column 0 in
-    # the other three alone.  Ranks and pivot columns agree: no prime is
-    # rejected
-    p = ELIMINATION_PRIMES[0]
-    fwd = _embedding_matrices(p)[0]
-    w, w3 = int(fwd[1, 0]), int(fwd[1, 1])
-    rows = cyc_rows([[Z - w3, 1, 1, 0], [1, 0, 1, 2], [Z - w, 1, 0, 1], [2, 0, 2, 4]])
-    got = _nullspace_mod(_IntRows(int_rows(rows)), p)
-    want = oracle_nullspace(rows, 4)
-    nums, dens, _ = int_encoding(want)
-    assert got is not None and got[0] == [0, 1, 2]
-    # the residues themselves: CRT and reconstruction could mask one bad prime
-    assert got[1].tolist() == [[[n * pow(den, -1, p) % p for n in e] for e in vec]
-                               for vec, den in zip(nums.tolist(), dens.tolist())]
+def test_certificate_bound_is_not_int64():
+    # an int64 system with entries near 2^40 and a basis vector (-b, a) / a:
+    # ncols * max|B| * max|V| is about 2^81, past int64.  A pivot entry
+    # shifted by the product of the first three certificate primes vanishes
+    # modulo each of them; only a bound computed without wrapping asks for
+    # the fourth, which sees it
+    a, b = 2 ** 40 + 15, 2 ** 40 - 3
+    rows = np.array([[a, b], [2 * a, 2 * b]], dtype=np.int64)
+    system = _IntRows(rows)
+    vecs = np.array([[-b, a]], dtype=object)
     counters = Counter()
-    assert certified_nullspace(int_rows(rows), 4, counters) == want
-    assert counters["primes_rejected"] == 0 and counters["fallbacks"] == 0
+    assert 2 * a * a > 2 ** 63 and _certify(system, vecs, [a], [1], counters)
+    assert counters["certificate_primes"] == 4
+    shift = CERTIFICATE_PRIMES[0] * CERTIFICATE_PRIMES[1] * CERTIFICATE_PRIMES[2]
+    bad = vecs.copy()
+    bad[0, 0] += shift
+    counters = Counter()
+    assert not _certify(system, bad, [a], [1], counters)
+    assert counters["certificate_primes"] == 4
+    assert certified_nullspace(rows, 2) == [[CycNum(Fraction(-b, a)), ONE]]
 
 
 def test_kron_reference_values():
