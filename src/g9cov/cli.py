@@ -150,6 +150,7 @@ def _molien_payload(sess: Session, rid: int, terms: int) -> dict:
 
 def cmd_molien(args, sess: Session) -> int:
     rids = list(range(1, 33)) if args.rep == "all" else [_rep_id(args.rep)]
+    sess.engine.build_images(rids)
     payloads = [_molien_payload(sess, rid, args.terms) for rid in rids]
     if args.format == "json":
         data = payloads[0] if len(payloads) == 1 else payloads

@@ -89,9 +89,10 @@ and the character-theoretic pipeline certify each other degree by degree.
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1.  The sweep stops at the top degree
-of the Molien numerator.  The module is free (Chevalley, Amer. J. Math.
-77 (1955)), so by Stanley's criterion (Bull. AMS 1 (1979)) rank-many
+normalized to leading coefficient 1 (RowReducer, over Q on integer rows:
+the slice bases, theta and phi are rational).  The sweep stops at the top
+degree of the Molien numerator.  The module is free (Chevalley, Amer. J.
+Math. 77 (1955)), so by Stanley's criterion (Bull. AMS 1 (1979)) rank-many
 covariants, independent over C[theta, phi] and with the numerator's
 exponents as degrees, are a basis.  generators() checks count and degrees
 exactly.  verify_free proves independence and span without elimination:
@@ -117,7 +118,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -211,30 +212,27 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
 
 
 class RowReducer:
-    """Incremental row echelon form over Q(zeta_8) for rank questions."""
+    """Incremental row echelon form over Q on integer rows; entries outside Q raise ValueError."""
 
     def __init__(self):
-        self.rows: dict[int, list[CycNum]] = {}
-
-    def reduce(self, vec: list[CycNum]) -> list[CycNum]:
-        vec = list(vec)
-        for col in sorted(self.rows):
-            c = vec[col]
-            if not c.is_zero():
-                row = self.rows[col]
-                vec = [v - c * r for v, r in zip(vec, row)]
-        return vec
+        self.rows: dict[int, list[int]] = {}
 
     def add(self, vec: list[CycNum]) -> list[CycNum] | None:
         """Insert a vector; returns the normalized residual, None if dependent."""
-        red = self.reduce(vec)
-        pivot = next((i for i, v in enumerate(red) if not v.is_zero()), None)
+        keys = [x.key() for x in vec]
+        if any(k[1] or k[2] or k[3] for k in keys):
+            raise ValueError("RowReducer works over Q: an entry has a nonzero zeta_8 coordinate")
+        den = lcm(*(k[4] for k in keys))
+        red = [k[0] * (den // k[4]) for k in keys]
+        for col, row in sorted(self.rows.items()):
+            if c := red[col]:
+                red = [row[col] * v - c * r for v, r in zip(red, row)]
+        pivot = next((i for i, v in enumerate(red) if v), None)
         if pivot is None:
             return None
-        inv = red[pivot].inverse()
-        red = [inv * v for v in red]
-        self.rows[pivot] = red
-        return red
+        g = gcd(*red) if red[pivot] > 0 else -gcd(*red)
+        red = self.rows[pivot] = [v // g for v in red]
+        return [CycNum._make((v, 0, 0, 0), red[pivot]) if v else ZERO for v in red]
 
 
 def _galois(x: np.ndarray, k: int) -> np.ndarray:
@@ -289,9 +287,15 @@ class CovariantEngine:
     # -- cached building blocks ---------------------------------------------------
 
     def matrices(self, rid: int) -> np.ndarray:
-        if rid not in self._mats:
-            self._mats[rid] = rep_matrices(self.reps[rid], self.table)
+        self.build_images([rid])
         return self._mats[rid]
+
+    def build_images(self, rids: list[int]) -> None:
+        """Build the images of rids not yet built, one rep_matrices call per dimension."""
+        missing = [self.reps[rid] for rid in rids if rid not in self._mats]
+        for m in sorted({r.dim for r in missing}):
+            batch = [r for r in missing if r.dim == m]
+            self._mats.update(zip((r.rid for r in batch), rep_matrices(batch, self.table)))
 
     def molien(self, rid: int) -> MolienResult:
         if rid not in self._molien:
@@ -562,25 +566,28 @@ class CovariantEngine:
         """
         genset = self.generators(rid)
         mol = self.molien(rid)
-        for d in range(FREENESS_DEGREE + 1):
-            # products theta^a phi^b g_j of degree d: d - d_j - 24 b = 8 a >= 0
-            count = sum(1 for dj in genset.degrees for b24 in range(0, d - dj + 1, 24)
-                        if (d - dj - b24) % 8 == 0)
-            if count != mol.coefficient(d):
+        # the products theta^a phi^b g_j by degree d_j + 8 a + 24 b
+        top = FREENESS_DEGREE + 1
+        count = Counter(dj + b24 + a8 for dj in genset.degrees for b24 in range(0, top - dj, 24)
+                        for a8 in range(0, top - dj - b24, 8))
+        for d in range(top):
+            if count[d] != mol.coefficient(d):
                 raise FreenessError(
-                    f"rho_{rid} degree {d}: {count} products, "
+                    f"rho_{rid} degree {d}: {count[d]} products, "
                     f"Molien coefficient {mol.coefficient(d)}")
-        # forms of degrees 8 and 24 are algebraically dependent exactly when
-        # one is zero or phi is a constant multiple of theta^3
-        theta3 = self.theta ** 3
-        if theta3.is_zero() or self.phi.is_zero() or (
-                self.phi.normalized() == theta3.normalized()):
-            raise FreenessError(
-                f"rho_{rid}: theta and phi are algebraically dependent")
+        if not self._invariants_independent:
+            raise FreenessError(f"rho_{rid}: theta and phi are algebraically dependent")
         if self.generator_det(rid).is_zero():
             raise FreenessError(f"rho_{rid}: generator determinant is zero")
         return {"rep": rid, "degrees_checked": FREENESS_DEGREE + 1,
                 "generator_degrees": genset.degrees}
+
+    @cached_property
+    def _invariants_independent(self) -> bool:
+        """theta and phi are nonzero and phi is not a multiple of theta^3 (module docstring)."""
+        theta3 = self.theta ** 3
+        return not (theta3.is_zero() or self.phi.is_zero()
+                    or self.phi.normalized() == theta3.normalized())
 
     # -- determinant factorization -----------------------------------------------------
 

@@ -214,9 +214,8 @@ for _p in range(4):
 
 
 def right_factor(b: np.ndarray) -> np.ndarray:
-    """R with a.reshape(-1, 4m) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b m x m."""
-    m = len(b)
-    return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * m, 4 * m)
+    """R with a.reshape(-1, 4k) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b k x m."""
+    return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * len(b), -1)
 
 
 def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.ndarray, int]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cyclo import CycNum
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, Mat
+from .linalg import CYC_STRUCT, Mat, right_factor
 from .reps import DEN, Representation, class_traces, decode
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
 from .reps import rep_matrices  # noqa: F401
@@ -118,13 +118,13 @@ def molien_series(rep: Representation, table: GroupTable,
     """Exact equivariant Molien numerator of rep.
 
     One int64 sum over the classes of |C| tr rho(s^-1) Q_c with traces over
-    reps.DEN; each coefficient must be a non-negative integer, and they
-    must sum to dim(rho).
+    reps.DEN: the (TOP + 1) x 32 matrix of the Q_c times that column.  Each
+    coefficient must be a non-negative integer, and they must sum to dim(rho).
     """
     chi_inv = class_traces(mats[table.inverse], table)
-    numerators = np.stack([_class_numerator(*factor) for factor in _class_factors(table)])
-    acc = np.einsum("c,cp,cnq,pqr->nr", class_sizes(table), chi_inv, numerators,
-                    CYC_STRUCT, optimize=True)
+    numerators = np.stack([_class_numerator(*f) for f in _class_factors(table)], axis=1)
+    weights = chi_inv[:, None] * np.array(class_sizes(table))[:, None, None]
+    acc = numerators.reshape(TOP + 1, -1) @ right_factor(weights)
     scale = len(table) * DEN
     bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] % scale != 0) | (acc[:, 0] < 0))
     if len(bad):

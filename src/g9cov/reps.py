@@ -25,12 +25,13 @@ numbering (rows 29..31).
 
 Every image entry lies in (1/4) Z[zeta_8]: rep_matrices builds the images
 of all elements BFS layer by layer as one int64 array per representation,
-(|G|, m, m, 4) coordinates over DEN = 4.  The homomorphism check, the class
-traces, the census Gram matrix, the central scalar and the Molien sums read
-these arrays.  Each integer path ends in an exact check: divisibility and
-|coordinate| <= COORD_BOUND per layer (so an image product, m <= 4 times 16
-coordinate products, stays below 2^63), the Gram equality, and Molien
-integrality.
+(|G|, m, m, 4) coordinates over DEN = 4, one BFS for all the given reps of
+one dimension (an all-rep read runs one per dimension).  The homomorphism
+check, the class traces, the census Gram matrix, the central scalar and the
+Molien sums read these arrays.  Each integer path ends in an exact check:
+divisibility and |coordinate| <= COORD_BOUND per layer (so an image
+product, m <= 4 times 16 coordinate products, stays below 2^63), the Gram
+equality, and Molien integrality.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .cyclo import CycNum, I_UNIT, ONE, ZERO
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, Mat, int_encoding, kron, right_factor, solve_exact
+from .linalg import Mat, int_encoding, kron, right_factor, solve_exact
 
 LINEAR_IMAGES = [
     (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT),
@@ -82,10 +83,10 @@ class Representation:
 def _check_relations(rid: int, img_t: Mat, img_d: Mat) -> None:
     t, d = encode(rid, img_t), encode(rid, img_d)
     ident = scalar_image(len(t), [DEN, 0, 0, 0])
-    if not np.array_equal(_times(rid, t, right_factor(t), "T^2"), ident):
+    if not np.array_equal(_times([rid], t, right_factor(t), "T^2"), ident):
         raise ExtractionError(f"rho_{rid}: T image is not an involution")
-    d2 = _times(rid, d, right_factor(d), "D^2")
-    if not np.array_equal(_times(rid, d2, right_factor(d2), "D^4"), ident):
+    d2 = _times([rid], d, right_factor(d), "D^2")
+    if not np.array_equal(_times([rid], d2, right_factor(d2), "D^4"), ident):
         raise ExtractionError(f"rho_{rid}: D image has order not dividing 4")
 
 
@@ -188,33 +189,41 @@ def _check_bound(rid: int, nums: np.ndarray) -> None:
         raise ImageError(f"rho_{rid}: an image coordinate exceeds {COORD_BOUND}")
 
 
-def _times(rid: int, a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
-    """a b over DEN for images a (..., m, m, 4), factor = right_factor(b); ImageError names what."""
-    prod, rem = np.divmod(a.reshape(-1, len(factor)) @ factor, DEN)
-    if rem.any():
-        raise ImageError(f"rho_{rid}: {what} is not in (1/{DEN}) Z[zeta_8]")
-    _check_bound(rid, prod)
-    return prod.reshape(a.shape)
-
-
-def rep_matrices(rep: Representation, table: GroupTable) -> np.ndarray:
-    """Images of all elements: a read-only (|G|, m, m, 4) int64 array over DEN.
-
-    Per BFS layer and generator s, the elements whose word ends in s get
-    their parents' images times rho(s); ImageError names the representation.
+def _times(rids: list[int], a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
+    """a b over DEN for the images a (n, ..., m, m, 4) of reps rids, factor = right_factor(b)
+    or one per rep stacked (n, 4m, 4m); ImageError names the first rep that fails.
     """
-    m = rep.dim
-    factors = {name: right_factor(encode(rep.rid, rep.image(name))) for name in table.gens}
-    out = np.zeros((len(table), m, m, 4), dtype=np.int64)
-    out[table.identity] = scalar_image(m, [DEN, 0, 0, 0])
+    full = a.reshape(len(rids), -1, factor.shape[-1]) @ factor
+    for bad, text in ((full % DEN, f"{what} is not in (1/{DEN}) Z[zeta_8]"),
+                      (np.abs(full) > DEN * COORD_BOUND,
+                       f"an image coordinate exceeds {COORD_BOUND} in {what}")):
+        if bad.any():
+            rid = rids[int(bad.reshape(len(rids), -1).any(axis=1).argmax())]
+            raise ImageError(f"rho_{rid}: {text}")
+    return (full // DEN).reshape(a.shape)
+
+
+def rep_matrices(reps: list[Representation], table: GroupTable) -> list[np.ndarray]:
+    """Images of all elements under representations of one dimension m.
+
+    Returns one read-only (|G|, m, m, 4) int64 array over DEN per rep.  One
+    BFS serves them all: per layer and generator s, the elements whose word
+    ends in s get their parents' images times rho(s), for every rep in one
+    batched matmul; ImageError names the representation that failed.
+    """
+    m, rids = reps[0].dim, [r.rid for r in reps]
+    factors = {name: np.stack([right_factor(encode(r.rid, r.image(name))) for r in reps])
+               for name in table.gens}
+    out = np.zeros((len(reps), len(table), m, m, 4), dtype=np.int64)
+    out[:, table.identity] = scalar_image(m, [DEN, 0, 0, 0])
     steps: dict[tuple[int, str], list[int]] = {}
     for e in table.elements[1:]:          # element 0 is the identity
         steps.setdefault((len(e.word), e.last), []).append(e.index)
     for (length, name), kids in steps.items():
-        out[kids] = _times(rep.rid, out[[table.elements[k].parent for k in kids]],
-                           factors[name], f"an image of word length {length}")
+        out[:, kids] = _times(rids, out[:, [table.elements[k].parent for k in kids]],
+                              factors[name], f"an image of word length {length}")
     out.flags.writeable = False
-    return out
+    return list(out)
 
 
 def class_traces(images: np.ndarray, table: GroupTable) -> np.ndarray:
@@ -231,9 +240,10 @@ def character_gram(traces: np.ndarray, table: GroupTable) -> np.ndarray:
     """|G| DEN^2 <chi_i, chi_j> for trace numerators X: X diag|C| conj(X)^T in int64."""
     if np.abs(traces).max() > TRACE_BOUND:
         raise CensusError(f"a trace coordinate exceeds {TRACE_BOUND}")
+    n = len(traces)
     conj = traces[..., [0, 3, 2, 1]] * np.array([1, -1, -1, -1])
-    return np.einsum("icp,c,jcq,pqr->ijr", traces, class_sizes(table), conj,
-                     CYC_STRUCT, optimize=True)
+    weighted = conj.transpose(1, 0, 2) * np.array(class_sizes(table))[:, None, None]
+    return (traces.reshape(n, -1) @ right_factor(weighted)).reshape(n, n, 4)
 
 
 def verify_census(reps: list[Representation], table: GroupTable,

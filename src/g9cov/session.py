@@ -4,7 +4,9 @@ Building the session (group closure, Cayley table, conjugacy classes, 32
 generator image pairs) takes about 15 ms on a 2-core x86-64 box and builds
 no image.  The integer images (`mats`, see reps), their class traces
 (`traces`), the characters (`chars`) and everything downstream are built on
-first read and cached; tests and CLI commands share one session.
+first read and cached; tests and CLI commands share one session.  `traces`
+and `molien --rep all` build every missing image, one reps.rep_matrices call
+per dimension; any other read builds one representation's images.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class Session:
     @cached_property
     def traces(self) -> np.ndarray:
         """(32, 32, 4) class-trace numerators over reps.DEN, rows by rep id."""
+        self.engine.build_images(list(self.engine.reps))
         return character_table([self.mats[r.rid] for r in self.reps], self.table)
 
     @cached_property

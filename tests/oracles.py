@@ -45,6 +45,31 @@ def rep_matrices_exact(rep, table):
     return tuple(mats)
 
 
+class CycRowReducer:
+    """Incremental row echelon form over Q(zeta_8) on CycNum entries.
+
+    The reference for covariants.RowReducer, which reduces rational rows as
+    integer numerators: the same normalized residuals, in the same order.
+    """
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec):
+        """Insert a vector; returns the normalized residual, None if dependent."""
+        vec = list(vec)
+        for col in sorted(self.rows):
+            c = vec[col]
+            if not c.is_zero():
+                vec = [v - c * r for v, r in zip(vec, self.rows[col])]
+        pivot = next((i for i, v in enumerate(vec) if not v.is_zero()), None)
+        if pivot is None:
+            return None
+        inv = vec[pivot].inverse()
+        self.rows[pivot] = vec = [inv * v for v in vec]
+        return vec
+
+
 def mat_pow(m, k):
     """m^k for a square Mat and k >= 0 by repeated squaring."""
     if m.rows != m.cols:

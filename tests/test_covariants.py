@@ -1,11 +1,15 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from g9cov import reference
-from g9cov.cyclo import CycNum
+from g9cov.covariants import RowReducer
+from g9cov.cyclo import CycNum, ONE, ZERO
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (covariance_check, int_rows, rep_matrices_exact, slice_dense,
-                     stacked_rows, t_rows_exact, tau_reduced_rows,
+from oracles import (CycRowReducer, covariance_check, int_rows, rep_matrices_exact,
+                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
                      verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
@@ -109,6 +113,34 @@ def test_free_module_spans(engine):
         report = engine.verify_free(rid)
         assert report["degrees_checked"] == 65
         assert verify_free_by_elimination(engine, rid, 64) == report
+
+
+def test_row_reducer_equals_cyclotomic_reference():
+    # random rational vectors, some of them combinations of earlier ones:
+    # the integer reducer gives the CycNum reference's residuals, in order
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        vecs = []
+        for _ in range(rng.randint(1, 10)):
+            if vecs and rng.random() < 0.3:
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in vecs]
+                vecs.append([sum((c * v[i] for c, v in zip(coeffs, vecs)), ZERO)
+                             for i in range(n)])
+            else:
+                vecs.append([CycNum(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                             if rng.random() < 0.7 else ZERO for _ in range(n)])
+        fast, ref = RowReducer(), CycRowReducer()
+        assert [fast.add(v) for v in vecs] == [ref.add(v) for v in vecs], trial
+
+
+def test_row_reducer_rejects_irrational_entries():
+    reducer = RowReducer()
+    reducer.add([ONE, ZERO])
+    with pytest.raises(ValueError, match="RowReducer works over Q"):
+        reducer.add([ONE, CycNum.zeta(1)])
+    with pytest.raises(ValueError, match="RowReducer works over Q"):
+        reducer.add([CycNum(0, 0, 0, 1, den=3), ONE])
 
 
 def _engine_with_generators(sess, rid, gens):

@@ -8,6 +8,8 @@ from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import standard_generators
 from g9cov.linalg import CYC_STRUCT, Mat, kron
 from g9cov.group import class_sizes
+from g9cov.covariants import CovariantEngine
+from g9cov.session import Session
 from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, character_gram, decode,
                         extract_subrep, rep_matrices, verify_census, verify_homomorphism)
@@ -213,7 +215,7 @@ def test_wrong_generator_image_fails_edge_check(table):
     t, _ = standard_generators()
     bad = Representation(9, 2, t, Mat.diagonal([1, CycNum.zeta(1)]))
     with pytest.raises(CensusError, match="rho_9: homomorphism fails"):
-        verify_homomorphism(bad, table, rep_matrices(bad, table))
+        verify_homomorphism(bad, table, rep_matrices([bad], table)[0])
 
 
 def test_kernel_images_equal_exact_oracle(sess):
@@ -238,7 +240,35 @@ def test_kernel_rejects_images_outside_its_range(table, d_entry, match):
     # D = [[2^27]] is 2^29 quarters; D = [[2^20]]: D^2 is 2^42 quarters
     bad = Representation(1, 1, Mat.from_rows([[1]]), Mat.from_rows([[d_entry]]))
     with pytest.raises(ImageError, match=match):
-        rep_matrices(bad, table)
+        rep_matrices([bad], table)
+
+
+def test_images_read_through_traces_equal_exact_oracle(sess):
+    # an all-rep read builds the images one dimension batch at a time
+    fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
+    assert np.array_equal(fresh.traces, sess.traces)
+    assert sorted(fresh.engine._mats) == list(range(1, 33))
+    for r in sess.reps:
+        images = fresh.engine._mats[r.rid]
+        assert not images.flags.writeable
+        assert decode_images(images) == list(rep_matrices_exact(r, sess.table)), r.rid
+
+
+@pytest.mark.parametrize("rid, scale, match", [
+    (5, Fraction(1, 4), r"rho_5: an image of word length 2 is not in \(1/4\)"),
+    (5, 2 ** 20,
+     rf"rho_5: an image coordinate exceeds {COORD_BOUND} in an image of word length 2$"),
+    (27, Fraction(1, 4), r"rho_27: an image of word length 2 is not in \(1/4\)"),
+], ids=["rho5-quarter", "rho5-bound", "rho27-quarter"])
+def test_batched_images_name_the_failing_rep(sess, rid, scale, match):
+    # a bad D image on a rep that is not first in its dimension batch: the
+    # error names that rep and the word length, not the batch's first rep
+    reps = [Representation(r.rid, r.dim, r.img_t, r.img_d.scale(scale)) if r.rid == rid else r
+            for r in sess.reps]
+    assert next(r.rid for r in reps if r.dim == by_id(reps, rid).dim) != rid
+    fresh = Session(sess.table, reps, CovariantEngine(sess.table, reps))
+    with pytest.raises(ImageError, match=match):
+        fresh.traces
 
 
 def test_integer_gram_equals_inner_product(sess):
