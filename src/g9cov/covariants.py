@@ -89,13 +89,15 @@ and the character-theoretic pipeline certify each other degree by degree.
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1 (RowReducer, over Q on integer rows:
-the slice bases, theta and phi are rational).  The sweep stops at the top
-degree of the Molien numerator.  The module is free (Chevalley, Amer. J.
-Math. 77 (1955)), so by Stanley's criterion (Bull. AMS 1 (1979)) rank-many
-covariants, independent over C[theta, phi] and with the numerator's
-exponents as degrees, are a basis.  generators() checks count and degrees
-exactly.  verify_free proves independence and span without elimination:
+normalized to leading coefficient 1 (RowReducer, over Q, Fractions in and
+out: the slice bases, theta and phi are rational, so every covariant,
+generator and determinant has int and Fraction coefficients).  The sweep
+stops at the top degree of the Molien numerator.  The module is free
+(Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's criterion (Bull. AMS
+1 (1979)) rank-many covariants, independent over C[theta, phi] and with
+the numerator's exponents as degrees, are a basis.  generators() checks
+count and degrees exactly.  verify_free proves independence and span
+without elimination:
 
   * det[g_1 .. g_m] != 0 (generator_det, shared with det_relation; for
     rank 1 the generator itself), so the g_j are independent over C(x, y);
@@ -117,18 +119,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
 import numpy as np
 
-from .cyclo import CycNum, ZERO
+from .cyclo import CycNum
 from .group import GroupTable
 from .linalg import CYC_STRUCT, Mat, certified_nullspace, int_encoding
 # rref is re-exported: perfbench/spans.py wraps it under this name
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
-from .poly import BiPoly, VecPoly, fundamental_invariants
+from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, decode, rep_matrices, scalar_image
 from . import reference
 
@@ -212,18 +215,17 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
 
 
 class RowReducer:
-    """Incremental row echelon form over Q on integer rows; entries outside Q raise ValueError."""
+    """Incremental row echelon form over Q; an entry not int or Fraction raises ValueError."""
 
     def __init__(self):
         self.rows: dict[int, list[int]] = {}
 
-    def add(self, vec: list[CycNum]) -> list[CycNum] | None:
+    def add(self, vec: list[Fraction]) -> list[Fraction] | None:
         """Insert a vector; returns the normalized residual, None if dependent."""
-        keys = [x.key() for x in vec]
-        if any(k[1] or k[2] or k[3] for k in keys):
-            raise ValueError("RowReducer works over Q: an entry has a nonzero zeta_8 coordinate")
-        den = lcm(*(k[4] for k in keys))
-        red = [k[0] * (den // k[4]) for k in keys]
+        if not all(isinstance(x, (int, Fraction)) for x in vec):
+            raise ValueError("RowReducer works over Q: an entry is not an int or a Fraction")
+        den = lcm(*(x.denominator for x in vec))
+        red = [x.numerator * (den // x.denominator) for x in vec]
         for col, row in sorted(self.rows.items()):
             if c := red[col]:
                 red = [row[col] * v - c * r for v, r in zip(red, row)]
@@ -232,7 +234,7 @@ class RowReducer:
             return None
         g = gcd(*red) if red[pivot] > 0 else -gcd(*red)
         red = self.rows[pivot] = [v // g for v in red]
-        return [CycNum._make((v, 0, 0, 0), red[pivot]) if v else ZERO for v in red]
+        return [Fraction(v, red[pivot]) for v in red]
 
 
 def _galois(x: np.ndarray, k: int) -> np.ndarray:
@@ -484,7 +486,7 @@ class CovariantEngine:
             self.counters["cells"] += rows.shape[1] * rows.shape[2]
             basis = []
             for u in reduced:       # E u: the coefficients at every kept coordinate
-                vec = [ZERO] * len(coords)
+                vec = [0] * len(coords)
                 for g, i in enumerate(reps):
                     vec[i] = u[g]
                 for g, k, s in mates:
@@ -598,7 +600,7 @@ class CovariantEngine:
             self._dets[rid] = _poly_det([list(row) for row in zip(*cols)])
         return self._dets[rid]
 
-    def det_relation(self, rid: int) -> tuple[int, int, CycNum]:
+    def det_relation(self, rid: int) -> tuple[int, int, Fraction]:
         """Factor det[generators] as c * delta^e * gamma^k; returns (e, k, c)."""
         genset = self.generators(rid)
         det = self.generator_det(rid)
@@ -661,7 +663,7 @@ class CovariantEngine:
 
     # -- rank-1 closed forms -----------------------------------------------------------------
 
-    def verify_linear_generators(self) -> dict[int, CycNum]:
+    def verify_linear_generators(self) -> dict[int, int]:
         """The eight rank-1 modules are generated by gamma^a delta^b.
 
         Returns the proportionality constant per representation; raises
@@ -689,7 +691,6 @@ class CovariantEngine:
 
 def _divide_out(poly: BiPoly, divisor: BiPoly, power: int) -> tuple[BiPoly, int]:
     """Try an exact division; returns (quotient, power) or (poly, 0)."""
-    from .poly import NotDivisibleError
     try:
         return poly.divide_exact(divisor), power
     except NotDivisibleError:

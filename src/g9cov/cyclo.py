@@ -1,8 +1,9 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_8).
 
-Every scalar in this package is a CycNum: a Q-linear combination
-c0 + c1*z + c2*z^2 + c3*z^3 reduced modulo z^4 + 1, where z = zeta_8
-= e^{i*pi/4}.  Useful identities in this basis:
+A CycNum, the scalar of the group and representation matrices and the
+characters, is a Q-linear combination c0 + c1*z + c2*z^2 + c3*z^3 reduced
+modulo z^4 + 1, where z = zeta_8 = e^{i*pi/4}; covariants are rational and
+use int and Fraction instead.  Useful identities in this basis:
 
     z^2         = i
     z - z^3     = sqrt(2)
@@ -17,14 +18,11 @@ special case c1 = c2 = c3 = 0 (see the Fraction-valued ``coeffs`` view).
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from math import gcd
 
 Rat = Fraction
-
-_ZETA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
 
 
 class CycNum:
@@ -68,6 +66,9 @@ class CycNum:
 
     def is_zero(self) -> bool:
         return self._n == (0, 0, 0, 0)
+
+    def __bool__(self) -> bool:
+        return self._n != (0, 0, 0, 0)
 
     # -- ring operations --------------------------------------------------------
 
@@ -170,12 +171,6 @@ class CycNum:
         num = c * b5                    # self * num == norm
         return CycNum._make(tuple(n * norm._d for n in num._n),
                             num._d * norm._n[0])
-
-    def approx(self) -> complex:
-        """Float evaluation at z = e^{i*pi/4}; for display only."""
-        c0, c1, c2, c3 = self._n
-        w = _ZETA_COMPLEX
-        return (c0 + c1 * w + c2 * w * w + c3 * w ** 3) / self._d
 
     # -- comparison ---------------------------------------------------------------
 

@@ -1,24 +1,27 @@
-"""Exact linear algebra over Q(zeta_8).
+"""Exact linear algebra over Q(zeta_8) and over Q.
 
 Matrices are immutable row-major tuples of CycNum.  Solves and the
 reference nullspace come from a deterministic reduced row echelon form
 (rref) whose pivot is always the first nonzero entry in column order, so
-repeated runs give byte-identical output.
+repeated runs give byte-identical output; rref works on CycNum and on
+Fraction entries alike.
 
 certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
 array modulo word-size primes, lifts the result by CRT and rational
 reconstruction, and returns it only once an exact certificate holds; exact
-rref is the fallback.  It works over Q.  A system B = sum_r B_r zeta_8^r
-over Q(zeta_8) whose normal-form nullspace basis is known to be rational
-is passed as the rational rows [B_0; B_1; B_2; B_3], which have the same
-normal-form basis (the covariants module proves this for its slices).
+rref is the fallback.  It works over Q and returns Fractions.  A system
+B = sum_r B_r zeta_8^r over Q(zeta_8) whose normal-form nullspace basis is
+known to be rational is passed as the rational rows [B_0; B_1; B_2; B_3],
+which have the same normal-form basis (the covariants module proves this
+for its slices).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
@@ -35,9 +38,7 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 def _cyc(x) -> CycNum:
-    if isinstance(x, CycNum):
-        return x
-    return rational(x)
+    return x if isinstance(x, CycNum) else rational(x)
 
 
 class Mat:
@@ -150,11 +151,12 @@ class Mat:
         return f"Mat[{rows}]"
 
 
-def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns).
 
-    Pivot choice is the first nonzero entry in column order, scanning rows
-    top to bottom, which makes the result canonical for the row space.
+    Entries are CycNum, Fraction or int.  Pivot choice is the first
+    nonzero entry in column order, scanning rows top to bottom, which makes
+    the result canonical for the row space.
     """
     if not rows:
         return rows, []
@@ -166,20 +168,20 @@ def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
             break
         pivot_row = None
         for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [inv * e for e in rows[r]]
         prow = rows[r]
         for i in range(len(rows)):
             if i == r:
                 continue
             f = rows[i][c]
-            if f.is_zero():
+            if not f:
                 continue
             row = rows[i]
             rows[i] = [row[j] - f * prow[j] for j in range(ncols)]
@@ -188,15 +190,14 @@ def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
     return rows, pivots
 
 
-def nullspace_from_rref(reduced: list[list[CycNum]], pivots: list[int],
-                        ncols: int) -> list[list[CycNum]]:
-    """Nullspace basis vectors (as coordinate lists) from an RREF."""
+def nullspace_from_rref(reduced: list[list], pivots: list[int], ncols: int) -> list[list]:
+    """Nullspace basis vectors (as coordinate lists) from an RREF; 0 and 1 are ints."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+        v = [0] * ncols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -reduced[r][f]
         basis.append(v)
@@ -218,19 +219,20 @@ def right_factor(b: np.ndarray) -> np.ndarray:
     return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * len(b), -1)
 
 
-def int_encoding(groups: Sequence[Sequence[CycNum]]) -> tuple[np.ndarray, np.ndarray, int]:
+def int_encoding(groups: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer coordinates of equal-length groups of entries, one denominator per group.
 
-    Returns (nums, dens, max_abs): nums[g, e, :] are the four integer
-    coordinates (Python ints, dtype object) of entry e of group g over
-    dens[g], the group's least common denominator; max_abs bounds every
-    |num| and every den.
+    Entries are CycNum, int or Fraction.  Returns (nums, dens, max_abs):
+    nums[g, e, :] are the four integer coordinates (Python ints, dtype
+    object) of entry e of group g over dens[g], the group's least common
+    denominator; max_abs bounds every |num| and every den.
     """
     nums = np.zeros((len(groups), len(groups[0]) if groups else 0, 4), dtype=object)
     dens = np.ones(len(groups), dtype=object)
     max_abs = 1
     for g, entries in enumerate(groups):
-        keys = [(e, x.key()) for e, x in enumerate(entries) if not x.is_zero()]
+        keys = [(e, x.key() if isinstance(x, CycNum) else (x.numerator, 0, 0, 0, x.denominator))
+                for e, x in enumerate(entries) if x]
         den = dens[g] = lcm(*(k[4] for _, k in keys))
         for e, k in keys:
             nums[g, e] = coords = [n * (den // k[4]) for n in k[:4]]
@@ -400,7 +402,7 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
 
 
 def certified_nullspace(rows: np.ndarray, ncols: int,
-                        counters: Counter | None = None) -> list[list[CycNum]]:
+                        counters: Counter | None = None) -> list[list[Fraction]]:
     """The nullspace basis of nullspace_from_rref(rref(rows)) over Q, computed mod p.
 
     rows is an integer matrix (nrows, ncols) of Python ints or int64.
@@ -415,7 +417,7 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
     counters = Counter() if counters is None else counters
     int_rows = _IntRows(rows)
     if not int_rows.shape[0]:
-        return [[ONE if i == f else ZERO for i in range(ncols)] for f in range(ncols)]
+        return [[Fraction(int(i == f)) for i in range(ncols)] for f in range(ncols)]
     pivots, combined = None, 0
     for p in ELIMINATION_PRIMES:
         counters["primes"] += 1
@@ -438,11 +440,10 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
             return []       # full rank at p, hence over Q
         rec = _reconstruct(residues, modulus)
         if rec is not None and _certify(int_rows, rec[0], rec[1], free, counters):
-            return [[CycNum._make((n, 0, 0, 0), den) for n in vec.tolist()]
-                    for vec, den in zip(*rec)]
+            return [[Fraction(n, den) for n in vec.tolist()] for vec, den in zip(*rec)]
     counters["fallbacks"] += 1
-    reduced, pivots = rref([[rational(x) for x in row] for row in rows.tolist()])
-    return nullspace_from_rref(reduced, pivots, ncols)
+    reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])
+    return [[Fraction(x) for x in v] for v in nullspace_from_rref(reduced, pivots, ncols)]
 
 
 def solve_exact(a: Mat, b: Mat) -> Mat:

@@ -1,8 +1,10 @@
-"""Exact bivariate polynomial algebra over Q(zeta_8).
+"""Exact bivariate polynomial algebra.
 
 BiPoly is a sparse map from exponent pairs (a, b) to nonzero coefficients,
-the term being x^a y^b.  The global term order is graded lexicographic
-with x > y: higher total degree first, ties broken by the x exponent.
+the term being x^a y^b, over exact field scalars: int and Fraction here,
+as every covariant is rational (the tests also use CycNum); a float raises
+TypeError.  The global term order is graded lexicographic with x > y:
+higher total degree first, ties broken by the x exponent.
 VecPoly bundles m components of one common homogeneous degree and is the
 carrier type for covariants.
 
@@ -19,8 +21,8 @@ and satisfy phi = delta^2 + 66 gamma^4 exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from fractions import Fraction
 
-from .cyclo import CycNum, ZERO, rational
 from .linalg import Mat
 
 
@@ -28,8 +30,10 @@ class NotDivisibleError(ArithmeticError):
     """Exact division was requested but the divisor does not divide."""
 
 
-def _cyc(x) -> CycNum:
-    return x if isinstance(x, CycNum) else rational(x)
+def _exact(c):
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"inexact coefficient {c!r}")
+    return c
 
 
 def _grlex_key(term: tuple[int, int]) -> tuple[int, int]:
@@ -38,16 +42,15 @@ def _grlex_key(term: tuple[int, int]) -> tuple[int, int]:
 
 
 class BiPoly:
-    """Sparse polynomial in x, y with CycNum coefficients."""
+    """Sparse polynomial in x, y with exact coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        clean: dict[tuple[int, int], CycNum] = {}
+        clean = {}
         if terms:
             for (a, b), c in terms.items():
-                c = _cyc(c)
-                if not c.is_zero():
+                if _exact(c):
                     clean[(a, b)] = c
         self.terms = clean
 
@@ -78,8 +81,8 @@ class BiPoly:
         degs = {a + b for a, b in self.terms}
         return len(degs) <= 1
 
-    def coeff(self, a: int, b: int) -> CycNum:
-        return self.terms.get((a, b), ZERO)
+    def coeff(self, a: int, b: int):
+        return self.terms.get((a, b), 0)
 
     # -- ring operations ----------------------------------------------------------
 
@@ -88,10 +91,10 @@ class BiPoly:
         for k, c in other.terms.items():
             s = out.get(k)
             s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
+            if s:
                 out[k] = s
+            else:
+                out.pop(k, None)
         p = BiPoly.__new__(BiPoly)
         p.terms = out
         return p
@@ -107,17 +110,17 @@ class BiPoly:
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
             return self.scale(other)
-        out: dict[tuple[int, int], CycNum] = {}
+        out = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 c = c1 * c2
                 s = out.get(k)
                 s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
+                if s:
                     out[k] = s
+                else:
+                    out.pop(k, None)
         p = BiPoly.__new__(BiPoly)
         p.terms = out
         return p
@@ -126,8 +129,7 @@ class BiPoly:
         return self.scale(other)
 
     def scale(self, c) -> BiPoly:
-        c = _cyc(c)
-        if c.is_zero():
+        if not _exact(c):
             return BiPoly()
         p = BiPoly.__new__(BiPoly)
         p.terms = {k: c * v for k, v in self.terms.items()}
@@ -188,7 +190,7 @@ class BiPoly:
 
     # -- division ------------------------------------------------------------------
 
-    def leading(self) -> tuple[tuple[int, int], CycNum]:
+    def leading(self) -> tuple[tuple[int, int], object]:
         """Graded-lex leading term (exponent pair, coefficient)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -204,7 +206,7 @@ class BiPoly:
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         (ga, gb), gc = g.leading()
-        gc_inv = gc.inverse()
+        gc_inv = Fraction(1) / gc
         q = BiPoly()
         r = self
         while not r.is_zero():
@@ -221,11 +223,11 @@ class BiPoly:
         if self.is_zero():
             return self
         _, c = self.leading()
-        return self.scale(c.inverse())
+        return self.scale(Fraction(1) / c)
 
     # -- text form -----------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], CycNum]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int], object]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     def to_text(self) -> str:
@@ -325,7 +327,7 @@ class VecPoly:
     def __hash__(self):
         return hash((self.degree, self.components))
 
-    def coeff_vector(self, coords: list[tuple[int, int]]) -> list[CycNum]:
+    def coeff_vector(self, coords: list[tuple[int, int]]) -> list:
         """Coefficients at the listed (component, x-exponent) coordinates.
 
         Raises ValueError if the vector has support outside ``coords`` --
@@ -342,11 +344,11 @@ class VecPoly:
         return [self.components[j].coeff(a, d - a) for j, a in coords]
 
     @classmethod
-    def from_coeffs(cls, coords: list[tuple[int, int]], values: list[CycNum],
+    def from_coeffs(cls, coords: list[tuple[int, int]], values: list,
                     m: int, degree: int) -> VecPoly:
         comps = [dict() for _ in range(m)]
         for (j, a), v in zip(coords, values):
-            if not v.is_zero():
+            if v:
                 comps[j][(a, degree - a)] = v
         return cls([BiPoly(t) for t in comps], degree)
 

@@ -4,17 +4,26 @@ Each one is the plain computation that a faster path in g9cov replaced;
 the tests compare the two.
 """
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from g9cov.covariants import CovariantSlice, FreenessError, RowReducer
+from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
+                              _poly_det)
 from g9cov.cyclo import CycNum, ONE, ZERO, rational
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
 from g9cov.linalg import Mat, ShapeError, int_encoding, nullspace_from_rref, rref
 from g9cov.molien import _det2
 from g9cov.poly import BiPoly, VecPoly
+
+
+def approx(x):
+    """Float evaluation of an int, Fraction or CycNum at z = e^{i*pi/4}."""
+    coords = x.coeffs if isinstance(x, CycNum) else (x, 0, 0, 0)
+    w = cmath.exp(1j * cmath.pi / 4)
+    return sum(float(c) * w ** p for p, c in enumerate(coords))
 
 
 def is_rational(x):
@@ -68,6 +77,35 @@ class CycRowReducer:
         inv = vec[pivot].inverse()
         self.rows[pivot] = vec = [inv * v for v in vec]
         return vec
+
+
+def as_cyc(p):
+    """A BiPoly with every coefficient lifted to CycNum."""
+    return BiPoly({k: rational(c) for k, c in p.terms.items()})
+
+
+def generator_det_exact(engine, rid):
+    """det[g_1 .. g_m] in CycNum arithmetic.
+
+    The reference for CovariantEngine.generator_det, which multiplies the
+    same generators with int and Fraction coefficients.
+    """
+    cols = [[as_cyc(p) for p in g.components] for _, g in engine.generators(rid).gens]
+    return _poly_det([list(row) for row in zip(*cols)])
+
+
+def det_relation_exact(engine, rid):
+    """CovariantEngine.det_relation with every division in CycNum arithmetic.
+
+    Runs the factorization on a fresh engine holding the same generators,
+    generator_det_exact as their determinant and gamma, delta lifted to
+    CycNum, so its constant comes back as a CycNum.
+    """
+    eng = CovariantEngine(engine.table, list(engine.reps.values()))
+    eng._gens[rid] = engine.generators(rid)
+    eng._dets[rid] = generator_det_exact(engine, rid)
+    eng.gamma, eng.delta = as_cyc(engine.gamma), as_cyc(engine.delta)
+    return eng.det_relation(rid)
 
 
 def mat_pow(m, k):

@@ -100,6 +100,22 @@ def test_output_bytes_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the concatenated stdout of `generators --rep r` in text, then
+# JSON, for r = 1..32: every generator, its coefficients and the `det = (c)`
+# rendering of each determinant relation
+GENERATORS_SHA256 = "5f9ea43d30744534f27afdd6e8ae368bf1b3ce73f2c7dbb5b30bd50dec87f5a1"
+
+
+def test_generators_output_bytes_pinned(capsys):
+    outs = []
+    for r in range(1, 33):
+        for fmt in ([], ["--format", "json"]):
+            code, out = run_cli(capsys, "generators", "--rep", str(r), *fmt)
+            assert code == 0
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == GENERATORS_SHA256
+
+
 def test_group_json_deterministic(capsys):
     code, first = run_cli(capsys, "group", "--format", "json")
     assert code == 0

@@ -6,11 +6,11 @@ import pytest
 
 from g9cov import reference
 from g9cov.covariants import RowReducer
-from g9cov.cyclo import CycNum, ONE, ZERO
+from g9cov.cyclo import CycNum, ONE, rational
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (CycRowReducer, covariance_check, int_rows, rep_matrices_exact,
-                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
-                     verify_free_by_elimination)
+from oracles import (CycRowReducer, covariance_check, det_relation_exact,
+                     generator_det_exact, int_rows, rep_matrices_exact, slice_dense,
+                     stacked_rows, t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -103,8 +103,8 @@ def test_generator_normalization(engine):
         for d, g in engine.generators(rid).gens:
             coords = [(j, a) for j in range(len(g)) for a in range(d, -1, -1)]
             vec = g.coeff_vector(coords)
-            lead = next(v for v in vec if not v.is_zero())
-            assert lead == CycNum(1)
+            lead = next(v for v in vec if v)
+            assert lead == 1
 
 
 def test_free_module_spans(engine):
@@ -117,7 +117,8 @@ def test_free_module_spans(engine):
 
 def test_row_reducer_equals_cyclotomic_reference():
     # random rational vectors, some of them combinations of earlier ones:
-    # the integer reducer gives the CycNum reference's residuals, in order
+    # the integer reducer on Fractions gives the CycNum reference's
+    # residuals, in order, as Fractions
     rng = random.Random(7)
     for trial in range(40):
         n = rng.randint(1, 12)
@@ -125,18 +126,20 @@ def test_row_reducer_equals_cyclotomic_reference():
         for _ in range(rng.randint(1, 10)):
             if vecs and rng.random() < 0.3:
                 coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in vecs]
-                vecs.append([sum((c * v[i] for c, v in zip(coeffs, vecs)), ZERO)
+                vecs.append([sum((c * v[i] for c, v in zip(coeffs, vecs)), Fraction(0))
                              for i in range(n)])
             else:
-                vecs.append([CycNum(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-                             if rng.random() < 0.7 else ZERO for _ in range(n)])
+                vecs.append([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             if rng.random() < 0.7 else Fraction(0) for _ in range(n)])
         fast, ref = RowReducer(), CycRowReducer()
-        assert [fast.add(v) for v in vecs] == [ref.add(v) for v in vecs], trial
+        got = [fast.add(v) for v in vecs]
+        assert got == [ref.add([rational(x) for x in v]) for v in vecs], trial
+        assert all(type(x) is Fraction for res in got if res for x in res), trial
 
 
 def test_row_reducer_rejects_irrational_entries():
     reducer = RowReducer()
-    reducer.add([ONE, ZERO])
+    reducer.add([Fraction(1), Fraction(0)])
     with pytest.raises(ValueError, match="RowReducer works over Q"):
         reducer.add([ONE, CycNum.zeta(1)])
     with pytest.raises(ValueError, match="RowReducer works over Q"):
@@ -198,7 +201,7 @@ def test_free_accepts_independent_replacement_of_phi(sess):
 
 def test_det_relation_examples(engine):
     e, k, c = engine.det_relation(9)
-    assert (e, k) == (1, 1) and not c.is_zero()
+    assert (e, k) == (1, 1) and c != 0
     assert sum(engine.generators(9).degrees) == 18
 
     e, k, c = engine.det_relation(25)
@@ -244,7 +247,7 @@ def test_det_relations_all(engine):
     for rid, (e_want, k_want) in reference.DET_EXPONENTS.items():
         e, k, c = engine.det_relation(rid)
         assert (e, k) == (e_want, k_want), rid
-        assert not c.is_zero()
+        assert c != 0
         degs = engine.generators(rid).degrees
         assert sum(degs) == 12 * e + 6 * k, rid
 
@@ -331,7 +334,7 @@ def test_covariance_failure_matches_substitution_oracle(sess):
 def test_rank_one_closed_forms(engine):
     consts = engine.verify_linear_generators()
     assert set(consts) == set(range(1, 9))
-    assert all(not c.is_zero() for c in consts.values())
+    assert all(c != 0 for c in consts.values())
     # rho_5 generator is delta itself, degree 12; rho_8 degree 30; rho_1 constant
     assert engine.generators(5).gens[0][1].components[0] == DELTA
     assert engine.generators(8).degrees == (30,)
@@ -405,6 +408,58 @@ def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
     assert got is not None and len(got[0]) + len(got[1]) == len(reps)
     basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
     assert basis == _oracle(t_rows_exact(rep, 27, coords), len(coords))
+
+
+def test_covariant_layer_builds_no_cycnum(sess, monkeypatch):
+    # once the images, their symmetry data and the Molien series are built,
+    # slices, generators and determinants run on int and Fraction alone
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    rids = (5, 13, 21, 29)      # ranks 1, 2, 3 and 4
+    assert [eng.reps[rid].dim for rid in rids] == [1, 2, 3, 4]
+    for rid in rids:
+        eng._symmetry(rid)
+        eng.molien(rid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("CycNum built on the covariant layer")
+    monkeypatch.setattr(CycNum, "__init__", forbidden)
+    monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
+    polys = []
+    for rid in rids:
+        degree = eng.molien(rid).numerator[-1][0] + 8
+        polys += [p for b in eng.slice(rid, degree).basis for p in b.components]
+        polys += [p for _, g in eng.generators(rid).gens for p in g.components]
+        polys.append(eng.generator_det(rid))
+        e, k, c = eng.det_relation(rid)
+        polys.append(BiPoly.constant(c))
+    monkeypatch.undo()
+    assert eng.det_relation(5)[:2] == (1, 0)
+    types = {type(c) for p in polys for c in p.terms.values()}
+    assert types and types <= {int, Fraction}
+
+
+def test_generator_det_equals_cyclotomic_reference(engine):
+    # the determinants and their factorizations in int/Fraction arithmetic
+    # against the same computations in CycNum arithmetic, for all 32 reps
+    from g9cov.covariants import FactorizationError
+
+    def outcome(fn, rid):
+        try:
+            return fn(engine, rid)
+        except FactorizationError as exc:
+            return str(exc)
+
+    for rid in range(1, 33):
+        exact = generator_det_exact(engine, rid)
+        assert all(isinstance(c, CycNum) for c in exact.terms.values()), rid
+        assert engine.generator_det(rid) == exact, rid
+        got = outcome(type(engine).det_relation, rid)
+        want = outcome(det_relation_exact, rid)
+        assert got == want, rid
+        if isinstance(want, tuple):
+            assert isinstance(want[2], CycNum) and isinstance(got[2], (int, Fraction)), rid
+    assert isinstance(outcome(type(engine).det_relation, 3), str)
 
 
 def _oracle(rows, ncols):
@@ -499,7 +554,7 @@ def test_certificate_needs_enough_primes(engine):
     nums, dens, _ = int_encoding(basis)
     vecs = nums[..., 0]
     assert not nums[..., 1:].any()      # the basis is rational
-    free = [max(c for c in range(ncols) if not v[c].is_zero()) for v in basis]
+    free = [max(c for c in range(ncols) if v[c]) for v in basis]
     pivots = sorted(set(range(free[0])) - set(free))[:4]
     assert len(pivots) == 4
     system = _IntRows(stacked_rows(rows))
@@ -551,7 +606,8 @@ def test_galois_instability_is_caught(sess):
     eng = _engine_with_images(sess, 21, img_t=p.matmul(rep.img_t).matmul(p_inv))
     dense = slice_dense(eng, 21, 2)
     assert dense.dim == 1
-    assert any(c.key()[1:4] != (0, 0, 0) for poly in dense.basis[0].components
+    assert any(isinstance(c, CycNum) and c.key()[1:4] != (0, 0, 0)
+               for poly in dense.basis[0].components
                for c in poly.terms.values())
     with pytest.raises(CrossCheckError, match=r"rho_21: sigma_3\(rho\(sigma_3\(T\)\)\) "
                                               r"is not rho\(T\)"):

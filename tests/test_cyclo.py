@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from g9cov.cyclo import (CycNum, HALF_SQRT2, I_UNIT, ONE, SQRT2, Z, ZERO,
                          parse_zeta, render_zeta)
-from oracles import as_fraction, cyc_from_json, is_rational
+from oracles import approx, as_fraction, cyc_from_json, is_rational
 
 
 def rnd(rng, span=9):
@@ -45,9 +45,10 @@ def test_conj_examples():
 
 
 def test_approx_examples():
-    assert abs(I_UNIT.approx() - 1j) < 1e-12
-    assert abs(SQRT2.approx() - 2 ** 0.5) < 1e-12
-    assert ZERO.approx() == 0
+    assert abs(approx(I_UNIT) - 1j) < 1e-12
+    assert abs(approx(SQRT2) - 2 ** 0.5) < 1e-12
+    assert approx(ZERO) == 0
+    assert approx(3) == 3 and approx(Fraction(-1, 2)) == -0.5
 
 
 def test_ring_axioms_sampled():
@@ -82,8 +83,8 @@ def test_approx_multiplicative_within_tolerance():
     for _ in range(200):
         a = rnd(rng, span=1000)
         b = rnd(rng, span=1000)
-        assert abs((a * b).approx() - a.approx() * b.approx()) < 1e-9 * (
-            1 + abs(a.approx()) * abs(b.approx()))
+        assert abs(approx(a * b) - approx(a) * approx(b)) < 1e-9 * (
+            1 + abs(approx(a)) * abs(approx(b)))
 
 
 def test_powers_of_zeta():
@@ -131,6 +132,12 @@ def test_rational_cycnum_is_interchangeable_dict_key(q):
     assert {q: "x"}.get(v) == "x" and {v: "x"}.get(q) == "x"
     if q.denominator == 1:
         assert {int(q): "x"}.get(v) == "x"
+
+
+@given(cyc_values)
+def test_truthiness_is_nonzero(x):
+    assert bool(x) == (not x.is_zero())
+    assert not ZERO and not CycNum(0, den=5) and ONE and Z
 
 
 @given(cyc_values)

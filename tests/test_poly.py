@@ -7,7 +7,7 @@ from g9cov.group import standard_generators
 from g9cov.linalg import Mat
 from g9cov.poly import (BiPoly, NotDivisibleError, VecPoly,
                         fundamental_invariants)
-from oracles import mat_apply, vec_substitute
+from oracles import approx, mat_apply, vec_substitute
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -23,6 +23,13 @@ def test_invariant_literals():
     assert DELTA.coeff(8, 4) == CycNum(-33)
     assert PHI.coeff(12, 12) == CycNum(2576)
     assert GAMMA.to_text() == "-x^5*y + x*y^5"
+
+
+def test_inexact_coefficients_raise():
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        THETA.scale(0.5)
 
 
 def test_phi_identity():
@@ -43,10 +50,10 @@ def test_substitute_numeric_oracle():
     td = t.matmul(d)
 
     def fval(p, x, y):
-        return sum(c.approx() * x ** a * y ** b for (a, b), c in p.terms.items())
+        return sum(approx(c) * x ** a * y ** b for (a, b), c in p.terms.items())
 
     for g in (t, d, td):
-        ga = [[g.at(i, j).approx() for j in range(2)] for i in range(2)]
+        ga = [[approx(g.at(i, j)) for j in range(2)] for i in range(2)]
         for _ in range(20):
             f = rnd_poly(rng)
             x = rng.uniform(-1, 1)
