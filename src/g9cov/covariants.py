@@ -132,7 +132,7 @@ from .linalg import CYC_STRUCT, Mat, certified_nullspace, int_encoding
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
-from .reps import DEN, Representation, decode, rep_matrices, scalar_image
+from .reps import DEN, Representation, decode, rep_matrices, scalar_image, zeta_power
 from . import reference
 
 FREENESS_DEGREE = 64    # verify_free counts products in each degree through this
@@ -246,15 +246,18 @@ def _galois(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _binomial_table(d: int) -> np.ndarray:
-    """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), Python ints.
+    """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
 
     Row 0 is (x-y)^d.  For P_a = (x+y)^a (x-y)^(d-a), y (P_a + P_(a+1)) =
     x (P_(a+1) - P_a), so each next row is a running sum of the previous.
+    Every entry is at most 2^d in absolute value and every step entry, a sum
+    of two, at most 2^(d+1): int64 for d <= 61, Python ints above.
     """
-    table = np.empty((d + 1, d + 1), dtype=object)
+    dtype = np.int64 if d <= 61 else object
+    table = np.empty((d + 1, d + 1), dtype=dtype)
     table[0] = [comb(d, b) * (-1) ** (d - b) for b in range(d + 1)]
     for a in range(d):
-        step = np.empty(d + 1, dtype=object)
+        step = np.empty(d + 1, dtype=dtype)
         step[0] = (-1) ** (d - a - 1)
         step[1:] = -(table[a, :-1] + table[a, 1:])
         table[a + 1] = np.cumsum(step)
@@ -339,20 +342,20 @@ class CovariantEngine:
         """
         if rid not in self._symmetries:
             rep = self.reps[rid]
-            img_d = rep.img_d
-            if not img_d.is_diagonal():
+            ids = np.arange(rep.dim)
+            diag = rep.img_d[ids, ids]
+            if not np.array_equal(rep.img_d, np.eye(rep.dim, dtype=np.int64)[:, :, None] * diag):
                 raise CrossCheckError(f"rho_{rid}: D image is not diagonal")
-            i_powers = [CycNum.zeta(2 * e) for e in range(4)]
-            expo = tuple(next((e for e, w in enumerate(i_powers) if w == img_d.at(j, j)), None)
-                         for j in range(rep.dim))
-            if None in expo:
+            i_powers = np.stack([zeta_power(2 * e) for e in range(4)])
+            hits = (diag[:, None] == i_powers).all(axis=2)
+            if not hits.any(axis=1).all():
                 raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
+            expo = tuple(hits.argmax(axis=1).tolist())
             # rho(tau) = rho(T) rho(D)^2 rho(T) times DEN^2, with rho(D)^2 = diag((-1)^e_j)
             d2 = (-1) ** np.array(expo)
             images = self.matrices(rid)
             t = images[self._t_index]
             tau = np.einsum("ljp,j,jkq,pqr->lkr", t, d2, t, CYC_STRUCT)
-            ids = np.arange(rep.dim)
             perm = (tau != 0).any(axis=2).argmax(axis=1)
             sign = tau[ids, perm, 0] // DEN ** 2
             signed = np.zeros_like(tau)

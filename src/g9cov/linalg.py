@@ -1,10 +1,10 @@
 """Exact linear algebra over Q(zeta_8) and over Q.
 
-Matrices are immutable row-major tuples of CycNum.  Solves and the
-reference nullspace come from a deterministic reduced row echelon form
-(rref) whose pivot is always the first nonzero entry in column order, so
-repeated runs give byte-identical output; rref works on CycNum and on
-Fraction entries alike.
+Matrices are immutable row-major tuples of CycNum; the group's 2x2
+matrices use them.  The reference nullspace comes from a deterministic
+reduced row echelon form (rref) whose pivot is always the first nonzero
+entry in column order, so repeated runs give byte-identical output; rref
+works on CycNum and on Fraction entries alike.
 
 certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
@@ -31,10 +31,6 @@ from .cyclo import CycNum, ONE, ZERO, rational
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible."""
-
-
-class SingularMatrixError(ZeroDivisionError):
-    """A solve was requested with dependent coefficient columns."""
 
 
 def _cyc(x) -> CycNum:
@@ -73,11 +69,6 @@ class Mat:
         n = len(values)
         return cls(n, n, [values[i] if i == j else ZERO for i in range(n) for j in range(n)])
 
-    @classmethod
-    def column(cls, values: Iterable) -> Mat:
-        values = list(values)
-        return cls(len(values), 1, values)
-
     def at(self, i: int, j: int) -> CycNum:
         return self.entries[i * self.cols + j]
 
@@ -85,14 +76,6 @@ class Mat:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     # -- algebra ---------------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self.matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def matmul(self, other: Mat) -> Mat:
         if self.cols != other.rows:
@@ -115,18 +98,6 @@ class Mat:
         c = _cyc(c)
         return Mat(self.rows, self.cols, [c * e for e in self.entries])
 
-    def __add__(self, other: Mat) -> Mat:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: Mat) -> Mat:
-        return self + other.scale(-1)
-
-    def __neg__(self) -> Mat:
-        return self.scale(-1)
-
     def trace(self) -> CycNum:
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
@@ -134,10 +105,6 @@ class Mat:
         for i in range(self.rows):
             acc = acc + self.at(i, i)
         return acc
-
-    def is_diagonal(self) -> bool:
-        return all(self.at(i, j).is_zero()
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -444,41 +411,6 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
     counters["fallbacks"] += 1
     reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])
     return [[Fraction(x) for x in v] for v in nullspace_from_rref(reduced, pivots, ncols)]
-
-
-def solve_exact(a: Mat, b: Mat) -> Mat:
-    """Solve a X = b exactly for a with full column rank.
-
-    Raises SingularMatrixError if the columns of ``a`` are dependent and
-    ValueError if the system is inconsistent.
-    """
-    if a.rows != b.rows:
-        raise ShapeError("row count mismatch in solve")
-    n, s, m = a.rows, a.cols, b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
-    reduced, pivots = rref(aug)
-    lead = [p for p in pivots if p < s]
-    if len(lead) < s:
-        raise SingularMatrixError("coefficient columns are dependent")
-    if any(p >= s for p in pivots):
-        raise ValueError("inconsistent linear system")
-    x = [[ZERO] * m for _ in range(s)]
-    for r, p in enumerate(lead):
-        for j in range(m):
-            x[p][j] = reduced[r][s + j]
-    return Mat.from_rows(x)
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product in lexicographic basis order: (a kron b)(v kron w) = av kron bw."""
-    out = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            for j in range(a.cols):
-                aij = a.at(i, j)
-                for q in range(b.cols):
-                    out.append(aij * b.at(p, q))
-    return Mat(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def mat_to_json(m: Mat) -> dict:

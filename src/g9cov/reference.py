@@ -29,6 +29,8 @@ keep it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclo import CycNum, parse_zeta
 
 CLASS_ORDERS = [1, 8, 4, 8, 2, 8, 4, 8,
@@ -115,16 +117,22 @@ CHARACTER_ROW_SOURCE = {i: i for i in range(1, 33)}
 CHARACTER_ROW_SOURCE.update({29: 30, 30: 31, 31: 29})
 
 
-def printed_character_table() -> list[list[CycNum]]:
-    """The reference character table as exact values, in the printed row
-    order (rows 29..31 hold chi_30, chi_31, chi_29)."""
+@lru_cache(maxsize=1)
+def _parsed_rows() -> tuple[tuple[CycNum, ...], ...]:
     rows = []
     for line in _CHARACTER_ROWS:
-        entries = [parse_zeta(tok) for tok in line.split()]
+        entries = tuple(parse_zeta(tok) for tok in line.split())
         if len(entries) != 32:
             raise ValueError(f"reference row has {len(entries)} entries")
         rows.append(entries)
-    return rows
+    return tuple(rows)
+
+
+def printed_character_table() -> list[list[CycNum]]:
+    """The reference character table as exact values, in the printed row
+    order (rows 29..31 hold chi_30, chi_31, chi_29).  The strings are
+    parsed once; each call returns fresh lists of the immutable values."""
+    return [list(row) for row in _parsed_rows()]
 
 
 def character_table() -> list[list[CycNum]]:

@@ -23,15 +23,26 @@ reference-table order (the plane extraction itself sits at 19); indices
 internal inconsistency of the reference character table against this
 numbering (rows 29..31).
 
-Every image entry lies in (1/4) Z[zeta_8]: rep_matrices builds the images
-of all elements BFS layer by layer as one int64 array per representation,
-(|G|, m, m, 4) coordinates over DEN = 4, one BFS for all the given reps of
-one dimension (an all-rep read runs one per dimension).  The homomorphism
-check, the class traces, the census Gram matrix, the central scalar and the
-Molien sums read these arrays.  Each integer path ends in an exact check:
-divisibility and |coordinate| <= COORD_BOUND per layer (so an image
-product, m <= 4 times 16 coordinate products, stays below 2^63), the Gram
-equality, and Molien integrality.
+Every image entry lies in (1/4) Z[zeta_8], and the construction runs on
+the format every later layer reads: (m, m, 4) int64 numerators over
+DEN = 4, read-only.  rho_9 is the group's own generator coordinates, the
+linear characters are coordinate scalars, and a tensor product (a twist
+is one with a linear character) is one einsum through CYC_STRUCT.  Each
+extraction basis is made of 0/1 columns with disjoint supports, so the
+restricted matrix M is read off the support rows of rho(s) V.  Exactness
+is checked where it could fail: every product is divided by DEN under a
+divisibility and |coordinate| <= COORD_BOUND check (ImageError names the
+representation), V M = rho(s) V is checked exactly for each extraction
+(ExtractionError), and T^2 = I and D^4 = I for every representation.
+
+rep_matrices builds the images of all elements BFS layer by layer as one
+int64 array per representation, (|G|, m, m, 4) coordinates over DEN, one
+BFS for all the given reps of one dimension (an all-rep read runs one per
+dimension).  The homomorphism check, the class traces, the census Gram
+matrix, the central scalar and the Molien sums read these arrays.  Each
+integer path ends in an exact check: divisibility and |coordinate| <=
+COORD_BOUND per layer (so an image product, m <= 4 times 16 coordinate
+products, stays below 2^63), the Gram equality, and Molien integrality.
 """
 
 from __future__ import annotations
@@ -40,14 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycNum, I_UNIT, ONE, ZERO
+from . import group
+from .cyclo import CycNum
 from .group import GroupTable, class_sizes
-from .linalg import Mat, int_encoding, kron, right_factor, solve_exact
+from .linalg import CYC_STRUCT, right_factor
 
-LINEAR_IMAGES = [
-    (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT),
-    (-1, 1), (-1, -1), (-1, I_UNIT), (-1, -I_UNIT),
-]
+# (rho_k(T), rho_k(D)) for k = 1..8 as powers of zeta_8:
+# (1, 1), (1, -1), (1, i), (1, -i), (-1, 1), (-1, -1), (-1, i), (-1, -i)
+LINEAR_IMAGES = [(t, d) for t in (0, 4) for d in (0, 4, 2, 6)]
 
 # twist order for the faithful 2-dimensional family rho_9..rho_16
 FAITHFUL_TWISTS = [1, 3, 2, 4, 5, 7, 6, 8]
@@ -69,19 +80,18 @@ class CensusError(RuntimeError):
     """Dimension census or orthogonality of the characters failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     rid: int
     dim: int
-    img_t: Mat
-    img_d: Mat
+    img_t: np.ndarray   # (dim, dim, 4) int64 numerators over DEN, read-only
+    img_d: np.ndarray
 
-    def image(self, name: str) -> Mat:
+    def image(self, name: str) -> np.ndarray:
         return {"T": self.img_t, "D": self.img_d}[name]
 
 
-def _check_relations(rid: int, img_t: Mat, img_d: Mat) -> None:
-    t, d = encode(rid, img_t), encode(rid, img_d)
+def _check_relations(rid: int, t: np.ndarray, d: np.ndarray) -> None:
     ident = scalar_image(len(t), [DEN, 0, 0, 0])
     if not np.array_equal(_times([rid], t, right_factor(t), "T^2"), ident):
         raise ExtractionError(f"rho_{rid}: T image is not an involution")
@@ -90,88 +100,89 @@ def _check_relations(rid: int, img_t: Mat, img_d: Mat) -> None:
         raise ExtractionError(f"rho_{rid}: D image has order not dividing 4")
 
 
-def extract_subrep(parent_t: Mat, parent_d: Mat, span: list[Mat]) -> tuple[Mat, Mat]:
-    """Restrict generator images to the span of the given column vectors.
+def zeta_power(k: int) -> np.ndarray:
+    """The coordinates of zeta_8^k over DEN."""
+    w = np.zeros(4, dtype=np.int64)
+    w[k % 4] = DEN if k % 8 < 4 else -DEN
+    return w
 
-    Solves parent(s) v_j = sum_i m_ij v_i exactly for s in {T, D} and
-    returns the restricted matrices; raises ExtractionError if any image
-    leaves the span.
+
+def _tensor(rid: int, a: Representation, b: Representation) -> Representation:
+    """rho_rid = a (x) b, its images over DEN in lexicographic basis order.
+
+    A factor coordinate is a group coordinate, a unit, a product already
+    divided under COORD_BOUND = 2^28, or two of those summed by an
+    extraction: below 2^30, so a product coordinate, a sum of 4 products of
+    two, stays below 2^62.
     """
-    v = Mat.from_rows([[vec.at(i, 0) for vec in span] for i in range(span[0].rows)])
     out = []
-    for parent in (parent_t, parent_d):
-        image = parent.matmul(v)
-        try:
-            out.append(solve_exact(v, image))
-        except ValueError as exc:
-            raise ExtractionError(f"subspace is not invariant: {exc}") from exc
-    return out[0], out[1]
+    for x, y in ((a.img_t, b.img_t), (a.img_d, b.img_d)):
+        m, n = len(x), len(y)
+        full = np.einsum("ijp,klq,pqr->ikjlr", x, y, CYC_STRUCT).reshape(m * n, m * n, 4)
+        out.append(_over_den([rid], full, "a tensor product"))
+    return Representation(rid, a.dim * b.dim, *out)
 
 
-def _twist(rid: int, k: int, base: Representation) -> Representation:
-    t, d = LINEAR_IMAGES[k - 1]
-    return Representation(rid, base.dim, base.img_t.scale(t), base.img_d.scale(d))
+def extract_subrep(rid: int, parent: Representation,
+                   supports: list[list[int]]) -> Representation:
+    """rho_rid: the parent's images restricted to the span of the columns of V.
 
-
-def _e(n: int, *positions: int) -> Mat:
-    """Sum of standard basis column vectors (1-based positions) in C^n."""
-    return Mat.column([ONE if (i + 1) in positions else ZERO for i in range(n)])
+    Column i of V is 1 on the rows supports[i] and 0 elsewhere.  The
+    supports are nonempty and disjoint, so V is injective and V M = rho(s) V
+    forces row i of M to be row supports[i][0] of rho(s) V; that M is read
+    off, and V M = rho(s) V is then checked exactly for s in {T, D}:
+    ExtractionError if an image leaves the span.
+    """
+    v = np.zeros((parent.dim, len(supports)), dtype=np.int64)
+    for i, rows in enumerate(supports):
+        v[rows, i] = 1
+    images = []
+    for name in ("T", "D"):
+        image = np.einsum("ijr,jk->ikr", parent.image(name), v)
+        m = image[[rows[0] for rows in supports]]
+        if not np.array_equal(np.einsum("ik,kjr->ijr", v, m), image):
+            raise ExtractionError(f"rho_{rid}: the subspace is not invariant "
+                                  f"under the {name} image")
+        images.append(m)
+    return Representation(rid, len(supports), *images)
 
 
 def build_all(table: GroupTable) -> list[Representation]:
     """Construct rho_1..rho_32; index i lives at position i-1."""
     reps: list[Representation | None] = [None] * 33
 
-    for k in range(1, 9):
-        t, d = LINEAR_IMAGES[k - 1]
-        reps[k] = Representation(k, 1, Mat.from_rows([[t]]), Mat.from_rows([[d]]))
+    for k, (t, d) in enumerate(LINEAR_IMAGES, start=1):
+        reps[k] = Representation(k, 1, scalar_image(1, zeta_power(t)),
+                                 scalar_image(1, zeta_power(d)))
 
-    nat_t, nat_d = table.gens["T"], table.gens["D"]
-    reps[9] = Representation(9, 2, nat_t, nat_d)
+    # table.right[s][0] is the element s (element 0 is the identity)
+    nat = [table.elements[table.right[s][0]].coords * (DEN // group.DEN) for s in ("T", "D")]
+    reps[9] = Representation(9, 2, *nat)
     for pos, k in enumerate(FAITHFUL_TWISTS[1:], start=10):
-        reps[pos] = _twist(pos, k, reps[9])
+        reps[pos] = _tensor(pos, reps[k], reps[9])
 
-    # symmetric square inside rho_9 (x) rho_9
-    t99, d99 = kron(nat_t, nat_t), kron(nat_d, nat_d)
-    sym2 = [_e(4, 1), _e(4, 2, 3), _e(4, 4)]
-    t21, d21 = extract_subrep(t99, d99, sym2)
-    reps[21] = Representation(21, 3, t21, d21)
+    # symmetric square inside rho_9 (x) rho_9: (a1a1, a1a2 + a2a1, a2a2)
+    reps[21] = extract_subrep(21, _tensor(21, reps[9], reps[9]), [[0], [1, 2], [3]])
     for k in range(2, 9):
-        reps[20 + k] = _twist(20 + k, k, reps[21])
+        reps[20 + k] = _tensor(20 + k, reps[k], reps[21])
 
     # symmetric cube inside rho_9 (x) rho_21
-    t921, d921 = kron(nat_t, t21), kron(nat_d, d21)
-    sym3 = [_e(6, 1), _e(6, 2, 4), _e(6, 3, 5), _e(6, 6)]
-    t29, d29 = extract_subrep(t921, d921, sym3)
-    reps[29] = Representation(29, 4, t29, d29)
+    reps[29] = extract_subrep(29, _tensor(29, reps[9], reps[21]), [[0], [1, 3], [2, 4], [5]])
     for k in (2, 3, 4):
-        reps[28 + k] = _twist(28 + k, k, reps[29])
+        reps[28 + k] = _tensor(28 + k, reps[k], reps[29])
 
-    # invariant plane inside rho_9 (x) rho_29
-    t929, d929 = kron(nat_t, t29), kron(nat_d, d29)
-    plane = [_e(8, 1, 8), _e(8, 3, 6)]
-    t19, d19 = extract_subrep(t929, d929, plane)
-    reps[19] = Representation(19, 2, t19, d19)
-    reps[17] = _twist(17, 2, reps[19])
-    reps[18] = _twist(18, 3, reps[19])
-    reps[20] = _twist(20, 4, reps[19])
+    # invariant plane inside rho_9 (x) rho_29: (e1 + e8, e3 + e6)
+    reps[19] = extract_subrep(19, _tensor(19, reps[9], reps[29]), [[0, 7], [2, 5]])
+    for pos, k in ((17, 2), (18, 3), (20, 4)):
+        reps[pos] = _tensor(pos, reps[k], reps[19])
 
     out = [r for r in reps[1:] if r is not None]
     if len(out) != 32:
         raise ExtractionError("construction did not produce 32 representations")
     for r in out:
         _check_relations(r.rid, r.img_t, r.img_d)
+        r.img_t.flags.writeable = r.img_d.flags.writeable = False
     return out
-
-
-def encode(rid: int, mat: Mat) -> np.ndarray:
-    """A matrix over (1/DEN) Z[zeta_8] as (rows, cols, 4) int64 numerators over DEN."""
-    nums, (den,), _ = int_encoding([mat.entries])
-    if DEN % den:
-        raise ImageError(f"rho_{rid}: a generator entry is not in (1/{DEN}) Z[zeta_8]")
-    out = nums.reshape(mat.rows, mat.cols, 4) * (DEN // den)
-    _check_bound(rid, out)
-    return out.astype(np.int64)
 
 
 def decode(nums, den: int = DEN) -> CycNum:
@@ -189,18 +200,27 @@ def _check_bound(rid: int, nums: np.ndarray) -> None:
         raise ImageError(f"rho_{rid}: an image coordinate exceeds {COORD_BOUND}")
 
 
-def _times(rids: list[int], a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
-    """a b over DEN for the images a (n, ..., m, m, 4) of reps rids, factor = right_factor(b)
-    or one per rep stacked (n, 4m, 4m); ImageError names the first rep that fails.
+def _over_den(rids: list[int], full: np.ndarray, what: str) -> np.ndarray:
+    """full / DEN for products full of images of reps rids, stacked on axis 0.
+
+    ImageError names the first rep whose product leaves (1/DEN) Z[zeta_8]
+    or COORD_BOUND.
     """
-    full = a.reshape(len(rids), -1, factor.shape[-1]) @ factor
     for bad, text in ((full % DEN, f"{what} is not in (1/{DEN}) Z[zeta_8]"),
                       (np.abs(full) > DEN * COORD_BOUND,
                        f"an image coordinate exceeds {COORD_BOUND} in {what}")):
         if bad.any():
             rid = rids[int(bad.reshape(len(rids), -1).any(axis=1).argmax())]
             raise ImageError(f"rho_{rid}: {text}")
-    return (full // DEN).reshape(a.shape)
+    return full // DEN
+
+
+def _times(rids: list[int], a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
+    """a b over DEN for the images a (n, ..., m, m, 4) of reps rids, factor = right_factor(b)
+    or one per rep stacked (n, 4m, 4m); ImageError names the first rep that fails.
+    """
+    full = a.reshape(len(rids), -1, factor.shape[-1]) @ factor
+    return _over_den(rids, full, what).reshape(a.shape)
 
 
 def rep_matrices(reps: list[Representation], table: GroupTable) -> list[np.ndarray]:
@@ -212,7 +232,9 @@ def rep_matrices(reps: list[Representation], table: GroupTable) -> list[np.ndarr
     batched matmul; ImageError names the representation that failed.
     """
     m, rids = reps[0].dim, [r.rid for r in reps]
-    factors = {name: np.stack([right_factor(encode(r.rid, r.image(name))) for r in reps])
+    for r in reps:
+        _check_bound(r.rid, np.stack([r.img_t, r.img_d]))
+    factors = {name: np.stack([right_factor(r.image(name)) for r in reps])
                for name in table.gens}
     out = np.zeros((len(reps), len(table), m, m, 4), dtype=np.int64)
     out[:, table.identity] = scalar_image(m, [DEN, 0, 0, 0])

@@ -1,11 +1,12 @@
 """One-stop construction of the group, representations and covariant engine.
 
 Building the session (group closure, Cayley table, conjugacy classes, 32
-generator image pairs) takes about 15 ms on a 2-core x86-64 box and builds
-no image.  The integer images (`mats`, see reps), their class traces
-(`traces`), the characters (`chars`) and everything downstream are built on
-first read and cached; tests and CLI commands share one session.  `traces`
-and `molien --rep all` build every missing image, one reps.rep_matrices call
+integer generator image pairs) takes about 5 ms on a 2-core x86-64 Xeon
+box (median of 15 in one process) and builds no element image.  The
+integer images (`mats`, see reps), their class traces (`traces`), the
+characters (`chars`) and everything downstream are built on first read and
+cached; tests and CLI commands share one session.  `traces` and
+`molien --rep all` build every missing image, one reps.rep_matrices call
 per dimension; any other read builds one representation's images.
 """
 

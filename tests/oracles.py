@@ -5,6 +5,7 @@ the tests compare the two.
 """
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,11 +13,12 @@ import numpy as np
 
 from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
                               _poly_det)
-from g9cov.cyclo import CycNum, ONE, ZERO, rational
+from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
 from g9cov.linalg import Mat, ShapeError, int_encoding, nullspace_from_rref, rref
 from g9cov.molien import _det2
 from g9cov.poly import BiPoly, VecPoly
+from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
 
 
 def approx(x):
@@ -38,6 +40,19 @@ def as_fraction(x):
     return x.coeffs[0]
 
 
+def decode_image(image):
+    """An (m, m, 4) int array over reps.DEN as a CycNum matrix."""
+    m = len(image)
+    return Mat(m, m, [CycNum(*map(int, e), den=DEN) for e in image.reshape(-1, 4)])
+
+
+def encode_image(mat):
+    """A matrix over (1/DEN) Z[zeta_8] as (rows, cols, 4) int64 numerators over DEN."""
+    nums, (den,), _ = int_encoding([mat.entries])
+    assert DEN % den == 0, mat
+    return (nums.reshape(mat.rows, mat.cols, 4) * (DEN // den)).astype(np.int64)
+
+
 @lru_cache(maxsize=None)
 def rep_matrices_exact(rep, table):
     """Images of all group elements as CycNum matrices, following the BFS chain.
@@ -45,13 +60,144 @@ def rep_matrices_exact(rep, table):
     The reference for reps.rep_matrices, which builds the same images as
     int64 Z[zeta_8] numerators.  Cached: the images never change.
     """
+    gens = {name: decode_image(rep.image(name)) for name in ("T", "D")}
     mats = [None] * len(table)
     for e in table.elements:
         if e.parent < 0:
             mats[e.index] = Mat.identity(rep.dim)
         else:
-            mats[e.index] = mats[e.parent].matmul(rep.image(e.last))
+            mats[e.index] = mats[e.parent].matmul(gens[e.last])
     return tuple(mats)
+
+
+# -- the CycNum construction of the 32 representations ------------------------------
+#
+# The reference for reps.build_all, which builds the same generator images
+# as int64 Z[zeta_8] numerators with no CycNum arithmetic.
+
+LINEAR_IMAGES = [
+    (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT),
+    (-1, 1), (-1, -1), (-1, I_UNIT), (-1, -I_UNIT),
+]
+
+
+class SingularMatrixError(ZeroDivisionError):
+    """A solve was requested with dependent coefficient columns."""
+
+
+def solve_exact(a: Mat, b: Mat) -> Mat:
+    """Solve a X = b exactly for a with full column rank.
+
+    Raises SingularMatrixError if the columns of ``a`` are dependent and
+    ValueError if the system is inconsistent.
+    """
+    if a.rows != b.rows:
+        raise ShapeError("row count mismatch in solve")
+    n, s, m = a.rows, a.cols, b.cols
+    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
+    reduced, pivots = rref(aug)
+    lead = [p for p in pivots if p < s]
+    if len(lead) < s:
+        raise SingularMatrixError("coefficient columns are dependent")
+    if any(p >= s for p in pivots):
+        raise ValueError("inconsistent linear system")
+    x = [[ZERO] * m for _ in range(s)]
+    for r, p in enumerate(lead):
+        for j in range(m):
+            x[p][j] = reduced[r][s + j]
+    return Mat.from_rows(x)
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product in lexicographic basis order: (a kron b)(v kron w) = av kron bw."""
+    out = []
+    for i in range(a.rows):
+        for p in range(b.rows):
+            for j in range(a.cols):
+                aij = a.at(i, j)
+                for q in range(b.cols):
+                    out.append(aij * b.at(p, q))
+    return Mat(a.rows * b.rows, a.cols * b.cols, out)
+
+
+@dataclass(frozen=True)
+class ExactRepresentation:
+    rid: int
+    dim: int
+    img_t: Mat
+    img_d: Mat
+
+
+def extract_subrep_exact(parent_t: Mat, parent_d: Mat, span: list[Mat]) -> tuple[Mat, Mat]:
+    """Restrict generator images to the span of the given column vectors.
+
+    Solves parent(s) v_j = sum_i m_ij v_i exactly for s in {T, D} and
+    returns the restricted matrices; raises ExtractionError if any image
+    leaves the span.
+    """
+    v = Mat.from_rows([[vec.at(i, 0) for vec in span] for i in range(span[0].rows)])
+    out = []
+    for parent in (parent_t, parent_d):
+        image = parent.matmul(v)
+        try:
+            out.append(solve_exact(v, image))
+        except ValueError as exc:
+            raise ExtractionError(f"subspace is not invariant: {exc}") from exc
+    return out[0], out[1]
+
+
+def _twist(rid: int, k: int, base: ExactRepresentation) -> ExactRepresentation:
+    t, d = LINEAR_IMAGES[k - 1]
+    return ExactRepresentation(rid, base.dim, base.img_t.scale(t), base.img_d.scale(d))
+
+
+def _e(n: int, *positions: int) -> Mat:
+    """Sum of standard basis column vectors (1-based positions) in C^n."""
+    return Mat(n, 1, [ONE if (i + 1) in positions else ZERO for i in range(n)])
+
+
+def build_all_exact(table) -> list[ExactRepresentation]:
+    """Construct rho_1..rho_32 in CycNum Mat arithmetic; index i lives at position i-1."""
+    reps = [None] * 33
+
+    for k in range(1, 9):
+        t, d = LINEAR_IMAGES[k - 1]
+        reps[k] = ExactRepresentation(k, 1, Mat.from_rows([[t]]), Mat.from_rows([[d]]))
+
+    nat_t, nat_d = table.gens["T"], table.gens["D"]
+    reps[9] = ExactRepresentation(9, 2, nat_t, nat_d)
+    for pos, k in enumerate(FAITHFUL_TWISTS[1:], start=10):
+        reps[pos] = _twist(pos, k, reps[9])
+
+    # symmetric square inside rho_9 (x) rho_9
+    t99, d99 = kron(nat_t, nat_t), kron(nat_d, nat_d)
+    sym2 = [_e(4, 1), _e(4, 2, 3), _e(4, 4)]
+    t21, d21 = extract_subrep_exact(t99, d99, sym2)
+    reps[21] = ExactRepresentation(21, 3, t21, d21)
+    for k in range(2, 9):
+        reps[20 + k] = _twist(20 + k, k, reps[21])
+
+    # symmetric cube inside rho_9 (x) rho_21
+    t921, d921 = kron(nat_t, t21), kron(nat_d, d21)
+    sym3 = [_e(6, 1), _e(6, 2, 4), _e(6, 3, 5), _e(6, 6)]
+    t29, d29 = extract_subrep_exact(t921, d921, sym3)
+    reps[29] = ExactRepresentation(29, 4, t29, d29)
+    for k in (2, 3, 4):
+        reps[28 + k] = _twist(28 + k, k, reps[29])
+
+    # invariant plane inside rho_9 (x) rho_29
+    t929, d929 = kron(nat_t, t29), kron(nat_d, d29)
+    plane = [_e(8, 1, 8), _e(8, 3, 6)]
+    t19, d19 = extract_subrep_exact(t929, d929, plane)
+    reps[19] = ExactRepresentation(19, 2, t19, d19)
+    reps[17] = _twist(17, 2, reps[19])
+    reps[18] = _twist(18, 3, reps[19])
+    reps[20] = _twist(20, 4, reps[19])
+
+    out = [r for r in reps[1:] if r is not None]
+    if len(out) != 32:
+        raise ExtractionError("construction did not produce 32 representations")
+    return out
 
 
 class CycRowReducer:
@@ -229,9 +375,7 @@ def molien_series_elementwise(table, cutoff, mats):
 
 def decode_images(images):
     """The int64 image array of reps.rep_matrices as CycNum matrices."""
-    m = images.shape[1]
-    return [Mat(m, m, [CycNum(*map(int, e), den=4) for e in img.reshape(-1, 4)])
-            for img in images]
+    return [decode_image(img) for img in images]
 
 
 def cyc_from_json(parts):
@@ -322,7 +466,7 @@ def t_rows_exact(rep, d, coords):
     """
     u = binomial_table(d)
     m = rep.dim
-    scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
+    scaled_t = decode_image(rep.img_t).scale(CycNum(0, 1, 0, -1) ** d)
     col_index = {c: i for i, c in enumerate(coords)}
     ncols = len(coords)
     rows = []
@@ -401,7 +545,7 @@ def slice_dense(engine, rid, d):
     ncols = len(coords)
     u = binomial_table(d)
     rows = []
-    scaled_t = rep.img_t.scale(CycNum(0, 1, 0, -1) ** d)
+    scaled_t = decode_image(rep.img_t).scale(CycNum(0, 1, 0, -1) ** d)
     for j in range(m):
         for b in range(d, -1, -1):
             row = [ZERO] * ncols
@@ -414,7 +558,7 @@ def slice_dense(engine, rid, d):
                     idx = col_index[(l, b)]
                     row[idx] = row[idx] - s
             rows.append(row)
-    img_d = rep.img_d
+    img_d = decode_image(rep.img_d)
     i_pow = [CycNum.zeta(0), CycNum.zeta(2), CycNum.zeta(4), CycNum.zeta(6)]
     for j in range(m):
         for b in range(d, -1, -1):

@@ -8,9 +8,10 @@ from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.cyclo import CycNum, ONE, rational
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (CycRowReducer, covariance_check, det_relation_exact,
-                     generator_det_exact, int_rows, rep_matrices_exact, slice_dense,
-                     stacked_rows, t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
+from oracles import (CycRowReducer, covariance_check, decode_image, det_relation_exact,
+                     encode_image, generator_det_exact, int_rows, rep_matrices_exact,
+                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -320,9 +321,9 @@ def test_covariance_failure_matches_substitution_oracle(sess):
         assert engine.covariance_failure(rid, vec) is None, rid
         for a in range(deg, max(deg - 2, -1), -1):
             bumped = vec + VecPoly.from_coeffs([(0, a)], [ONE], rep.dim, deg)
-            if not covariance_check(bumped, rep.image("D"), d):
+            if not covariance_check(bumped, decode_image(rep.img_d), d):
                 expected = "D"
-            elif not covariance_check(bumped, rep.image("T"), t):
+            elif not covariance_check(bumped, decode_image(rep.img_t), t):
                 expected = "T"
             else:
                 expected = None
@@ -385,6 +386,20 @@ def test_integer_t_rows_equal_exact_rows(engine):
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
     assert max(abs(x) for x in reduced.flat) > 2 ** 63
+
+
+def test_binomial_table_closed_form():
+    # coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), from math.comb; every
+    # entry is at most 2^d, so the table is int64 exactly through d = 61
+    from math import comb
+    from g9cov.covariants import _binomial_table
+    for d in range(71):
+        table = _binomial_table(d)
+        assert table.dtype == (np.int64 if d <= 61 else object), d
+        want = [[sum(comb(a, i) * comb(d - a, b - i) * (-1) ** (d - a - b + i)
+                     for i in range(max(0, b - d + a), min(a, b) + 1))
+                 for b in range(d + 1)] for a in range(d + 1)]
+        assert table.tolist() == want, d
 
 
 def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
@@ -583,11 +598,12 @@ def test_tau_pairing_keeps_right_most_coordinates():
 
 
 def _engine_with_images(sess, rid, img_t=None, img_d=None):
+    """An engine whose rho_rid has the given CycNum generator images."""
     from dataclasses import replace
     from g9cov.covariants import CovariantEngine
     rep = sess.rep(rid)
-    fake = replace(rep, img_t=rep.img_t if img_t is None else img_t,
-                   img_d=rep.img_d if img_d is None else img_d)
+    fake = replace(rep, img_t=rep.img_t if img_t is None else encode_image(img_t),
+                   img_d=rep.img_d if img_d is None else encode_image(img_d))
     return CovariantEngine(sess.table, [fake if r.rid == rid else r for r in sess.reps])
 
 
@@ -603,7 +619,8 @@ def test_galois_instability_is_caught(sess):
     from g9cov.linalg import Mat
     p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
     rep = sess.rep(21)
-    eng = _engine_with_images(sess, 21, img_t=p.matmul(rep.img_t).matmul(p_inv))
+    eng = _engine_with_images(sess, 21,
+                              img_t=p.matmul(decode_image(rep.img_t)).matmul(p_inv))
     dense = slice_dense(eng, 21, 2)
     assert dense.dim == 1
     assert any(isinstance(c, CycNum) and c.key()[1:4] != (0, 0, 0)
@@ -648,7 +665,7 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
     elif fault == "tau_entries":
         # sqrt(2) T makes rho(tau) twice the swap: an involutive pattern
         # with entries 2, not +-1
-        t = sess.rep(9).img_t.scale(CycNum(0, 1, 0, -1))
+        t = decode_image(sess.rep(9).img_t).scale(CycNum(0, 1, 0, -1))
         eng, msg = _engine_with_images(sess, 9, img_t=t), rf"rho_9: {tau_msg}"
     elif fault == "tau_order":
         # a 3-cycle for T makes rho(tau) a signed 3-cycle

@@ -8,11 +8,11 @@ import pytest
 
 from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import standard_generators
-from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError,
-                          SingularMatrixError, _IntRows, _certify, _dot_mod, _nullspace_mod,
-                          certified_nullspace, int_encoding, kron, mat_to_json,
-                          nullspace_from_rref, rref, solve_exact)
-from oracles import _is_prime, _primes_1_mod_8, int_rows, mat_from_json, mat_pow
+from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError, _IntRows,
+                          _certify, _dot_mod, _nullspace_mod, certified_nullspace,
+                          int_encoding, mat_to_json, nullspace_from_rref, rref)
+from oracles import (SingularMatrixError, _is_prime, _primes_1_mod_8, int_rows, kron,
+                     mat_from_json, mat_pow, solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -75,7 +75,7 @@ def test_nullspace_exactness_and_rank():
         assert basis == oracle_nullspace(rows, 5)
         m = Mat.from_rows(rows)
         for v in basis:
-            assert all(e.is_zero() for e in m.matmul(Mat.column(v)).entries)
+            assert all(e.is_zero() for e in m.matmul(Mat(len(v), 1, v)).entries)
         assert len(rref([list(v) for v in basis])[1]) == len(basis)   # independent
 
 
@@ -211,7 +211,7 @@ def test_solve_exact():
     x = solve_exact(t, Mat.identity(2))
     assert t.matmul(x) == Mat.identity(2)
     with pytest.raises(ValueError):
-        solve_exact(Mat.column([1, 0]), Mat.column([0, 1]))
+        solve_exact(Mat(2, 1, [1, 0]), Mat(2, 1, [0, 1]))
     with pytest.raises(SingularMatrixError):
         solve_exact(Mat.from_rows([[1, 1], [1, 1]]), Mat.identity(2))
 

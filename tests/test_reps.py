@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -5,15 +6,17 @@ import pytest
 
 from g9cov import reference
 from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
-from g9cov.group import standard_generators
-from g9cov.linalg import CYC_STRUCT, Mat, kron
+from g9cov.group import build_group, standard_generators
+from g9cov.linalg import CYC_STRUCT, Mat
 from g9cov.group import class_sizes
 from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
 from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
-                        Representation, _check_relations, character_gram, decode,
-                        extract_subrep, rep_matrices, verify_census, verify_homomorphism)
-from oracles import as_fraction, decode_images, inner_product, mat_pow, rep_matrices_exact
+                        Representation, _check_relations, _tensor, build_all, character_gram,
+                        decode, extract_subrep, rep_matrices, scalar_image,
+                        verify_census, verify_homomorphism)
+from oracles import (as_fraction, build_all_exact, decode_image, decode_images,
+                     encode_image, inner_product, mat_pow, rep_matrices_exact)
 
 H = Fraction(1, 2)
 
@@ -24,15 +27,15 @@ def by_id(reps, rid):
 
 def test_sym2_extraction_matrices(reps):
     r21 = by_id(reps, 21)
-    assert r21.img_t == Mat.from_rows([[H, 1, H], [H, 0, -H], [H, -1, H]])
-    assert r21.img_d == Mat.diagonal([1, I_UNIT, -1])
+    assert decode_image(r21.img_t) == Mat.from_rows([[H, 1, H], [H, 0, -H], [H, -1, H]])
+    assert decode_image(r21.img_d) == Mat.diagonal([1, I_UNIT, -1])
 
 
 def test_sym3_extraction_matrices(reps):
     r29 = by_id(reps, 29)
     q = HALF_SQRT2 * CycNum(H)  # 1 / (2 sqrt 2)
-    assert r29.img_d == Mat.diagonal([1, I_UNIT, -1, -I_UNIT])
-    assert r29.img_t == Mat.from_rows([
+    assert decode_image(r29.img_d) == Mat.diagonal([1, I_UNIT, -1, -I_UNIT])
+    assert decode_image(r29.img_t) == Mat.from_rows([
         [q, 3 * q, 3 * q, q],
         [q, q, -q, -q],
         [q, -q, -q, q],
@@ -41,42 +44,86 @@ def test_sym3_extraction_matrices(reps):
 
 def test_plane_extraction_matrices(reps):
     r19 = by_id(reps, 19)
-    assert r19.img_t == Mat.from_rows([[H, 3 * H], [H, -H]])
-    assert r19.img_d == Mat.diagonal([1, -1])
+    assert decode_image(r19.img_t) == Mat.from_rows([[H, 3 * H], [H, -H]])
+    assert decode_image(r19.img_d) == Mat.diagonal([1, -1])
     # the order-2 twist flips D but keeps T
     r17 = by_id(reps, 17)
-    assert r17.img_t == r19.img_t
-    assert r17.img_d == Mat.diagonal([-1, 1])
+    assert decode_image(r17.img_t) == decode_image(r19.img_t)
+    assert decode_image(r17.img_d) == Mat.diagonal([-1, 1])
 
 
 def test_generator_relations_all(reps):
     for r in reps:
-        assert r.img_t.matmul(r.img_t) == Mat.identity(r.dim)
-        assert mat_pow(r.img_d, 4) == Mat.identity(r.dim)
+        t, d = decode_image(r.img_t), decode_image(r.img_d)
+        assert t.matmul(t) == Mat.identity(r.dim)
+        assert mat_pow(d, 4) == Mat.identity(r.dim)
 
 
 def test_tensor_with_sym3_diagonal(reps):
     # the 8-dimensional tensor product has eight diagonal entries; some
     # published displays of it list nine (see README)
     r9, r29 = by_id(reps, 9), by_id(reps, 29)
-    got = kron(r9.img_d, r29.img_d)
+    got = decode_image(_tensor(19, r9, r29).img_d)
     z = CycNum.zeta
     assert got == Mat.diagonal([1, z(2), -1, -z(2), z(2), -1, -z(2), 1])
 
 
 def test_extract_subrep_full_basis_is_identity_case():
-    t, d = standard_generators()
-    span = [Mat.column([1, 0]), Mat.column([0, 1])]
-    rt, rd = extract_subrep(t, d, span)
-    assert rt == t and rd == d
+    t, d = map(encode_image, standard_generators())
+    r = extract_subrep(9, Representation(9, 2, t, d), [[0], [1]])
+    assert np.array_equal(r.img_t, t) and np.array_equal(r.img_d, d)
 
 
-def test_extract_subrep_rejects_non_invariant_span():
-    t, d = standard_generators()
-    t99, d99 = kron(t, t), kron(d, d)
-    bad = [Mat.column([1, 0, 0, 0]), Mat.column([0, 1, 0, 0])]
-    with pytest.raises(ExtractionError):
-        extract_subrep(t99, d99, bad)
+def test_extract_subrep_rejects_non_invariant_span(reps):
+    rho99 = _tensor(21, by_id(reps, 9), by_id(reps, 9))
+    with pytest.raises(ExtractionError,
+                       match=r"^rho_21: the subspace is not invariant under the T image$"):
+        extract_subrep(21, rho99, [[0], [1]])
+
+
+@pytest.mark.parametrize("quarters, match", [
+    (1, r"^rho_21: a tensor product is not in \(1/4\) Z\[zeta_8\]$"),
+    (2 ** 18, rf"^rho_21: an image coordinate exceeds {COORD_BOUND} in a tensor product$"),
+], ids=["sixteenth", "bound"])
+def test_tensor_product_checks_its_range(quarters, match):
+    # (1/4) (x) (1/4) = 1/16 leaves (1/4) Z[zeta_8]; 2^16 (x) 2^16 is 2^34 quarters
+    x = scalar_image(1, [quarters, 0, 0, 0])
+    one_dim = Representation(1, 1, x, x)
+    with pytest.raises(ImageError, match=match):
+        _tensor(21, one_dim, one_dim)
+
+
+def test_build_all_makes_no_cycnum_arithmetic(monkeypatch):
+    # on a fresh table the construction reads the group's int64 coordinates
+    # only; the CycNum construction under the same counters makes all four
+    table = build_group()
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for cls, name in ((CycNum, "__mul__"), (CycNum, "__add__"), (Mat, "matmul")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    monkeypatch.setattr(CycNum, "_make", staticmethod(counting("_make", CycNum._make)))
+    out = build_all(table)
+    assert calls == Counter()
+    assert [r.rid for r in out] == list(range(1, 33))
+    for r in out:
+        for image in (r.img_t, r.img_d):
+            assert image.dtype == np.int64 and image.shape == (r.dim, r.dim, 4), r.rid
+            assert not image.flags.writeable, r.rid
+    build_all_exact(table)
+    assert set(calls) == {"__mul__", "__add__", "matmul", "_make"}
+
+
+def test_build_all_equals_cycnum_construction(table, reps):
+    exact = build_all_exact(table)
+    assert [(r.rid, r.dim) for r in reps] == [(e.rid, e.dim) for e in exact]
+    for r, e in zip(reps, exact):
+        assert decode_image(r.img_t) == e.img_t, r.rid
+        assert decode_image(r.img_d) == e.img_d, r.rid
 
 
 @pytest.mark.parametrize("rid", [1, 9, 21, 29])
@@ -86,16 +133,16 @@ def test_relation_check_rejects_scaled_generators(reps, rid):
     r = by_id(reps, rid)
     _check_relations(rid, r.img_t, r.img_d)
     with pytest.raises(ExtractionError, match=rf"rho_{rid}: T image is not an involution"):
-        _check_relations(rid, r.img_t.scale(I_UNIT), r.img_d)
+        _check_relations(rid, _times_zeta(r.img_t, 2), r.img_d)
     with pytest.raises(ExtractionError, match=rf"rho_{rid}: D image has order not dividing 4"):
-        _check_relations(rid, r.img_t, r.img_d.scale(CycNum.zeta(1)))
+        _check_relations(rid, r.img_t, _times_zeta(r.img_d, 1))
 
 
 def evaluate(rep, word):
     """Image of a group element given by its generator word."""
     m = Mat.identity(rep.dim)
     for ch in word:
-        m = m.matmul(rep.image(ch))
+        m = m.matmul(decode_image(rep.image(ch)))
     return m
 
 
@@ -170,9 +217,9 @@ def test_homomorphism_single_rep(sess):
     assert verify_homomorphism(sess.reps[28], sess.table, sess.mats[29]) == 192 * 192
 
 
-def _times_z2(images):
-    """Multiply every entry by z^2 = i, on the integer coordinates."""
-    return np.einsum("...p,pr->...r", images, CYC_STRUCT[:, 2])
+def _times_zeta(images, k):
+    """Multiply every entry by z^k (0 <= k < 4), on the integer coordinates."""
+    return np.einsum("...p,pr->...r", images, CYC_STRUCT[:, k])
 
 
 def test_homomorphism_catches_every_single_corrupted_image(sess):
@@ -181,7 +228,7 @@ def test_homomorphism_catches_every_single_corrupted_image(sess):
     rep, mats = sess.rep(29), sess.mats[29]
     for g in range(1, len(sess.table)):
         bad = mats.copy()
-        bad[g] = _times_z2(mats[g])
+        bad[g] = _times_zeta(mats[g], 2)
         with pytest.raises(CensusError, match="rho_29: homomorphism fails"):
             verify_homomorphism(rep, sess.table, bad)
 
@@ -198,7 +245,7 @@ def test_homomorphism_checks_the_edges_of_both_generators(sess):
             coset.append(x)
             x = table.product[x][s]
         bad = mats.copy()
-        bad[coset] = _times_z2(mats[coset])
+        bad[coset] = _times_zeta(mats[coset], 2)
         with pytest.raises(CensusError, match=rf", {other}\)$"):
             verify_homomorphism(rep, table, bad)
 
@@ -213,7 +260,7 @@ def test_wrong_generator_image_fails_edge_check(table):
     # diag(1, z) has order 8, so images built along the BFS words of G9
     # cannot form a homomorphism
     t, _ = standard_generators()
-    bad = Representation(9, 2, t, Mat.diagonal([1, CycNum.zeta(1)]))
+    bad = Representation(9, 2, encode_image(t), encode_image(Mat.diagonal([1, CycNum.zeta(1)])))
     with pytest.raises(CensusError, match="rho_9: homomorphism fails"):
         verify_homomorphism(bad, table, rep_matrices([bad], table)[0])
 
@@ -229,16 +276,15 @@ def test_kernel_images_are_read_only(sess):
         sess.mats[9][0, 0, 0, 0] = 0
 
 
-@pytest.mark.parametrize("d_entry, match", [
-    (CycNum(1, den=8), r"rho_1: a generator entry is not in \(1/4\) Z\[zeta_8\]"),
-    (CycNum(1, den=4), r"rho_1: an image of word length 2 is not in \(1/4\)"),
-    (CycNum(2 ** 27), rf"rho_1: an image coordinate exceeds {COORD_BOUND}"),
-    (CycNum(2 ** 20), rf"rho_1: an image coordinate exceeds {COORD_BOUND}"),
-], ids=["generator-eighth", "product-sixteenth", "generator-bound", "product-bound"])
-def test_kernel_rejects_images_outside_its_range(table, d_entry, match):
-    # D = [[1/8]]: outside (1/4) Z[zeta_8] already; D = [[1/4]]: D^2 = 1/16 is;
+@pytest.mark.parametrize("d_coords, match", [
+    ([1, 0, 0, 0], r"rho_1: an image of word length 2 is not in \(1/4\)"),
+    ([2 ** 29, 0, 0, 0], rf"rho_1: an image coordinate exceeds {COORD_BOUND}$"),
+    ([2 ** 22, 0, 0, 0], rf"rho_1: an image coordinate exceeds {COORD_BOUND}"),
+], ids=["product-sixteenth", "generator-bound", "product-bound"])
+def test_kernel_rejects_images_outside_its_range(table, d_coords, match):
+    # coordinates over DEN = 4: D = [[1/4]]: D^2 = 1/16 leaves (1/4) Z[zeta_8];
     # D = [[2^27]] is 2^29 quarters; D = [[2^20]]: D^2 is 2^42 quarters
-    bad = Representation(1, 1, Mat.from_rows([[1]]), Mat.from_rows([[d_entry]]))
+    bad = Representation(1, 1, scalar_image(1, [4, 0, 0, 0]), scalar_image(1, d_coords))
     with pytest.raises(ImageError, match=match):
         rep_matrices([bad], table)
 
@@ -263,8 +309,9 @@ def test_images_read_through_traces_equal_exact_oracle(sess):
 def test_batched_images_name_the_failing_rep(sess, rid, scale, match):
     # a bad D image on a rep that is not first in its dimension batch: the
     # error names that rep and the word length, not the batch's first rep
-    reps = [Representation(r.rid, r.dim, r.img_t, r.img_d.scale(scale)) if r.rid == rid else r
-            for r in sess.reps]
+    reps = [Representation(r.rid, r.dim, r.img_t,
+                           encode_image(decode_image(r.img_d).scale(scale)))
+            if r.rid == rid else r for r in sess.reps]
     assert next(r.rid for r in reps if r.dim == by_id(reps, rid).dim) != rid
     fresh = Session(sess.table, reps, CovariantEngine(sess.table, reps))
     with pytest.raises(ImageError, match=match):
@@ -336,3 +383,15 @@ def test_reference_character_table_numbering_from_reference_data():
     assert _rows_breaking_central_rule(reference.character_table()) == []
     assert _rows_breaking_central_rule(
         reference.printed_character_table()) == [29, 30, 31]
+
+
+def test_printed_character_table_returns_fresh_rows():
+    # parsed once, but each call hands out its own lists
+    first, second = reference.printed_character_table(), reference.printed_character_table()
+    assert first == second and len(first) == 32
+    assert all(type(row) is list for row in first)
+    assert first is not second and all(a is not b for a, b in zip(first, second))
+    first[0][0] = CycNum(7)
+    first[1].append(CycNum(0))
+    third = reference.printed_character_table()
+    assert third == second and third[0][0] == CycNum(1) and len(third[1]) == 32

@@ -79,3 +79,10 @@ def test_import_sets_one_blas_thread():
     assert run() == ["1", "1"]          # the variable and the thread count
     env["OPENBLAS_NUM_THREADS"] = "2"
     assert run()[0] == "2"
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from g9cov import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(g9cov.__all__)
+    assert "kron" not in g9cov.__all__
