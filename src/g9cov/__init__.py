@@ -16,7 +16,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cyclo import CycNum, Rat
 from .group import GroupTable, build_group, standard_generators
-from .linalg import Mat
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import Representation, build_all
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly", "CovariantEngine", "CovariantSlice", "CycNum", "GeneratorSet",
-    "GroupTable", "Mat", "MolienResult", "Rat", "Representation", "Session",
+    "GroupTable", "MolienResult", "Rat", "Representation", "Session",
     "VecPoly", "build_all", "build_group", "fundamental_invariants",
     "get_session", "molien_series", "standard_generators",
 ]

@@ -21,14 +21,13 @@ import argparse
 import json
 import sys
 
-from . import poly, reference
+from . import group, poly, reference
 from .covariants import FREENESS_DEGREE
 from .cyclo import render_zeta
 from .group import class_orders, class_sizes
-from .linalg import mat_to_json
 # molien_series is re-exported: perfbench/spans.py wraps it under this name
 from .molien import molien_series  # noqa: F401
-from .reps import verify_census, verify_homomorphism
+from .reps import decode, verify_census, verify_homomorphism
 from .session import Session, get_session
 
 MAX_DEGREE = 256
@@ -76,7 +75,9 @@ def cmd_group(args, sess: Session) -> int:
         data = {
             "order": len(table),
             "elements": [{"index": e.index, "word": e.word,
-                          "matrix": mat_to_json(e.mat)}
+                          "matrix": {"rows": len(e.coords), "cols": len(e.coords),
+                                     "entries": [decode(c, group.DEN).to_json()
+                                                 for c in e.coords.reshape(-1, 4)]}}
                          for e in table.elements],
             "classes": classes,
         }
@@ -351,7 +352,7 @@ def _check_invariants(sess: Session) -> str:
                              (delta, 5, "delta is not rho_5-covariant at element")):
         name = sess.engine.covariance_failure(rid, poly.VecPoly([form]))
         if name:
-            failures.append(f"{moved} {sess.table.lookup(sess.table.gens[name])}")
+            failures.append(f"{moved} {sess.table.right[name][0]}")
     if failures:
         raise CheckFailure("; ".join(dict.fromkeys(failures)))
     return ("phi = delta^2 + 66 gamma^4; theta, phi fixed by all 192 elements; "

@@ -15,7 +15,7 @@ consequences of the same covariance condition:
   * every rho(D) here is diagonal, so the D constraint just selects,
     per component j, the x^a y^(d-a) with i^(d-a) equal to the j-th
     diagonal entry;
-  * the swap tau: (x, y) -> (y, x) is T D^2 T (checked as 2x2 matrices),
+  * the swap tau: (x, y) -> (y, x) is T D^2 T (checked on coordinates),
     so every covariant has F(y, x) = rho(T) rho(D)^2 rho(T) F(x, y).  That
     matrix is checked to be a signed permutation of order 2, with sign s_l
     at (l, perm[l]), so c_(l,a) = s_l c_(perm[l], d-a): the kept
@@ -109,10 +109,10 @@ without elimination:
   * so sum_j p_j(theta, phi) g_j = 0 forces each p_j(theta, phi) = 0 and
     then each p_j = 0: the products theta^a phi^b g_j are independent;
   * they are covariants, and in each degree d they are exactly as many as
-    the Molien coefficient dim M(rho)_d: generators() checks that their
-    degrees are the numerator's multiset, which makes the count in degree d
-    the closed form of MolienResult.coefficient (verify_free recounts it
-    through FREENESS_DEGREE), so they span every slice.
+    the Molien coefficient dim M(rho)_d: their degrees are the numerator's
+    multiset (checked by generators() and again by verify_free), which
+    makes the count in degree d the closed form of
+    MolienResult.coefficient, so they span every slice.
 """
 
 from __future__ import annotations
@@ -125,17 +125,17 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .cyclo import CycNum
-from .group import GroupTable
-from .linalg import CYC_STRUCT, Mat, certified_nullspace, int_encoding
+from . import group
+from .group import GroupTable, multiply
+from .linalg import CYC_STRUCT, certified_nullspace, galois, int_encoding, zeta_power
 # rref is re-exported: perfbench/spans.py wraps it under this name
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
-from .reps import DEN, Representation, decode, rep_matrices, scalar_image, zeta_power
+from .reps import DEN, Representation, rep_matrices, scalar_image
 from . import reference
 
-FREENESS_DEGREE = 64    # verify_free counts products in each degree through this
+FREENESS_DEGREE = 64    # the degree the freeness report names; the check covers every degree
 
 
 class CrossCheckError(RuntimeError):
@@ -237,14 +237,6 @@ class RowReducer:
         return [Fraction(v, red[pivot]) for v in red]
 
 
-def _galois(x: np.ndarray, k: int) -> np.ndarray:
-    """zeta_8 -> zeta_8^k (k odd) on Z[zeta_8] coordinates x[..., 4]: a signed permutation."""
-    out = np.empty_like(x)
-    for p in range(4):
-        out[..., p * k % 4] = x[..., p] if p * k % 8 < 4 else -x[..., p]
-    return out
-
-
 def _binomial_table(d: int) -> np.ndarray:
     """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
 
@@ -280,9 +272,10 @@ class CovariantEngine:
         self._dets: dict[int, BiPoly] = {}
         self._symmetries: dict[int, _Symmetry] = {}
         t, d = table.gens["T"], table.gens["D"]
-        if t.matmul(d).matmul(d).matmul(t) != Mat.from_rows([[0, 1], [1, 0]]):
+        swap = np.array([[0, 1], [1, 0]])[:, :, None] * zeta_power(0, group.DEN)
+        if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):
             raise CrossCheckError("T D^2 T is not the swap (x, y) -> (y, x)")
-        self._central_index = table.lookup(Mat.identity(2).scale(CycNum.zeta(1)))
+        self._central_index = table.lookup(scalar_image(2, zeta_power(1, group.DEN)))
         self._t_index = table.lookup(t)
         # slices_solved, and the rows and cells (rows x columns) of their
         # systems; primes, primes_rejected, certificate_primes and fallbacks
@@ -325,7 +318,7 @@ class CovariantEngine:
         for k in (3, 5, 7):
             for name, s in self.table.gens.items():
                 try:
-                    image = self.table.lookup(Mat(2, 2, [e.galois(k) for e in s.entries]))
+                    image = self.table.lookup(galois(s, k))
                 except KeyError:
                     raise CrossCheckError(f"sigma_{k}({name}) is not in G9") from None
                 out.append((k, name, self.table.lookup(s), image))
@@ -346,7 +339,7 @@ class CovariantEngine:
             diag = rep.img_d[ids, ids]
             if not np.array_equal(rep.img_d, np.eye(rep.dim, dtype=np.int64)[:, :, None] * diag):
                 raise CrossCheckError(f"rho_{rid}: D image is not diagonal")
-            i_powers = np.stack([zeta_power(2 * e) for e in range(4)])
+            i_powers = np.stack([zeta_power(2 * e, DEN) for e in range(4)])
             hits = (diag[:, None] == i_powers).all(axis=2)
             if not hits.any(axis=1).all():
                 raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
@@ -367,12 +360,12 @@ class CovariantEngine:
             central = images[self._central_index]
             if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):
                 raise CrossCheckError(f"rho_{rid}: central element is not scalar")
-            residue = next((k for k in range(8) if CycNum.zeta(k) == decode(central[0, 0])),
-                           None)
+            residue = next((k for k in range(8)
+                            if np.array_equal(zeta_power(k, DEN), central[0, 0])), None)
             if residue is None:
                 raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
             for k, name, s, image in self._galois_gens:
-                if not np.array_equal(_galois(images[image], k), images[s]):
+                if not np.array_equal(galois(images[image], k), images[s]):
                     raise CrossCheckError(f"rho_{rid}: sigma_{k}(rho(sigma_{k}({name}))) "
                                           f"is not rho({name})")
             self._symmetries[rid] = _Symmetry(residue, expo, tuple(perm.tolist()),
@@ -563,23 +556,24 @@ class CovariantEngine:
 
         Checks exactly the hypotheses of the freeness argument (Stanley,
         Bull. AMS 1 (1979); Chevalley, Amer. J. Math. 77 (1955); proof in
-        the module docstring), with no elimination: the products of each
-        degree d <= FREENESS_DEGREE are as many as the Molien coefficient,
-        theta and phi are algebraically independent, and det[g_j] is
-        nonzero.  Then the products are independent and span every slice.
-        Raises FreenessError naming the representation (and the degree).
+        the module docstring), with no elimination: the generator degrees
+        are the Molien numerator's multiset, so the products of each degree
+        are as many as the Molien coefficient in every degree; theta and
+        phi are algebraically independent; and det[g_j] is nonzero.  Then
+        the products are independent and span every slice.  Raises
+        FreenessError naming the representation (and, for a count, the
+        lowest degree where the products and the Molien coefficient differ).
         """
         genset = self.generators(rid)
         mol = self.molien(rid)
-        # the products theta^a phi^b g_j by degree d_j + 8 a + 24 b
-        top = FREENESS_DEGREE + 1
-        count = Counter(dj + b24 + a8 for dj in genset.degrees for b24 in range(0, top - dj, 24)
-                        for a8 in range(0, top - dj - b24, 8))
-        for d in range(top):
-            if count[d] != mol.coefficient(d):
-                raise FreenessError(
-                    f"rho_{rid} degree {d}: {count[d]} products, "
-                    f"Molien coefficient {mol.coefficient(d)}")
+        have, want = Counter(genset.degrees), Counter(dict(mol.numerator))
+        if have != want:
+            # counts agree below the lowest degree d where the multisets
+            # differ, and differ at d by the difference of the multiplicities
+            d = min((have - want) + (want - have))
+            products = MolienResult(rid, tuple(sorted(have.items()))).coefficient(d)
+            raise FreenessError(f"rho_{rid} degree {d}: {products} products, "
+                                f"Molien coefficient {mol.coefficient(d)}")
         if not self._invariants_independent:
             raise FreenessError(f"rho_{rid}: theta and phi are algebraically dependent")
         if self.generator_det(rid).is_zero():

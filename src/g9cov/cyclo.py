@@ -1,8 +1,10 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_8).
 
-A CycNum, the scalar of the group and representation matrices and the
-characters, is a Q-linear combination c0 + c1*z + c2*z^2 + c3*z^3 reduced
-modulo z^4 + 1, where z = zeta_8 = e^{i*pi/4}; covariants are rational and
+A CycNum, the scalar of the characters, the reference tables and the
+rendered output, is a Q-linear combination c0 + c1*z + c2*z^2 + c3*z^3
+reduced modulo z^4 + 1, where z = zeta_8 = e^{i*pi/4}.  Group elements and
+representation images are int64 arrays of the same four coordinates (see
+linalg), decoded to CycNum only to be printed; covariants are rational and
 use int and Fraction instead.  Useful identities in this basis:
 
     z^2         = i

@@ -1,29 +1,29 @@
 """Enumeration of the reflection group G9 from its two generators.
 
-The group is built by breadth-first closure under right multiplication by
-the generators, so every element carries a shortest generator word and the
-element order (BFS layer, then discovery order) is deterministic; its
-products are int64 coordinates over DEN = 2, as G9 lies in (1/2) Z[zeta_8].
-On top of the closure we compute the Cayley table (read off the BFS tree, so
-only the generators are multiplied as matrices), inverses, element orders
-and the conjugacy classes, and align the classes with the reference column
-order: the 32 classes are represented by the literal matrices
+A group element is an (n, n, 4) int64 array of Z[zeta_8] coordinates
+over DEN = 2, as G9 lies in (1/2) Z[zeta_8]; the generators, the closure
+input and lookup all use that format.  The group is built by
+breadth-first closure under right multiplication by the generators, so
+every element carries a shortest generator word and the element order
+(BFS layer, then discovery order) is deterministic.  On top of the
+closure we compute the Cayley table (read off the BFS tree, so only the
+generators are multiplied as matrices), inverses, element orders and the
+conjugacy classes, and align the classes with the reference column
+order: the 32 classes are represented by the elements
 
     z^k I (k=0..7),  z^k D^2 (k=0..3),  z^k D (k=0..7),
     z^k T (k=0..3),  z^k TD (k=0..7),
 
-with z = zeta_8.
+with z = zeta_8, built from the generator coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cyclo import CycNum, HALF_SQRT2, I_UNIT
-from .linalg import Mat, right_factor
+from .linalg import right_factor, zeta_power, zeta_shift
 
 CLOSURE_LIMIT = 10_000
 DEN = 2
@@ -38,12 +38,32 @@ class ReferenceMismatchError(RuntimeError):
     """The enumerated group does not match the reference class structure."""
 
 
-def standard_generators() -> tuple[Mat, Mat]:
-    """The defining 2x2 generators T = (1/sqrt2)[[1,1],[1,-1]] and D = diag(1, i)."""
-    h = HALF_SQRT2
-    t = Mat.from_rows([[h, h], [h, -h]])
-    d = Mat.diagonal([1, I_UNIT])
-    return t, d
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+def standard_generators() -> tuple[np.ndarray, np.ndarray]:
+    """The defining generators T = (1/sqrt2)[[1,1],[1,-1]] and D = diag(1, i).
+
+    Read-only (2, 2, 4) int64 coordinates over DEN: 1/sqrt2 = (z - z^3)/2.
+    """
+    h = np.array([0, 1, 0, -1])
+    t = np.array([[h, h], [h, -h]], dtype=np.int64)
+    d = np.zeros((2, 2, 4), dtype=np.int64)
+    d[0, 0], d[1, 1] = zeta_power(0, DEN), zeta_power(2, DEN)
+    return _read_only(t), _read_only(d)
+
+
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a b of n x n coordinate arrays over DEN.
+
+    ValueError if it leaves (1/DEN) Z[zeta_8].
+    """
+    prod, rem = np.divmod(a.reshape(len(a), -1) @ right_factor(b), DEN)
+    if rem.any():
+        raise ValueError(f"a product leaves (1/{DEN}) Z[zeta_8]")
+    return prod.reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,33 +72,19 @@ class GroupElement:
     word: str        # left-to-right product of generators, "" for the identity
     parent: int      # index of the element this was discovered from (-1 for identity)
     last: str        # generator appended to the parent's word ("" for identity)
-    coords: np.ndarray   # (n, n, 4) int64 coordinates over DEN; `mat` decodes on first read
-
-    @cached_property
-    def mat(self) -> Mat:
-        n = len(self.coords)
-        return Mat(n, n, [CycNum._make(tuple(c), DEN)
-                          for c in self.coords.reshape(-1, 4).tolist()])
-
-
-def _coords(mat: Mat) -> tuple[int, ...] | None:
-    """Entry coordinates over DEN, or None outside (1/DEN) Z[zeta_8] or COORD_BOUND."""
-    keys = [e.key() for e in mat.entries]
-    if any(DEN % k[4] for k in keys):
-        return None
-    out = tuple(n * (DEN // k[4]) for k in keys for n in k[:4])
-    return out if max(map(abs, out)) <= COORD_BOUND else None
+    coords: np.ndarray   # read-only (n, n, 4) int64 coordinates over DEN
 
 
 class GroupTable:
     """The closed group with Cayley table, inverses, orders and classes."""
 
-    def __init__(self, elements: list[GroupElement], index: dict, gens: dict[str, Mat],
-                 right: dict[str, list[int]]):
+    def __init__(self, elements: list[GroupElement], index: dict,
+                 gens: dict[str, np.ndarray], right: dict[str, list[int]]):
         self.elements = elements
-        self.index = index      # coordinates over DEN, flattened (see _coords) -> index
-        self.gens = gens
+        self.index = index      # flattened coordinates over DEN -> index
+        self.gens = gens        # generator coordinates over DEN
         self.right = right      # right[name][i] = index of element i * gens[name]
+        self.identity: int | None = None
         self.product: list[list[int]] | None = None
         self.inverse: list[int] | None = None
         self.orders: list[int] | None = None
@@ -86,13 +92,14 @@ class GroupTable:
         self.class_of: list[int] | None = None        # element index -> block id
         self.class_reps: list[int] | None = None      # reference-ordered representatives
         self.class_block_order: list[int] | None = None  # reference position -> block id
+        self.class_labels: list[str] | None = None    # reference-ordered labels
 
     def __len__(self):
         return len(self.elements)
 
-    def lookup(self, mat: Mat) -> int:
-        """Index of a matrix in the group; raises KeyError if absent."""
-        return self.index[_coords(mat)]
+    def lookup(self, coords: np.ndarray) -> int:
+        """Index of the element with these coordinates over DEN; KeyError if absent."""
+        return self.index[tuple(np.ravel(coords).tolist())]
 
     # -- derived structure -------------------------------------------------------
 
@@ -145,22 +152,23 @@ class GroupTable:
         self.class_of = class_of
 
 
-def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTable:
-    """Breadth-first closure of a generating set of invertible matrices.
+def closure(gens: list[tuple[str, np.ndarray]], limit: int = CLOSURE_LIMIT) -> GroupTable:
+    """Breadth-first closure of invertible matrices given as coordinates over DEN.
 
     Each element records a minimal-length word over the generator names.
     Each BFS layer is multiplied by one generator at a time in int64
-    coordinates over DEN; ValueError names a generator or word that leaves
-    (1/DEN) Z[zeta_8] or COORD_BOUND.  Raises NotFinitelyClosedError past
-    ``limit`` elements.
+    coordinates over DEN; ValueError names a generator that is not integer
+    coordinates within COORD_BOUND, or a word that leaves (1/DEN) Z[zeta_8]
+    or COORD_BOUND.  Raises NotFinitelyClosedError past ``limit`` elements.
     """
-    n = gens[0][1].rows
+    n = len(gens[0][1])
     factors = {}
     for name, g in gens:
-        if (c := _coords(g)) is None:
-            raise ValueError(f"generator {name} leaves (1/{DEN}) Z[zeta_8] or COORD_BOUND")
-        factors[name] = right_factor(np.array(c, dtype=np.int64).reshape(n, n, 4))
-    ident = np.eye(n, dtype=np.int64)[:, :, None] * np.array([DEN, 0, 0, 0])
+        g = np.asarray(g)
+        if g.dtype.kind not in "iu" or np.abs(g).max() > COORD_BOUND:
+            raise ValueError(f"generator {name} is not integer coordinates within COORD_BOUND")
+        factors[name] = right_factor(g.astype(np.int64))
+    ident = _read_only(np.eye(n, dtype=np.int64)[:, :, None] * zeta_power(0, DEN))
     elements = [GroupElement(0, "", -1, "", ident)]
     index = {tuple(ident.ravel().tolist()): 0}
     right: dict[str, list[int]] = {name: [] for name, _ in gens}
@@ -174,7 +182,7 @@ def closure(gens: list[tuple[str, Mat]], limit: int = CLOSURE_LIMIT) -> GroupTab
             if rem.any() or np.abs(prod).max() > COORD_BOUND:
                 raise ValueError(f"a word of length {length} ending in {name} leaves "
                                  f"(1/{DEN}) Z[zeta_8] or COORD_BOUND")
-            prods[name] = prod.reshape(-1, n, n, 4)
+            prods[name] = _read_only(prod.reshape(-1, n, n, 4))
             keys[name] = list(map(tuple, prod.reshape(len(frontier), -1).tolist()))
         next_frontier = []
         for row, ei in enumerate(frontier):
@@ -204,31 +212,20 @@ def build_group() -> GroupTable:
     return table
 
 
-def reference_class_matrices() -> list[tuple[str, Mat]]:
-    """The 32 literal class representatives in reference column order."""
+def reference_class_matrices() -> list[tuple[str, np.ndarray]]:
+    """The 32 literal class representatives in reference column order.
+
+    Coordinates over DEN, built from the generators by integer products and
+    z^k shifts; no group table is read.
+    """
     t, d = standard_generators()
-    d2 = d.matmul(d)
-    td = t.matmul(d)
-    ident = Mat.identity(2)
-    reps: list[tuple[str, Mat]] = []
-
-    def zlabel(k: int, base: str) -> str:
-        if k == 0:
-            return base
-        if k == 1:
-            return f"z*{base}"
-        return f"z^{k}*{base}"
-
-    for k in range(8):
-        reps.append((zlabel(k, "I"), ident.scale(CycNum.zeta(k))))
-    for k in range(4):
-        reps.append((zlabel(k, "D^2"), d2.scale(CycNum.zeta(k))))
-    for k in range(8):
-        reps.append((zlabel(k, "D"), d.scale(CycNum.zeta(k))))
-    for k in range(4):
-        reps.append((zlabel(k, "T"), t.scale(CycNum.zeta(k))))
-    for k in range(8):
-        reps.append((zlabel(k, "TD"), td.scale(CycNum.zeta(k))))
+    bases = {"I": np.eye(2, dtype=np.int64)[:, :, None] * zeta_power(0, DEN),
+             "D^2": multiply(d, d), "D": d, "T": t, "TD": multiply(t, d)}
+    reps: list[tuple[str, np.ndarray]] = []
+    for base, count in (("I", 8), ("D^2", 4), ("D", 8), ("T", 4), ("TD", 8)):
+        for k in range(count):
+            label = base if k == 0 else f"z*{base}" if k == 1 else f"z^{k}*{base}"
+            reps.append((label, zeta_shift(bases[base], k)))
     return reps
 
 
@@ -242,9 +239,9 @@ def match_reference_classes(table: GroupTable) -> list[int]:
     positions = []
     seen_blocks = set()
     block_order = []
-    for label, mat in reps:
+    for label, coords in reps:
         try:
-            idx = table.lookup(mat)
+            idx = table.lookup(coords)
         except KeyError:
             raise ReferenceMismatchError(f"representative {label} not found in group")
         bid = table.class_of[idx]

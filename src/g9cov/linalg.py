@@ -1,10 +1,15 @@
-"""Exact linear algebra over Q(zeta_8) and over Q.
+"""Exact linear algebra over Q(zeta_8) and over Q, on integer Z[zeta_8] coordinates.
 
-Matrices are immutable row-major tuples of CycNum; the group's 2x2
-matrices use them.  The reference nullspace comes from a deterministic
-reduced row echelon form (rref) whose pivot is always the first nonzero
-entry in column order, so repeated runs give byte-identical output; rref
-works on CycNum and on Fraction entries alike.
+A number of Z[zeta_8] is carried as its four integer coordinates in the
+basis 1, z, z^2, z^3 (z = zeta_8, z^4 = -1), a matrix as an (n, m, 4)
+int64 array of them over one fixed denominator: CYC_STRUCT multiplies
+coordinates, right_factor turns a matrix into the integer factor of a
+product, and zeta_shift, galois and zeta_power are the signed
+permutations of coordinates that multiplication by z^k and the field
+automorphisms z -> z^k make.  The reference nullspace comes from a
+deterministic reduced row echelon form (rref) whose pivot is always the
+first nonzero entry in column order, so repeated runs give byte-identical
+output; rref works on CycNum and on Fraction entries alike.
 
 certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
@@ -20,102 +25,13 @@ for its slices).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import CycNum, ONE, ZERO, rational
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
-
-
-def _cyc(x) -> CycNum:
-    return x if isinstance(x, CycNum) else rational(x)
-
-
-class Mat:
-    """An exact rows x cols matrix over Q(zeta_8)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        entries = tuple(_cyc(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> Mat:
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        if any(len(r) != m for r in rows):
-            raise ShapeError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n: int) -> Mat:
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Iterable) -> Mat:
-        values = [_cyc(v) for v in values]
-        n = len(values)
-        return cls(n, n, [values[i] if i == j else ZERO for i in range(n) for j in range(n)])
-
-    def at(self, i: int, j: int) -> CycNum:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[CycNum, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    # -- algebra ---------------------------------------------------------------
-
-    def matmul(self, other: Mat) -> Mat:
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = ZERO
-                for t in range(k):
-                    av = arow[t]
-                    if not av.is_zero():
-                        acc = acc + av * b[t * m + j]
-                out.append(acc)
-        return Mat(n, m, out)
-
-    def scale(self, c) -> Mat:
-        c = _cyc(c)
-        return Mat(self.rows, self.cols, [c * e for e in self.entries])
-
-    def trace(self) -> CycNum:
-        if self.rows != self.cols:
-            raise ShapeError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.at(i, i)
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        rows = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return f"Mat[{rows}]"
+from .cyclo import CycNum
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -184,6 +100,29 @@ for _p in range(4):
 def right_factor(b: np.ndarray) -> np.ndarray:
     """R with a.reshape(-1, 4k) @ R = (a b).reshape(-1, 4m) over Z[zeta_8], b k x m."""
     return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * len(b), -1)
+
+
+def _send_powers(x: np.ndarray, images) -> np.ndarray:
+    """Coordinates x[..., 4] with each z^p sent to z^images[p]: a signed permutation."""
+    out = np.empty_like(x)
+    for p, q in enumerate(images):
+        out[..., q % 4] = x[..., p] if q % 8 < 4 else -x[..., p]
+    return out
+
+
+def zeta_shift(x: np.ndarray, k: int) -> np.ndarray:
+    """z^k times the numbers with coordinates x[..., 4]."""
+    return _send_powers(x, [p + k for p in range(4)])
+
+
+def galois(x: np.ndarray, k: int) -> np.ndarray:
+    """The automorphism z -> z^k (k odd) on coordinates x[..., 4]."""
+    return _send_powers(x, [p * k for p in range(4)])
+
+
+def zeta_power(k: int, den: int) -> np.ndarray:
+    """The coordinates of z^k over den."""
+    return zeta_shift(np.array([den, 0, 0, 0], dtype=np.int64), k)
 
 
 def int_encoding(groups: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -412,7 +351,3 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
     reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])
     return [[Fraction(x) for x in v] for v in nullspace_from_rref(reduced, pivots, ncols)]
 
-
-def mat_to_json(m: Mat) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [e.to_json() for e in m.entries]}

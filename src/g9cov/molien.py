@@ -5,7 +5,8 @@ tr(rho(s^{-1})) / det(I - t s), with the denominator taken in the natural
 2x2 action.  Both the numerator trace and det(I - t s) = 1 - tr(s) t +
 det(s) t^2 are class functions, so the sum runs over the 32 conjugacy
 classes weighted by class size, in int64 on Z[zeta_8] coordinates: the
-traces come from the integer images of reps.rep_matrices.
+traces come from the integer images of reps.rep_matrices, and tr s and
+det s from the coordinates of the class representatives s.
 
 The invariant ring is C[theta, phi] with degrees 8 and 24.  Every element
 of G9 has order dividing 24, and an element with a repeated eigenvalue is
@@ -32,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycNum
+from . import group
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, Mat, right_factor
+from .linalg import CYC_STRUCT, right_factor
 from .reps import DEN, Representation, class_traces, decode
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
 from .reps import rep_matrices  # noqa: F401
@@ -72,16 +73,12 @@ class MolienResult:
         return out
 
 
-def _det2(m: Mat) -> CycNum:
-    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
-
-
 @lru_cache(maxsize=32)
-def _class_numerator(label: str, trace: CycNum, det: CycNum) -> np.ndarray:
+def _class_numerator(label: str, trace: tuple[int, ...], det: tuple[int, ...]) -> np.ndarray:
     """Z[zeta_8] coordinates of (1 - t^8)(1 - t^24) / (1 - trace*t + det*t^2).
 
     A read-only int64 (TOP + 1, 4) array for the class named label; trace
-    and det must be integral.
+    and det are integer coordinate tuples.
     Exact division from the low end by q_n = u_n + trace q_(n-1) -
     det q_(n-2), u the dividend: the power series quotient is a polynomial
     of degree TOP exactly when the remainder terms q_(TOP+1), q_(TOP+2)
@@ -89,28 +86,38 @@ def _class_numerator(label: str, trace: CycNum, det: CycNum) -> np.ndarray:
     those two.
     Memoized per class: Q_c does not depend on the representation.
     """
-    if trace.key()[4] != 1 or det.key()[4] != 1:
-        raise MolienError(f"class {label}: Q_c needs integral trace and det, "
-                          f"got {trace}, {det}")
-    by_tr, by_det = (np.einsum("p,pqr->qr", np.array(x.key()[:4]), CYC_STRUCT)
-                     for x in (trace, det))
+    by_tr, by_det = (np.einsum("p,pqr->qr", np.array(x), CYC_STRUCT) for x in (trace, det))
     out = np.zeros((TOP + 3, 4), dtype=np.int64)
     out[[0, 8, 24, 32], 0] = 1, -1, -1, 1        # the dividend (1 - t^8)(1 - t^24)
     for n in range(1, TOP + 3):
         out[n] += out[n - 1] @ by_tr - (out[n - 2] @ by_det if n >= 2 else 0)
     if out[TOP + 1:].any():
-        raise MolienError(f"class {label}: 1 - ({trace})t + ({det})t^2 does not "
-                          f"divide (1 - t^8)(1 - t^24)")
+        raise MolienError(f"class {label}: 1 - ({decode(trace, 1)})t + ({decode(det, 1)})t^2 "
+                          f"does not divide (1 - t^8)(1 - t^24)")
     out = out[:TOP + 1]
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=2)
-def _class_factors(table: GroupTable) -> tuple[tuple[str, CycNum, CycNum], ...]:
-    """(label, tr s, det s) of the natural matrix s at each reference class."""
-    return tuple((label, table.elements[r].mat.trace(), _det2(table.elements[r].mat))
-                 for label, r in zip(table.class_labels, table.class_reps))
+def _class_factors(table: GroupTable) -> tuple[tuple[str, tuple, tuple], ...]:
+    """(label, tr s, det s) of the natural matrix s at each reference class.
+
+    tr s and det s as integer coordinate tuples; MolienError names the
+    first class where either is not integral.
+    """
+    s = np.stack([table.elements[r].coords for r in table.class_reps])
+    trace = s[:, 0, 0] + s[:, 1, 1]                                 # over group.DEN
+    det = (np.einsum("cp,cq,pqr->cr", s[:, 0, 0], s[:, 1, 1], CYC_STRUCT)
+           - np.einsum("cp,cq,pqr->cr", s[:, 0, 1], s[:, 1, 0], CYC_STRUCT))   # over group.DEN^2
+    out = []
+    for label, tr, dt in zip(table.class_labels, trace.tolist(), det.tolist()):
+        if any(x % group.DEN for x in tr) or any(x % group.DEN ** 2 for x in dt):
+            raise MolienError(f"class {label}: Q_c needs integral trace and det, got "
+                              f"{decode(tr, group.DEN)}, {decode(dt, group.DEN ** 2)}")
+        out.append((label, tuple(x // group.DEN for x in tr),
+                    tuple(x // group.DEN ** 2 for x in dt)))
+    return tuple(out)
 
 
 def molien_series(rep: Representation, table: GroupTable,

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .linalg import Mat
-
 
 class NotDivisibleError(ArithmeticError):
     """Exact division was requested but the divisor does not divide."""
@@ -155,11 +153,12 @@ class BiPoly:
 
     # -- group action and symmetry ---------------------------------------------------
 
-    def substitute(self, g: Mat) -> BiPoly:
+    def substitute(self, g) -> BiPoly:
         """f evaluated at x -> g11 x + g12 y, y -> g21 x + g22 y.
 
-        This realizes the substitution action f |-> f(g x); powers of the two
-        image linear forms are built once and reused across terms.  No
+        This realizes the substitution action f |-> f(g x) for any 2x2
+        matrix g that has rows, cols and exact scalars at(i, j); powers of
+        the two image linear forms are built once and reused across terms.  No
         production code calls it: the covariance checks use the integer T
         action of CovariantEngine, and tests use this as its oracle.
         """

@@ -54,7 +54,7 @@ import numpy as np
 from . import group
 from .cyclo import CycNum
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, right_factor
+from .linalg import CYC_STRUCT, right_factor, zeta_power
 
 # (rho_k(T), rho_k(D)) for k = 1..8 as powers of zeta_8:
 # (1, 1), (1, -1), (1, i), (1, -i), (-1, 1), (-1, -1), (-1, i), (-1, -i)
@@ -98,13 +98,6 @@ def _check_relations(rid: int, t: np.ndarray, d: np.ndarray) -> None:
     d2 = _times([rid], d, right_factor(d), "D^2")
     if not np.array_equal(_times([rid], d2, right_factor(d2), "D^4"), ident):
         raise ExtractionError(f"rho_{rid}: D image has order not dividing 4")
-
-
-def zeta_power(k: int) -> np.ndarray:
-    """The coordinates of zeta_8^k over DEN."""
-    w = np.zeros(4, dtype=np.int64)
-    w[k % 4] = DEN if k % 8 < 4 else -DEN
-    return w
 
 
 def _tensor(rid: int, a: Representation, b: Representation) -> Representation:
@@ -152,8 +145,8 @@ def build_all(table: GroupTable) -> list[Representation]:
     reps: list[Representation | None] = [None] * 33
 
     for k, (t, d) in enumerate(LINEAR_IMAGES, start=1):
-        reps[k] = Representation(k, 1, scalar_image(1, zeta_power(t)),
-                                 scalar_image(1, zeta_power(d)))
+        reps[k] = Representation(k, 1, scalar_image(1, zeta_power(t, DEN)),
+                                 scalar_image(1, zeta_power(d, DEN)))
 
     # table.right[s][0] is the element s (element 0 is the identity)
     nat = [table.elements[table.right[s][0]].coords * (DEN // group.DEN) for s in ("T", "D")]
@@ -302,7 +295,7 @@ def verify_homomorphism(rep: Representation, table: GroupTable, mats: np.ndarray
     if not np.array_equal(mats[table.identity], scalar_image(rep.dim, [DEN, 0, 0, 0])):
         raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
     _check_bound(rep.rid, mats)
-    for s in (table.lookup(g) for g in table.gens.values()):
+    for s in (table.right[name][0] for name in table.gens):
         lhs = (mats.reshape(-1, 4 * rep.dim) @ right_factor(mats[s])).reshape(mats.shape)
         bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
         if bad.any():

@@ -4,21 +4,127 @@ Each one is the plain computation that a faster path in g9cov replaced;
 the tests compare the two.
 """
 
+from __future__ import annotations
+
 import cmath
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from g9cov import group
 from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
                               _poly_det)
 from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import Mat, ShapeError, int_encoding, nullspace_from_rref, rref
-from g9cov.molien import _det2
+from g9cov.linalg import int_encoding, nullspace_from_rref, rref
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
+
+
+# -- CycNum matrices ------------------------------------------------------------------
+#
+# The plain exact matrices the oracles below compute in; g9cov itself carries
+# group elements and images as int64 Z[zeta_8] coordinates.
+
+class ShapeError(ValueError):
+    """Operand shapes are incompatible."""
+
+
+def _cyc(x) -> CycNum:
+    return x if isinstance(x, CycNum) else rational(x)
+
+
+class Mat:
+    """An exact rows x cols matrix over Q(zeta_8)."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        entries = tuple(_cyc(e) for e in entries)
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]) -> Mat:
+        rows = [list(r) for r in rows]
+        n = len(rows)
+        m = len(rows[0]) if n else 0
+        if any(len(r) != m for r in rows):
+            raise ShapeError("ragged rows")
+        return cls(n, m, [e for r in rows for e in r])
+
+    @classmethod
+    def identity(cls, n: int) -> Mat:
+        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+
+    @classmethod
+    def diagonal(cls, values: Iterable) -> Mat:
+        values = [_cyc(v) for v in values]
+        n = len(values)
+        return cls(n, n, [values[i] if i == j else ZERO for i in range(n) for j in range(n)])
+
+    def at(self, i: int, j: int) -> CycNum:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[CycNum, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    # -- algebra ---------------------------------------------------------------
+
+    def matmul(self, other: Mat) -> Mat:
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        n, k, m = self.rows, self.cols, other.cols
+        a, b = self.entries, other.entries
+        out = []
+        for i in range(n):
+            arow = a[i * k:(i + 1) * k]
+            for j in range(m):
+                acc = ZERO
+                for t in range(k):
+                    av = arow[t]
+                    if not av.is_zero():
+                        acc = acc + av * b[t * m + j]
+                out.append(acc)
+        return Mat(n, m, out)
+
+    def scale(self, c) -> Mat:
+        c = _cyc(c)
+        return Mat(self.rows, self.cols, [c * e for e in self.entries])
+
+    def trace(self) -> CycNum:
+        if self.rows != self.cols:
+            raise ShapeError("trace of a non-square matrix")
+        acc = ZERO
+        for i in range(self.rows):
+            acc = acc + self.at(i, i)
+        return acc
+
+    def __eq__(self, other):
+        return (isinstance(other, Mat) and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        rows = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+        return f"Mat[{rows}]"
+
+
+def mat_to_json(m: Mat) -> dict:
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [e.to_json() for e in m.entries]}
+
+
+def _det2(m: Mat) -> CycNum:
+    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
 
 
 def approx(x):
@@ -40,17 +146,31 @@ def as_fraction(x):
     return x.coeffs[0]
 
 
-def decode_image(image):
-    """An (m, m, 4) int array over reps.DEN as a CycNum matrix."""
+def decode_image(image, den=DEN):
+    """An (m, m, 4) int array over den (default reps.DEN) as a CycNum matrix."""
     m = len(image)
-    return Mat(m, m, [CycNum(*map(int, e), den=DEN) for e in image.reshape(-1, 4)])
+    return Mat(m, m, [CycNum(*map(int, e), den=den) for e in image.reshape(-1, 4)])
 
 
-def encode_image(mat):
-    """A matrix over (1/DEN) Z[zeta_8] as (rows, cols, 4) int64 numerators over DEN."""
-    nums, (den,), _ = int_encoding([mat.entries])
-    assert DEN % den == 0, mat
-    return (nums.reshape(mat.rows, mat.cols, 4) * (DEN // den)).astype(np.int64)
+def encode_image(mat, den=DEN):
+    """A matrix over (1/den) Z[zeta_8] as (rows, cols, 4) int64 numerators over den.
+
+    ValueError if an entry lies outside (1/den) Z[zeta_8].
+    """
+    nums, (lcd,), _ = int_encoding([mat.entries])
+    if den % lcd:
+        raise ValueError(f"an entry of {mat} is not in (1/{den}) Z[zeta_8]")
+    return (nums.reshape(mat.rows, mat.cols, 4) * (den // lcd)).astype(np.int64)
+
+
+def element_mat(coords):
+    """A group element's (n, n, 4) coordinates over group.DEN as a Mat."""
+    return decode_image(coords, group.DEN)
+
+
+def element_coords(mat):
+    """A Mat as group coordinates over group.DEN; ValueError outside (1/2) Z[zeta_8]."""
+    return encode_image(mat, group.DEN)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +284,7 @@ def build_all_exact(table) -> list[ExactRepresentation]:
         t, d = LINEAR_IMAGES[k - 1]
         reps[k] = ExactRepresentation(k, 1, Mat.from_rows([[t]]), Mat.from_rows([[d]]))
 
-    nat_t, nat_d = table.gens["T"], table.gens["D"]
+    nat_t, nat_d = element_mat(table.gens["T"]), element_mat(table.gens["D"])
     reps[9] = ExactRepresentation(9, 2, nat_t, nat_d)
     for pos, k in enumerate(FAITHFUL_TWISTS[1:], start=10):
         reps[pos] = _twist(pos, k, reps[9])
@@ -361,7 +481,8 @@ def molien_series_elementwise(table, cutoff, mats):
         tr_inv = mats[table.inverse[e.index]].trace()
         if tr_inv.is_zero():
             continue
-        expansion = inverse_det_series_exact(e.mat.trace(), _det2(e.mat), cutoff)
+        mat = element_mat(e.coords)
+        expansion = inverse_det_series_exact(mat.trace(), _det2(mat), cutoff)
         for n in range(cutoff + 1):
             acc[n] = acc[n] + tr_inv * expansion[n]
     out = []
@@ -384,7 +505,7 @@ def cyc_from_json(parts):
 
 
 def mat_from_json(data):
-    """Inverse of linalg.mat_to_json, which the CLI uses for group --format json."""
+    """Inverse of mat_to_json, the matrix rendering of group --format json."""
     return Mat(data["rows"], data["cols"], [cyc_from_json(e) for e in data["entries"]])
 
 

@@ -22,7 +22,7 @@ from g9cov import reference
 from g9cov.group import class_orders, class_sizes
 from g9cov.poly import fundamental_invariants
 from g9cov.reps import verify_homomorphism
-from oracles import (covariance_check, inner_product, rep_matrices_exact,
+from oracles import (covariance_check, element_mat, inner_product, rep_matrices_exact,
                      verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
@@ -156,12 +156,13 @@ def test_criterion_10_invariant_identities(sess):
     mats3 = rep_matrices_exact(sess.rep(3), sess.table)
     mats5 = rep_matrices_exact(sess.rep(5), sess.table)
     for e in sess.table.elements:
-        assert THETA.substitute(e.mat) == THETA
-        assert PHI.substitute(e.mat) == PHI
+        mat = element_mat(e.coords)
+        assert THETA.substitute(mat) == THETA
+        assert PHI.substitute(mat) == PHI
         chi3 = mats3[e.index].at(0, 0)
         chi5 = mats5[e.index].at(0, 0)
-        assert GAMMA.substitute(e.mat) == GAMMA.scale(chi3)
-        assert DELTA.substitute(e.mat) == DELTA.scale(chi5)
+        assert GAMMA.substitute(mat) == GAMMA.scale(chi3)
+        assert DELTA.substitute(mat) == DELTA.scale(chi5)
     _ok("criterion 10: phi identity, full-group invariance, covariance of the forms")
 
 
@@ -195,5 +196,5 @@ def test_full_group_covariance_certification(sess):
         vec = sess.engine.slice(r.rid, d).basis[0]
         mats = rep_matrices_exact(r, sess.table)
         for e in sess.table.elements:
-            assert covariance_check(vec, mats[e.index], e.mat), (r.rid, e.index)
+            assert covariance_check(vec, mats[e.index], element_mat(e.coords)), (r.rid, e.index)
     _ok("supporting: full-group covariance of a sampled slice per representation")

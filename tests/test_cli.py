@@ -80,7 +80,8 @@ def test_molien_all_reps(capsys):
 
 # sha256 of stdout: the molien pins cover every degree through 256 of all
 # 32 series, the verify pin every check's detail line; the deep slice, a
-# basis reconstructed from 16 primes, guards the multiprime path
+# basis reconstructed from 16 primes, guards the multiprime path; the group
+# and chartable pins guard the element rendering and the class order
 PINNED_OUTPUTS = [
     (["verify"], "78737441582a6c61dbbecd1a3ce035d751f27406c2e619f64cdb08c32cf1643d"),
     (["molien", "--rep", "all", "--terms", "256", "--numerator"],
@@ -89,11 +90,17 @@ PINNED_OUTPUTS = [
      "5e14d27315f681901124c3568042f495c4bd5930aeda9aba2b73b3289daccfdf"),
     (["covariants", "--rep", "21", "--degree", "250"],
      "4df4f6101febaa495523fdd7cbaecaeb89eb6a7166bbd9abc0ea11076efd2f21"),
+    (["group", "--format", "json"],
+     "7c06b9c6580bba7d3df33ecd1d2440d19ae56c0bf71e183fdd9ab5185865055c"),
+    (["group"], "37a68cd09a24610b7476a291b4739003ce7539d66db7ff43bf04d28c610b6a76"),
+    (["chartable", "--format", "json"],
+     "9f03aefba88a8ef8f011b59936f3f8ec3014e7c9f4c2be76d2a76aa4300bc11e"),
 ]
 
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
-                         ids=["verify", "molien", "molien-json", "covariants-21-250"])
+                         ids=["verify", "molien", "molien-json", "covariants-21-250",
+                              "group-json", "group", "chartable-json"])
 def test_output_bytes_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -8,8 +8,8 @@ from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.cyclo import CycNum, ONE, rational
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (CycRowReducer, covariance_check, decode_image, det_relation_exact,
-                     encode_image, generator_det_exact, int_rows, rep_matrices_exact,
+from oracles import (CycRowReducer, Mat, covariance_check, decode_image, det_relation_exact,
+                     element_mat, encode_image, generator_det_exact, int_rows, rep_matrices_exact,
                      slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
                      verify_free_by_elimination)
 
@@ -95,7 +95,8 @@ def test_generators_are_covariants(sess):
         d_idx = sess.table.lookup(sess.table.gens["D"])
         for _, g in sess.engine.generators(rid).gens:
             for idx in (t_idx, d_idx):
-                assert covariance_check(g, mats[idx], sess.table.elements[idx].mat)
+                natural = element_mat(sess.table.elements[idx].coords)
+                assert covariance_check(g, mats[idx], natural)
 
 
 def test_generator_normalization(engine):
@@ -311,7 +312,7 @@ def test_covariance_failure_matches_substitution_oracle(sess):
     from g9cov.cyclo import ONE
     from g9cov.group import standard_generators
     from g9cov.poly import VecPoly
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     engine = sess.engine
     seen = set()
     for rid in range(1, 33):
@@ -616,7 +617,6 @@ def test_galois_instability_is_caught(sess):
     # not run
     from g9cov.covariants import CrossCheckError
     from g9cov.cyclo import Z
-    from g9cov.linalg import Mat
     p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
     rep = sess.rep(21)
     eng = _engine_with_images(sess, 21,
@@ -642,7 +642,6 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
     import copy
     from g9cov import covariants
     from g9cov.covariants import CovariantEngine, CrossCheckError
-    from g9cov.linalg import Mat
     from g9cov.reps import DEN, scalar_image
     tau_msg = r"rho\(T\) rho\(D\)\^2 rho\(T\) is not a signed permutation of order 2"
     rid, d = 9, 1

@@ -8,11 +8,12 @@ import pytest
 
 from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import standard_generators
-from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, Mat, ShapeError, _IntRows,
-                          _certify, _dot_mod, _nullspace_mod, certified_nullspace,
-                          int_encoding, mat_to_json, nullspace_from_rref, rref)
-from oracles import (SingularMatrixError, _is_prime, _primes_1_mod_8, int_rows, kron,
-                     mat_from_json, mat_pow, solve_exact)
+from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _certify,
+                          _dot_mod, _nullspace_mod, certified_nullspace, int_encoding,
+                          nullspace_from_rref, rref)
+from oracles import (Mat, ShapeError, SingularMatrixError, _is_prime, _primes_1_mod_8,
+                     element_mat, int_rows, kron, mat_from_json, mat_pow, mat_to_json,
+                     solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -22,7 +23,7 @@ def rnd_mat(rng, n, m=None, span=3):
 
 
 def test_generator_relations():
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     assert t.matmul(t) == Mat.identity(2)
     assert mat_pow(d, 4) == Mat.identity(2)
     with pytest.raises(ValueError, match="negative power"):
@@ -191,7 +192,7 @@ def test_certificate_bound_is_not_int64():
 
 
 def test_kron_reference_values():
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     assert kron(d, d) == Mat.diagonal([1, I_UNIT, I_UNIT, -1])
     rho21_d = Mat.diagonal([1, I_UNIT, -1])
     assert kron(d, rho21_d) == Mat.diagonal([1, I_UNIT, -1, I_UNIT, -1, -I_UNIT])
@@ -207,7 +208,7 @@ def test_kron_mixed_product_sampled():
 
 
 def test_solve_exact():
-    t, _ = standard_generators()
+    t = element_mat(standard_generators()[0])
     x = solve_exact(t, Mat.identity(2))
     assert t.matmul(x) == Mat.identity(2)
     with pytest.raises(ValueError):

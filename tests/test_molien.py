@@ -1,9 +1,29 @@
+from fractions import Fraction
+
 import pytest
 
 from g9cov import molien, reference
-from g9cov.cyclo import CycNum, ONE, ZERO
-from g9cov.molien import MolienError, _class_numerator, _det2, molien_series
-from oracles import molien_series_elementwise, rep_matrices_exact
+from g9cov.cyclo import CycNum, ZERO
+from g9cov.group import GroupElement, GroupTable
+from g9cov.molien import MolienError, _class_factors, _class_numerator, molien_series
+from oracles import (Mat, _det2, element_coords, element_mat, molien_series_elementwise,
+                     rep_matrices_exact)
+
+ONE = (1, 0, 0, 0)      # the integer coordinates of 1
+
+
+def integral(x):
+    """The integer coordinate tuple of an integral CycNum."""
+    *nums, den = x.key()
+    assert den == 1, x
+    return tuple(nums)
+
+
+def one_class_table(mat):
+    """A GroupTable holding only the element mat, as the one class x."""
+    table = GroupTable([GroupElement(0, "", -1, "", element_coords(mat))], {}, {}, {})
+    table.class_labels, table.class_reps = ["x"], [0]
+    return table
 
 
 def test_trivial_rep_series(engine):
@@ -89,17 +109,22 @@ def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
 
 
 def test_class_numerator_needs_integral_class_data():
-    with pytest.raises(MolienError, match="class x: Q_c needs integral trace and det"):
-        _class_numerator("x", CycNum(1, den=2), ONE)
-    with pytest.raises(MolienError, match="class x: Q_c needs integral trace and det"):
-        _class_numerator("x", ONE, CycNum(1, den=2))
+    # the class data is read off the element's coordinates: trace 1/2 with
+    # det 0, then trace 1 with det 1/2
+    h = Fraction(1, 2)
+    with pytest.raises(MolienError, match=r"class x: Q_c needs integral trace and det, "
+                                          r"got 1/2, 0$"):
+        _class_factors(one_class_table(Mat.diagonal([h, 0])))
+    with pytest.raises(MolienError, match=r"class x: Q_c needs integral trace and det, "
+                                          r"got 1, 1/2$"):
+        _class_factors(one_class_table(Mat.from_rows([[h, h], [-h, h]])))
     assert not _class_numerator("x", ONE, ONE).flags.writeable
 
 
 def test_class_numerator_rejects_factor_that_does_not_divide():
     # 1 - 3t + t^2 has no root of unity as a root, so the remainder is not 0
     with pytest.raises(MolienError, match=r"class x: 1 - \(3\)t \+ \(1\)t\^2 does not divide"):
-        _class_numerator("x", CycNum(3), ONE)
+        _class_numerator("x", (3, 0, 0, 0), ONE)
 
 
 def test_class_numerator_times_class_factor_is_denominator(table):
@@ -107,10 +132,13 @@ def test_class_numerator_times_class_factor_is_denominator(table):
     want = [ZERO] * 33
     for d, v in ((0, 1), (8, -1), (24, -1), (32, 1)):
         want[d] = CycNum(v)
-    for label, r in zip(table.class_labels, table.class_reps):
-        m = table.elements[r].mat
+    factors = _class_factors(table)
+    for pos, (label, r) in enumerate(zip(table.class_labels, table.class_reps)):
+        m = element_mat(table.elements[r].coords)
         tr, det = m.trace(), _det2(m)
-        q = [CycNum(*row) for row in _class_numerator(label, tr, det).tolist()]
+        assert factors[pos] == (label, integral(tr), integral(det)), label
+        q = [CycNum(*row) for row in _class_numerator(label, integral(tr),
+                                                      integral(det)).tolist()]
         assert len(q) == 31
         q += [ZERO, ZERO]
         prod = [q[n] - (tr * q[n - 1] if n >= 1 else ZERO)
@@ -127,8 +155,9 @@ def test_class_numerator_built_once_per_class(sess):
     info = _class_numerator.cache_info()
     assert info.misses <= 32 and info.misses + info.hits > 32, info
     for label, r in zip(sess.table.class_labels, sess.table.class_reps):
-        m = sess.table.elements[r].mat
-        assert not _class_numerator(label, m.trace(), _det2(m)).flags.writeable, label
+        m = element_mat(sess.table.elements[r].coords)
+        assert not _class_numerator(label, integral(m.trace()),
+                                    integral(_det2(m))).flags.writeable, label
 
 
 def test_cutoff_guard(sess):

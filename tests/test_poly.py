@@ -4,10 +4,9 @@ import pytest
 
 from g9cov.cyclo import CycNum, I_UNIT
 from g9cov.group import standard_generators
-from g9cov.linalg import Mat
 from g9cov.poly import (BiPoly, NotDivisibleError, VecPoly,
                         fundamental_invariants)
-from oracles import approx, mat_apply, vec_substitute
+from oracles import Mat, approx, element_mat, mat_apply, vec_substitute
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -37,7 +36,7 @@ def test_phi_identity():
 
 
 def test_substitute_examples():
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     assert THETA.substitute(t) == THETA
     assert GAMMA.substitute(d) == GAMMA.scale(I_UNIT)
     assert THETA.substitute(Mat.identity(2)) == THETA
@@ -46,7 +45,7 @@ def test_substitute_examples():
 def test_substitute_numeric_oracle():
     # float evaluation of f(gv) must agree with substitute(f, g) evaluated at v
     rng = random.Random(41)
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     td = t.matmul(d)
 
     def fval(p, x, y):
@@ -65,7 +64,7 @@ def test_substitute_numeric_oracle():
 
 def test_substitution_is_ring_homomorphism():
     rng = random.Random(43)
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     for _ in range(30):
         f, g = rnd_poly(rng), rnd_poly(rng)
         for a in (t, d):
@@ -77,7 +76,7 @@ def test_substitution_composition():
     # with the action f |-> f(g x), composing substitutions follows the
     # matrix product: f((g h) x) expands as substitute(substitute(f, g), h)
     rng = random.Random(47)
-    t, d = standard_generators()
+    t, d = map(element_mat, standard_generators())
     gens = [t, d, t.matmul(d)]
     for _ in range(20):
         f = rnd_poly(rng)
@@ -107,8 +106,8 @@ def test_divide_exact():
 
 def test_theta_phi_fixed_by_whole_group(table):
     for e in table.elements:
-        assert THETA.substitute(e.mat) == THETA
-        assert PHI.substitute(e.mat) == PHI
+        assert THETA.substitute(element_mat(e.coords)) == THETA
+        assert PHI.substitute(element_mat(e.coords)) == PHI
 
 
 def test_vecpoly_basics():
@@ -116,7 +115,7 @@ def test_vecpoly_basics():
     assert v.degree == 1 and len(v) == 2
     w = v.mul_poly(THETA)
     assert w.degree == 9
-    t, _ = standard_generators()
+    t = element_mat(standard_generators()[0])
     assert vec_substitute(v, t) == mat_apply(v, t)  # the defining covariant identity
     with pytest.raises(ValueError):
         VecPoly([BiPoly.x(), THETA])

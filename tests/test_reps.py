@@ -7,7 +7,7 @@ import pytest
 from g9cov import reference
 from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import build_group, standard_generators
-from g9cov.linalg import CYC_STRUCT, Mat
+from g9cov.linalg import CYC_STRUCT
 from g9cov.group import class_sizes
 from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
@@ -15,8 +15,9 @@ from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, _tensor, build_all, character_gram,
                         decode, extract_subrep, rep_matrices, scalar_image,
                         verify_census, verify_homomorphism)
-from oracles import (as_fraction, build_all_exact, decode_image, decode_images,
-                     encode_image, inner_product, mat_pow, rep_matrices_exact)
+from oracles import (Mat, as_fraction, build_all_exact, decode_image, decode_images,
+                     element_coords, element_mat, encode_image, inner_product, mat_pow,
+                     rep_matrices_exact)
 
 H = Fraction(1, 2)
 
@@ -69,7 +70,7 @@ def test_tensor_with_sym3_diagonal(reps):
 
 
 def test_extract_subrep_full_basis_is_identity_case():
-    t, d = map(encode_image, standard_generators())
+    t, d = (encode_image(element_mat(g)) for g in standard_generators())
     r = extract_subrep(9, Representation(9, 2, t, d), [[0], [1]])
     assert np.array_equal(r.img_t, t) and np.array_equal(r.img_d, d)
 
@@ -94,9 +95,9 @@ def test_tensor_product_checks_its_range(quarters, match):
 
 
 def test_build_all_makes_no_cycnum_arithmetic(monkeypatch):
-    # on a fresh table the construction reads the group's int64 coordinates
-    # only; the CycNum construction under the same counters makes all four
-    table = build_group()
+    # the group, the construction, the engine, every image, Molien and the
+    # symmetry checks read int64 coordinates only; the CycNum construction
+    # under the same counters makes all five
     calls = Counter()
 
     def counting(name, fn):
@@ -104,10 +105,17 @@ def test_build_all_makes_no_cycnum_arithmetic(monkeypatch):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for cls, name in ((CycNum, "__mul__"), (CycNum, "__add__"), (Mat, "matmul")):
+    for cls, name in ((CycNum, "__init__"), (CycNum, "__mul__"), (CycNum, "__add__"),
+                      (Mat, "matmul")):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     monkeypatch.setattr(CycNum, "_make", staticmethod(counting("_make", CycNum._make)))
+    table = build_group()
     out = build_all(table)
+    engine = CovariantEngine(table, out)
+    engine.build_images(list(range(1, 33)))
+    for rid in range(1, 33):
+        engine.molien(rid)
+        engine._symmetry(rid)
     assert calls == Counter()
     assert [r.rid for r in out] == list(range(1, 33))
     for r in out:
@@ -115,7 +123,7 @@ def test_build_all_makes_no_cycnum_arithmetic(monkeypatch):
             assert image.dtype == np.int64 and image.shape == (r.dim, r.dim, 4), r.rid
             assert not image.flags.writeable, r.rid
     build_all_exact(table)
-    assert set(calls) == {"__mul__", "__add__", "matmul", "_make"}
+    assert set(calls) == {"__init__", "__mul__", "__add__", "matmul", "_make"}
 
 
 def test_build_all_equals_cycnum_construction(table, reps):
@@ -147,8 +155,8 @@ def evaluate(rep, word):
 
 
 def test_evaluate_examples(table, reps):
-    t, d = standard_generators()
-    td = table.elements[table.lookup(t.matmul(d))]
+    t, d = map(element_mat, standard_generators())
+    td = table.elements[table.lookup(element_coords(t.matmul(d)))]
     assert evaluate(by_id(reps, 9), td.word) == t.matmul(d)
     for e in table.elements[:20]:
         assert evaluate(by_id(reps, 1), e.word) == Mat.identity(1)
@@ -259,7 +267,7 @@ def test_homomorphism_requires_identity_image(sess):
 def test_wrong_generator_image_fails_edge_check(table):
     # diag(1, z) has order 8, so images built along the BFS words of G9
     # cannot form a homomorphism
-    t, _ = standard_generators()
+    t = element_mat(standard_generators()[0])
     bad = Representation(9, 2, encode_image(t), encode_image(Mat.diagonal([1, CycNum.zeta(1)])))
     with pytest.raises(CensusError, match="rho_9: homomorphism fails"):
         verify_homomorphism(bad, table, rep_matrices([bad], table)[0])

@@ -85,4 +85,4 @@ def test_public_names_resolve():
     namespace = {}
     exec("from g9cov import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(g9cov.__all__)
-    assert "kron" not in g9cov.__all__
+    assert "kron" not in g9cov.__all__ and "Mat" not in g9cov.__all__
