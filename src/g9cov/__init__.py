@@ -14,7 +14,6 @@ import os
 # would start (and spin) at numpy's import; a value the user sets still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cyclo import CycNum, Rat
 from .group import GroupTable, build_group, standard_generators
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
@@ -25,8 +24,8 @@ from .session import Session, get_session
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "CovariantEngine", "CovariantSlice", "CycNum", "GeneratorSet",
-    "GroupTable", "MolienResult", "Rat", "Representation", "Session",
+    "BiPoly", "CovariantEngine", "CovariantSlice", "GeneratorSet",
+    "GroupTable", "MolienResult", "Representation", "Session",
     "VecPoly", "build_all", "build_group", "fundamental_invariants",
     "get_session", "molien_series", "standard_generators",
 ]

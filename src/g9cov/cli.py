@@ -21,13 +21,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import group, poly, reference
 from .covariants import FREENESS_DEGREE
-from .cyclo import render_zeta
+from .cyclo import render_zeta, to_json
 from .group import class_orders, class_sizes
 # molien_series is re-exported: perfbench/spans.py wraps it under this name
 from .molien import molien_series  # noqa: F401
-from .reps import decode, verify_census, verify_homomorphism
+from .reps import DEN, verify_census, verify_homomorphism
 from .session import Session, get_session
 
 MAX_DEGREE = 256
@@ -76,8 +78,8 @@ def cmd_group(args, sess: Session) -> int:
             "order": len(table),
             "elements": [{"index": e.index, "word": e.word,
                           "matrix": {"rows": len(e.coords), "cols": len(e.coords),
-                                     "entries": [decode(c, group.DEN).to_json()
-                                                 for c in e.coords.reshape(-1, 4)]}}
+                                     "entries": [to_json(c, group.DEN)
+                                                 for c in e.coords.reshape(-1, 4).tolist()]}}
                          for e in table.elements],
             "classes": classes,
         }
@@ -104,7 +106,7 @@ def cmd_chartable(args, sess: Session) -> int:
     labels = table.class_labels
     orders = class_orders(table)
     sizes = class_sizes(table)
-    rows = [[render_zeta(v) for v in row] for row in sess.chars]
+    rows = [[render_zeta(t, DEN) for t in row] for row in sess.traces.tolist()]
     if args.format == "json":
         data = {"classes": labels, "ord": orders, "sizes": sizes,
                 "rows": {f"chi_{i+1}": row for i, row in enumerate(rows)}}
@@ -242,10 +244,10 @@ def _check_homomorphism(sess: Session) -> str:
 
 
 def _check_chartable(sess: Session, strict: bool) -> str:
-    ref = reference.printed_character_table()
-    strict_bad = [i + 1 for i in range(32) if sess.chars[i] != ref[i]]
+    ref, chars = DEN * reference.printed_character_table(), sess.traces
+    strict_bad = [i + 1 for i in range(32) if not np.array_equal(chars[i], ref[i])]
     for row, src in reference.CHARACTER_ROW_SOURCE.items():
-        if ref[row - 1] != sess.chars[src - 1]:
+        if not np.array_equal(ref[row - 1], chars[src - 1]):
             raise CheckFailure(
                 f"reference row {row} does not match chi_{src} either")
     if not strict_bad:

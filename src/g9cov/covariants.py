@@ -24,7 +24,7 @@ consequences of the same covariance condition:
     s_l = -1, or whose partner is not kept, is 0.
 
 What is left is the T constraint A on the kept coefficients, built
-(times reps.DEN, with no CycNum) as an integer array of Z[zeta_8]
+(times reps.DEN) as an integer array of Z[zeta_8]
 coordinates, int64 whenever a bound from d and rho(T) proves it fits.
 It is solved as B, the rows (j, b) with 2b >= d of A E: about half the
 unknowns and half the rows.  Three facts make this exact:

@@ -9,7 +9,7 @@ permutations of coordinates that multiplication by z^k and the field
 automorphisms z -> z^k make.  The reference nullspace comes from a
 deterministic reduced row echelon form (rref) whose pivot is always the
 first nonzero entry in column order, so repeated runs give byte-identical
-output; rref works on CycNum and on Fraction entries alike.
+output; rref runs on Fraction entries (it only needs field arithmetic).
 
 certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
@@ -31,15 +31,13 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import CycNum
-
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns).
 
-    Entries are CycNum, Fraction or int.  Pivot choice is the first
-    nonzero entry in column order, scanning rows top to bottom, which makes
-    the result canonical for the row space.
+    Entries are Fraction or int (any exact field scalar works).  Pivot
+    choice is the first nonzero entry in column order, scanning rows top to
+    bottom, which makes the result canonical for the row space.
     """
     if not rows:
         return rows, []
@@ -128,21 +126,19 @@ def zeta_power(k: int, den: int) -> np.ndarray:
 def int_encoding(groups: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer coordinates of equal-length groups of entries, one denominator per group.
 
-    Entries are CycNum, int or Fraction.  Returns (nums, dens, max_abs):
+    Entries are int or Fraction.  Returns (nums, dens, max_abs):
     nums[g, e, :] are the four integer coordinates (Python ints, dtype
-    object) of entry e of group g over dens[g], the group's least common
-    denominator; max_abs bounds every |num| and every den.
+    object; the last three are 0) of entry e of group g over dens[g], the
+    group's least common denominator; max_abs bounds every |num| and every
+    den.
     """
     nums = np.zeros((len(groups), len(groups[0]) if groups else 0, 4), dtype=object)
     dens = np.ones(len(groups), dtype=object)
     max_abs = 1
     for g, entries in enumerate(groups):
-        keys = [(e, x.key() if isinstance(x, CycNum) else (x.numerator, 0, 0, 0, x.denominator))
-                for e, x in enumerate(entries) if x]
-        den = dens[g] = lcm(*(k[4] for _, k in keys))
-        for e, k in keys:
-            nums[g, e] = coords = [n * (den // k[4]) for n in k[:4]]
-            max_abs = max(max_abs, den, *map(abs, coords))
+        den = dens[g] = lcm(*(x.denominator for x in entries))
+        nums[g, :, 0] = coords = [x.numerator * (den // x.denominator) for x in entries]
+        max_abs = max(max_abs, den, *map(abs, coords))
     return nums, dens, max_abs
 
 

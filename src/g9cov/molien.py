@@ -36,7 +36,8 @@ import numpy as np
 from . import group
 from .group import GroupTable, class_sizes
 from .linalg import CYC_STRUCT, right_factor
-from .reps import DEN, Representation, class_traces, decode
+from .cyclo import render_zeta
+from .reps import DEN, Representation, class_traces
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
 from .reps import rep_matrices  # noqa: F401
 
@@ -92,8 +93,8 @@ def _class_numerator(label: str, trace: tuple[int, ...], det: tuple[int, ...]) -
     for n in range(1, TOP + 3):
         out[n] += out[n - 1] @ by_tr - (out[n - 2] @ by_det if n >= 2 else 0)
     if out[TOP + 1:].any():
-        raise MolienError(f"class {label}: 1 - ({decode(trace, 1)})t + ({decode(det, 1)})t^2 "
-                          f"does not divide (1 - t^8)(1 - t^24)")
+        raise MolienError(f"class {label}: 1 - ({render_zeta(trace, 1)})t + "
+                          f"({render_zeta(det, 1)})t^2 does not divide (1 - t^8)(1 - t^24)")
     out = out[:TOP + 1]
     out.flags.writeable = False
     return out
@@ -114,7 +115,8 @@ def _class_factors(table: GroupTable) -> tuple[tuple[str, tuple, tuple], ...]:
     for label, tr, dt in zip(table.class_labels, trace.tolist(), det.tolist()):
         if any(x % group.DEN for x in tr) or any(x % group.DEN ** 2 for x in dt):
             raise MolienError(f"class {label}: Q_c needs integral trace and det, got "
-                              f"{decode(tr, group.DEN)}, {decode(dt, group.DEN ** 2)}")
+                              f"{render_zeta(tr, group.DEN)}, "
+                              f"{render_zeta(dt, group.DEN ** 2)}")
         out.append((label, tuple(x // group.DEN for x in tr),
                     tuple(x // group.DEN ** 2 for x in dt)))
     return tuple(out)
@@ -136,7 +138,7 @@ def molien_series(rep: Representation, table: GroupTable,
     bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] % scale != 0) | (acc[:, 0] < 0))
     if len(bad):
         raise MolienError(f"rho_{rep.rid}: coefficient of t^{bad[0]} is "
-                          f"{decode(acc[bad[0]], scale)} in the Molien numerator")
+                          f"{render_zeta(acc[bad[0]], scale)} in the Molien numerator")
     numerator = tuple((d, c) for d, c in enumerate((acc[:, 0] // scale).tolist()) if c)
     total = sum(c for _, c in numerator)
     if total != rep.dim:

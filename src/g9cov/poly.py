@@ -2,9 +2,10 @@
 
 BiPoly is a sparse map from exponent pairs (a, b) to nonzero coefficients,
 the term being x^a y^b, over exact field scalars: int and Fraction here,
-as every covariant is rational (the tests also use CycNum); a float raises
-TypeError.  The global term order is graded lexicographic with x > y:
-higher total degree first, ties broken by the x exponent.
+as every covariant is rational (the test oracles also use Q(zeta_8)
+scalars); a float raises TypeError.  The global term order is graded
+lexicographic with x > y: higher total degree first, ties broken by the x
+exponent.
 VecPoly bundles m components of one common homogeneous degree and is the
 carrier type for covariants.
 

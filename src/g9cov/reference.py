@@ -19,6 +19,9 @@ table is exposed in both orders:
 * printed_character_table() is the verbatim printed order, which verify
   reports on its chartable line as a named, documented deviation.
 
+Both are read-only int64 (32, 32, 4) arrays of the entries' integer
+Z[zeta_8] coordinates (see cyclo), over denominator 1.
+
 The degree tables below are consistent with the package numbering and
 each other.  The erratum is decided by the reference data alone: zI is
 central, so a covariant of degree d forces rho(zI) = z^d I, and
@@ -31,7 +34,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import CycNum, parse_zeta
+import numpy as np
+
+from .cyclo import parse_zeta
 
 CLASS_ORDERS = [1, 8, 4, 8, 2, 8, 4, 8,
                 2, 8, 4, 8,
@@ -118,31 +123,29 @@ CHARACTER_ROW_SOURCE.update({29: 30, 30: 31, 31: 29})
 
 
 @lru_cache(maxsize=1)
-def _parsed_rows() -> tuple[tuple[CycNum, ...], ...]:
-    rows = []
-    for line in _CHARACTER_ROWS:
-        entries = tuple(parse_zeta(tok) for tok in line.split())
-        if len(entries) != 32:
-            raise ValueError(f"reference row has {len(entries)} entries")
-        rows.append(entries)
-    return tuple(rows)
+def printed_character_table() -> np.ndarray:
+    """The reference character table in the printed row order (rows 29..31
+    hold chi_30, chi_31, chi_29): read-only int64 (32, 32, 4) integer
+    coordinates over denominator 1, parsed once."""
+    rows = [[parse_zeta(tok) for tok in line.split()] for line in _CHARACTER_ROWS]
+    for row in rows:
+        if len(row) != 32:
+            raise ValueError(f"reference row has {len(row)} entries")
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
-def printed_character_table() -> list[list[CycNum]]:
-    """The reference character table as exact values, in the printed row
-    order (rows 29..31 hold chi_30, chi_31, chi_29).  The strings are
-    parsed once; each call returns fresh lists of the immutable values."""
-    return [list(row) for row in _parsed_rows()]
-
-
-def character_table() -> list[list[CycNum]]:
-    """The reference character table as exact values, in the package
-    numbering: row i - 1 holds chi_i, i.e. the printed row r with
-    CHARACTER_ROW_SOURCE[r] == i."""
-    rows = [None] * 32
-    for row, entries in enumerate(printed_character_table(), start=1):
-        rows[CHARACTER_ROW_SOURCE[row] - 1] = entries
-    return rows
+@lru_cache(maxsize=1)
+def character_table() -> np.ndarray:
+    """The reference character table in the package numbering: row i - 1
+    holds chi_i, i.e. the printed row r with CHARACTER_ROW_SOURCE[r] == i.
+    Read-only int64 (32, 32, 4) coordinates over denominator 1."""
+    out = np.empty_like(printed_character_table())
+    for row, src in CHARACTER_ROW_SOURCE.items():
+        out[src - 1] = printed_character_table()[row - 1]
+    out.flags.writeable = False
+    return out
 
 
 # Octahedral-form exponents (a, b) of the rank-1 generators gamma^a delta^b

@@ -43,6 +43,9 @@ matrix, the central scalar and the Molien sums read these arrays.  Each
 integer path ends in an exact check: divisibility and |coordinate| <=
 COORD_BOUND per layer (so an image product, m <= 4 times 16 coordinate
 products, stays below 2^63), the Gram equality, and Molien integrality.
+The class traces (character_table) are the characters in the same format,
+coordinates over DEN: verify compares them with DEN times the reference
+rows, and chartable renders them with cyclo.render_zeta.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group
-from .cyclo import CycNum
+from .cyclo import render_zeta
 from .group import GroupTable, class_sizes
 from .linalg import CYC_STRUCT, right_factor, zeta_power
 
@@ -178,11 +181,6 @@ def build_all(table: GroupTable) -> list[Representation]:
     return out
 
 
-def decode(nums, den: int = DEN) -> CycNum:
-    """The number with integer coordinates nums over den."""
-    return CycNum._make(tuple(int(n) for n in nums), den)
-
-
 def scalar_image(m: int, w) -> np.ndarray:
     """w I_m for the coordinates w of one number."""
     return np.eye(m, dtype=np.int64)[:, :, None] * np.asarray(w, dtype=np.int64)
@@ -276,7 +274,7 @@ def verify_census(reps: list[Representation], table: GroupTable,
     bad = np.argwhere((gram != scalar_image(len(reps), [scale, 0, 0, 0])).any(axis=2))
     if len(bad):
         i, j = bad[0]
-        raise CensusError(f"<chi_{i+1}, chi_{j+1}> = {decode(gram[i, j], scale)}, "
+        raise CensusError(f"<chi_{i+1}, chi_{j+1}> = {render_zeta(gram[i, j], scale)}, "
                           f"expected {int(i == j)}")
     return {"dims": dims, "sum_squares": total, "pairs_checked": len(reps) ** 2}
 

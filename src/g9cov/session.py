@@ -3,11 +3,12 @@
 Building the session (group closure, Cayley table, conjugacy classes, 32
 integer generator image pairs) takes about 5 ms on a 2-core x86-64 Xeon
 box (median of 15 in one process) and builds no element image.  The
-integer images (`mats`, see reps), their class traces (`traces`), the
-characters (`chars`) and everything downstream are built on first read and
-cached; tests and CLI commands share one session.  `traces` and
-`molien --rep all` build every missing image, one reps.rep_matrices call
-per dimension; any other read builds one representation's images.
+integer images (`mats`, see reps), their class traces (`traces`, the
+characters as integer Z[zeta_8] coordinates over reps.DEN) and everything
+downstream are built on first read and cached; tests and CLI commands share
+one session.  `traces` and `molien --rep all` build every missing image,
+one reps.rep_matrices call per dimension; any other read builds one
+representation's images.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .covariants import CovariantEngine
-from .cyclo import CycNum
 from .group import GroupTable, build_group
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
-from .reps import Representation, build_all, character_table, decode, rep_matrices  # noqa: F401
+from .reps import Representation, build_all, character_table, rep_matrices  # noqa: F401
 
 
 class _LazyMatrices(Mapping):
@@ -56,10 +56,6 @@ class Session:
         """(32, 32, 4) class-trace numerators over reps.DEN, rows by rep id."""
         self.engine.build_images(list(self.engine.reps))
         return character_table([self.mats[r.rid] for r in self.reps], self.table)
-
-    @cached_property
-    def chars(self) -> list[list[CycNum]]:
-        return [[decode(t) for t in row] for row in self.traces]
 
     def rep(self, rid: int) -> Representation:
         return self.engine.reps[rid]

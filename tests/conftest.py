@@ -1,6 +1,7 @@
 import pytest
 
 from g9cov.session import get_session
+from oracles import decode_rows
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,9 @@ def reps(sess):
 @pytest.fixture(scope="session")
 def engine(sess):
     return sess.engine
+
+
+@pytest.fixture(scope="session")
+def chars(sess):
+    """The characters of the session as CycNum rows, rows by rep id."""
+    return decode_rows(sess.traces)

@@ -11,17 +11,283 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
 from g9cov import group
 from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
                               _poly_det)
-from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import int_encoding, nullspace_from_rref, rref
+from g9cov.linalg import nullspace_from_rref, rref
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
+
+
+# -- CycNum: exact arithmetic in Q(zeta_8) ---------------------------------------------
+#
+# The plain number class the oracles below compute in.  g9cov itself carries
+# a number of Q(zeta_8) as integer coordinates over a denominator (see
+# g9cov.cyclo and g9cov.linalg).  A CycNum is c0 + c1*z + c2*z^2 + c3*z^3
+# modulo z^4 + 1, z = zeta_8, stored as four integers over one positive
+# common denominator, reduced so that the gcd of all five numbers is 1.
+# Equality is therefore component-wise; rational values hash like the equal
+# int or Fraction, so they are interchangeable as dict keys.
+
+class CycNum:
+    """An element of Q(zeta_8) in the basis 1, z, z^2, z^3 modulo z^4 + 1."""
+
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, n0=0, n1=0, n2=0, n3=0, den=1):
+        """(n0 + n1 z + n2 z^2 + n3 z^3) / den for rational n_i and den != 0."""
+        parts = [Fraction(n) / den for n in (n0, n1, n2, n3)]
+        den_all = 1
+        for p in parts:
+            den_all = den_all * p.denominator // gcd(den_all, p.denominator)
+        nums = tuple(int(p * den_all) for p in parts)
+        self._n, self._d = _reduce(nums, den_all)
+
+    # -- construction helpers -------------------------------------------------
+
+    @staticmethod
+    def _make(nums, den):
+        v = CycNum.__new__(CycNum)
+        v._n, v._d = _reduce(nums, den)
+        return v
+
+    @classmethod
+    def zeta(cls, k: int) -> CycNum:
+        """z^k for any integer k (z^8 = 1, z^4 = -1)."""
+        k %= 8
+        sign = 1 if k < 4 else -1
+        n = [0, 0, 0, 0]
+        n[k % 4] = sign
+        return cls._make(tuple(n), 1)
+
+    # -- views -----------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The four rational coordinates (c0, c1, c2, c3)."""
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
+
+    def is_zero(self) -> bool:
+        return self._n == (0, 0, 0, 0)
+
+    def __bool__(self) -> bool:
+        return self._n != (0, 0, 0, 0)
+
+    # -- ring operations --------------------------------------------------------
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self._n, other._n
+        da, db = self._d, other._d
+        return CycNum._make(
+            (a[0] * db + b[0] * da, a[1] * db + b[1] * da,
+             a[2] * db + b[2] * da, a[3] * db + b[3] * da),
+            da * db)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        n = self._n
+        v = CycNum.__new__(CycNum)
+        v._n = (-n[0], -n[1], -n[2], -n[3])
+        v._d = self._d
+        return v
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        # convolution reduced by z^4 -> -1
+        return CycNum._make(
+            (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
+            self._d * other._d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = ONE
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def galois(self, k: int) -> CycNum:
+        """The field automorphism z -> z^k for odd k in {1, 3, 5, 7}."""
+        if k % 2 == 0:
+            raise ValueError("Galois exponent must be odd")
+        n = self._n
+        out = [0, 0, 0, 0]
+        for p in range(4):
+            q = p * k
+            s = 1 if (q % 8) < 4 else -1
+            out[q % 4] += s * n[p]
+        return CycNum._make(tuple(out), self._d)
+
+    def conj(self) -> CycNum:
+        """Complex conjugation, the automorphism z -> z^7 = -z^3."""
+        n = self._n
+        v = CycNum.__new__(CycNum)
+        v._n = (n[0], -n[3], -n[2], -n[1])
+        v._d = self._d
+        return v
+
+    def inverse(self) -> CycNum:
+        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
+        # a * conj(a) lies in the real subfield Q(sqrt2); multiplying by its
+        # sqrt2 -> -sqrt2 image gives the rational field norm.
+        c = self.conj()
+        b = self * c                    # p + q*sqrt2
+        b5 = b.galois(5)                # p - q*sqrt2
+        norm = b * b5                   # rational and nonzero
+        num = c * b5                    # self * num == norm
+        return CycNum._make(tuple(n * norm._d for n in num._n),
+                            num._d * norm._n[0])
+
+    # -- comparison ---------------------------------------------------------------
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._n == other._n and self._d == other._d
+
+    def __hash__(self):
+        n = self._n
+        if n[1] == n[2] == n[3] == 0:
+            # equal to an int or Fraction, so it must hash like one
+            return hash(Fraction(n[0], self._d))
+        return hash((n, self._d))
+
+    def key(self):
+        """Canonical hashable key (four numerators and the denominator)."""
+        return self._n + (self._d,)
+
+    # -- text forms ------------------------------------------------------------------
+
+    def __str__(self):
+        return render_cyc(self)
+
+    def __repr__(self):
+        return f"CycNum({render_cyc(self)})"
+
+    def to_json(self) -> list[str]:
+        """Serialize as four 'num/den' strings in basis order."""
+        d = self._d
+        return [f"{n}/{d}" for n in self._n]
+
+
+def _reduce(nums, den):
+    if den < 0:
+        nums = tuple(-n for n in nums)
+        den = -den
+    g = gcd(*nums, den)
+    if g > 1:
+        nums = tuple(n // g for n in nums)
+        den //= g
+    return nums, den
+
+
+def _coerce(x):
+    if isinstance(x, CycNum):
+        return x
+    if isinstance(x, int):
+        v = CycNum.__new__(CycNum)
+        v._n, v._d = (x, 0, 0, 0), 1
+        return v
+    if isinstance(x, Fraction):
+        v = CycNum.__new__(CycNum)
+        v._n, v._d = _reduce((x.numerator, 0, 0, 0), x.denominator)
+        return v
+    return NotImplemented
+
+
+ZERO = CycNum(0)
+ONE = CycNum(1)
+Z = CycNum.zeta(1)
+I_UNIT = CycNum.zeta(2)
+SQRT2 = CycNum(0, 1, 0, -1)          # z - z^3
+HALF_SQRT2 = CycNum(0, Fraction(1, 2), 0, Fraction(-1, 2))
+
+
+def rational(x) -> CycNum:
+    """Embed an int or Fraction into Q(zeta_8)."""
+    v = _coerce(x)
+    if v is NotImplemented:
+        raise TypeError(f"cannot embed {x!r}")
+    return v
+
+
+def render_cyc(a: CycNum) -> str:
+    """Render as an integer (or rational) combination of powers of z.
+
+    The reference for g9cov.cyclo.render_zeta, which renders integer
+    coordinates over a denominator.
+
+    Examples: '0', '2', '-1/2', 'z^2+1', '-z^3-z', '2z', '(3/2)z^2'.
+    Terms are listed with the power of z descending, constant last.
+    """
+    if a.is_zero():
+        return "0"
+    d = a._d
+    pieces = []
+    for p in (3, 2, 1, 0):
+        n = a._n[p]
+        if n == 0:
+            continue
+        if d == 1:
+            coeff = str(abs(n))
+        else:
+            coeff = f"({abs(n)}/{d})"
+        if p == 0:
+            body = coeff if d == 1 else f"{abs(n)}/{d}"
+        else:
+            zpow = "z" if p == 1 else f"z^{p}"
+            body = zpow if (abs(n) == 1 and d == 1) else f"{coeff}{zpow}"
+        sign = "-" if n < 0 else "+"
+        pieces.append((sign, body))
+    first_sign, first_body = pieces[0]
+    out = (first_sign if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += sign + body
+    return out
 
 
 # -- CycNum matrices ------------------------------------------------------------------
@@ -157,7 +423,7 @@ def encode_image(mat, den=DEN):
 
     ValueError if an entry lies outside (1/den) Z[zeta_8].
     """
-    nums, (lcd,), _ = int_encoding([mat.entries])
+    nums, (lcd,) = cyc_encoding([mat.entries])
     if den % lcd:
         raise ValueError(f"an entry of {mat} is not in (1/{den}) Z[zeta_8]")
     return (nums.reshape(mat.rows, mat.cols, 4) * (den // lcd)).astype(np.int64)
@@ -494,6 +760,18 @@ def molien_series_elementwise(table, cutoff, mats):
     return out
 
 
+def decode(nums, den=DEN):
+    """The CycNum with integer coordinates nums over den (default reps.DEN)."""
+    return CycNum._make(tuple(map(int, nums)), den)
+
+
+def decode_rows(nums, den=DEN):
+    """A (rows, cols, 4) integer coordinate array over den (default reps.DEN)
+    as rows of CycNum: the class traces of a session as its characters, or a
+    reference table (den 1)."""
+    return [[decode(e, den) for e in row] for row in nums]
+
+
 def decode_images(images):
     """The int64 image array of reps.rep_matrices as CycNum matrices."""
     return [decode_image(img) for img in images]
@@ -632,13 +910,30 @@ def tau_reduced_rows(full, d, reps, mates):
     return out
 
 
+def cyc_encoding(rows):
+    """linalg.int_encoding for rows of CycNum (or int or Fraction) entries.
+
+    Returns (nums, dens): nums[g, e, :] are the four integer coordinates
+    (dtype object) of entry e of row g over dens[g], the row's least common
+    denominator.
+    """
+    nums = np.zeros((len(rows), len(rows[0]) if rows else 0, 4), dtype=object)
+    dens = []
+    for g, row in enumerate(rows):
+        keys = [rational(x).key() for x in row]
+        dens.append(lcm(*(k[4] for k in keys)))
+        for e, k in enumerate(keys):
+            nums[g, e] = [n * (dens[g] // k[4]) for n in k[:4]]
+    return nums, dens
+
+
 def int_rows(rows):
     """CycNum rows as the integer Z[zeta_8] array certified_nullspace takes.
 
     Each row is scaled by its least common denominator, which leaves the
     nullspace unchanged.
     """
-    return int_encoding(rows)[0]
+    return cyc_encoding(rows)[0]
 
 
 def stacked_rows(rows):

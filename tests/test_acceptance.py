@@ -22,8 +22,8 @@ from g9cov import reference
 from g9cov.group import class_orders, class_sizes
 from g9cov.poly import fundamental_invariants
 from g9cov.reps import verify_homomorphism
-from oracles import (covariance_check, element_mat, inner_product, rep_matrices_exact,
-                     verify_free_by_elimination)
+from oracles import (covariance_check, decode_rows, element_mat, inner_product,
+                     rep_matrices_exact, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -42,7 +42,7 @@ def test_criterion_01_group_reconstruction(sess):
     _ok("criterion 1: closure has 192 elements, 32 classes, ord and |C| rows match")
 
 
-def test_criterion_02_character_table_strict(sess):
+def test_criterion_02_character_table_strict(chars):
     """Entry-for-entry equality with the reference table, by row index.
 
     The reference table is taken in the package numbering, in which row i
@@ -52,8 +52,8 @@ def test_criterion_02_character_table_strict(sess):
     verbatim printed order.  The package follows the degree tables
     (criteria 5, 7, 9, 11 all pass under this numbering).
     """
-    ref = reference.character_table()
-    mismatched = [i + 1 for i in range(32) if sess.chars[i] != ref[i]]
+    ref = decode_rows(reference.character_table(), 1)
+    mismatched = [i + 1 for i in range(32) if chars[i] != ref[i]]
     assert mismatched == [], (
         f"rows {mismatched} differ from the reference table by row index; "
         "they match under the documented relabeling {29: 30, 30: 31, 31: 29} "
@@ -63,27 +63,27 @@ def test_criterion_02_character_table_strict(sess):
     _ok("criterion 2: character table matches entry-for-entry")
 
 
-def test_criterion_02_character_table_documented_relabeling(sess):
-    ref = reference.printed_character_table()
+def test_criterion_02_character_table_documented_relabeling(chars):
+    ref = decode_rows(reference.printed_character_table(), 1)
     for i in range(32):
         if (i + 1) not in (29, 30, 31):
-            assert sess.chars[i] == ref[i], f"row {i + 1}"
+            assert chars[i] == ref[i], f"row {i + 1}"
     relabel = {29: 30, 30: 31, 31: 29}
     assert {k: v for k, v in reference.CHARACTER_ROW_SOURCE.items() if k != v} == relabel
     for row, src in relabel.items():
-        assert ref[row - 1] == sess.chars[src - 1]
-        assert ref[row - 1] != sess.chars[row - 1]
+        assert ref[row - 1] == chars[src - 1]
+        assert ref[row - 1] != chars[row - 1]
     _ok("criterion 2 (documented): 29 rows match by index, 3 via the pinned relabeling")
 
 
-def test_criterion_03_census_and_orthogonality(sess):
+def test_criterion_03_census_and_orthogonality(sess, chars):
     dims = sorted(r.dim for r in sess.reps)
     assert dims == sorted([1] * 8 + [2] * 12 + [3] * 8 + [4] * 4)
     assert sum(d * d for d in dims) == 192
     for i in range(32):
         for j in range(32):
             want = Fraction(1 if i == j else 0)
-            assert inner_product(sess.chars[i], sess.chars[j], sess.table) == want
+            assert inner_product(chars[i], chars[j], sess.table) == want
     _ok("criterion 3: dimension census and all 1024 orthogonality pairs")
 
 

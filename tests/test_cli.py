@@ -95,12 +95,16 @@ PINNED_OUTPUTS = [
     (["group"], "37a68cd09a24610b7476a291b4739003ce7539d66db7ff43bf04d28c610b6a76"),
     (["chartable", "--format", "json"],
      "9f03aefba88a8ef8f011b59936f3f8ec3014e7c9f4c2be76d2a76aa4300bc11e"),
+    (["chartable"], "dc74cff2765dc38b5efbff4126892e388bf268273f3a2a53549cfb4736f46da6"),
+    (["chartable", "--format", "latex"],
+     "b204498aef44b15a9be364167caf59bfdc50933e6708d1226531a3c86a244bf1"),
 ]
 
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
                          ids=["verify", "molien", "molien-json", "covariants-21-250",
-                              "group-json", "group", "chartable-json"])
+                              "group-json", "group", "chartable-json", "chartable-csv",
+                              "chartable-latex"])
 def test_output_bytes_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -6,12 +6,11 @@ import pytest
 
 from g9cov import reference
 from g9cov.covariants import RowReducer
-from g9cov.cyclo import CycNum, ONE, rational
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (CycRowReducer, Mat, covariance_check, decode_image, det_relation_exact,
-                     element_mat, encode_image, generator_det_exact, int_rows, rep_matrices_exact,
-                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
-                     verify_free_by_elimination)
+from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, covariance_check, cyc_encoding,
+                     decode_image, det_relation_exact, element_mat, encode_image,
+                     generator_det_exact, int_rows, rational, rep_matrices_exact, slice_dense,
+                     stacked_rows, t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -309,7 +308,6 @@ def test_covariance_failure_matches_substitution_oracle(sess):
     # the lowest-degree slice basis vector of every representation, as is
     # and with one coefficient bumped by 1 (x^d, then x^(d-1) y, of
     # component 0): it names the first generator, D then T, the oracle rejects
-    from g9cov.cyclo import ONE
     from g9cov.group import standard_generators
     from g9cov.poly import VecPoly
     t, d = map(element_mat, standard_generators())
@@ -321,7 +319,7 @@ def test_covariance_failure_matches_substitution_oracle(sess):
         vec = engine.slice(rid, deg).basis[0]
         assert engine.covariance_failure(rid, vec) is None, rid
         for a in range(deg, max(deg - 2, -1), -1):
-            bumped = vec + VecPoly.from_coeffs([(0, a)], [ONE], rep.dim, deg)
+            bumped = vec + VecPoly.from_coeffs([(0, a)], [1], rep.dim, deg)
             if not covariance_check(bumped, decode_image(rep.img_d), d):
                 expected = "D"
             elif not covariance_check(bumped, decode_image(rep.img_t), t):
@@ -564,10 +562,10 @@ def test_certificate_needs_enough_primes(engine):
     # at whichever pivot column of the first vector the shift lands
     from collections import Counter
     from math import prod
-    from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows, int_encoding
+    from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows
     rows, ncols = _rows(engine, 29, 35)
     basis = _oracle(rows, ncols)
-    nums, dens, _ = int_encoding(basis)
+    nums, dens = cyc_encoding(basis)
     vecs = nums[..., 0]
     assert not nums[..., 1:].any()      # the basis is rational
     free = [max(c for c in range(ncols) if v[c]) for v in basis]
@@ -616,7 +614,6 @@ def test_galois_instability_is_caught(sess):
     # dimension 1 over Q(zeta_8), none over Q), so the rational solve must
     # not run
     from g9cov.covariants import CrossCheckError
-    from g9cov.cyclo import Z
     p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
     rep = sess.rep(21)
     eng = _engine_with_images(sess, 21,

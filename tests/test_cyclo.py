@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from g9cov.cyclo import (CycNum, HALF_SQRT2, I_UNIT, ONE, SQRT2, Z, ZERO,
-                         parse_zeta, render_zeta)
-from oracles import approx, as_fraction, cyc_from_json, is_rational
+from g9cov import group
+from g9cov.cyclo import parse_zeta, render_zeta, to_json
+from g9cov.reps import DEN
+from oracles import (CycNum, HALF_SQRT2, I_UNIT, ONE, SQRT2, Z, ZERO, approx, as_fraction,
+                     cyc_from_json, is_rational)
 
 
 def rnd(rng, span=9):
@@ -164,9 +167,55 @@ def test_json_round_trip():
 
 def test_render_and_parse():
     for s in ["0", "1", "-1", "2z", "-2z^3", "z^2+1", "-z^3-z", "z^3-z", "-z^2+1"]:
-        assert render_zeta(parse_zeta(s)) == s
-    assert render_zeta(CycNum(Fraction(1, 2))) == "1/2"
-    assert parse_zeta("z^2 + 1") == CycNum(1, 0, 1, 0)
+        assert render_zeta(parse_zeta(s), 1) == s
+    assert render_zeta((1, 0, 0, 0), 2) == "1/2"
+    assert render_zeta((0, 3, 0, 0), -6) == "-(1/2)z"
+    assert parse_zeta("z^2 + 1") == (1, 0, 1, 0)
+    assert parse_zeta("z^4 + 3z^9 - z^15") == (-1, 3, 0, 1)
+    assert to_json((2, 0, -4, 6), -4) == ["-1/2", "0/2", "2/2", "-3/2"]
+
+
+@pytest.mark.parametrize("text", ["", " ", "z^", "2x", "^2", "1/2", "z^-1", "zz", "2z^2^3",
+                                  "i", "(1/2)z", "+", "-", "1+", "1--2"])
+def test_malformed_literals_raise(text):
+    with pytest.raises(ValueError, match="cyclotomic"):
+        parse_zeta(text)
+
+
+small_or_large = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+coords = st.tuples(*[small_or_large] * 4)
+# the denominator times a common factor of all five, so that non-reduced
+# and negative denominators are drawn often
+scaled = st.builds(lambda nums, den, k: (tuple(k * n for n in nums), k * den),
+                   coords, st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+                   st.integers(-12, 12).filter(bool))
+
+
+@given(scaled)
+def test_text_forms_equal_the_oracle(x):
+    nums, den = x
+    want = CycNum._make(nums, den)
+    assert render_zeta(nums, den) == str(want)
+    assert to_json(nums, den) == want.to_json()
+    assert cyc_from_json(to_json(nums, den)) == want
+
+
+@given(coords)
+def test_parse_inverts_render(nums):
+    assert parse_zeta(render_zeta(nums, 1)) == nums
+
+
+def test_text_forms_on_characters_and_group_elements(sess):
+    # the 1024 character values over reps.DEN and the 192 x 4 element entries
+    # over group.DEN, as the chartable and group --format json commands see them
+    values = [(t, DEN) for t in sess.traces.reshape(-1, 4)]
+    values += [(c, group.DEN) for e in sess.table.elements for c in e.coords.reshape(-1, 4)]
+    assert len(values) == 1024 + 192 * 4
+    for nums, den in values:
+        want = CycNum._make(tuple(int(n) for n in nums), den)
+        assert render_zeta(nums, den) == str(want) and to_json(nums, den) == want.to_json()
+    for t in sess.traces.reshape(-1, 4):
+        assert np.array_equal(DEN * np.array(parse_zeta(render_zeta(t, DEN))), t)
 
 
 def test_rational_predicates():

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from g9cov import reference
-from g9cov.cyclo import CycNum
 from g9cov.group import (COORD_BOUND, NotFinitelyClosedError, class_orders, class_sizes,
                          closure, multiply, reference_class_matrices, standard_generators)
-from oracles import Mat, closure_exact, element_coords, element_mat
+from oracles import CycNum, Mat, closure_exact, element_coords, element_mat
 
 
 def test_closure_sizes(table):

@@ -6,14 +6,13 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from g9cov.cyclo import CycNum, I_UNIT, ONE, ZERO, rational
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _certify,
                           _dot_mod, _nullspace_mod, certified_nullspace, int_encoding,
                           nullspace_from_rref, rref)
-from oracles import (Mat, ShapeError, SingularMatrixError, _is_prime, _primes_1_mod_8,
-                     element_mat, int_rows, kron, mat_from_json, mat_pow, mat_to_json,
-                     solve_exact)
+from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
+                     _primes_1_mod_8, element_mat, int_rows, kron, mat_from_json, mat_pow,
+                     mat_to_json, rational, solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -126,8 +125,10 @@ def test_dot_mod_no_overflow():
 
 def test_int_encoding_round_trip():
     rng = random.Random(4)
-    groups = [[CycNum(*[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(4)])
-               if rng.random() < 0.7 else ZERO for _ in range(5)] for _ in range(6)]
+    # rational entries, as the covariant layer passes them: Fractions, ints and zeros
+    groups = [[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) if rng.random() < 0.6
+               else rng.randint(-20, 20) if rng.random() < 0.7 else 0 for _ in range(5)]
+              for _ in range(6)]
     nums, dens, max_abs = int_encoding(groups)
     assert nums.shape == (6, 5, 4)
     for g, entries in enumerate(groups):

@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from g9cov import molien, reference
-from g9cov.cyclo import CycNum, ZERO
 from g9cov.group import GroupElement, GroupTable
 from g9cov.molien import MolienError, _class_factors, _class_numerator, molien_series
-from oracles import (Mat, _det2, element_coords, element_mat, molien_series_elementwise,
-                     rep_matrices_exact)
+from oracles import (ZERO, CycNum, Mat, _det2, element_coords, element_mat,
+                     molien_series_elementwise, rep_matrices_exact)
 
 ONE = (1, 0, 0, 0)      # the integer coordinates of 1
 

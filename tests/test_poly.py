@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from g9cov.cyclo import CycNum, I_UNIT
 from g9cov.group import standard_generators
 from g9cov.poly import (BiPoly, NotDivisibleError, VecPoly,
                         fundamental_invariants)
-from oracles import Mat, approx, element_mat, mat_apply, vec_substitute
+from oracles import I_UNIT, CycNum, Mat, approx, element_mat, mat_apply, vec_substitute
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from g9cov import reference
-from g9cov.cyclo import CycNum, HALF_SQRT2, I_UNIT
 from g9cov.group import build_group, standard_generators
 from g9cov.linalg import CYC_STRUCT
 from g9cov.group import class_sizes
@@ -13,11 +12,11 @@ from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
 from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, _tensor, build_all, character_gram,
-                        decode, extract_subrep, rep_matrices, scalar_image,
+                        extract_subrep, rep_matrices, scalar_image,
                         verify_census, verify_homomorphism)
-from oracles import (Mat, as_fraction, build_all_exact, decode_image, decode_images,
-                     element_coords, element_mat, encode_image, inner_product, mat_pow,
-                     rep_matrices_exact)
+from oracles import (HALF_SQRT2, I_UNIT, ZERO, CycNum, Mat, as_fraction, build_all_exact,
+                     decode, decode_image, decode_images, decode_rows, element_coords,
+                     element_mat, encode_image, inner_product, mat_pow, rep_matrices_exact)
 
 H = Fraction(1, 2)
 
@@ -164,12 +163,12 @@ def test_evaluate_examples(table, reps):
     assert evaluate(by_id(reps, 7), "D") == Mat.from_rows([[I_UNIT]])
 
 
-def test_character_spot_values(sess):
+def test_character_spot_values(sess, chars):
     z = CycNum.zeta
-    assert sess.chars[8][24] == -z(3)      # chi_9 at the TD class
-    assert sess.chars[20][12] == z(2)      # chi_21 at the D class
+    assert chars[8][24] == -z(3)      # chi_9 at the TD class
+    assert chars[20][12] == z(2)      # chi_21 at the D class
     for i, r in enumerate(sess.reps):
-        assert sess.chars[i][0] == CycNum(r.dim)
+        assert chars[i][0] == CycNum(r.dim)
 
 
 def test_characters_are_class_functions(sess):
@@ -180,15 +179,14 @@ def test_characters_are_class_functions(sess):
             assert len(traces) == 1
 
 
-def test_inner_products(sess):
-    assert inner_product(sess.chars[0], sess.chars[0], sess.table) == 1
-    assert inner_product(sess.chars[8], sess.chars[8], sess.table) == 1
-    assert inner_product(sess.chars[8], sess.chars[14], sess.table) == 0
+def test_inner_products(sess, chars):
+    assert inner_product(chars[0], chars[0], sess.table) == 1
+    assert inner_product(chars[8], chars[8], sess.table) == 1
+    assert inner_product(chars[8], chars[14], sess.table) == 0
 
 
-def test_inner_product_against_raw_sum(sess):
+def test_inner_product_against_raw_sum(sess, chars):
     # independent oracle: the raw element-by-element average
-    from g9cov.cyclo import ZERO
     for i, j in [(0, 0), (8, 8), (8, 14), (20, 22), (28, 30)]:
         acc = ZERO
         mi = rep_matrices_exact(sess.reps[i], sess.table)
@@ -197,7 +195,7 @@ def test_inner_product_against_raw_sum(sess):
             acc = acc + mi[e.index].trace() * mj[e.index].trace().conj()
         want = Fraction(1 if i == j else 0)
         assert as_fraction(acc) / len(sess.table) == want
-        assert inner_product(sess.chars[i], sess.chars[j], sess.table) == want
+        assert inner_product(chars[i], chars[j], sess.table) == want
 
 
 def test_census(sess):
@@ -209,15 +207,15 @@ def test_census(sess):
     assert dims.count(3) == 8 and dims.count(4) == 4
 
 
-def test_twist_coherence(sess):
+def test_twist_coherence(chars):
     # the character of a twist is the pointwise product of character rows
     pairs = {10: 3, 11: 2, 13: 5, 16: 8, 22: 2, 28: 8, 30: 2, 31: 3, 17: None}
     for rid, k in pairs.items():
         if k is None:
             continue
         base = {10: 9, 11: 9, 13: 9, 16: 9, 22: 21, 28: 21, 30: 29, 31: 29}[rid]
-        got = sess.chars[rid - 1]
-        expect = [a * b for a, b in zip(sess.chars[k - 1], sess.chars[base - 1])]
+        got = chars[rid - 1]
+        expect = [a * b for a, b in zip(chars[k - 1], chars[base - 1])]
         assert got == expect
 
 
@@ -326,19 +324,19 @@ def test_batched_images_name_the_failing_rep(sess, rid, scale, match):
         fresh.traces
 
 
-def test_integer_gram_equals_inner_product(sess):
+def test_integer_gram_equals_inner_product(sess, chars):
     # every census Gram entry against the CycNum class sum, on the true
     # traces and on traces with chi_5 moved by 1/4 at the class of z^3 I
     scale = len(sess.table) * 16
     gram = character_gram(sess.traces, sess.table)
     for i in range(32):
         for j in range(32):
-            want = inner_product(sess.chars[i], sess.chars[j], sess.table)
+            want = inner_product(chars[i], chars[j], sess.table)
             assert decode(gram[i, j], scale) == CycNum(want), (i, j)
     bad = sess.traces.copy()
     bad[4, 3, 0] += 1
     gram = character_gram(bad, sess.table)
-    rows = [[decode(t) for t in row] for row in bad]
+    rows = decode_rows(bad)
     sizes = class_sizes(sess.table)
     for j in range(32):
         raw = sum((size * a * b.conj() for size, a, b in zip(sizes, rows[4], rows[j])),
@@ -354,20 +352,20 @@ def test_census_names_a_tampered_pair(sess):
         verify_census(sess.reps, sess.table, bad)
 
 
-def test_character_table_vs_reference_detailed(sess):
-    ref = reference.printed_character_table()
+def test_character_table_vs_reference_detailed(chars):
+    ref = decode_rows(reference.printed_character_table(), 1)
     for i in range(32):
         rid = i + 1
         if rid in (29, 30, 31):
             continue
-        assert sess.chars[i] == ref[i], f"row {rid}"
+        assert chars[i] == ref[i], f"row {rid}"
     # the three remaining printed rows hold the characters of the twisted
     # numbering: row 29 -> rho_30, row 30 -> rho_31, row 31 -> rho_29
     for row, src in reference.CHARACTER_ROW_SOURCE.items():
-        assert ref[row - 1] == sess.chars[src - 1]
+        assert ref[row - 1] == chars[src - 1]
     # and no identity assignment exists for them
     for rid in (29, 30, 31):
-        assert sess.chars[rid - 1] != ref[rid - 1]
+        assert chars[rid - 1] != ref[rid - 1]
 
 
 def _rows_breaking_central_rule(chars):
@@ -388,18 +386,21 @@ def _rows_breaking_central_rule(chars):
 
 def test_reference_character_table_numbering_from_reference_data():
     # session-free: the degree tables alone decide the row numbering
-    assert _rows_breaking_central_rule(reference.character_table()) == []
+    assert _rows_breaking_central_rule(decode_rows(reference.character_table(), 1)) == []
     assert _rows_breaking_central_rule(
-        reference.printed_character_table()) == [29, 30, 31]
+        decode_rows(reference.printed_character_table(), 1)) == [29, 30, 31]
 
 
-def test_printed_character_table_returns_fresh_rows():
-    # parsed once, but each call hands out its own lists
-    first, second = reference.printed_character_table(), reference.printed_character_table()
-    assert first == second and len(first) == 32
-    assert all(type(row) is list for row in first)
-    assert first is not second and all(a is not b for a, b in zip(first, second))
-    first[0][0] = CycNum(7)
-    first[1].append(CycNum(0))
-    third = reference.printed_character_table()
-    assert third == second and third[0][0] == CycNum(1) and len(third[1]) == 32
+def test_printed_character_table_is_read_only():
+    # parsed once and shared by every caller, so no caller may change it
+    printed, ordered = reference.printed_character_table(), reference.character_table()
+    assert printed is reference.printed_character_table()
+    for table in (printed, ordered):
+        assert table.shape == (32, 32, 4) and table.dtype == np.int64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 7
+    assert printed[0, 0].tolist() == [1, 0, 0, 0]
+    # the package order is the printed order under CHARACTER_ROW_SOURCE
+    for row, src in reference.CHARACTER_ROW_SOURCE.items():
+        assert np.array_equal(ordered[src - 1], printed[row - 1]), row

@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 import g9cov
-from g9cov import cli, covariants, molien, reps, session
+from g9cov import cli, covariants, cyclo, molien, reps, session
 from g9cov.session import get_session
-from oracles import rep_matrices_exact
+from oracles import decode_rows, rep_matrices_exact
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,7 +25,7 @@ def _run(fresh, argv, capsys):
 def test_session_builds_images_on_first_read(capsys):
     fresh = get_session.__wrapped__()
     assert fresh.engine._mats == {}          # the session build itself reads no images
-    assert "traces" not in vars(fresh) and "chars" not in vars(fresh)
+    assert "traces" not in vars(fresh)
     _run(fresh, ["group"], capsys)
     assert fresh.engine._mats == {}          # the group listing reads no images
     assert np.array_equal(fresh.mats[29], reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
@@ -32,7 +34,7 @@ def test_session_builds_images_on_first_read(capsys):
     built = {r.rid: rep_matrices_exact(r, fresh.table) for r in fresh.reps}
     at_reference = [[built[r.rid][i].trace() for i in fresh.table.class_reps]
                     for r in fresh.reps]
-    assert fresh.chars == at_reference
+    assert decode_rows(fresh.traces) == at_reference
     assert sorted(fresh.engine._mats) == list(range(1, 33))
 
 
@@ -86,3 +88,12 @@ def test_public_names_resolve():
     exec("from g9cov import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(g9cov.__all__)
     assert "kron" not in g9cov.__all__ and "Mat" not in g9cov.__all__
+    assert "CycNum" not in g9cov.__all__ and "Rat" not in g9cov.__all__
+    # Q(zeta_8) numbers are integer coordinates in g9cov: cyclo holds only
+    # their text forms, and no module defines or imports a number class
+    assert inspect.getmembers(cyclo, inspect.isclass) == []
+    modules = [g9cov] + [importlib.import_module(f"g9cov.{m.name}")
+                         for m in pkgutil.iter_modules(g9cov.__path__)]
+    assert len(modules) == 11
+    for module in modules:
+        assert not {"CycNum", "Rat", "Mat"} & set(vars(module)), module.__name__
