@@ -120,22 +120,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from . import group
 from .group import GroupTable, multiply
-from .linalg import CYC_STRUCT, certified_nullspace, galois, int_encoding, zeta_power
+from .linalg import CYC_STRUCT, certified_nullspace, galois, zeta_power
 # rref is re-exported: perfbench/spans.py wraps it under this name
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, rep_matrices, scalar_image
 from . import reference
-
-FREENESS_DEGREE = 64    # the degree the freeness report names; the check covers every degree
 
 
 class CrossCheckError(RuntimeError):
@@ -237,13 +235,15 @@ class RowReducer:
         return [Fraction(v, red[pivot]) for v in red]
 
 
+@lru_cache(maxsize=None)
 def _binomial_table(d: int) -> np.ndarray:
     """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
 
     Row 0 is (x-y)^d.  For P_a = (x+y)^a (x-y)^(d-a), y (P_a + P_(a+1)) =
     x (P_(a+1) - P_a), so each next row is a running sum of the previous.
     Every entry is at most 2^d in absolute value and every step entry, a sum
-    of two, at most 2^(d+1): int64 for d <= 61, Python ints above.
+    of two, at most 2^(d+1): int64 for d <= 61, Python ints above.  The
+    table is read-only, so one cached copy serves every engine.
     """
     dtype = np.int64 if d <= 61 else object
     table = np.empty((d + 1, d + 1), dtype=dtype)
@@ -268,7 +268,6 @@ class CovariantEngine:
         self._molien: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
-        self._subst: dict[int, np.ndarray] = {}
         self._dets: dict[int, BiPoly] = {}
         self._symmetries: dict[int, _Symmetry] = {}
         t, d = table.gens["T"], table.gens["D"]
@@ -300,11 +299,6 @@ class CovariantEngine:
             self._molien[rid] = molien_series(self.reps[rid], self.table,
                                               self.matrices(rid))
         return self._molien[rid]
-
-    def _subst_table(self, d: int) -> np.ndarray:
-        if d not in self._subst:
-            self._subst[d] = _binomial_table(d)
-        return self._subst[d]
 
     # -- the slice solver -----------------------------------------------------------
 
@@ -394,7 +388,7 @@ class CovariantEngine:
         """The T constraint on the coefficients at coords, times DEN, over Z[zeta_8].
 
         Row (j, b) is DEN * u[a, b] at each column (j, a), u the
-        _subst_table(d), minus the numerators over DEN of rho(T) scaled
+        _binomial_table(d), minus the numerators over DEN of rho(T) scaled
         by sqrt(2)^d at the columns (l, b): scaling the substitution side
         by sqrt(2)^d makes it the integer coefficients of (x+y)^a (x-y)^(d-a).
         Returns (m, d + 1, len(coords), 4) integer coordinates, row (j, b) at
@@ -411,7 +405,7 @@ class CovariantEngine:
         comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
         cols = np.arange(len(coords))
         rows = np.zeros((m, d + 1, len(coords), 4), dtype=dtype)
-        rows[comp, :, cols, 0] = DEN * self._subst_table(d)[expo, ::-1].astype(dtype)
+        rows[comp, :, cols, 0] = DEN * _binomial_table(d)[expo, ::-1].astype(dtype)
         rows[:, d - expo, cols] -= scaled[:, comp]
         return rows
 
@@ -458,9 +452,8 @@ class CovariantEngine:
             coeffs = vec.coeff_vector(coords)
         except ValueError:
             return "D"
-        nums, _, _ = int_encoding([coeffs])
-        image = np.einsum("jbcp,cq,pqr->jbr", self._t_rows(rep, vec.degree, coords),
-                          nums[0], CYC_STRUCT)
+        image = np.tensordot(self._t_rows(rep, vec.degree, coords),
+                             np.array(coeffs, dtype=object), axes=(2, 0))
         return "T" if image.any() else None
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
@@ -578,8 +571,7 @@ class CovariantEngine:
             raise FreenessError(f"rho_{rid}: theta and phi are algebraically dependent")
         if self.generator_det(rid).is_zero():
             raise FreenessError(f"rho_{rid}: generator determinant is zero")
-        return {"rep": rid, "degrees_checked": FREENESS_DEGREE + 1,
-                "generator_degrees": genset.degrees}
+        return {"rep": rid, "generator_degrees": genset.degrees}
 
     @cached_property
     def _invariants_independent(self) -> bool:

@@ -25,7 +25,6 @@ for its slices).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -85,7 +84,7 @@ def nullspace_from_rref(reduced: list[list], pivots: list[int], ncols: int) -> l
     return basis
 
 
-# -- Z[zeta_8] integer encoding ---------------------------------------------------
+# -- Z[zeta_8] integer coordinates ------------------------------------------------
 
 # CYC_STRUCT[p, q, r] is the coefficient of z^r in z^p * z^q modulo z^4 + 1,
 # so the coordinates of a product are einsum("p,q,pqr->r", a, b, CYC_STRUCT).
@@ -121,25 +120,6 @@ def galois(x: np.ndarray, k: int) -> np.ndarray:
 def zeta_power(k: int, den: int) -> np.ndarray:
     """The coordinates of z^k over den."""
     return zeta_shift(np.array([den, 0, 0, 0], dtype=np.int64), k)
-
-
-def int_encoding(groups: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integer coordinates of equal-length groups of entries, one denominator per group.
-
-    Entries are int or Fraction.  Returns (nums, dens, max_abs):
-    nums[g, e, :] are the four integer coordinates (Python ints, dtype
-    object; the last three are 0) of entry e of group g over dens[g], the
-    group's least common denominator; max_abs bounds every |num| and every
-    den.
-    """
-    nums = np.zeros((len(groups), len(groups[0]) if groups else 0, 4), dtype=object)
-    dens = np.ones(len(groups), dtype=object)
-    max_abs = 1
-    for g, entries in enumerate(groups):
-        den = dens[g] = lcm(*(x.denominator for x in entries))
-        nums[g, :, 0] = coords = [x.numerator * (den // x.denominator) for x in entries]
-        max_abs = max(max_abs, den, *map(abs, coords))
-    return nums, dens, max_abs
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -61,14 +61,6 @@ class BiPoly:
     def constant(cls, c) -> BiPoly:
         return cls({(0, 0): c})
 
-    @classmethod
-    def x(cls) -> BiPoly:
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> BiPoly:
-        return cls({(0, 1): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -291,24 +283,6 @@ class VecPoly:
         self.components = comps
         self.degree = degree
 
-    def __len__(self):
-        return len(self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: VecPoly) -> VecPoly:
-        if len(self) != len(other) or self.degree != other.degree:
-            raise ValueError("vector shape mismatch")
-        return VecPoly([a + b for a, b in zip(self.components, other.components)],
-                       self.degree)
-
-    def __sub__(self, other: VecPoly) -> VecPoly:
-        return self + other.scale(-1)
-
-    def scale(self, c) -> VecPoly:
-        return VecPoly([p.scale(c) for p in self.components], self.degree)
-
     def mul_poly(self, f: BiPoly) -> VecPoly:
         """Module action of a homogeneous scalar polynomial."""
         if f.is_zero():
@@ -316,9 +290,6 @@ class VecPoly:
         if not f.is_homogeneous():
             raise ValueError("module action needs a homogeneous scalar")
         return VecPoly([f * p for p in self.components], self.degree + f.degree())
-
-    def tau(self) -> VecPoly:
-        return VecPoly([p.tau() for p in self.components], self.degree)
 
     def __eq__(self, other):
         return (isinstance(other, VecPoly) and self.degree == other.degree

@@ -3,17 +3,16 @@
 Building the session (group closure, Cayley table, conjugacy classes, 32
 integer generator image pairs) takes about 5 ms on a 2-core x86-64 Xeon
 box (median of 15 in one process) and builds no element image.  The
-integer images (`mats`, see reps), their class traces (`traces`, the
-characters as integer Z[zeta_8] coordinates over reps.DEN) and everything
-downstream are built on first read and cached; tests and CLI commands share
-one session.  `traces` and `molien --rep all` build every missing image,
-one reps.rep_matrices call per dimension; any other read builds one
-representation's images.
+integer images (`engine.matrices(rid)`, see reps), their class traces
+(`traces`, the characters as integer Z[zeta_8] coordinates over reps.DEN)
+and everything downstream are built on first read and cached; tests and CLI
+commands share one session.  `traces` and `molien --rep all` build every
+missing image, one reps.rep_matrices call per dimension; any other read
+builds one representation's images.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,37 +24,17 @@ from .group import GroupTable, build_group
 from .reps import Representation, build_all, character_table, rep_matrices  # noqa: F401
 
 
-class _LazyMatrices(Mapping):
-    """rid -> image array of all elements, built by the engine on first read."""
-
-    def __init__(self, engine: CovariantEngine):
-        self._engine = engine
-
-    def __getitem__(self, rid: int) -> np.ndarray:
-        return self._engine.matrices(rid)
-
-    def __iter__(self):
-        return iter(self._engine.reps)
-
-    def __len__(self) -> int:
-        return len(self._engine.reps)
-
-
 @dataclass
 class Session:
     table: GroupTable
     reps: list[Representation]
     engine: CovariantEngine
 
-    @property
-    def mats(self) -> Mapping[int, np.ndarray]:
-        return _LazyMatrices(self.engine)
-
     @cached_property
     def traces(self) -> np.ndarray:
         """(32, 32, 4) class-trace numerators over reps.DEN, rows by rep id."""
         self.engine.build_images(list(self.engine.reps))
-        return character_table([self.mats[r.rid] for r in self.reps], self.table)
+        return character_table([self.engine.matrices(r.rid) for r in self.reps], self.table)
 
     def rep(self, rid: int) -> Representation:
         return self.engine.reps[rid]

@@ -19,7 +19,7 @@ from g9cov import group
 from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
                               _poly_det)
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import nullspace_from_rref, rref
+from g9cov.linalg import CYC_STRUCT, galois, nullspace_from_rref, rref, zeta_shift
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
 
@@ -818,7 +818,7 @@ def vec_substitute(vec, g):
 
 def mat_apply(vec, m):
     """Matrix action on a VecPoly: (m F)_i = sum_j m[i, j] F_j."""
-    if m.cols != len(vec):
+    if m.cols != len(vec.components):
         raise ValueError("matrix width does not match vector length")
     out = []
     for i in range(m.rows):
@@ -911,7 +911,7 @@ def tau_reduced_rows(full, d, reps, mates):
 
 
 def cyc_encoding(rows):
-    """linalg.int_encoding for rows of CycNum (or int or Fraction) entries.
+    """Integer Z[zeta_8] coordinates of rows of CycNum (or int or Fraction) entries.
 
     Returns (nums, dens): nums[g, e, :] are the four integer coordinates
     (dtype object) of entry e of row g over dens[g], the row's least common
@@ -945,6 +945,82 @@ def stacked_rows(rows):
     """
     nums = int_rows(rows)
     return np.concatenate(nums.transpose(2, 0, 1))
+
+
+def covariance_failure_lifted(engine, rid, vec):
+    """CovariantEngine.covariance_failure through the Z[zeta_8] lift of vec.
+
+    The path the engine took before it contracted its integer T rows with
+    the rational coefficients directly: the coefficients at the kept
+    coordinates are lifted to integer Z[zeta_8] coordinates over their
+    least common denominator (cyc_encoding) and multiplied into the rows
+    through CYC_STRUCT on all four lanes.
+    """
+    rep = engine.reps[rid]
+    coords = engine._d_coords(rep, vec.degree)
+    try:
+        coeffs = vec.coeff_vector(coords)
+    except ValueError:
+        return "D"
+    nums, _ = cyc_encoding([coeffs])
+    image = np.einsum("jbcp,cq,pqr->jbr", engine._t_rows(rep, vec.degree, coords),
+                      nums[0], CYC_STRUCT)
+    return "T" if image.any() else None
+
+
+def _zeta_mul(a, b):
+    """Z[zeta_8] products of the coordinates a[..., 4] and b[..., 4], broadcast."""
+    return sum(a[..., p, None] * zeta_shift(b, p) for p in range(4) if a[..., p].any())
+
+
+def _primitive(rows):
+    """Each row of coordinates rows[i, :, 4] divided by the gcd of its entries."""
+    g = np.array([gcd(*row) or 1 for row in rows.reshape(len(rows), -1).tolist()],
+                 dtype=object)
+    return rows // g[:, None, None]
+
+
+def cyc_nullspace(nums, ncols):
+    """nullspace_from_rref(rref(rows)) over Q(zeta_8), on integer coordinates.
+
+    nums[i, c, :] are the four integer Z[zeta_8] coordinates of entry c of
+    row i (a row may be scaled by any nonzero number: the nullspace stays).
+    The elimination is rref's, pivot at the first nonzero entry in column
+    order, rows scanned top to bottom, but fraction free in Python ints,
+    with no CycNum: an irrational pivot entry is made its norm, an integer,
+    by multiplying the pivot row by the entry's three Galois conjugates;
+    every other row is cleared as N row - f pivot row, N the integer pivot
+    entry; and each changed row is divided by the gcd of its coordinates.
+    Pivot entries stay nonzero integers, so the reduced rows are the rref
+    rows times them.  Returns the basis like nullspace_from_rref, with
+    CycNum entries at the pivot columns.
+    """
+    m = np.array(nums, dtype=object).reshape(-1, ncols, 4)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        nonzero = np.flatnonzero(m[r:, c].any(axis=1))
+        if not len(nonzero):
+            continue
+        src = r + nonzero[0]
+        m[[r, src]] = m[[src, r]]
+        p = m[r, c].copy()
+        if p[1:].any():
+            m[r] = _zeta_mul(m[r], _zeta_mul(galois(p, 3), _zeta_mul(galois(p, 5), galois(p, 7))))
+        m[r] = _primitive(m[r:r + 1])[0]
+        hit = np.flatnonzero(m[:, c].any(axis=1))
+        hit = hit[hit != r]
+        if len(hit):
+            m[hit] = _primitive(m[r, c, 0] * m[hit] - _zeta_mul(m[hit, c][:, None], m[r]))
+        pivots.append(c)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = 1
+        for k, c in enumerate(pivots):
+            v[c] = CycNum._make(tuple(-m[k, f]), m[k, c, 0])
+        basis.append(v)
+    return basis
 
 
 def slice_dense(engine, rid, d):
@@ -1007,14 +1083,13 @@ def verify_free_by_elimination(engine, rid, top):
     """Free-module check by row reduction of every product theta^a phi^b g_j.
 
     For each degree d <= top the products of degree d must be linearly
-    independent and as many as the Molien coefficient.  Returns the same
-    report as CovariantEngine.verify_free (with top = FREENESS_DEGREE),
-    which proves this from the generator determinant instead.
+    independent and as many as the Molien coefficient.  Returns the report
+    of CovariantEngine.verify_free, which proves this from the generator
+    determinant instead.
     """
     genset = engine.generators(rid)
     mol = engine.molien(rid)
     rep = engine.reps[rid]
-    checked = 0
     for d in range(top + 1):
         prods = []
         for gdeg, g in genset.gens:
@@ -1038,6 +1113,4 @@ def verify_free_by_elimination(engine, rid, top):
                 if reducer.add(p.coeff_vector(coords)) is None:
                     raise FreenessError(
                         f"rho_{rid} degree {d}: dependent products")
-        checked += 1
-    return {"rep": rid, "degrees_checked": checked,
-            "generator_degrees": genset.degrees}
+    return {"rep": rid, "generator_degrees": genset.degrees}

@@ -266,6 +266,19 @@ def test_out_file(tmp_path, capsys):
     assert data["numerator"] == [[0, 1]]
 
 
+@pytest.mark.parametrize("argv", [["group"], ["verify", "--only", "group"]])
+def test_out_file_that_cannot_be_written(tmp_path, capsys, argv):
+    # a usage error after the work is done: one line on stderr, exit 2
+    target = tmp_path / "missing" / "x.txt"
+    code = cli.main(argv + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_console_script_subprocess():
     out = subprocess.run([sys.executable, "-m", "g9cov.cli", "molien",
                           "--rep", "19", "--terms", "30"],

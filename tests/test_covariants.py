@@ -7,10 +7,11 @@ import pytest
 from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, covariance_check, cyc_encoding,
-                     decode_image, det_relation_exact, element_mat, encode_image,
-                     generator_det_exact, int_rows, rational, rep_matrices_exact, slice_dense,
-                     stacked_rows, t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
+from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, covariance_check,
+                     covariance_failure_lifted, cyc_encoding, cyc_nullspace, decode_image,
+                     det_relation_exact, element_mat, encode_image, generator_det_exact,
+                     int_rows, rational, rep_matrices_exact, slice_dense, stacked_rows,
+                     t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -102,7 +103,7 @@ def test_generator_normalization(engine):
     # leading coefficient 1 in component-major graded-lex coordinate order
     for rid in range(1, 33):
         for d, g in engine.generators(rid).gens:
-            coords = [(j, a) for j in range(len(g)) for a in range(d, -1, -1)]
+            coords = [(j, a) for j in range(len(g.components)) for a in range(d, -1, -1)]
             vec = g.coeff_vector(coords)
             lead = next(v for v in vec if v)
             assert lead == 1
@@ -112,7 +113,7 @@ def test_free_module_spans(engine):
     # the determinant proof against the elimination oracle through degree 64
     for rid in (1, 3, 9, 13, 19, 21, 25, 29, 31):
         report = engine.verify_free(rid)
-        assert report["degrees_checked"] == 65
+        assert report == {"rep": rid, "generator_degrees": engine.generators(rid).degrees}
         assert verify_free_by_elimination(engine, rid, 64) == report
 
 
@@ -197,7 +198,7 @@ def test_free_accepts_independent_replacement_of_phi(sess):
     # degree-24 form off the line of theta^3 passes
     eng = _engine_with_generators(sess, 13, sess.engine.generators(13).gens)
     eng.phi = THETA ** 3 + DELTA * DELTA
-    assert eng.verify_free(13)["degrees_checked"] == 65
+    assert eng.verify_free(13) == {"rep": 13, "generator_degrees": (5, 13)}
 
 
 def test_det_relation_examples(engine):
@@ -319,7 +320,9 @@ def test_covariance_failure_matches_substitution_oracle(sess):
         vec = engine.slice(rid, deg).basis[0]
         assert engine.covariance_failure(rid, vec) is None, rid
         for a in range(deg, max(deg - 2, -1), -1):
-            bumped = vec + VecPoly.from_coeffs([(0, a)], [1], rep.dim, deg)
+            comps = list(vec.components)
+            comps[0] = comps[0] + BiPoly({(a, deg - a): 1})
+            bumped = VecPoly(comps, deg)
             if not covariance_check(bumped, decode_image(rep.img_d), d):
                 expected = "D"
             elif not covariance_check(bumped, decode_image(rep.img_t), t):
@@ -329,6 +332,31 @@ def test_covariance_failure_matches_substitution_oracle(sess):
             assert engine.covariance_failure(rid, bumped) == expected, (rid, a)
             seen.add(expected)
     assert seen == {"D", "T", None}
+
+
+def test_covariance_failure_equals_lifted_path(sess):
+    # the integer T rows contracted with the int/Fraction coefficients give
+    # the verdicts of the old path through the Z[zeta_8] lift: every
+    # generator of all 32 reps, a copy with its first kept coefficient
+    # perturbed by 1/3, a copy with a term off the kept coordinates, and
+    # the four octahedral forms under rho_1, rho_3 and rho_5
+    from g9cov.poly import VecPoly
+    engine = sess.engine
+    cases = []
+    for rid in range(1, 33):
+        m = sess.rep(rid).dim
+        for d, g in engine.generators(rid).gens:
+            kept = engine._d_coords(sess.rep(rid), d)
+            off = [(j, a) for j in range(m) for a in range(d, -1, -1) if (j, a) not in kept]
+            for (j, a), c in [(kept[0], Fraction(1, 3))] + [(o, 1) for o in off[:1]]:
+                comps = list(g.components)
+                comps[j] = comps[j] + BiPoly({(a, d - a): c})
+                cases.append((rid, VecPoly(comps, d)))
+            cases.append((rid, g))
+    cases += [(rid, VecPoly([f])) for rid in (1, 3, 5) for f in (GAMMA, THETA, DELTA, PHI)]
+    verdicts = [engine.covariance_failure(rid, v) for rid, v in cases]
+    assert verdicts == [covariance_failure_lifted(engine, rid, v) for rid, v in cases]
+    assert len(cases) == 227 and set(verdicts) == {"D", "T", None}
 
 
 def test_rank_one_closed_forms(engine):
@@ -401,44 +429,31 @@ def test_binomial_table_closed_form():
         assert table.tolist() == want, d
 
 
-def test_slice_path_builds_no_cycnum_rows(sess, monkeypatch):
-    # the T system is assembled, reduced and eliminated with no CycNum and
-    # no int_encoding; CycNum appears only in the certified basis vectors
+def test_slice_path_builds_no_cycnum_rows(sess):
+    # no g9cov module can reach CycNum (test_public_names_resolve): the T
+    # system is an int64 array, eliminated as one, and the certified basis
+    # is int and Fraction
     from g9cov import linalg
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
     rep = eng.reps[29]
     coords = eng._kept_coords(rep, 27)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("built on the slice path")
-    monkeypatch.setattr(linalg, "int_encoding", forbidden)
-    monkeypatch.setattr(CycNum, "__init__", forbidden)
-    monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
     reps, _, rows = eng._tau_system(rep, 27, coords)
+    assert rows.dtype == np.int64
     got = linalg._nullspace_mod(linalg._IntRows(np.concatenate(rows)),
                                 linalg.ELIMINATION_PRIMES[0])
-    monkeypatch.undo()
-    assert got is not None and len(got[0]) + len(got[1]) == len(reps)
+    assert len(got[0]) + len(got[1]) == len(reps)
     basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
     assert basis == _oracle(t_rows_exact(rep, 27, coords), len(coords))
+    assert {type(x) for vec in basis for x in vec} <= {int, Fraction}
 
 
-def test_covariant_layer_builds_no_cycnum(sess, monkeypatch):
-    # once the images, their symmetry data and the Molien series are built,
-    # slices, generators and determinants run on int and Fraction alone
+def test_covariant_layer_builds_no_cycnum(sess):
+    # slices, generators and determinants carry int and Fraction alone
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
     rids = (5, 13, 21, 29)      # ranks 1, 2, 3 and 4
     assert [eng.reps[rid].dim for rid in rids] == [1, 2, 3, 4]
-    for rid in rids:
-        eng._symmetry(rid)
-        eng.molien(rid)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("CycNum built on the covariant layer")
-    monkeypatch.setattr(CycNum, "__init__", forbidden)
-    monkeypatch.setattr(CycNum, "_make", staticmethod(forbidden))
     polys = []
     for rid in rids:
         degree = eng.molien(rid).numerator[-1][0] + 8
@@ -447,7 +462,6 @@ def test_covariant_layer_builds_no_cycnum(sess, monkeypatch):
         polys.append(eng.generator_det(rid))
         e, k, c = eng.det_relation(rid)
         polys.append(BiPoly.constant(c))
-    monkeypatch.undo()
     assert eng.det_relation(5)[:2] == (1, 0)
     types = {type(c) for p in polys for c in p.terms.values()}
     assert types and types <= {int, Fraction}
@@ -482,6 +496,31 @@ def _oracle(rows, ncols):
     return nullspace_from_rref(reduced, pivots, ncols)
 
 
+def test_cyc_nullspace_equals_cycnum_rref(engine):
+    # the integer-coordinate elimination oracle against rref on CycNum rows:
+    # a few small slice systems, and random systems over Q(zeta_8) whose
+    # nullspaces are not rational
+    systems = [_rows(engine, rid, d) for rid, d in ((9, 1), (21, 10), (29, 27), (31, 9))]
+    rng = random.Random(11)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[CycNum(*[rng.randint(-3, 3) for _ in range(4)], den=rng.randint(1, 4))
+                 if rng.random() < 0.6 else CycNum(0) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:   # a dependent row
+            c = CycNum(rng.randint(-2, 2), rng.randint(-2, 2))
+            rows.append([c * x + y for x, y in zip(rows[0], rows[1])])
+        systems.append((rows, ncols))
+    irrational = 0
+    for rows, ncols in systems:
+        want = _oracle([list(r) for r in rows], ncols)
+        got = cyc_nullspace(int_rows(rows), ncols)
+        assert got == want
+        assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+        irrational += any(rational(x).key()[1:4] != (0, 0, 0) for v in got for x in v)
+    assert irrational > 5
+
+
 def test_certified_nullspace_equals_exact_rref(engine):
     # the multimodular solver over Q, on the four coordinate rows of the full
     # system and on the engine's swap-reduced one, against the exact
@@ -496,7 +535,7 @@ def test_certified_nullspace_equals_exact_rref(engine):
     for rid, d in cases:
         rows, ncols = _rows(engine, rid, d)
         if rows:
-            want = _oracle(rows, ncols)
+            want = cyc_nullspace(int_rows(rows), ncols)
             assert certified_nullspace(stacked_rows(rows), ncols, counters) == want, (rid, d)
             # the swap-reduced system of the engine gives the same basis
             coords = engine._kept_coords(engine.reps[rid], d)

@@ -8,8 +8,8 @@ import pytest
 
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _certify,
-                          _dot_mod, _nullspace_mod, certified_nullspace, int_encoding,
-                          nullspace_from_rref, rref)
+                          _dot_mod, _nullspace_mod, certified_nullspace, nullspace_from_rref,
+                          rref)
 from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
                      _primes_1_mod_8, element_mat, int_rows, kron, mat_from_json, mat_pow,
                      mat_to_json, rational, solve_exact)
@@ -121,20 +121,6 @@ def test_dot_mod_no_overflow():
         want = (a.astype(object) @ b.astype(object)) % p
         got = _dot_mod(a, b, p)
         assert got.shape == want.shape and (got == want).all()
-
-
-def test_int_encoding_round_trip():
-    rng = random.Random(4)
-    # rational entries, as the covariant layer passes them: Fractions, ints and zeros
-    groups = [[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) if rng.random() < 0.6
-               else rng.randint(-20, 20) if rng.random() < 0.7 else 0 for _ in range(5)]
-              for _ in range(6)]
-    nums, dens, max_abs = int_encoding(groups)
-    assert nums.shape == (6, 5, 4)
-    for g, entries in enumerate(groups):
-        for e, x in enumerate(entries):
-            assert CycNum(*[Fraction(int(n), int(dens[g])) for n in nums[g, e]]) == x
-    assert max_abs == max([abs(n) for n in nums.flat] + list(dens))
 
 
 def test_rank_drop_at_a_prime_is_rejected():

@@ -104,7 +104,7 @@ def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
     monkeypatch.setattr(molien, "_class_numerator", tampered)
     for r in sess.reps:
         with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^16 is"):
-            molien_series(r, sess.table, sess.mats[r.rid])
+            molien_series(r, sess.table, sess.engine.matrices(r.rid))
 
 
 def test_class_numerator_needs_integral_class_data():
@@ -150,7 +150,7 @@ def test_class_numerator_built_once_per_class(sess):
     # class numerators, not one per (rep, class) pair, and share them
     _class_numerator.cache_clear()
     for r in sess.reps:
-        molien_series(r, sess.table, sess.mats[r.rid])
+        molien_series(r, sess.table, sess.engine.matrices(r.rid))
     info = _class_numerator.cache_info()
     assert info.misses <= 32 and info.misses + info.hits > 32, info
     for label, r in zip(sess.table.class_labels, sess.table.class_reps):
@@ -163,8 +163,8 @@ def test_cutoff_guard(sess):
     # the numerator is exact, so no series length is too short to read it
     # and there is no cutoff left to pass: 40 terms, once refused, are the
     # head of the same series read to degree 256
-    res = molien_series(sess.reps[0], sess.table, sess.mats[1])
+    res = molien_series(sess.reps[0], sess.table, sess.engine.matrices(1))
     assert res.numerator == ((0, 1),)
     assert res.series(40) == res.series(256)[:41]
     with pytest.raises(TypeError):
-        molien_series(sess.reps[0], sess.table, sess.mats[1], 40)
+        molien_series(sess.reps[0], sess.table, sess.engine.matrices(1), 40)

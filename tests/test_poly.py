@@ -110,14 +110,15 @@ def test_theta_phi_fixed_by_whole_group(table):
 
 
 def test_vecpoly_basics():
-    v = VecPoly([BiPoly.x(), BiPoly.y()])
-    assert v.degree == 1 and len(v) == 2
+    x, y = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
+    v = VecPoly([x, y])
+    assert v.degree == 1 and len(v.components) == 2
     w = v.mul_poly(THETA)
     assert w.degree == 9
     t = element_mat(standard_generators()[0])
     assert vec_substitute(v, t) == mat_apply(v, t)  # the defining covariant identity
     with pytest.raises(ValueError):
-        VecPoly([BiPoly.x(), THETA])
+        VecPoly([x, THETA])
     coords = [(0, 1), (0, 0), (1, 1), (1, 0)]
     assert v.coeff_vector(coords) == [CycNum(1), CycNum(0), CycNum(0), CycNum(1)]
     assert VecPoly.from_coeffs(coords, v.coeff_vector(coords), 2, 1) == v

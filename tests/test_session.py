@@ -28,9 +28,9 @@ def test_session_builds_images_on_first_read(capsys):
     assert "traces" not in vars(fresh)
     _run(fresh, ["group"], capsys)
     assert fresh.engine._mats == {}          # the group listing reads no images
-    assert np.array_equal(fresh.mats[29], reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
+    assert np.array_equal(fresh.engine.matrices(29),
+                          reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
     assert list(fresh.engine._mats) == [29]
-    assert len(fresh.mats) == 32 and list(fresh.mats) == list(range(1, 33))
     built = {r.rid: rep_matrices_exact(r, fresh.table) for r in fresh.reps}
     at_reference = [[built[r.rid][i].trace() for i in fresh.table.class_reps]
                     for r in fresh.reps]
