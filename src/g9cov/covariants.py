@@ -65,9 +65,9 @@ sigma_k(s) lies in G9 and that sigma_k(rho(sigma_k(s))) = rho(s).  Then:
 linalg.certified_nullspace solves that integer matrix multimodularly
 (Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
 reconstruction after Wang, SYMSAC 1981): it is eliminated as one int64
-array modulo primes p, the residues are combined by CRT and lifted to
-fractions.  The result is accepted only if exact checks prove it,
-whatever primes were used:
+array modulo primes p, and the residues are combined by CRT and lifted
+to integer numerators over one denominator per vector.  The result is
+accepted only if exact checks prove it, whatever primes were used:
 
   * every vector has the normal form above, so the vectors are
     independent;
@@ -89,8 +89,8 @@ and the character-theoretic pipeline certify each other degree by degree.
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1 (RowReducer, over Q, Fractions in and
-out: the slice bases, theta and phi are rational, so every covariant,
+normalized to leading coefficient 1 (RowReducer, on the integer numerator
+rows of the rational slice bases and of their theta and phi shifts, so every
 generator and determinant has int and Fraction coefficients).  The sweep
 stops at the top degree of the Molien numerator.  The module is free
 (Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's criterion (Bull. AMS
@@ -152,16 +152,25 @@ class GeneratorMismatchError(RuntimeError):
     """An extracted generator differs from its expected closed form."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariantSlice:
+    """Basis vector i has coefficient nums[i, c] / dens[i] at coords[c]."""
     rep_id: int
+    rank: int                             # components of each vector
     degree: int
     coords: tuple[tuple[int, int], ...]   # (component, x-exponent) positions
-    basis: tuple[VecPoly, ...]
+    nums: np.ndarray                      # (dim, len(coords)) Python ints, read-only
+    dens: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.dens)
+
+    @cached_property
+    def basis(self) -> tuple[VecPoly, ...]:
+        return tuple(VecPoly.from_coeffs(self.coords, [Fraction(n, den) for n in row],
+                                         self.rank, self.degree)
+                     for row, den in zip(self.nums.tolist(), self.dens))
 
 
 @dataclass(frozen=True)
@@ -213,17 +222,16 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
 
 
 class RowReducer:
-    """Incremental row echelon form over Q; an entry not int or Fraction raises ValueError."""
+    """Incremental row echelon form over Q of integer rows; a non-int entry raises ValueError."""
 
     def __init__(self):
         self.rows: dict[int, list[int]] = {}
 
-    def add(self, vec: list[Fraction]) -> list[Fraction] | None:
-        """Insert a vector; returns the normalized residual, None if dependent."""
-        if not all(isinstance(x, (int, Fraction)) for x in vec):
-            raise ValueError("RowReducer works over Q: an entry is not an int or a Fraction")
-        den = lcm(*(x.denominator for x in vec))
-        red = [x.numerator * (den // x.denominator) for x in vec]
+    def add(self, vec) -> list[Fraction] | None:
+        """Insert an integer row; returns the residual over its leading entry, None if dependent."""
+        red = list(vec)
+        if not all(isinstance(x, int) for x in red):
+            raise ValueError("RowReducer works over Q on integer rows: an entry is not an int")
         for col, row in sorted(self.rows.items()):
             if c := red[col]:
                 red = [row[col] * v - c * r for v, r in zip(red, row)]
@@ -448,57 +456,65 @@ class CovariantEngine:
         """
         rep = self.reps[rid]
         coords = self._d_coords(rep, vec.degree)
-        try:
-            coeffs = vec.coeff_vector(coords)
-        except ValueError:
-            return "D"
-        image = np.tensordot(self._t_rows(rep, vec.degree, coords),
-                             np.array(coeffs, dtype=object), axes=(2, 0))
+        index = {c: i for i, c in enumerate(coords)}
+        coeffs = np.zeros(len(coords), dtype=object)
+        for j, p in enumerate(vec.components):
+            for (a, _), c in p.terms.items():
+                if (j, a) not in index:
+                    return "D"
+                coeffs[index[j, a]] = c
+        image = np.tensordot(self._t_rows(rep, vec.degree, coords), coeffs, axes=(2, 0))
         return "T" if image.any() else None
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
-        key = (rid, d)
-        cached = self._slices.get(key)
-        if cached is not None:
-            return cached
+        if (rid, d) in self._slices:
+            return self._slices[rid, d]
         rep = self.reps[rid]
         coords = self._kept_coords(rep, d)
         if coords is None:
-            result = CovariantSlice(rid, d, (), ())
+            coords, nums, dens = [], np.zeros((0, 0), dtype=object), []
         else:
             reps, mates, rows = self._tau_system(rep, d, coords)
             # the basis is rational (module docstring): solve [B_0; B_1; B_2; B_3]
-            reduced = certified_nullspace(np.concatenate(rows), len(reps), self.counters)
-            self.counters["slices_solved"] += 1
-            self.counters["rows"] += rows.shape[1]
-            self.counters["cells"] += rows.shape[1] * rows.shape[2]
-            basis = []
-            for u in reduced:       # E u: the coefficients at every kept coordinate
-                vec = [0] * len(coords)
-                for g, i in enumerate(reps):
-                    vec[i] = u[g]
-                for g, k, s in mates:
-                    vec[k] = u[g] if s > 0 else -u[g]
-                basis.append(VecPoly.from_coeffs(coords, vec, rep.dim, d))
-            result = CovariantSlice(rid, d, tuple(coords), tuple(basis))
+            u, dens = certified_nullspace(np.concatenate(rows), len(reps), self.counters)
+            self.counters.update(slices_solved=1, rows=rows.shape[1], cells=rows[0].size)
+            nums = np.zeros((len(dens), len(coords)), dtype=object)    # E u
+            nums[:, reps] = u
+            if mates:
+                g, k, s = map(list, zip(*mates))
+                nums[:, k] = u[:, g] * np.array(s, dtype=object)
+        nums.flags.writeable = False
+        result = CovariantSlice(rid, rep.dim, d, tuple(coords), nums, tuple(dens))
         expected = self.molien(rid).coefficient(d)
         if expected != result.dim:
             raise CrossCheckError(
                 f"rho_{rid} degree {d}: solver dimension {result.dim}, "
                 f"Molien coefficient {expected}")
-        self._slices[key] = result
+        self._slices[rid, d] = result
         return result
 
     # -- generators -------------------------------------------------------------------
 
-    def decomposables(self, rid: int, d: int) -> list[VecPoly]:
-        """theta * M_(d-8) + phi * M_(d-24) spanning vectors, in a fixed order."""
+    def decomposables(self, rid: int, d: int) -> list[np.ndarray]:
+        """Integer rows spanning theta * M_(d-8) + phi * M_(d-24), in a fixed order.
+
+        A term c x^s y^(e-s) of theta or phi adds c times the lower slice's
+        numerator rows at slice d's coordinates with x-exponents shifted by s.
+        """
+        index = {c: i for i, c in enumerate(self.slice(rid, d).coords)}
         out = []
         for f, shift in ((self.theta, 8), (self.phi, 24)):
-            if d - shift >= 0:
-                lower = self.slice(rid, d - shift)
-                out.extend(b.mul_poly(f) for b in lower.basis)
+            if d < shift:
+                continue
+            lower = self.slice(rid, d - shift)
+            prod = np.zeros((lower.dim, len(index)), dtype=object)
+            for (s, _), c in f.terms.items():
+                cols = [index.get((j, a + s)) for j, a in lower.coords]
+                if None in cols:
+                    raise ValueError(f"rho_{rid} degree {d}: a product term is off the slice")
+                prod[:, cols] += c * lower.nums
+            out.extend(prod)
         return out
 
     def generators(self, rid: int) -> GeneratorSet:
@@ -508,9 +524,8 @@ class CovariantEngine:
         exactly that there are rank many generators and that their degrees
         are the numerator's multiset (see the module docstring for why).
         """
-        cached = self._gens.get(rid)
-        if cached is not None:
-            return cached
+        if rid in self._gens:
+            return self._gens[rid]
         rep = self.reps[rid]
         residue = self._symmetry(rid).residue
         numerator = self.molien(rid).numerator
@@ -518,19 +533,15 @@ class CovariantEngine:
         gens: list[tuple[int, VecPoly]] = []
         for d in range(residue, top + 1, 8):
             sl = self.slice(rid, d)
-            if not sl.basis:
+            if not sl.dim:
                 continue
             reducer = RowReducer()
-            for vec in self.decomposables(rid, d):
-                reducer.add(vec.coeff_vector(list(sl.coords)))
-            for b in sl.basis:
-                res = reducer.add(b.coeff_vector(list(sl.coords)))
-                if res is None:
-                    continue
-                if len(gens) == rep.dim:
-                    raise FreenessError(
-                        f"rho_{rid}: generator beyond rank {rep.dim} at degree {d}")
-                gens.append((d, VecPoly.from_coeffs(list(sl.coords), res, rep.dim, d)))
+            for row in self.decomposables(rid, d):
+                reducer.add(row)
+            for row in sl.nums:
+                res = reducer.add(row)
+                if res is not None:
+                    gens.append((d, VecPoly.from_coeffs(sl.coords, res, rep.dim, d)))
         if len(gens) != rep.dim:
             raise FreenessError(
                 f"rho_{rid}: {len(gens)} generators by degree {top}, "
@@ -583,10 +594,23 @@ class CovariantEngine:
     # -- determinant factorization -----------------------------------------------------
 
     def generator_det(self, rid: int) -> BiPoly:
-        """det[g_1 .. g_m], generators as columns; for rank 1 the generator."""
+        """det[g_1 .. g_m], generators as columns; for rank 1 the generator.
+
+        Each generator is divided by its content (the gcd of its numerators
+        over the lcm of its denominators) to a primitive integer vector, the
+        determinant of those is expanded over Z, and multiplied once by the
+        product of the contents.
+        """
         if rid not in self._dets:
-            cols = [g.components for _, g in self.generators(rid).gens]
-            self._dets[rid] = _poly_det([list(row) for row in zip(*cols)])
+            cols, scale = [], Fraction(1)
+            for _, g in self.generators(rid).gens:
+                coeffs = [c for p in g.components for c in p.terms.values()]
+                content = Fraction(gcd(*(c.numerator for c in coeffs)),
+                                   lcm(*(c.denominator for c in coeffs)))
+                cols.append([BiPoly({t: int(c / content) for t, c in p.terms.items()})
+                             for p in g.components])
+                scale *= content
+            self._dets[rid] = _poly_det([list(row) for row in zip(*cols)]).scale(scale)
         return self._dets[rid]
 
     def det_relation(self, rid: int) -> tuple[int, int, Fraction]:
@@ -687,26 +711,12 @@ def _divide_out(poly: BiPoly, divisor: BiPoly, power: int) -> tuple[BiPoly, int]
 
 
 def _poly_det(mat: list[list[BiPoly]]) -> BiPoly:
-    """Determinant of a small polynomial matrix by column expansion."""
-    n = len(mat)
-    memo: dict[tuple[int, ...], BiPoly] = {}
-
-    def minor(rows: tuple[int, ...], col: int) -> BiPoly:
-        if len(rows) == 1:
-            return mat[rows[0]][col]
-        key = rows + (col,)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = BiPoly()
-        for pos, r in enumerate(rows):
-            entry = mat[r][col]
-            if entry.is_zero():
-                continue
-            rest = rows[:pos] + rows[pos + 1:]
-            term = entry * minor(rest, col + 1)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return minor(tuple(range(n)), 0)
+    """Determinant of a small polynomial matrix by expansion along the first column."""
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = BiPoly()
+    for i, row in enumerate(mat):
+        if not row[0].is_zero():
+            term = row[0] * _poly_det([r[1:] for k, r in enumerate(mat) if k != i])
+            acc = acc + (-term if i % 2 else term)
+    return acc

@@ -15,7 +15,8 @@ certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
 array modulo word-size primes, lifts the result by CRT and rational
 reconstruction, and returns it only once an exact certificate holds; exact
-rref is the fallback.  It works over Q and returns Fractions.  A system
+rref is the fallback.  It works over Q and returns each basis vector as
+integer numerators over one positive denominator.  A system
 B = sum_r B_r zeta_8^r over Q(zeta_8) whose normal-form nullspace basis is
 known to be rational is passed as the rational rows [B_0; B_1; B_2; B_3],
 which have the same normal-form basis (the covariants module proves this
@@ -283,11 +284,13 @@ def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
     return cleared > 2 * bound
 
 
-def certified_nullspace(rows: np.ndarray, ncols: int,
-                        counters: Counter | None = None) -> list[list[Fraction]]:
+def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None = None
+                        ) -> tuple[np.ndarray, list[int]]:
     """The nullspace basis of nullspace_from_rref(rref(rows)) over Q, computed mod p.
 
     rows is an integer matrix (nrows, ncols) of Python ints or int64.
+    Returns (nums, dens): basis vector i is nums[i] / dens[i], nums a
+    (len(dens), ncols) array of Python ints (dtype object), dens[i] > 0.
     Eliminates it modulo ELIMINATION_PRIMES until the reconstructed basis
     passes _certify, at a prime where the rank is ncols - len(basis).  A
     rank mod p never exceeds the true rank, so the nullity is at most
@@ -299,7 +302,7 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
     counters = Counter() if counters is None else counters
     int_rows = _IntRows(rows)
     if not int_rows.shape[0]:
-        return [[Fraction(int(i == f)) for i in range(ncols)] for f in range(ncols)]
+        return np.identity(ncols, dtype=object), [1] * ncols
     pivots, combined = None, 0
     for p in ELIMINATION_PRIMES:
         counters["primes"] += 1
@@ -319,11 +322,14 @@ def certified_nullspace(rows: np.ndarray, ncols: int,
             combined += 1
         free = sorted(set(range(ncols)) - set(pivots))
         if not free:
-            return []       # full rank at p, hence over Q
+            return np.zeros((0, ncols), dtype=object), []   # full rank at p, hence over Q
         rec = _reconstruct(residues, modulus)
         if rec is not None and _certify(int_rows, rec[0], rec[1], free, counters):
-            return [[Fraction(n, den) for n in vec.tolist()] for vec, den in zip(*rec)]
+            return rec
     counters["fallbacks"] += 1
     reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])
-    return [[Fraction(x) for x in v] for v in nullspace_from_rref(reduced, pivots, ncols)]
+    basis = nullspace_from_rref(reduced, pivots, ncols)     # int and Fraction entries
+    dens = [lcm(*(x.denominator for x in v)) for v in basis]
+    nums = [[x.numerator * (den // x.denominator) for x in v] for v, den in zip(basis, dens)]
+    return np.array(nums, dtype=object).reshape(len(basis), ncols), dens
 

@@ -298,22 +298,6 @@ class VecPoly:
     def __hash__(self):
         return hash((self.degree, self.components))
 
-    def coeff_vector(self, coords: list[tuple[int, int]]) -> list:
-        """Coefficients at the listed (component, x-exponent) coordinates.
-
-        Raises ValueError if the vector has support outside ``coords`` --
-        callers use this to certify membership in a pruned coordinate space.
-        """
-        cset = set(coords)
-        d = self.degree
-        for j, p in enumerate(self.components):
-            for (a, b) in p.terms:
-                if (j, a) not in cset:
-                    raise ValueError(f"unexpected term x^{a} y^{b} in component {j}")
-                if a + b != d:
-                    raise ValueError("inhomogeneous component")
-        return [self.components[j].coeff(a, d - a) for j, a in coords]
-
     @classmethod
     def from_coeffs(cls, coords: list[tuple[int, int]], values: list,
                     m: int, degree: int) -> VecPoly:

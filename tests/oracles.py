@@ -16,8 +16,7 @@ from math import gcd, lcm
 import numpy as np
 
 from g9cov import group
-from g9cov.covariants import (CovariantEngine, CovariantSlice, FreenessError, RowReducer,
-                              _poly_det)
+from g9cov.covariants import CovariantEngine, FreenessError, RowReducer, _poly_det
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
 from g9cov.linalg import CYC_STRUCT, galois, nullspace_from_rref, rref, zeta_shift
 from g9cov.poly import BiPoly, VecPoly
@@ -589,8 +588,8 @@ def build_all_exact(table) -> list[ExactRepresentation]:
 class CycRowReducer:
     """Incremental row echelon form over Q(zeta_8) on CycNum entries.
 
-    The reference for covariants.RowReducer, which reduces rational rows as
-    integer numerators: the same normalized residuals, in the same order.
+    The reference for covariants.RowReducer, which reduces integer rows:
+    the same normalized residuals, in the same order.
     """
 
     def __init__(self):
@@ -609,6 +608,30 @@ class CycRowReducer:
         inv = vec[pivot].inverse()
         self.rows[pivot] = vec = [inv * v for v in vec]
         return vec
+
+
+def coeff_vector(vec, coords):
+    """The coefficients of a VecPoly at the listed (component, x-exponent) coordinates.
+
+    Raises ValueError if vec has support outside coords.
+    """
+    cset = set(coords)
+    for j, p in enumerate(vec.components):
+        for a, b in p.terms:
+            if (j, a) not in cset:
+                raise ValueError(f"unexpected term x^{a} y^{b} in component {j}")
+    return [vec.components[j].coeff(a, vec.degree - a) for j, a in coords]
+
+
+def as_fractions(nums, dens):
+    """certified_nullspace's (nums, dens) as vectors of Fractions."""
+    return [[Fraction(n, den) for n in row] for row, den in zip(nums.tolist(), dens)]
+
+
+def integer_row(values):
+    """int and Fraction values scaled by their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 def as_cyc(p):
@@ -917,14 +940,10 @@ def cyc_encoding(rows):
     (dtype object) of entry e of row g over dens[g], the row's least common
     denominator.
     """
-    nums = np.zeros((len(rows), len(rows[0]) if rows else 0, 4), dtype=object)
-    dens = []
-    for g, row in enumerate(rows):
-        keys = [rational(x).key() for x in row]
-        dens.append(lcm(*(k[4] for k in keys)))
-        for e, k in enumerate(keys):
-            nums[g, e] = [n * (dens[g] // k[4]) for n in k[:4]]
-    return nums, dens
+    keys = np.array([[rational(x).key() for x in row] for row in rows], dtype=object)
+    keys = keys.reshape(len(rows), len(rows[0]) if rows else 0, 5)
+    dens = [lcm(*row) for row in keys[..., 4].tolist()]
+    return keys[..., :4] * (np.array(dens, dtype=object)[:, None] // keys[..., 4])[..., None], dens
 
 
 def int_rows(rows):
@@ -959,7 +978,7 @@ def covariance_failure_lifted(engine, rid, vec):
     rep = engine.reps[rid]
     coords = engine._d_coords(rep, vec.degree)
     try:
-        coeffs = vec.coeff_vector(coords)
+        coeffs = coeff_vector(vec, coords)
     except ValueError:
         return "D"
     nums, _ = cyc_encoding([coeffs])
@@ -1028,7 +1047,8 @@ def slice_dense(engine, rid, d):
 
     Certifies that CovariantEngine.slice, which drops coordinates by the
     central and diagonal-D constraints and solves multimodularly, computes
-    the same normal-form basis.
+    the same normal-form basis.  Returns that basis as a tuple of VecPoly,
+    like CovariantSlice.basis.
     """
     rep = engine.reps[rid]
     m = rep.dim
@@ -1063,9 +1083,8 @@ def slice_dense(engine, rid, d):
                     row[idx] = row[idx] - s
             rows.append(row)
     reduced, pivots = rref(rows)
-    basis = [VecPoly.from_coeffs(coords, v, m, d)
-             for v in nullspace_from_rref(reduced, pivots, ncols)]
-    return CovariantSlice(rid, d, tuple(coords), tuple(basis))
+    return tuple(VecPoly.from_coeffs(coords, v, m, d)
+                 for v in nullspace_from_rref(reduced, pivots, ncols))
 
 
 def covariance_check(vec, image, natural):
@@ -1110,7 +1129,7 @@ def verify_free_by_elimination(engine, rid, top):
             coords = [(j, a) for j in range(rep.dim) for a in range(d, -1, -1)]
             reducer = RowReducer()
             for p in prods:
-                if reducer.add(p.coeff_vector(coords)) is None:
+                if reducer.add(integer_row(coeff_vector(p, coords))) is None:
                     raise FreenessError(
                         f"rho_{rid} degree {d}: dependent products")
     return {"rep": rid, "generator_degrees": genset.degrees}

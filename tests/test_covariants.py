@@ -7,11 +7,12 @@ import pytest
 from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, covariance_check,
-                     covariance_failure_lifted, cyc_encoding, cyc_nullspace, decode_image,
-                     det_relation_exact, element_mat, encode_image, generator_det_exact,
-                     int_rows, rational, rep_matrices_exact, slice_dense, stacked_rows,
-                     t_rows_exact, tau_reduced_rows, verify_free_by_elimination)
+from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fractions, coeff_vector,
+                     covariance_check, covariance_failure_lifted, cyc_encoding, cyc_nullspace,
+                     decode_image, det_relation_exact, element_mat, encode_image,
+                     generator_det_exact, int_rows, integer_row, rational, rep_matrices_exact,
+                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -39,9 +40,7 @@ def test_reduced_solver_equals_plain_system(engine):
     samples = [(3, 6), (9, 1), (9, 5), (9, 9), (9, 2), (21, 2), (21, 10),
                (19, 4), (29, 3), (1, 8), (17, 8), (31, 9), (25, 6), (12, 11)]
     for rid, d in samples:
-        fast = engine.slice(rid, d)
-        dense = slice_dense(engine, rid, d)
-        assert fast.basis == dense.basis, (rid, d)
+        assert engine.slice(rid, d).basis == slice_dense(engine, rid, d), (rid, d)
 
 
 def test_extraction_degrees_examples(engine):
@@ -85,6 +84,28 @@ def test_extraction_rejects_wrong_numerator(sess):
         eng.generators(29)
 
 
+def test_extraction_rejects_surplus_generators(sess, monkeypatch):
+    # with no decomposables every basis vector of every slice is new:
+    # rho_13 (degrees 5, 13) gets theta * g_5 as a third generator at degree
+    # 13, which the final count check rejects
+    from g9cov.covariants import CovariantEngine, FreenessError
+    eng = CovariantEngine(sess.table, sess.reps)
+    monkeypatch.setattr(eng, "decomposables", lambda rid, d: [])
+    with pytest.raises(FreenessError, match=r"rho_13: 3 generators by degree 13, expected 2"):
+        eng.generators(13)
+
+
+def test_decomposables_reject_a_product_off_the_slice(sess):
+    # x^7 y in place of theta shifts the degree-5 basis of rho_13 to
+    # x-exponents that the diagonal-D constraint rules out in degree 13
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    assert len(eng.decomposables(13, 13)) == 1
+    eng.theta = BiPoly({(7, 1): 1})
+    with pytest.raises(ValueError, match=r"rho_13 degree 13: a product term is off the slice"):
+        eng.decomposables(13, 13)
+
+
 def test_generators_are_covariants(sess):
     # spot check: every generator satisfies the defining identity on both
     # group generators (sufficiency is covered by the full-group test in
@@ -104,7 +125,7 @@ def test_generator_normalization(engine):
     for rid in range(1, 33):
         for d, g in engine.generators(rid).gens:
             coords = [(j, a) for j in range(len(g.components)) for a in range(d, -1, -1)]
-            vec = g.coeff_vector(coords)
+            vec = coeff_vector(g, coords)
             lead = next(v for v in vec if v)
             assert lead == 1
 
@@ -119,8 +140,8 @@ def test_free_module_spans(engine):
 
 def test_row_reducer_equals_cyclotomic_reference():
     # random rational vectors, some of them combinations of earlier ones:
-    # the integer reducer on Fractions gives the CycNum reference's
-    # residuals, in order, as Fractions
+    # the integer reducer on each vector times its least common denominator
+    # gives the CycNum reference's residuals, in order, as Fractions
     rng = random.Random(7)
     for trial in range(40):
         n = rng.randint(1, 12)
@@ -134,18 +155,22 @@ def test_row_reducer_equals_cyclotomic_reference():
                 vecs.append([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                              if rng.random() < 0.7 else Fraction(0) for _ in range(n)])
         fast, ref = RowReducer(), CycRowReducer()
-        got = [fast.add(v) for v in vecs]
+        got = [fast.add(integer_row(v)) for v in vecs]
         assert got == [ref.add([rational(x) for x in v]) for v in vecs], trial
         assert all(type(x) is Fraction for res in got if res for x in res), trial
 
 
 def test_row_reducer_rejects_irrational_entries():
     reducer = RowReducer()
-    reducer.add([Fraction(1), Fraction(0)])
+    reducer.add([1, 0])
     with pytest.raises(ValueError, match="RowReducer works over Q"):
         reducer.add([ONE, CycNum.zeta(1)])
     with pytest.raises(ValueError, match="RowReducer works over Q"):
         reducer.add([CycNum(0, 0, 0, 1, den=3), ONE])
+    # integer rows only: a Fraction, even an integral one, is rejected
+    for entry in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(ValueError, match="RowReducer works over Q"):
+            reducer.add([1, entry])
 
 
 def _engine_with_generators(sess, rid, gens):
@@ -402,9 +427,12 @@ def test_integer_t_rows_equal_exact_rows(engine):
         assert full.dtype == (np.int64 if d < 60 else object), (rid, d)
         got = full.reshape(-1, len(coords), 4)
         got = got[(got != 0).any(axis=(1, 2))]
-        want = [r for r in t_rows_exact(rep, d, coords) if any(not x.is_zero() for x in r)]
-        assert [[CycNum._make(tuple(e), DEN) for e in row] for row in got.tolist()] == want, \
-            (rid, d)
+        # got[g] = DEN * want[g] = DEN * nums[g] / dens[g], compared over Z
+        nums, dens = cyc_encoding([r for r in t_rows_exact(rep, d, coords)
+                                   if any(not x.is_zero() for x in r)])
+        assert len(dens) == len(got), (rid, d)
+        assert np.array_equal(got.astype(object) * np.array(dens, dtype=object)[:, None, None],
+                              nums.reshape(got.shape) * DEN), (rid, d)
         reps, mates, reduced = engine._tau_system(rep, d, coords)
         assert reduced.dtype == full.dtype, (rid, d)
         assert np.moveaxis(reduced, 0, -1).tolist() == tau_reduced_rows(full, d, reps, mates), \
@@ -443,8 +471,12 @@ def test_slice_path_builds_no_cycnum_rows(sess):
     got = linalg._nullspace_mod(linalg._IntRows(np.concatenate(rows)),
                                 linalg.ELIMINATION_PRIMES[0])
     assert len(got[0]) + len(got[1]) == len(reps)
-    basis = [b.coeff_vector(coords) for b in eng.slice(29, 27).basis]
-    assert basis == _oracle(t_rows_exact(rep, 27, coords), len(coords))
+    sl = eng.slice(29, 27)
+    want = _oracle(t_rows_exact(rep, 27, coords), len(coords))
+    assert sl.coords == tuple(coords) and as_fractions(sl.nums, sl.dens) == want
+    assert all(type(x) is int for x in sl.nums.flat) and not sl.nums.flags.writeable
+    basis = [coeff_vector(b, coords) for b in sl.basis]
+    assert basis == want
     assert {type(x) for vec in basis for x in vec} <= {int, Fraction}
 
 
@@ -536,14 +568,40 @@ def test_certified_nullspace_equals_exact_rref(engine):
         rows, ncols = _rows(engine, rid, d)
         if rows:
             want = cyc_nullspace(int_rows(rows), ncols)
-            assert certified_nullspace(stacked_rows(rows), ncols, counters) == want, (rid, d)
+            got = as_fractions(*certified_nullspace(stacked_rows(rows), ncols, counters))
+            assert got == want, (rid, d)
             # the swap-reduced system of the engine gives the same basis
             coords = engine._kept_coords(engine.reps[rid], d)
-            assert [b.coeff_vector(coords) for b in engine.slice(rid, d).basis] == want, \
-                (rid, d)
+            sl = engine.slice(rid, d)
+            assert as_fractions(sl.nums, sl.dens) == want, (rid, d)
+            assert [coeff_vector(b, coords) for b in sl.basis] == want, (rid, d)
             solved += 1
     assert solved == 163
     assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
+
+
+def test_crosscheck_makes_no_fraction(sess, monkeypatch):
+    # verify's crosscheck on a fresh session carries every slice basis as
+    # integer numerators over one denominator: no Fraction is made through
+    # the names linalg and covariants look up
+    from collections import Counter
+    from g9cov import cli, covariants, linalg
+    from g9cov.covariants import CovariantEngine
+    from g9cov.session import Session
+    calls = Counter()
+    for module in (linalg, covariants):
+        def counting(*args, _make=module.Fraction, _name=module.__name__):
+            calls[_name] += 1
+            return _make(*args)
+        monkeypatch.setattr(module, "Fraction", counting)
+    fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
+    monkeypatch.setattr(cli, "get_session", lambda: fresh)
+    assert cli.main(["verify", "--only", "crosscheck"]) == 0
+    assert fresh.engine.counters["slices_solved"] > 100 and not calls
+    # the counters see the Fractions that printing a basis and rref make
+    fresh.engine.slice(29, 27).basis
+    linalg.rref([[2, 1]])
+    assert calls["g9cov.covariants"] > 0 and calls["g9cov.linalg"] > 0
 
 
 def test_engine_counts_slices_and_primes(sess):
@@ -592,7 +650,7 @@ def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
     assert eng.counters["fallbacks"] == 1
     assert eng.counters["primes"] == len(linalg.ELIMINATION_PRIMES)
     monkeypatch.undo()
-    assert basis == slice_dense(sess.engine, 21, 18).basis
+    assert basis == slice_dense(sess.engine, 21, 18)
 
 
 def test_certificate_needs_enough_primes(engine):
@@ -658,9 +716,9 @@ def test_galois_instability_is_caught(sess):
     eng = _engine_with_images(sess, 21,
                               img_t=p.matmul(decode_image(rep.img_t)).matmul(p_inv))
     dense = slice_dense(eng, 21, 2)
-    assert dense.dim == 1
+    assert len(dense) == 1
     assert any(isinstance(c, CycNum) and c.key()[1:4] != (0, 0, 0)
-               for poly in dense.basis[0].components
+               for poly in dense[0].components
                for c in poly.terms.values())
     with pytest.raises(CrossCheckError, match=r"rho_21: sigma_3\(rho\(sigma_3\(T\)\)\) "
                                               r"is not rho\(T\)"):
@@ -670,14 +728,15 @@ def test_galois_instability_is_caught(sess):
         sess.engine._symmetry(rid)
 
 
-@pytest.mark.parametrize("fault", ["swap", "d_eigenvalue", "central", "tau_entries",
-                                   "tau_order", "pairing_sign", "dropped_row"])
+@pytest.mark.parametrize("fault", ["swap", "d_eigenvalue", "central", "central_not_scalar",
+                                   "tau_entries", "tau_order", "pairing_sign", "dropped_row"])
 def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
     # every fact the swap reduction rests on is checked exactly, and each
     # fault is caught by its own check, named in the message
     import copy
     from g9cov import covariants
     from g9cov.covariants import CovariantEngine, CrossCheckError
+    from g9cov.linalg import zeta_power
     from g9cov.reps import DEN, scalar_image
     tau_msg = r"rho\(T\) rho\(D\)\^2 rho\(T\) is not a signed permutation of order 2"
     rid, d = 9, 1
@@ -696,6 +755,13 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
             r"rho_9: central scalar is not a power of zeta_8"
         images = eng.matrices(9).copy()
         images[eng._central_index] = scalar_image(2, [2 * DEN, 0, 0, 0])
+        eng._mats[9] = images
+    elif fault == "central_not_scalar":
+        # zI acting by diag(z, z^3)
+        eng, msg = CovariantEngine(sess.table, sess.reps), \
+            r"rho_9: central element is not scalar"
+        images = eng.matrices(9).copy()
+        images[eng._central_index, 1, 1] = zeta_power(3, DEN)
         eng._mats[9] = images
     elif fault == "tau_entries":
         # sqrt(2) T makes rho(tau) twice the swap: an involutive pattern

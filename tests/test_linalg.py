@@ -11,8 +11,8 @@ from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _cer
                           _dot_mod, _nullspace_mod, certified_nullspace, nullspace_from_rref,
                           rref)
 from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
-                     _primes_1_mod_8, element_mat, int_rows, kron, mat_from_json, mat_pow,
-                     mat_to_json, rational, solve_exact)
+                     _primes_1_mod_8, as_fractions, element_mat, int_rows, kron, mat_from_json,
+                     mat_pow, mat_to_json, rational, solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -53,17 +53,25 @@ def q_rows(rows, ncols):
     return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
 
+def solved(rows, ncols, counters=None):
+    """certified_nullspace as Fraction vectors, after checking its (nums, dens) form."""
+    nums, dens = certified_nullspace(rows, ncols, counters)
+    assert nums.shape == (len(dens), ncols) and all(den > 0 for den in dens)
+    assert all(type(x) is int for x in nums.flat) and all(type(x) is int for x in dens)
+    return as_fractions(nums, dens)
+
+
 def test_nullspace_examples():
-    assert certified_nullspace(q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), 3) == []
-    assert certified_nullspace(q_rows([[0, 0], [0, 0]], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
-    assert certified_nullspace(q_rows([], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert solved(q_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), 3) == []
+    assert solved(q_rows([[0, 0], [0, 0]], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert solved(q_rows([], 2), 2) == [[ONE, ZERO], [ZERO, ONE]]
     # hand elimination of [[1,1],[1,1]]: one free column, vector (-1, 1)
-    assert certified_nullspace(q_rows([[1, 1], [1, 1]], 2), 2) == [[CycNum(-1), ONE]]
+    assert solved(q_rows([[1, 1], [1, 1]], 2), 2) == [[CycNum(-1), ONE]]
     # one free column right of a fractional pivot: (-1/3, 1)
-    assert certified_nullspace(q_rows([[3, 1]], 2), 2) == [[CycNum(Fraction(-1, 3)), ONE]]
-    # int64 rows give the same basis as Python ints
-    assert certified_nullspace(np.array([[3, 1]], dtype=np.int64), 2) == \
-        [[CycNum(Fraction(-1, 3)), ONE]]
+    assert solved(q_rows([[3, 1]], 2), 2) == [[CycNum(Fraction(-1, 3)), ONE]]
+    # int64 rows give the same basis as Python ints: numerators (-1, 3) over 3
+    nums, dens = certified_nullspace(np.array([[3, 1]], dtype=np.int64), 2)
+    assert (nums.tolist(), dens) == ([[-1, 3]], [3])
 
 
 def test_nullspace_exactness_and_rank():
@@ -71,7 +79,7 @@ def test_nullspace_exactness_and_rank():
     for _ in range(20):
         ints = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)]
         rows = cyc_rows(ints)
-        basis = certified_nullspace(q_rows(ints, 5), 5)
+        basis = solved(q_rows(ints, 5), 5)
         assert basis == oracle_nullspace(rows, 5)
         m = Mat.from_rows(rows)
         for v in basis:
@@ -92,8 +100,7 @@ def test_certified_nullspace_matches_rref_on_rational_rows():
         rows = base + [[sum((rng.randint(-3, 3) * r[c] for r in base), ZERO)
                         for c in range(ncols)] for _ in range(3)]
         rng.shuffle(rows)
-        assert certified_nullspace(int_rows(rows)[..., 0], ncols, counters) == \
-            oracle_nullspace(rows, ncols)
+        assert solved(int_rows(rows)[..., 0], ncols, counters) == oracle_nullspace(rows, ncols)
     assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
 
 
@@ -128,7 +135,7 @@ def test_rank_drop_at_a_prime_is_rejected():
     # (-1, 1) read off at p must not survive, the next prime supersedes it
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
-    assert certified_nullspace(q_rows([[1, 1], [1, 1 + p]], 2), 2, counters) == []
+    assert solved(q_rows([[1, 1], [1, 1 + p]], 2), 2, counters) == []
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
     assert counters["fallbacks"] == 0
 
@@ -137,8 +144,7 @@ def test_pivot_shift_at_a_prime_is_rejected():
     # [[p, 1]]: modulo p the pivot moves from column 0 to column 1 at equal rank
     p = ELIMINATION_PRIMES[0]
     counters = Counter()
-    assert certified_nullspace(q_rows([[p, 1]], 2), 2, counters) == \
-        [[CycNum(Fraction(-1, p)), ONE]]
+    assert solved(q_rows([[p, 1]], 2), 2, counters) == [[CycNum(Fraction(-1, p)), ONE]]
     assert counters["primes_rejected"] == 1 and counters["fallbacks"] == 0
 
 
@@ -150,10 +156,33 @@ def test_rank_drop_at_a_later_column_is_rejected():
     ints = [[1, 1, 1], [1, 1, 1 + p]]
     assert _nullspace_mod(_IntRows(q_rows(ints, 3)), p)[0] == [0]
     counters = Counter()
-    assert certified_nullspace(q_rows(ints, 3), 3, counters) == \
-        oracle_nullspace(cyc_rows(ints), 3)
+    assert solved(q_rows(ints, 3), 3, counters) == oracle_nullspace(cyc_rows(ints), 3)
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
     assert counters["fallbacks"] == 0
+
+
+def test_later_pivots_at_a_later_prime_are_rejected(monkeypatch):
+    # [[a, b]] with a, b near 2^40: (-b/a, 1) needs three primes to
+    # reconstruct.  The second prime is made to report the same rank with a
+    # later pivot, column 1 for column 0: its residues must not be combined,
+    # the prime is counted as rejected, and the basis is still rref's
+    from g9cov import linalg
+    a, b = 2 ** 40 + 15, 2 ** 40 - 3
+    honest, seen = linalg._nullspace_mod, []
+
+    def shifted(rows, p):
+        seen.append(p)
+        if len(seen) == 2:
+            return [1], np.array([[1, 0]], dtype=np.int64)
+        return honest(rows, p)
+
+    monkeypatch.setattr(linalg, "_nullspace_mod", shifted)
+    counters = Counter()
+    nums, dens = certified_nullspace(q_rows([[a, b]], 2), 2, counters)
+    assert as_fractions(nums, dens) == oracle_nullspace(cyc_rows([[a, b]]), 2)
+    assert (nums.tolist(), dens) == ([[-b, a]], [a])
+    assert counters["primes_rejected"] == 1 and counters["fallbacks"] == 0
+    assert counters["primes"] == len(seen) > 3
 
 
 def test_certificate_bound_is_not_int64():
@@ -175,7 +204,8 @@ def test_certificate_bound_is_not_int64():
     counters = Counter()
     assert not _certify(system, bad, [a], [1], counters)
     assert counters["certificate_primes"] == 4
-    assert certified_nullspace(rows, 2) == [[CycNum(Fraction(-b, a)), ONE]]
+    nums, dens = certified_nullspace(rows, 2)
+    assert (nums.tolist(), dens) == ([[-b, a]], [a])
 
 
 def test_kron_reference_values():
