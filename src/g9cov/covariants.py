@@ -90,14 +90,14 @@ Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
 normalized to leading coefficient 1 (RowReducer, on the integer numerator
-rows of the rational slice bases and of their theta and phi shifts, so every
-generator and determinant has int and Fraction coefficients).  The sweep
-stops at the top degree of the Molien numerator.  The module is free
-(Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's criterion (Bull. AMS
-1 (1979)) rank-many covariants, independent over C[theta, phi] and with
-the numerator's exponents as degrees, are a basis.  generators() checks
-count and degrees exactly.  verify_free proves independence and span
-without elimination:
+rows of the slice bases and of their theta and phi shifts; a generator is
+kept as a primitive integer row over its positive pivot, the row's first
+nonzero entry).  The sweep stops at the top degree of the Molien numerator.
+The module is free (Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's
+criterion (Bull. AMS 1 (1979)) rank-many covariants, independent over
+C[theta, phi] and with the numerator's exponents as degrees, are a basis.
+generators() checks count and degrees exactly.  verify_free proves
+independence and span without elimination:
 
   * det[g_1 .. g_m] != 0 (generator_det, shared with det_relation; for
     rank 1 the generator itself), so the g_j are independent over C(x, y);
@@ -121,7 +121,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -175,12 +175,23 @@ class CovariantSlice:
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """Each generator is (degree, coords, row): row / its pivot at coords, as RowReducer made it."""
     rep_id: int
-    gens: tuple[tuple[int, VecPoly], ...]   # (degree, generator), degree ascending
+    rank: int                             # components of each generator
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]  # degree ascending
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.gens)
+        return tuple(d for d, _, _ in self.rows)
+
+    @cached_property
+    def gens(self) -> tuple[tuple[int, VecPoly], ...]:
+        out = []
+        for d, coords, row in self.rows:
+            pivot = next(filter(None, row))
+            out.append((d, VecPoly.from_coeffs(coords, [Fraction(v, pivot) for v in row],
+                                               self.rank, d)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -225,10 +236,10 @@ class RowReducer:
     """Incremental row echelon form over Q of integer rows; a non-int entry raises ValueError."""
 
     def __init__(self):
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, tuple[int, ...]] = {}
 
-    def add(self, vec) -> list[Fraction] | None:
-        """Insert an integer row; returns the residual over its leading entry, None if dependent."""
+    def add(self, vec) -> tuple[int, ...] | None:
+        """Insert an integer row; returns its residual, primitive with pivot > 0, or None."""
         red = list(vec)
         if not all(isinstance(x, int) for x in red):
             raise ValueError("RowReducer works over Q on integer rows: an entry is not an int")
@@ -239,8 +250,8 @@ class RowReducer:
         if pivot is None:
             return None
         g = gcd(*red) if red[pivot] > 0 else -gcd(*red)
-        red = self.rows[pivot] = [v // g for v in red]
-        return [Fraction(v, red[pivot]) for v in red]
+        red = self.rows[pivot] = tuple(v // g for v in red)
+        return red
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +541,7 @@ class CovariantEngine:
         residue = self._symmetry(rid).residue
         numerator = self.molien(rid).numerator
         top = numerator[-1][0]
-        gens: list[tuple[int, VecPoly]] = []
+        gens = []
         for d in range(residue, top + 1, 8):
             sl = self.slice(rid, d)
             if not sl.dim:
@@ -541,12 +552,12 @@ class CovariantEngine:
             for row in sl.nums:
                 res = reducer.add(row)
                 if res is not None:
-                    gens.append((d, VecPoly.from_coeffs(sl.coords, res, rep.dim, d)))
+                    gens.append((d, sl.coords, res))
         if len(gens) != rep.dim:
             raise FreenessError(
                 f"rho_{rid}: {len(gens)} generators by degree {top}, "
                 f"expected {rep.dim}")
-        result = GeneratorSet(rid, tuple(gens))
+        result = GeneratorSet(rid, rep.dim, tuple(gens))
         expected = tuple(g for g, c in numerator for _ in range(c))
         if result.degrees != expected:
             raise FreenessError(
@@ -596,20 +607,14 @@ class CovariantEngine:
     def generator_det(self, rid: int) -> BiPoly:
         """det[g_1 .. g_m], generators as columns; for rank 1 the generator.
 
-        Each generator is divided by its content (the gcd of its numerators
-        over the lcm of its denominators) to a primitive integer vector, the
-        determinant of those is expanded over Z, and multiplied once by the
-        product of the contents.
+        Generator k is its primitive integer row over the row's pivot: the
+        determinant of the rows, expanded over Z, times the product of 1/pivot.
         """
         if rid not in self._dets:
-            cols, scale = [], Fraction(1)
-            for _, g in self.generators(rid).gens:
-                coeffs = [c for p in g.components for c in p.terms.values()]
-                content = Fraction(gcd(*(c.numerator for c in coeffs)),
-                                   lcm(*(c.denominator for c in coeffs)))
-                cols.append([BiPoly({t: int(c / content) for t, c in p.terms.items()})
-                             for p in g.components])
-                scale *= content
+            genset = self.generators(rid)
+            cols = [VecPoly.from_coeffs(coords, row, genset.rank, d).components
+                    for d, coords, row in genset.rows]
+            scale = Fraction(1, prod(next(filter(None, row)) for _, _, row in genset.rows))
             self._dets[rid] = _poly_det([list(row) for row in zip(*cols)]).scale(scale)
         return self._dets[rid]
 
@@ -646,14 +651,13 @@ class CovariantEngine:
 
         The pattern is (f, g, s*tau(f)) with tau(g) = s*g in rank 3, or
         (f, g, s*tau(g), s*tau(f)) in rank 4, with the sign s fixed per
-        representation (reference.TAU_SIGNS), that is F o tau = s * P F
-        for the reversal P.  Every covariant satisfies F o tau = rho(tau) F
-        (tau = T D^2 T, see the module docstring), and _symmetry certifies
-        rho(tau) exactly as a signed permutation.  So when that permutation
-        is the reversal with every sign s, each generator is its own
-        witness; this is checked exactly on each generator all the same.
-        Otherwise every record has found=False: absence is reported, never
-        silently passed.
+        representation (reference.TAU_SIGNS), that is F o tau = s * P F for
+        the reversal P, or c_(l, a) = s * c_(m-1-l, d-a) on the integer row.
+        Every covariant satisfies F o tau = rho(tau) F (tau = T D^2 T, see
+        the module docstring), and _symmetry certifies rho(tau) exactly as a
+        signed permutation.  So when that permutation is the reversal with
+        every sign s, each generator is its own witness; this is checked
+        exactly all the same.  Otherwise every record has found=False.
         """
         m = self.reps[rid].dim
         if m < 3:
@@ -661,18 +665,14 @@ class CovariantEngine:
         s = reference.TAU_SIGNS[rid]
         sym = self._symmetry(rid)
         pattern = sym.perm == tuple(range(m - 1, -1, -1)) and sym.sign == (s,) * m
+        genset = self.generators(rid)
         records = []
-        for d, g in self.generators(rid).gens:
-            found = pattern and all(c.is_zero() for c in self._tau_constraints(m, s, g))
+        for (d, coords, row), (_, g) in zip(genset.rows, genset.gens):
+            coeff = dict(zip(coords, row))
+            found = pattern and all(v == s * coeff.get((m - 1 - l, d - a), 0)
+                                    for (l, a), v in coeff.items())
             records.append(TauRecord(d, found, g if found else None))
         return records
-
-    @staticmethod
-    def _tau_constraints(dim: int, s: int, v: VecPoly) -> list[BiPoly]:
-        c = v.components
-        if dim == 3:
-            return [c[2] - c[0].tau().scale(s), c[1].tau() - c[1].scale(s)]
-        return [c[2] - c[1].tau().scale(s), c[3] - c[0].tau().scale(s)]
 
     # -- rank-1 closed forms -----------------------------------------------------------------
 

@@ -588,8 +588,9 @@ def build_all_exact(table) -> list[ExactRepresentation]:
 class CycRowReducer:
     """Incremental row echelon form over Q(zeta_8) on CycNum entries.
 
-    The reference for covariants.RowReducer, which reduces integer rows:
-    the same normalized residuals, in the same order.
+    The reference for covariants.RowReducer, which reduces integer rows to
+    primitive ones: over their pivots, the same normalized residuals, in the
+    same order.
     """
 
     def __init__(self):
@@ -642,8 +643,8 @@ def as_cyc(p):
 def generator_det_exact(engine, rid):
     """det[g_1 .. g_m] in CycNum arithmetic.
 
-    The reference for CovariantEngine.generator_det, which multiplies the
-    same generators with int and Fraction coefficients.
+    The reference for CovariantEngine.generator_det, which expands the same
+    generators' primitive integer rows over Z and divides by their pivots.
     """
     cols = [[as_cyc(p) for p in g.components] for _, g in engine.generators(rid).gens]
     return _poly_det([list(row) for row in zip(*cols)])
@@ -855,25 +856,19 @@ def mat_apply(vec, m):
 
 
 def binomial_table(d):
-    """table[a][b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a)."""
-    plus = [[1]]
-    minus = [[1]]
-    for _ in range(d):
-        prev = plus[-1]
-        plus.append([(prev[i - 1] if i else 0) + (prev[i] if i < len(prev) else 0)
-                     for i in range(len(prev) + 1)])
-        prev = minus[-1]
-        minus.append([(prev[i - 1] if i else 0) - (prev[i] if i < len(prev) else 0)
-                      for i in range(len(prev) + 1)])
+    """table[a][b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
+
+    Row a holds the coefficients p_k of P = (1+x)^a (x-1)^(d-a), which
+    satisfies (x^2 - 1) P' = (d x + d - 2a) P.  Comparing the coefficients
+    of x^k gives (k+1) p_(k+1) = -(d-2a) p_k - (d-k+1) p_(k-1), a division
+    that is exact, from p_0 = (-1)^(d-a) and p_(-1) = 0: O(d^2) in all.
+    """
     table = []
     for a in range(d + 1):
-        pa, mb = plus[a], minus[d - a]
-        row = [0] * (d + 1)
-        for i, pi in enumerate(pa):
-            if pi:
-                for j, mj in enumerate(mb):
-                    if mj:
-                        row[i + j] += pi * mj
+        row, before = [(-1) ** (d - a)], 0
+        for k in range(d):
+            row.append((-(d - 2 * a) * row[k] - (d - k + 1) * before) // (k + 1))
+            before = row[k]
         table.append(row)
     return table
 

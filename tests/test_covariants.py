@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ import pytest
 from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fractions, coeff_vector,
-                     covariance_check, covariance_failure_lifted, cyc_encoding, cyc_nullspace,
-                     decode_image, det_relation_exact, element_mat, encode_image,
+from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fractions, binomial_table,
+                     coeff_vector, covariance_check, covariance_failure_lifted, cyc_encoding,
+                     cyc_nullspace, decode_image, det_relation_exact, element_mat, encode_image,
                      generator_det_exact, int_rows, integer_row, rational, rep_matrices_exact,
                      slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
                      verify_free_by_elimination)
@@ -141,7 +143,8 @@ def test_free_module_spans(engine):
 def test_row_reducer_equals_cyclotomic_reference():
     # random rational vectors, some of them combinations of earlier ones:
     # the integer reducer on each vector times its least common denominator
-    # gives the CycNum reference's residuals, in order, as Fractions
+    # gives primitive integer rows with a positive pivot that, over that
+    # pivot, are the CycNum reference's residuals, in order
     rng = random.Random(7)
     for trial in range(40):
         n = rng.randint(1, 12)
@@ -156,8 +159,15 @@ def test_row_reducer_equals_cyclotomic_reference():
                              if rng.random() < 0.7 else Fraction(0) for _ in range(n)])
         fast, ref = RowReducer(), CycRowReducer()
         got = [fast.add(integer_row(v)) for v in vecs]
-        assert got == [ref.add([rational(x) for x in v]) for v in vecs], trial
-        assert all(type(x) is Fraction for res in got if res for x in res), trial
+        want = [ref.add([rational(x) for x in v]) for v in vecs]
+        assert [g is None for g in got] == [w is None for w in want], trial
+        for row, res in zip(got, want):
+            if row is None:
+                continue
+            pivot = next(v for v in row if v)
+            assert all(type(x) is int for x in row) and pivot > 0, trial
+            assert gcd(*row) == 1, trial
+            assert [Fraction(v, pivot) for v in row] == res, trial
 
 
 def test_row_reducer_rejects_irrational_entries():
@@ -174,10 +184,34 @@ def test_row_reducer_rejects_irrational_entries():
 
 
 def _engine_with_generators(sess, rid, gens):
+    # each (degree, VecPoly) becomes its primitive integer row at the full
+    # component-major graded-lex coordinates of its degree
     from g9cov.covariants import CovariantEngine, GeneratorSet
     eng = CovariantEngine(sess.table, sess.reps)
-    eng._gens[rid] = GeneratorSet(rid, tuple(gens))
+    m = eng.reps[rid].dim
+    rows = []
+    for d, g in gens:
+        coords = tuple((j, a) for j in range(m) for a in range(d, -1, -1))
+        row = integer_row(coeff_vector(g, coords))
+        content = gcd(*row) if next(v for v in row if v) > 0 else -gcd(*row)
+        rows.append((d, coords, tuple(v // content for v in row)))
+    eng._gens[rid] = GeneratorSet(rid, m, tuple(rows))
+    assert eng._gens[rid].gens == tuple(gens)
     return eng
+
+
+def test_generators_reject_wrong_degrees(sess, monkeypatch):
+    # with the degree-5 slice counted as decomposable and nothing at degree
+    # 13, rho_13 gets its two generators both in degree 13: the count is
+    # right, so only the degree check can reject them
+    from g9cov.covariants import CovariantEngine, FreenessError
+    eng = CovariantEngine(sess.table, sess.reps)
+    monkeypatch.setattr(eng, "decomposables",
+                        lambda rid, d: list(eng.slice(rid, 5).nums) if d == 5 else [])
+    with pytest.raises(FreenessError, match=re.escape(
+            "rho_13: generator degrees (13, 13) by degree 13, "
+            "Molien numerator degrees (5, 13)")):
+        eng.generators(13)
 
 
 def test_free_rejects_zero_determinant(sess):
@@ -308,21 +342,32 @@ def test_tau_structure_quadruples(engine):
             assert gt == -g.tau() and ft == -f.tau()
 
 
-@pytest.mark.parametrize("fault", ["swap_sign", "generator"])
+@pytest.mark.parametrize("fault", ["swap_sign", "generator", "coordinate_dropped"])
 def test_tau_structure_reports_absence(sess, fault):
     # the witness is the generator itself only while rho(tau) is the
-    # reversal with the reference sign and the generator has the pattern
+    # reversal with the reference sign and the generator has the pattern;
+    # a term whose swap partner is not among the generator's coordinates
+    # (the partner is 0) breaks the pattern too
     from dataclasses import replace
+    from g9cov.covariants import CovariantEngine, GeneratorSet
     from g9cov.poly import VecPoly
     gens = sess.engine.generators(21).gens
     if fault == "swap_sign":
         eng = _engine_with_generators(sess, 21, gens)
         eng._symmetries[21] = replace(eng._symmetry(21), sign=(1, -1, 1))
         expected = [False, False, False]
-    else:
+    elif fault == "generator":
         (d, g), rest = gens[0], gens[1:]
         f0, f1, f2 = g.components
         eng = _engine_with_generators(sess, 21, ((d, VecPoly([f0, f1, f2.scale(2)])),) + rest)
+        expected = [False, True, True]
+    else:
+        rows = sess.engine.generators(21).rows
+        d, coords, row = rows[0]
+        i = next(i for i, (j, _) in enumerate(coords) if j == 2 and row[i])
+        eng = CovariantEngine(sess.table, sess.reps)
+        eng._gens[21] = GeneratorSet(21, 3, ((d, coords[:i] + coords[i + 1:],
+                                             row[:i] + row[i + 1:]),) + rows[1:])
         expected = [False, True, True]
     records = eng.tau_structure(21)
     assert [r.found for r in records] == expected
@@ -446,7 +491,6 @@ def test_integer_t_rows_equal_exact_rows(engine):
 def test_binomial_table_closed_form():
     # coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), from math.comb; every
     # entry is at most 2^d, so the table is int64 exactly through d = 61
-    from math import comb
     from g9cov.covariants import _binomial_table
     for d in range(71):
         table = _binomial_table(d)
@@ -455,6 +499,26 @@ def test_binomial_table_closed_form():
                      for i in range(max(0, b - d + a), min(a, b) + 1))
                  for b in range(d + 1)] for a in range(d + 1)]
         assert table.tolist() == want, d
+
+
+def test_oracle_binomial_table_equals_convolution():
+    # the oracle's coefficient recurrence against the plain convolution of
+    # the rows of (x+y)^a and (x-y)^(d-a) for small d, and against the
+    # solver's running-sum table at a few larger d
+    from g9cov.covariants import _binomial_table
+    for d in range(17):
+        plus = [[comb(a, i) for i in range(a + 1)] for a in range(d + 1)]
+        minus = [[comb(e, i) * (-1) ** (e - i) for i in range(e + 1)] for e in range(d + 1)]
+        want = []
+        for a in range(d + 1):
+            row = [0] * (d + 1)
+            for i, pi in enumerate(plus[a]):
+                for j, mj in enumerate(minus[d - a]):
+                    row[i + j] += pi * mj
+            want.append(row)
+        assert binomial_table(d) == want, d
+    for d in (0, 1, 2, 5, 8, 13, 40, 61, 62, 100):
+        assert binomial_table(d) == _binomial_table(d).tolist(), d
 
 
 def test_slice_path_builds_no_cycnum_rows(sess):
@@ -580,10 +644,9 @@ def test_certified_nullspace_equals_exact_rref(engine):
     assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
 
 
-def test_crosscheck_makes_no_fraction(sess, monkeypatch):
-    # verify's crosscheck on a fresh session carries every slice basis as
-    # integer numerators over one denominator: no Fraction is made through
-    # the names linalg and covariants look up
+def _verify_counting_fractions(sess, monkeypatch, only):
+    """A fresh session after `verify --only <only>`, and the Fractions made
+    through the names linalg and covariants look up, by module."""
     from collections import Counter
     from g9cov import cli, covariants, linalg
     from g9cov.covariants import CovariantEngine
@@ -596,12 +659,35 @@ def test_crosscheck_makes_no_fraction(sess, monkeypatch):
         monkeypatch.setattr(module, "Fraction", counting)
     fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
     monkeypatch.setattr(cli, "get_session", lambda: fresh)
-    assert cli.main(["verify", "--only", "crosscheck"]) == 0
+    assert cli.main(["verify", "--only", only]) == 0
+    return fresh, calls
+
+
+def test_crosscheck_makes_no_fraction(sess, monkeypatch):
+    # verify's crosscheck on a fresh session carries every slice basis as
+    # integer numerators over one denominator: no Fraction is made through
+    # the names linalg and covariants look up
+    from g9cov import linalg
+    fresh, calls = _verify_counting_fractions(sess, monkeypatch, "crosscheck")
     assert fresh.engine.counters["slices_solved"] > 100 and not calls
     # the counters see the Fractions that printing a basis and rref make
     fresh.engine.slice(29, 27).basis
     linalg.rref([[2, 1]])
     assert calls["g9cov.covariants"] > 0 and calls["g9cov.linalg"] > 0
+
+
+def test_generator_extraction_makes_no_fraction(sess, monkeypatch):
+    # generators keep primitive integer rows: extracting all 32 generator
+    # sets after the crosscheck makes no Fraction either, until a
+    # generator is read as a VecPoly
+    fresh, calls = _verify_counting_fractions(sess, monkeypatch, "crosscheck,generators")
+    assert len(fresh.engine._gens) == 32 and not calls
+    # equal generator sets from two engines compare and hash equal
+    genset = fresh.engine.generators(29)
+    assert genset == sess.engine.generators(29) and hash(genset) == hash(sess.engine.generators(29))
+    assert all(type(v) is int for _, _, row in genset.rows for v in row)
+    genset.gens
+    assert calls["g9cov.covariants"] > 0
 
 
 def test_engine_counts_slices_and_primes(sess):

@@ -8,8 +8,8 @@ import pytest
 
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _certify,
-                          _dot_mod, _nullspace_mod, certified_nullspace, nullspace_from_rref,
-                          rref)
+                          _dot_mod, _nullspace_mod, _reconstruct, certified_nullspace,
+                          nullspace_from_rref, rref)
 from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
                      _primes_1_mod_8, as_fractions, element_mat, int_rows, kron, mat_from_json,
                      mat_pow, mat_to_json, rational, solve_exact)
@@ -206,6 +206,33 @@ def test_certificate_bound_is_not_int64():
     assert counters["certificate_primes"] == 4
     nums, dens = certified_nullspace(rows, 2)
     assert (nums.tolist(), dens) == ([[-b, a]], [a])
+
+
+def test_certificate_rejects_when_primes_run_out():
+    # (-1, 1) / 1 spans the nullspace of [[1, 1]]; scaled by 2^1700 in
+    # numerators and denominator alike it is the same vector, but its bound
+    # exceeds the product of all 64 certificate primes (about 2^1664), so
+    # the certificate cannot close and must say so
+    system = _IntRows(np.array([[1, 1]], dtype=np.int64))
+    counters = Counter()
+    assert _certify(system, np.array([[-1, 1]], dtype=object), [1], [1], counters)
+    k = 2 ** 1700
+    counters = Counter()
+    assert not _certify(system, np.array([[-k, k]], dtype=object), [k], [1], counters)
+    assert counters["certificate_primes"] == len(CERTIFICATE_PRIMES)
+
+
+def test_reconstruction_rejects_numerators_past_the_limit():
+    # modulo two elimination primes, 2^41 is a small integer at the running
+    # denominator 1, but the next coordinate, 1/2^10, raises the denominator
+    # to 2^10 and pushes the first numerator to 2^51, past m >> 20 (about
+    # 2^42): the vector must be rejected, not returned
+    m = ELIMINATION_PRIMES[0] * ELIMINATION_PRIMES[1]
+    assert 2 ** 41 <= m >> 20 < 2 ** 51
+    residues = np.array([[2 ** 41, pow(2 ** 10, -1, m)]], dtype=object)
+    assert _reconstruct(residues, m) is None
+    nums, dens = _reconstruct(np.array([[2 ** 30, pow(2 ** 10, -1, m)]], dtype=object), m)
+    assert (nums.tolist(), dens) == ([[2 ** 40, 1]], [2 ** 10])
 
 
 def test_kron_reference_values():
