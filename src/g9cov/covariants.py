@@ -40,27 +40,12 @@ unknowns and half the rows.  Three facts make this exact:
     is 1 at its free column f, 0 at the other free columns and has no
     support right of f, exactly what rref + nullspace_from_rref produce.
 
-B is solved over Q.  For k = 3, 5, 7 let sigma_k be the automorphism
-zeta_8 -> zeta_8^k of Q(zeta_8), applied entrywise (on coordinates it is a
-signed permutation).  _symmetry checks exactly, for s = T and D, that
-sigma_k(s) lies in G9 and that sigma_k(rho(sigma_k(s))) = rho(s).  Then:
-
-  * sigma_k is a field automorphism, so it is multiplicative on
-    matrices and maps G9 = <T, D> into G9; so g -> sigma_k(rho(sigma_k(g)))
-    is a homomorphism of G9, equal to rho on the generators, hence to rho;
-  * applying sigma_k to the coefficients of a covariant F gives F' with
-    F'(sigma_k(g) x) = sigma_k(rho(g)) F'(x).  As sigma_k is an involution
-    (k^2 = 1 mod 8), g = sigma_k(h) gives F'(h x) = rho(h) F'(x): sigma_k
-    maps M(rho)_d onto itself;
-  * null(A) is M(rho)_d on the kept coordinates, and E has entries 0 and
-    +-1, so null(B) = {u : E u in null(A)} is sigma_k-stable;
-  * sigma_k maps a normal-form basis vector of null(B) to a vector of
-    null(B) in the same normal form, and that basis is unique, so sigma_k
-    fixes it: it is rational;
-  * a rational v has B v = 0 exactly when B_r v = 0 for each r, where
-    B = sum_r B_r zeta_8^r.  So null(B) = null_Q([B_0; B_1; B_2; B_3])
-    tensored with Q(zeta_8), and the two have the same normal-form basis,
-    byte for byte.
+B is solved over Q: _tau_system checks exactly that the zeta_8, zeta_8^2
+and zeta_8^3 coordinates of its rows are 0.  rref of a rational matrix
+never leaves Q, so its normal-form nullspace over Q(zeta_8) is the one
+over Q, byte for byte.  (The check cannot fire here: rho(T) times
+sqrt(2)^(residue mod 2) is rational for all 32 representations, every
+solved degree d has d = residue mod 8, and the binomial rows are integers.)
 
 linalg.certified_nullspace solves that integer matrix multimodularly
 (Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
@@ -73,18 +58,18 @@ accepted only if exact checks prove it, whatever primes were used:
     independent;
   * at some prime the rank is ncols - k; a rank mod p never exceeds the
     rank over Q, so the nullity is at most k;
-  * B_r v = 0 for every row, by bounded CRT: each entry of the
-    integer-scaled product is at most ncols * max|B_r| * max|V| in
-    absolute value and vanishes modulo certificate primes whose product
-    exceeds twice that, so it is 0.
+  * B v = 0, by bounded CRT: each entry of the integer-scaled product
+    is at most ncols * max|B| * max|V| in absolute value and vanishes
+    modulo certificate primes whose product exceeds twice that, so it
+    is 0.
 
 The k vectors then span the nullspace, and a nullspace vector whose last
 nonzero coordinate is f exists only for non-pivot f, so they are the
 normal-form basis of B, and E maps them to that of A, byte for byte.
-Should the prime table run out, exact rref of the rational rows is the
-fallback.  The certificate never reads Molien: each slice dimension is
-still cross checked against the Molien coefficient, so the linear solver
-and the character-theoretic pipeline certify each other degree by degree.
+Should the prime table run out, exact rref of B is the fallback.  The
+certificate never reads Molien: each slice dimension is still cross
+checked against the Molien coefficient, so the linear solver and the
+character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
@@ -127,7 +112,7 @@ import numpy as np
 
 from . import group
 from .group import GroupTable, multiply
-from .linalg import CYC_STRUCT, certified_nullspace, galois, zeta_power
+from .linalg import CYC_STRUCT, certified_nullspace, zeta_power
 # rref is re-exported: perfbench/spans.py wraps it under this name
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
@@ -137,7 +122,8 @@ from . import reference
 
 
 class CrossCheckError(RuntimeError):
-    """Solver dimension and Molien coefficient disagree."""
+    """A structural check of the slice solver failed, or a slice dimension
+    and its Molien coefficient disagree."""
 
 
 class FreenessError(RuntimeError):
@@ -321,30 +307,13 @@ class CovariantEngine:
 
     # -- the slice solver -----------------------------------------------------------
 
-    @cached_property
-    def _galois_gens(self) -> list[tuple[int, str, int, int]]:
-        """(k, name, index of s, index of sigma_k(s)) for k = 3, 5, 7 and s = T, D.
-
-        Raises CrossCheckError unless every sigma_k(s) lies in G9.
-        """
-        out = []
-        for k in (3, 5, 7):
-            for name, s in self.table.gens.items():
-                try:
-                    image = self.table.lookup(galois(s, k))
-                except KeyError:
-                    raise CrossCheckError(f"sigma_{k}({name}) is not in G9") from None
-                out.append((k, name, self.table.lookup(s), image))
-        return out
-
     def _symmetry(self, rid: int) -> _Symmetry:
         """The central residue, D exponents and swap pattern of rho_rid, cached.
 
         Raises CrossCheckError, naming the representation, unless rho(D) is
         diagonal with powers of i, rho(T) rho(D)^2 rho(T) is a signed
-        permutation of order 2, the central element zI acts by a power
-        of zeta_8 times the identity and sigma_k(rho(sigma_k(s))) = rho(s)
-        for k = 3, 5, 7 and s = T, D (see the module docstring).
+        permutation of order 2 and the central element zI acts by a power
+        of zeta_8 times the identity (see the module docstring).
         """
         if rid not in self._symmetries:
             rep = self.reps[rid]
@@ -377,10 +346,6 @@ class CovariantEngine:
                             if np.array_equal(zeta_power(k, DEN), central[0, 0])), None)
             if residue is None:
                 raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
-            for k, name, s, image in self._galois_gens:
-                if not np.array_equal(galois(images[image], k), images[s]):
-                    raise CrossCheckError(f"rho_{rid}: sigma_{k}(rho(sigma_{k}({name}))) "
-                                          f"is not rho({name})")
             self._symmetries[rid] = _Symmetry(residue, expo, tuple(perm.tolist()),
                                               tuple(sign.tolist()))
         return self._symmetries[rid]
@@ -436,9 +401,9 @@ class CovariantEngine:
         sets coords[k] to s times it (see _tau_pairing).  The rows of B are
         the T rows (j, b) with 2b >= d of A E, in order j, then b
         descending, zero rows dropped; each other row (j, b) must equal
-        rho(D^2)_jj times row (j, d - b), or CrossCheckError names the
-        representation and the degree.  rows[r] is B_r, the integer
-        coefficient of zeta_8^r in B, shape (4, len(B), len(reps)).
+        rho(D^2)_jj times row (j, d - b), and B must be rational, or
+        CrossCheckError names the representation and the degree.  rows is
+        B as an integer matrix, shape (len(B), len(reps)).
         """
         sym = self._symmetry(rep.rid)
         reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
@@ -455,7 +420,10 @@ class CovariantEngine:
             raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
                                   f"rho(D^2) times its swapped row")
         rows = rows[:, :h].reshape(rep.dim * h, len(reps), 4)
-        return reps, mates, rows[(rows != 0).any(axis=(1, 2))].transpose(2, 0, 1)
+        if rows[..., 1:].any():
+            raise CrossCheckError(f"rho_{rep.rid} degree {d}: the T system is not rational")
+        rows = rows[..., 0]
+        return reps, mates, rows[rows.any(axis=1)]
 
     def covariance_failure(self, rid: int, vec: VecPoly) -> str | None:
         """The first generator, "D" then "T", at which vec is not rho_rid-covariant.
@@ -479,6 +447,8 @@ class CovariantEngine:
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid."""
+        if d < 0:
+            raise ValueError(f"rho_{rid} degree {d}: the degree is negative")
         if (rid, d) in self._slices:
             return self._slices[rid, d]
         rep = self.reps[rid]
@@ -487,9 +457,8 @@ class CovariantEngine:
             coords, nums, dens = [], np.zeros((0, 0), dtype=object), []
         else:
             reps, mates, rows = self._tau_system(rep, d, coords)
-            # the basis is rational (module docstring): solve [B_0; B_1; B_2; B_3]
-            u, dens = certified_nullspace(np.concatenate(rows), len(reps), self.counters)
-            self.counters.update(slices_solved=1, rows=rows.shape[1], cells=rows[0].size)
+            u, dens = certified_nullspace(rows, len(reps), self.counters)
+            self.counters.update(slices_solved=1, rows=len(rows), cells=rows.size)
             nums = np.zeros((len(dens), len(coords)), dtype=object)    # E u
             nums[:, reps] = u
             if mates:

@@ -4,23 +4,19 @@ A number of Z[zeta_8] is carried as its four integer coordinates in the
 basis 1, z, z^2, z^3 (z = zeta_8, z^4 = -1), a matrix as an (n, m, 4)
 int64 array of them over one fixed denominator: CYC_STRUCT multiplies
 coordinates, right_factor turns a matrix into the integer factor of a
-product, and zeta_shift, galois and zeta_power are the signed
-permutations of coordinates that multiplication by z^k and the field
-automorphisms z -> z^k make.  The reference nullspace comes from a
-deterministic reduced row echelon form (rref) whose pivot is always the
-first nonzero entry in column order, so repeated runs give byte-identical
-output; rref runs on Fraction entries (it only needs field arithmetic).
+product, and zeta_shift and zeta_power are the signed permutations of
+coordinates that multiplication by z^k makes.  The reference nullspace
+comes from a deterministic reduced row echelon form (rref) whose pivot is
+always the first nonzero entry in column order, so repeated runs give
+byte-identical output; rref runs on Fraction entries (it only needs field
+arithmetic).
 
 certified_nullspace returns the same normal-form nullspace of an integer
 matrix without exact elimination: it reduces the matrix as one int64 numpy
 array modulo word-size primes, lifts the result by CRT and rational
 reconstruction, and returns it only once an exact certificate holds; exact
 rref is the fallback.  It works over Q and returns each basis vector as
-integer numerators over one positive denominator.  A system
-B = sum_r B_r zeta_8^r over Q(zeta_8) whose normal-form nullspace basis is
-known to be rational is passed as the rational rows [B_0; B_1; B_2; B_3],
-which have the same normal-form basis (the covariants module proves this
-for its slices).
+integer numerators over one positive denominator.
 """
 
 from __future__ import annotations
@@ -100,22 +96,13 @@ def right_factor(b: np.ndarray) -> np.ndarray:
     return np.einsum("kjq,pqr->kpjr", b, CYC_STRUCT).reshape(4 * len(b), -1)
 
 
-def _send_powers(x: np.ndarray, images) -> np.ndarray:
-    """Coordinates x[..., 4] with each z^p sent to z^images[p]: a signed permutation."""
+def zeta_shift(x: np.ndarray, k: int) -> np.ndarray:
+    """z^k times the numbers with coordinates x[..., 4]: a signed permutation."""
     out = np.empty_like(x)
-    for p, q in enumerate(images):
+    for p in range(4):
+        q = p + k
         out[..., q % 4] = x[..., p] if q % 8 < 4 else -x[..., p]
     return out
-
-
-def zeta_shift(x: np.ndarray, k: int) -> np.ndarray:
-    """z^k times the numbers with coordinates x[..., 4]."""
-    return _send_powers(x, [p + k for p in range(4)])
-
-
-def galois(x: np.ndarray, k: int) -> np.ndarray:
-    """The automorphism z -> z^k (k odd) on coordinates x[..., 4]."""
-    return _send_powers(x, [p * k for p in range(4)])
 
 
 def zeta_power(k: int, den: int) -> np.ndarray:
@@ -123,24 +110,11 @@ def zeta_power(k: int, den: int) -> np.ndarray:
     return zeta_shift(np.array([den, 0, 0, 0], dtype=np.int64), k)
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for 2-d int64 arrays with entries of absolute value below p.
-
-    The inner dimension is summed in blocks small enough that no partial sum
-    reaches 2^63.
-    """
-    step = max(1, (2 ** 63 - 1) // (p - 1) ** 2 - 1)
-    out = a[:, :step] @ b[:step] % p
-    for s in range(step, a.shape[1], step):
-        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
-    return out
-
-
 # -- certified multimodular nullspace -----------------------------------------------
 
 # Elimination primes keep a product of two residues below 2^62; certificate
-# primes are smaller so that an int64 dot product sums 2^11 terms before it
-# must reduce (see _dot_mod).  Each table lists the largest primes p = 1
+# primes are smaller so that an int64 dot product of residues sums 2^11
+# terms without wrapping.  Each table lists the largest primes p = 1
 # (mod 8) below its bound (2^31 and 2^26), descending, and a test recomputes
 # them; the elimination is over Q, so any primes below the bounds would do.
 ELIMINATION_PRIMES = (
@@ -191,26 +165,14 @@ def _rref_mod(m: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-class _IntRows:
-    """The nonzero rows of an integer matrix, kept as their nonzero entries."""
-
-    def __init__(self, rows: np.ndarray):
-        rows = rows[(rows != 0).any(axis=1)]
-        self.shape = rows.shape
-        self.index = np.flatnonzero(rows)
-        self.values = rows.ravel()[self.index]
-        self.max_abs = max(map(abs, self.values.tolist()), default=1)
-
-    def mod(self, p: int) -> np.ndarray:
-        """The rows mod p, int64 in [0, p)."""
-        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
-        out[self.index] = self.values % p
-        return out.reshape(self.shape)
+def _mod(rows: np.ndarray, p: int) -> np.ndarray:
+    """An integer matrix (int64 or Python ints) mod p, int64 in [0, p)."""
+    return (rows % p).astype(np.int64, copy=False)
 
 
-def _nullspace_mod(rows: _IntRows, p: int) -> tuple[list[int], np.ndarray]:
-    """Pivots and normal-form nullspace vectors (free, ncols) mod p."""
-    m = rows.mod(p)
+def _nullspace_mod(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivots and normal-form nullspace vectors (free, ncols) of an integer matrix mod p."""
+    m = _mod(rows, p)
     pivots = _rref_mod(m, p)
     free = sorted(set(range(rows.shape[1])) - set(pivots))
     vecs = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
@@ -258,27 +220,32 @@ def _reconstruct(residues: np.ndarray, m: int) -> tuple[np.ndarray, list[int]] |
     return np.array(out, dtype=object).reshape(residues.shape), dens
 
 
-def _certify(rows: _IntRows, vecs: np.ndarray, dens: list[int], free: list[int],
-             counters: Counter) -> bool:
+def _certify(rows: np.ndarray, max_abs: int, vecs: np.ndarray, dens: list[int],
+             free: list[int], counters: Counter) -> bool:
     """Exact check that vecs[i] / dens[i] is the normal-form basis vector of free[i].
 
     Checks the normal form (1 at its own free column, 0 at the others and
-    right of it) and A v = 0 by bounded CRT: every entry of A v is an
-    integer of absolute value at most ncols * max|A| * max|V| (Python ints,
-    so the bound cannot wrap), so if it vanishes modulo primes whose
-    product exceeds twice that, it is 0.
+    right of it) and A v = 0 by bounded CRT, max_abs = max|A| a Python int:
+    every entry of A v is an integer of absolute value at most
+    ncols * max|A| * max|V| (Python ints, so the bound cannot wrap), so if
+    it vanishes modulo primes whose product exceeds twice that, it is 0.
+    Modulo q the product is one int64 product of residues, which cannot
+    wrap while ncols * (q - 1)^2 < 2^63; a wider matrix raises ValueError.
     """
     for i, f in enumerate(free):
         v = vecs[i]
         if v[f] != dens[i] or v[free[:i]].any() or v[f + 1:].any():
             return False
-    bound = rows.shape[1] * rows.max_abs * max(map(abs, vecs.flat), default=0)
+    ncols = rows.shape[1]
+    bound = ncols * max_abs * max(map(abs, vecs.flat), default=0)
     cleared = 1
     for q in CERTIFICATE_PRIMES:
         if cleared > 2 * bound:
             break
+        if ncols * (q - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"{ncols} columns: an int64 product mod {q} could wrap")
         counters["certificate_primes"] += 1
-        if _dot_mod(rows.mod(q), (vecs.T % q).astype(np.int64), q).any():
+        if (_mod(rows, q) @ _mod(vecs.T, q) % q).any():
             return False
         cleared *= q
     return cleared > 2 * bound
@@ -288,9 +255,9 @@ def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None =
                         ) -> tuple[np.ndarray, list[int]]:
     """The nullspace basis of nullspace_from_rref(rref(rows)) over Q, computed mod p.
 
-    rows is an integer matrix (nrows, ncols) of Python ints or int64.
-    Returns (nums, dens): basis vector i is nums[i] / dens[i], nums a
-    (len(dens), ncols) array of Python ints (dtype object), dens[i] > 0.
+    rows is an integer matrix (nrows, ncols) of Python ints or int64, zero
+    rows allowed.  Returns (nums, dens): basis vector i is nums[i] / dens[i],
+    nums a (len(dens), ncols) array of Python ints (dtype object), dens[i] > 0.
     Eliminates it modulo ELIMINATION_PRIMES until the reconstructed basis
     passes _certify, at a prime where the rank is ncols - len(basis).  A
     rank mod p never exceeds the true rank, so the nullity is at most
@@ -300,13 +267,13 @@ def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None =
     certificate primes and fallbacks in `counters`.
     """
     counters = Counter() if counters is None else counters
-    int_rows = _IntRows(rows)
-    if not int_rows.shape[0]:
+    max_abs = int(np.abs(rows).max(initial=0))
+    if not max_abs:
         return np.identity(ncols, dtype=object), [1] * ncols
     pivots, combined = None, 0
     for p in ELIMINATION_PRIMES:
         counters["primes"] += 1
-        got = _nullspace_mod(int_rows, p)
+        got = _nullspace_mod(rows, p)
         if pivots is None or (-len(got[0]), got[0]) < (-len(pivots), pivots):
             # a rank mod p only drops, and among equal ranks the true pivots
             # come first, so everything combined so far was unlucky
@@ -324,7 +291,7 @@ def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None =
         if not free:
             return np.zeros((0, ncols), dtype=object), []   # full rank at p, hence over Q
         rec = _reconstruct(residues, modulus)
-        if rec is not None and _certify(int_rows, rec[0], rec[1], free, counters):
+        if rec is not None and _certify(rows, max_abs, rec[0], rec[1], free, counters):
             return rec
     counters["fallbacks"] += 1
     reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])

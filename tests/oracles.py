@@ -18,7 +18,7 @@ import numpy as np
 from g9cov import group
 from g9cov.covariants import CovariantEngine, FreenessError, RowReducer, _poly_det
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import CYC_STRUCT, galois, nullspace_from_rref, rref, zeta_shift
+from g9cov.linalg import CYC_STRUCT, nullspace_from_rref, rref, zeta_shift
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
 
@@ -950,15 +950,16 @@ def int_rows(rows):
     return cyc_encoding(rows)[0]
 
 
-def stacked_rows(rows):
-    """CycNum rows B = sum_r B_r z^r as the integer matrix [B_0; B_1; B_2; B_3].
+def rational_rows(rows):
+    """Rational CycNum rows as the integer matrix certified_nullspace takes.
 
-    The rational rows certified_nullspace takes: over Q they have the
-    nullspace of B intersected with Q^ncols, each row of B scaled by its
-    least common denominator.
+    Each row is scaled by its least common denominator; raises ValueError
+    if an entry has a nonzero z, z^2 or z^3 coordinate.
     """
     nums = int_rows(rows)
-    return np.concatenate(nums.transpose(2, 0, 1))
+    if nums[..., 1:].any():
+        raise ValueError("the rows are not rational")
+    return nums[..., 0]
 
 
 def covariance_failure_lifted(engine, rid, vec):
@@ -980,6 +981,15 @@ def covariance_failure_lifted(engine, rid, vec):
     image = np.einsum("jbcp,cq,pqr->jbr", engine._t_rows(rep, vec.degree, coords),
                       nums[0], CYC_STRUCT)
     return "T" if image.any() else None
+
+
+def galois(x, k):
+    """The automorphism z -> z^k (k odd) on integer coordinates x[..., 4]."""
+    out = np.empty_like(x)
+    for p in range(4):
+        q = p * k
+        out[..., q % 4] = x[..., p] if q % 8 < 4 else -x[..., p]
+    return out
 
 
 def _zeta_mul(a, b):

@@ -12,8 +12,8 @@ from g9cov.poly import BiPoly, fundamental_invariants
 from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fractions, binomial_table,
                      coeff_vector, covariance_check, covariance_failure_lifted, cyc_encoding,
                      cyc_nullspace, decode_image, det_relation_exact, element_mat, encode_image,
-                     generator_det_exact, int_rows, integer_row, rational, rep_matrices_exact,
-                     slice_dense, stacked_rows, t_rows_exact, tau_reduced_rows,
+                     generator_det_exact, int_rows, integer_row, rational, rational_rows,
+                     rep_matrices_exact, slice_dense, t_rows_exact, tau_reduced_rows,
                      verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
@@ -455,7 +455,8 @@ def _rows(engine, rid, d):
 def test_integer_t_rows_equal_exact_rows(engine):
     # the integer system is DEN times the CycNum rows, zero rows dropped, and
     # the swap-reduced system (which must pass its dropped-row check) is the
-    # upper half of its rows times E; rho_30 in degree 255 has coefficients
+    # upper half of its rows times E, with zeta coordinates 0: its rational
+    # coordinate is what _tau_system returns; rho_30 in degree 255 has coefficients
     # past 2^63, so nothing may wrap: the rows are int64 only through
     # degree 59, where the entry bound of _t_rows fits
     from g9cov.reps import DEN
@@ -480,8 +481,10 @@ def test_integer_t_rows_equal_exact_rows(engine):
                               nums.reshape(got.shape) * DEN), (rid, d)
         reps, mates, reduced = engine._tau_system(rep, d, coords)
         assert reduced.dtype == full.dtype, (rid, d)
-        assert np.moveaxis(reduced, 0, -1).tolist() == tau_reduced_rows(full, d, reps, mates), \
-            (rid, d)
+        want = tau_reduced_rows(full, d, reps, mates)
+        want = np.array(want, dtype=object).reshape(len(want), len(reps), 4)
+        assert not want[..., 1:].any(), (rid, d)
+        assert reduced.tolist() == want[..., 0].tolist(), (rid, d)
         checked += 1
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
@@ -532,8 +535,7 @@ def test_slice_path_builds_no_cycnum_rows(sess):
     coords = eng._kept_coords(rep, 27)
     reps, _, rows = eng._tau_system(rep, 27, coords)
     assert rows.dtype == np.int64
-    got = linalg._nullspace_mod(linalg._IntRows(np.concatenate(rows)),
-                                linalg.ELIMINATION_PRIMES[0])
+    got = linalg._nullspace_mod(rows, linalg.ELIMINATION_PRIMES[0])
     assert len(got[0]) + len(got[1]) == len(reps)
     sl = eng.slice(29, 27)
     want = _oracle(t_rows_exact(rep, 27, coords), len(coords))
@@ -618,11 +620,11 @@ def test_cyc_nullspace_equals_cycnum_rref(engine):
 
 
 def test_certified_nullspace_equals_exact_rref(engine):
-    # the multimodular solver over Q, on the four coordinate rows of the full
-    # system and on the engine's swap-reduced one, against the exact
-    # elimination oracle over Q(zeta_8) on every slice with rows through
-    # degree 40, and on two deep slices: the rational descent of the module
-    # docstring, checked case by case
+    # the multimodular solver over Q, on the rational rows of the full system
+    # (rational_rows checks that their zeta coordinates are 0) and on the
+    # engine's swap-reduced one, against the exact elimination oracle over
+    # Q(zeta_8) on every slice with rows through degree 40, and on two deep
+    # slices: the rational solve of the module docstring, checked case by case
     from collections import Counter
     from g9cov.linalg import certified_nullspace
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + [(25, 70), (30, 63)]
@@ -632,7 +634,7 @@ def test_certified_nullspace_equals_exact_rref(engine):
         rows, ncols = _rows(engine, rid, d)
         if rows:
             want = cyc_nullspace(int_rows(rows), ncols)
-            got = as_fractions(*certified_nullspace(stacked_rows(rows), ncols, counters))
+            got = as_fractions(*certified_nullspace(rational_rows(rows), ncols, counters))
             assert got == want, (rid, d)
             # the swap-reduced system of the engine gives the same basis
             coords = engine._kept_coords(engine.reps[rid], d)
@@ -745,7 +747,7 @@ def test_certificate_needs_enough_primes(engine):
     # at whichever pivot column of the first vector the shift lands
     from collections import Counter
     from math import prod
-    from g9cov.linalg import CERTIFICATE_PRIMES, _certify, _IntRows
+    from g9cov.linalg import CERTIFICATE_PRIMES, _certify
     rows, ncols = _rows(engine, 29, 35)
     basis = _oracle(rows, ncols)
     nums, dens = cyc_encoding(basis)
@@ -754,16 +756,18 @@ def test_certificate_needs_enough_primes(engine):
     free = [max(c for c in range(ncols) if v[c]) for v in basis]
     pivots = sorted(set(range(free[0])) - set(free))[:4]
     assert len(pivots) == 4
-    system = _IntRows(stacked_rows(rows))
+    system = rational_rows(rows)
+    max_abs = max(abs(x) for x in system.flat)
     counters = Counter()
-    assert _certify(system, vecs, list(dens), free, counters)
+    assert _certify(system, max_abs, vecs, list(dens), free, counters)
     honest = counters["certificate_primes"]
     for pivot in pivots:
         for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
             bad = vecs.copy()
             bad[0, pivot] += shift
             counters = Counter()
-            assert not _certify(system, bad, list(dens), free, counters), (pivot, shift)
+            assert not _certify(system, max_abs, bad, list(dens), free, counters), \
+                (pivot, shift)
             assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
         assert counters["certificate_primes"] > honest + 2
 
@@ -789,13 +793,12 @@ def _engine_with_images(sess, rid, img_t=None, img_d=None):
     return CovariantEngine(sess.table, [fake if r.rid == rid else r for r in sess.reps])
 
 
-def test_galois_instability_is_caught(sess):
+def test_irrational_t_system_is_caught(sess):
     # rho_21 conjugated by P = diag(1, z, 1) is an equivalent representation
-    # with the same D image, rho(tau) and central scalar, but
-    # sigma_3(rho(sigma_3(T))) = sigma_3(P) rho_21(T) sigma_3(P)^-1 is not
-    # its T image.  Its slices have irrational normal-form bases (degree 2:
-    # dimension 1 over Q(zeta_8), none over Q), so the rational solve must
-    # not run
+    # with the same D image, rho(tau) and central scalar, but its T image
+    # is not rational.  Its slices have irrational normal-form bases
+    # (degree 2: dimension 1 over Q(zeta_8), none over Q), so the rational
+    # solve must not run
     from g9cov.covariants import CrossCheckError
     p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
     rep = sess.rep(21)
@@ -806,12 +809,36 @@ def test_galois_instability_is_caught(sess):
     assert any(isinstance(c, CycNum) and c.key()[1:4] != (0, 0, 0)
                for poly in dense[0].components
                for c in poly.terms.values())
-    with pytest.raises(CrossCheckError, match=r"rho_21: sigma_3\(rho\(sigma_3\(T\)\)\) "
-                                              r"is not rho\(T\)"):
+    with pytest.raises(CrossCheckError, match=r"rho_21 degree 2: the T system is not rational"):
         eng.slice(21, 2)
-    # the genuine representations all pass
+    assert not eng._slices
+    # the genuine rho_21 solves its degree-2 slice
+    assert sess.engine.slice(21, 2).dim == 1
+
+
+def test_t_images_are_rational_up_to_sqrt2(engine):
+    # why the rationality check of _tau_system cannot fire: for all 32
+    # representations rho(T) sqrt(2)^(residue mod 2) has zeta coordinates
+    # 0, every solved degree d is the central residue mod 8 (so d and the
+    # residue have one parity), and the binomial rows are integers
+    sqrt2 = CycNum(0, 1, 0, -1)
     for rid in range(1, 33):
-        sess.engine._symmetry(rid)
+        rep = engine.reps[rid]
+        residue = engine._symmetry(rid).residue
+        t = decode_image(engine.matrices(rid)[engine._t_index]).scale(sqrt2 ** (residue % 2))
+        assert all(x.key()[1:4] == (0, 0, 0) for x in t.entries), rid
+        kept = [d for d in range(41) if engine._kept_coords(rep, d) is not None]
+        assert kept == list(range(residue, 41, 8)), rid
+
+
+def test_slice_rejects_negative_degrees(sess):
+    # before any cache is read or filled
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    for rid, d in ((1, -8), (9, -1)):
+        with pytest.raises(ValueError, match=rf"rho_{rid} degree {d}: the degree is negative"):
+            eng.slice(rid, d)
+    assert not (eng._slices or eng._molien or eng._symmetries or eng._mats)
 
 
 @pytest.mark.parametrize("fault", ["swap", "d_eigenvalue", "central", "central_not_scalar",

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from g9cov.group import standard_generators
-from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _IntRows, _certify,
-                          _dot_mod, _nullspace_mod, _reconstruct, certified_nullspace,
-                          nullspace_from_rref, rref)
+from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _certify, _nullspace_mod,
+                          _reconstruct, certified_nullspace, nullspace_from_rref, rref)
 from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
                      _primes_1_mod_8, as_fractions, element_mat, int_rows, kron, mat_from_json,
                      mat_pow, mat_to_json, rational, solve_exact)
@@ -89,9 +88,11 @@ def test_nullspace_exactness_and_rank():
 
 def test_certified_nullspace_matches_rref_on_rational_rows():
     # dependent rows with fractional entries, each scaled to integers by its
-    # least common denominator: low rank, many free columns
+    # least common denominator: low rank, many free columns; then an
+    # all-zero matrix, one with no rows, zero rows interleaved with nonzero
+    # ones, and Python-int rows with entries past 2^63
     rng = random.Random(33)
-    counters = Counter()
+    systems = []
     for _ in range(15):
         ncols = rng.randint(2, 9)
         base = [[rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
@@ -100,7 +101,18 @@ def test_certified_nullspace_matches_rref_on_rational_rows():
         rows = base + [[sum((rng.randint(-3, 3) * r[c] for r in base), ZERO)
                         for c in range(ncols)] for _ in range(3)]
         rng.shuffle(rows)
-        assert solved(int_rows(rows)[..., 0], ncols, counters) == oracle_nullspace(rows, ncols)
+        systems.append(int_rows(rows)[..., 0])
+    big = 2 ** 64 + 13
+    systems += [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+                np.array([[0, 0, 0, 0], [0, 2, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0],
+                          [1, 1, 3, 0], [0, 0, 0, 0], [1, 3, 3, 1]], dtype=np.int64),
+                np.array([[big, 3 * big + 1, 5, 0], [0, 0, 0, 0],
+                          [2 * big, 6 * big + 2, 10, 0], [1, -big, 0, 2 ** 70]], dtype=object)]
+    counters = Counter()
+    for rows in systems:
+        ncols = rows.shape[1]
+        assert solved(rows, ncols, counters) == \
+            oracle_nullspace([[rational(x) for x in r] for r in rows.tolist()], ncols)
     assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
 
 
@@ -117,17 +129,29 @@ def test_prime_tables():
         [n for n in range(9, 5000, 2) if all(n % q for q in range(3, isqrt(n) + 1, 2))]
 
 
-def test_dot_mod_no_overflow():
-    # signed operands at an elimination prime; entries near a certificate
-    # prime, summed over more than one inner block
-    rng = np.random.default_rng(1)
-    p, q = ELIMINATION_PRIMES[0], CERTIFICATE_PRIMES[0]
-    cases = [(p, rng.integers(0, p, (3, 40)), rng.integers(-p + 1, p, (40, 2))),
-             (q, rng.integers(q - 50, q, (3, 5000)), rng.integers(q - 50, q, (5000, 2)))]
-    for p, a, b in cases:
-        want = (a.astype(object) @ b.astype(object)) % p
-        got = _dot_mod(a, b, p)
-        assert got.shape == want.shape and (got == want).all()
+def test_certificate_product_does_not_wrap():
+    # row (-1, ..., -1, -(n - 1)) and vector (-1, ..., -1, 1) / 1: modulo the
+    # largest certificate prime q every residue but two is q - 1, so the
+    # int64 product of residues sums n - 1 terms (q - 1)^2.  For n = 2048
+    # that is just below 2^63 and the vector is certified, while the same
+    # vector off by one is not; for n = 2049 it could wrap and is refused
+    q = CERTIFICATE_PRIMES[0]
+    assert 2048 * (q - 1) ** 2 < 2 ** 63 <= 2049 * (q - 1) ** 2
+    for n in (2048, 2049):
+        rows = np.full((1, n), -1, dtype=np.int64)
+        rows[0, -1] = -(n - 1)
+        vecs = np.full((1, n), -1, dtype=object)
+        vecs[0, -1] = 1
+        bad = vecs.copy()
+        bad[0, 0] = -2
+        if n == 2048:
+            counters = Counter()
+            assert _certify(rows, n - 1, vecs, [1], [n - 1], counters)
+            assert counters["certificate_primes"] == 1
+            assert not _certify(rows, n - 1, bad, [1], [n - 1], Counter())
+        else:
+            with pytest.raises(ValueError, match=f"2049 columns: an int64 product mod {q}"):
+                _certify(rows, n - 1, vecs, [1], [n - 1], Counter())
 
 
 def test_rank_drop_at_a_prime_is_rejected():
@@ -154,7 +178,7 @@ def test_rank_drop_at_a_later_column_is_rejected():
     # must give way to the next prime's (one free column)
     p = ELIMINATION_PRIMES[0]
     ints = [[1, 1, 1], [1, 1, 1 + p]]
-    assert _nullspace_mod(_IntRows(q_rows(ints, 3)), p)[0] == [0]
+    assert _nullspace_mod(q_rows(ints, 3), p)[0] == [0]
     counters = Counter()
     assert solved(q_rows(ints, 3), 3, counters) == oracle_nullspace(cyc_rows(ints), 3)
     assert counters["primes"] == 2 and counters["primes_rejected"] == 1
@@ -185,27 +209,36 @@ def test_later_pivots_at_a_later_prime_are_rejected(monkeypatch):
     assert counters["primes"] == len(seen) > 3
 
 
-def test_certificate_bound_is_not_int64():
+def test_certificate_bound_is_not_int64(monkeypatch):
     # an int64 system with entries near 2^40 and a basis vector (-b, a) / a:
     # ncols * max|B| * max|V| is about 2^81, past int64.  A pivot entry
     # shifted by the product of the first three certificate primes vanishes
     # modulo each of them; only a bound computed without wrapping asks for
-    # the fourth, which sees it
+    # the fourth, which sees it.  certified_nullspace hands _certify max|B|
+    # of the int64 rows as a Python int
+    from g9cov import linalg
     a, b = 2 ** 40 + 15, 2 ** 40 - 3
     rows = np.array([[a, b], [2 * a, 2 * b]], dtype=np.int64)
-    system = _IntRows(rows)
     vecs = np.array([[-b, a]], dtype=object)
     counters = Counter()
-    assert 2 * a * a > 2 ** 63 and _certify(system, vecs, [a], [1], counters)
+    assert 2 * a * a > 2 ** 63 and _certify(rows, 2 * a, vecs, [a], [1], counters)
     assert counters["certificate_primes"] == 4
     shift = CERTIFICATE_PRIMES[0] * CERTIFICATE_PRIMES[1] * CERTIFICATE_PRIMES[2]
     bad = vecs.copy()
     bad[0, 0] += shift
     counters = Counter()
-    assert not _certify(system, bad, [a], [1], counters)
+    assert not _certify(rows, 2 * a, bad, [a], [1], counters)
     assert counters["certificate_primes"] == 4
+    seen = []
+
+    def spy(rows, max_abs, *args):
+        seen.append(max_abs)
+        return _certify(rows, max_abs, *args)
+
+    monkeypatch.setattr(linalg, "_certify", spy)
     nums, dens = certified_nullspace(rows, 2)
     assert (nums.tolist(), dens) == ([[-b, a]], [a])
+    assert seen and all(type(m) is int and m == 2 * a for m in seen)
 
 
 def test_certificate_rejects_when_primes_run_out():
@@ -213,12 +246,12 @@ def test_certificate_rejects_when_primes_run_out():
     # numerators and denominator alike it is the same vector, but its bound
     # exceeds the product of all 64 certificate primes (about 2^1664), so
     # the certificate cannot close and must say so
-    system = _IntRows(np.array([[1, 1]], dtype=np.int64))
+    system = np.array([[1, 1]], dtype=np.int64)
     counters = Counter()
-    assert _certify(system, np.array([[-1, 1]], dtype=object), [1], [1], counters)
+    assert _certify(system, 1, np.array([[-1, 1]], dtype=object), [1], [1], counters)
     k = 2 ** 1700
     counters = Counter()
-    assert not _certify(system, np.array([[-k, k]], dtype=object), [k], [1], counters)
+    assert not _certify(system, 1, np.array([[-k, k]], dtype=object), [k], [1], counters)
     assert counters["certificate_primes"] == len(CERTIFICATE_PRIMES)
 
 
