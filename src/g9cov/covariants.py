@@ -11,7 +11,8 @@ reductions cut the system down before any elimination happens, all exact
 consequences of the same covariance condition:
 
   * the central element zI acts on degree-d polynomials by z^d and on
-    the module by a scalar; unless these agree the slice is zero;
+    the module by a scalar z^r; unless d = r (mod 8) the slice is zero,
+    and a vector that meets the D constraint is covariant only if it is 0;
   * every rho(D) here is diagonal, so the D constraint just selects,
     per component j, the x^a y^(d-a) with i^(d-a) equal to the j-th
     diagonal entry;
@@ -24,9 +25,15 @@ consequences of the same covariance condition:
     s_l = -1, or whose partner is not kept, is 0.
 
 What is left is the T constraint A on the kept coefficients, built
-(times reps.DEN) as an integer array of Z[zeta_8]
-coordinates, int64 whenever a bound from d and rho(T) proves it fits.
-It is solved as B, the rows (j, b) with 2b >= d of A E: about half the
+(times reps.DEN) as an integer matrix, int64 whenever a bound from d and
+rho(T) proves it fits.  It is rational by one exact check per
+representation: _symmetry checks that t = rho(T) sqrt(2)^(r mod 2) has
+zeta_8, zeta_8^2 and zeta_8^3 coordinates 0.  A solved degree d is r mod
+8, so scaling the substitution side by sqrt(2)^d, which makes it the
+integer coefficients of (x+y)^a (x-y)^(d-a), scales rho(T) to
+2^(d // 2) t.  rref of a rational matrix never leaves Q, so its
+normal-form nullspace over Q(zeta_8) is the one over Q, byte for byte.
+A is solved as B, the rows (j, b) with 2b >= d of A E: about half the
 unknowns and half the rows.  Three facts make this exact:
 
   * null(A) lies in im(E) by the swap reduction above, and E is
@@ -40,14 +47,7 @@ unknowns and half the rows.  Three facts make this exact:
     is 1 at its free column f, 0 at the other free columns and has no
     support right of f, exactly what rref + nullspace_from_rref produce.
 
-B is solved over Q: _tau_system checks exactly that the zeta_8, zeta_8^2
-and zeta_8^3 coordinates of its rows are 0.  rref of a rational matrix
-never leaves Q, so its normal-form nullspace over Q(zeta_8) is the one
-over Q, byte for byte.  (The check cannot fire here: rho(T) times
-sqrt(2)^(residue mod 2) is rational for all 32 representations, every
-solved degree d has d = residue mod 8, and the binomial rows are integers.)
-
-linalg.certified_nullspace solves that integer matrix multimodularly
+linalg.certified_nullspace solves the integer matrix B multimodularly
 (Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
 reconstruction after Wang, SYMSAC 1981): it is eliminated as one int64
 array modulo primes p, and the residues are combined by CRT and lifted
@@ -112,7 +112,7 @@ import numpy as np
 
 from . import group
 from .group import GroupTable, multiply
-from .linalg import CYC_STRUCT, certified_nullspace, zeta_power
+from .linalg import certified_nullspace, zeta_power, zeta_shift
 # rref is re-exported: perfbench/spans.py wraps it under this name
 from .linalg import rref  # noqa: F401
 from .molien import MolienResult, molien_series
@@ -122,8 +122,8 @@ from . import reference
 
 
 class CrossCheckError(RuntimeError):
-    """A structural check of the slice solver failed, or a slice dimension
-    and its Molien coefficient disagree."""
+    """A structural check of the slice solver (the swap, _symmetry, a dropped
+    T row) failed, or a slice dimension and its Molien coefficient disagree."""
 
 
 class FreenessError(RuntimeError):
@@ -187,10 +187,11 @@ class TauRecord:
     witness: VecPoly | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Symmetry:
     residue: int                # the central scalar is zeta_8^residue
     expo: tuple[int, ...]       # rho(D)_jj = i^expo[j], so rho(D^2)_jj = (-1)^expo[j]
+    t: np.ndarray               # rho(T) sqrt(2)^(residue mod 2) times DEN: int64, read-only
     perm: tuple[int, ...]       # rho(tau) has sign[l] at (l, perm[l]), tau = T D^2 T
     sign: tuple[int, ...]
 
@@ -280,7 +281,6 @@ class CovariantEngine:
         if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):
             raise CrossCheckError("T D^2 T is not the swap (x, y) -> (y, x)")
         self._central_index = table.lookup(scalar_image(2, zeta_power(1, group.DEN)))
-        self._t_index = table.lookup(t)
         # slices_solved, and the rows and cells (rows x columns) of their
         # systems; primes, primes_rejected, certificate_primes and fallbacks
         # of certified_nullspace
@@ -308,12 +308,12 @@ class CovariantEngine:
     # -- the slice solver -----------------------------------------------------------
 
     def _symmetry(self, rid: int) -> _Symmetry:
-        """The central residue, D exponents and swap pattern of rho_rid, cached.
+        """The central residue, D exponents, rational T and swap pattern of rho_rid, cached.
 
         Raises CrossCheckError, naming the representation, unless rho(D) is
-        diagonal with powers of i, rho(T) rho(D)^2 rho(T) is a signed
-        permutation of order 2 and the central element zI acts by a power
-        of zeta_8 times the identity (see the module docstring).
+        diagonal with powers of i, zI acts by zeta_8^r times the identity,
+        rho(T) sqrt(2)^(r mod 2) is rational and rho(T) rho(D)^2 rho(T) is a
+        signed permutation of order 2 (see the module docstring).
         """
         if rid not in self._symmetries:
             rep = self.reps[rid]
@@ -326,27 +326,29 @@ class CovariantEngine:
             if not hits.any(axis=1).all():
                 raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
             expo = tuple(hits.argmax(axis=1).tolist())
-            # rho(tau) = rho(T) rho(D)^2 rho(T) times DEN^2, with rho(D)^2 = diag((-1)^e_j)
-            d2 = (-1) ** np.array(expo)
-            images = self.matrices(rid)
-            t = images[self._t_index]
-            tau = np.einsum("ljp,j,jkq,pqr->lkr", t, d2, t, CYC_STRUCT)
-            perm = (tau != 0).any(axis=2).argmax(axis=1)
-            sign = tau[ids, perm, 0] // DEN ** 2
-            signed = np.zeros_like(tau)
-            signed[ids, perm, 0] = sign * DEN ** 2
-            if not (np.isin(sign, (-1, 1)).all() and np.array_equal(tau, signed)
-                    and np.array_equal(perm[perm], ids) and np.array_equal(sign[perm], sign)):
-                raise CrossCheckError(f"rho_{rid}: rho(T) rho(D)^2 rho(T) is not a "
-                                      f"signed permutation of order 2")
-            central = images[self._central_index]
+            central = self.matrices(rid)[self._central_index]
             if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):
                 raise CrossCheckError(f"rho_{rid}: central element is not scalar")
             residue = next((k for k in range(8)
                             if np.array_equal(zeta_power(k, DEN), central[0, 0])), None)
             if residue is None:
                 raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
-            self._symmetries[rid] = _Symmetry(residue, expo, tuple(perm.tolist()),
+            odd = residue % 2
+            t = zeta_shift(rep.img_t, 1) - zeta_shift(rep.img_t, 3) if odd else rep.img_t
+            if t[..., 1:].any():
+                raise CrossCheckError(f"rho_{rid}: rho(T) sqrt(2)^{odd} is not rational")
+            t = t[..., 0].copy()
+            t.flags.writeable = False
+            # rho(tau) = rho(T) diag((-1)^e_j) rho(T) is tau / (DEN^2 2^odd)
+            tau = t * (-1) ** np.array(expo) @ t
+            perm = (tau != 0).argmax(axis=1)
+            sign = tau[ids, perm] // (DEN ** 2 << odd)
+            signed = (sign * (DEN ** 2 << odd))[:, None] * np.eye(rep.dim, dtype=np.int64)[perm]
+            if not (np.isin(sign, (-1, 1)).all() and np.array_equal(tau, signed)
+                    and np.array_equal(perm[perm], ids) and np.array_equal(sign[perm], sign)):
+                raise CrossCheckError(f"rho_{rid}: rho(T) rho(D)^2 rho(T) is not a "
+                                      f"signed permutation of order 2")
+            self._symmetries[rid] = _Symmetry(residue, expo, t, tuple(perm.tolist()),
                                               tuple(sign.tolist()))
         return self._symmetries[rid]
 
@@ -369,27 +371,24 @@ class CovariantEngine:
 
     def _t_rows(self, rep: Representation, d: int,
                 coords: list[tuple[int, int]]) -> np.ndarray:
-        """The T constraint on the coefficients at coords, times DEN, over Z[zeta_8].
+        """The T constraint on the coefficients at coords, times DEN, over Z.
 
-        Row (j, b) is DEN * u[a, b] at each column (j, a), u the
-        _binomial_table(d), minus the numerators over DEN of rho(T) scaled
-        by sqrt(2)^d at the columns (l, b): scaling the substitution side
-        by sqrt(2)^d makes it the integer coefficients of (x+y)^a (x-y)^(d-a).
-        Returns (m, d + 1, len(coords), 4) integer coordinates, row (j, b) at
-        [j, d - b]: int64 when twice the entry bound (|u[a, b]| <= 2^d) fits,
-        so that _tau_system's sums of two columns do too, else Python ints.
+        Requires d = residue (mod 8), as at every solved degree.  Row (j, b)
+        is DEN * u[a, b] at each column (j, a), u the _binomial_table(d),
+        minus 2^(d // 2) _Symmetry.t at the columns (l, b): the substitution
+        side scaled by sqrt(2)^d (see the module docstring).  Returns
+        (m, d + 1, len(coords)) integers, row (j, b) at [j, d - b]: int64 when
+        twice the entry bound (|u[a, b]| <= 2^d) fits, so that _tau_system's
+        sums of two columns do too, else Python ints.
         """
-        m = rep.dim
-        t = self.matrices(rep.rid)[self._t_index]
-        if d % 2:       # times sqrt(2) = z - z^3
-            t = t @ np.tensordot([0, 1, 0, -1], CYC_STRUCT, axes=(0, 1))
+        t = self._symmetry(rep.rid).t
         bound = DEN * 2 ** d + int(np.abs(t).max()) * 2 ** (d // 2)
         dtype = np.int64 if 2 * bound < 2 ** 63 else object
         scaled = t.astype(dtype) * 2 ** (d // 2)
         comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
         cols = np.arange(len(coords))
-        rows = np.zeros((m, d + 1, len(coords), 4), dtype=dtype)
-        rows[comp, :, cols, 0] = DEN * _binomial_table(d)[expo, ::-1].astype(dtype)
+        rows = np.zeros((rep.dim, d + 1, len(coords)), dtype=dtype)
+        rows[comp, :, cols] = DEN * _binomial_table(d)[expo, ::-1].astype(dtype)
         rows[:, d - expo, cols] -= scaled[:, comp]
         return rows
 
@@ -401,9 +400,9 @@ class CovariantEngine:
         sets coords[k] to s times it (see _tau_pairing).  The rows of B are
         the T rows (j, b) with 2b >= d of A E, in order j, then b
         descending, zero rows dropped; each other row (j, b) must equal
-        rho(D^2)_jj times row (j, d - b), and B must be rational, or
-        CrossCheckError names the representation and the degree.  rows is
-        B as an integer matrix, shape (len(B), len(reps)).
+        rho(D^2)_jj times row (j, d - b), or CrossCheckError names the
+        representation and the degree.  rows is B as an integer matrix,
+        shape (len(B), len(reps)).
         """
         sym = self._symmetry(rep.rid)
         reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
@@ -411,18 +410,15 @@ class CovariantEngine:
         if mates:
             g, k, s = np.array(mates).T
             mate = rows[:, :, k]
-            mate *= s[:, None]      # in place: the peak stays at twice the full system
+            mate *= s       # in place: the peak stays at twice the full system
             rows[:, :, np.array(reps)[g]] += mate
         rows = rows[:, :, reps]
         h = d // 2 + 1
-        d2 = (-1) ** np.array(sym.expo)[:, None, None, None]
+        d2 = (-1) ** np.array(sym.expo)[:, None, None]
         if not np.array_equal(rows[:, h:], rows[:, ::-1][:, h:] * d2):
             raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
                                   f"rho(D^2) times its swapped row")
-        rows = rows[:, :h].reshape(rep.dim * h, len(reps), 4)
-        if rows[..., 1:].any():
-            raise CrossCheckError(f"rho_{rep.rid} degree {d}: the T system is not rational")
-        rows = rows[..., 0]
+        rows = rows[:, :h].reshape(rep.dim * h, len(reps))
         return reps, mates, rows[rows.any(axis=1)]
 
     def covariance_failure(self, rid: int, vec: VecPoly) -> str | None:
@@ -430,8 +426,10 @@ class CovariantEngine:
 
         Returns None when vec(s x) = rho_rid(s) vec(x) for s = D and s = T,
         hence for every element of G9 = <T, D>.  D holds exactly when vec
-        has no support outside _d_coords; T exactly when the integer T rows
-        of the solver (_t_rows) annihilate vec's coefficients there.
+        has no support outside _d_coords.  Then at a degree d other than the
+        residue r mod 8, T fails unless vec = 0: else vec(z x) = z^d vec(x)
+        would equal rho(zI) vec(x) = z^r vec(x).  At d = r (mod 8), T holds
+        exactly when the integer T rows (_t_rows) annihilate vec's coefficients.
         """
         rep = self.reps[rid]
         coords = self._d_coords(rep, vec.degree)
@@ -442,6 +440,8 @@ class CovariantEngine:
                 if (j, a) not in index:
                     return "D"
                 coeffs[index[j, a]] = c
+        if (vec.degree - self._symmetry(rid).residue) % 8:
+            return "T" if coeffs.any() else None
         image = np.tensordot(self._t_rows(rep, vec.degree, coords), coeffs, axes=(2, 0))
         return "T" if image.any() else None
 

@@ -913,17 +913,17 @@ def tau_reduced_rows(full, d, reps, mates):
     """The rows (j, b) with 2b >= d of A E, zero rows dropped, as nested lists.
 
     The reference for the rows of CovariantEngine._tau_system: full is the
-    T system A on every kept coordinate, (m, d + 1, ncols, 4) with row
-    (j, b) at [j, d - b]; column g of A E is A at reps[g], plus s times A
-    at k for each (g, k, s) in mates.
+    T system A on every kept coordinate, (m, d + 1, ncols) with row (j, b)
+    at [j, d - b]; column g of A E is A at reps[g], plus s times A at k for
+    each (g, k, s) in mates.
     """
     out = []
     for j in range(len(full)):
         for b in range(d, (d + 1) // 2 - 1, -1):
-            row = [list(full[j, d - b, i]) for i in reps]
+            row = [full[j, d - b, i] for i in reps]
             for g, k, s in mates:
-                row[g] = [x + s * y for x, y in zip(row[g], full[j, d - b, k])]
-            if any(any(entry) for entry in row):
+                row[g] += s * full[j, d - b, k]
+            if any(row):
                 out.append(row)
     return out
 
@@ -963,13 +963,13 @@ def rational_rows(rows):
 
 
 def covariance_failure_lifted(engine, rid, vec):
-    """CovariantEngine.covariance_failure through the Z[zeta_8] lift of vec.
+    """CovariantEngine.covariance_failure through the Z[zeta_8] lift of the exact rows.
 
-    The path the engine took before it contracted its integer T rows with
-    the rational coefficients directly: the coefficients at the kept
-    coordinates are lifted to integer Z[zeta_8] coordinates over their
-    least common denominator (cyc_encoding) and multiplied into the rows
-    through CYC_STRUCT on all four lanes.
+    Reads neither the engine's integer T rows nor its central-character
+    shortcut: the CycNum T rows of t_rows_exact, at any degree, and the
+    coefficients at the kept coordinates are lifted to integer Z[zeta_8]
+    coordinates over their least common denominators (cyc_encoding) and
+    multiplied through CYC_STRUCT on all four lanes.
     """
     rep = engine.reps[rid]
     coords = engine._d_coords(rep, vec.degree)
@@ -977,9 +977,11 @@ def covariance_failure_lifted(engine, rid, vec):
         coeffs = coeff_vector(vec, coords)
     except ValueError:
         return "D"
-    nums, _ = cyc_encoding([coeffs])
-    image = np.einsum("jbcp,cq,pqr->jbr", engine._t_rows(rep, vec.degree, coords),
-                      nums[0], CYC_STRUCT)
+    rows = t_rows_exact(rep, vec.degree, coords)
+    if not rows:
+        return None
+    image = np.einsum("gcp,cq,pqr->gr", cyc_encoding(rows)[0], cyc_encoding([coeffs])[0][0],
+                      CYC_STRUCT)
     return "T" if image.any() else None
 
 

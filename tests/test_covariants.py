@@ -9,12 +9,12 @@ import pytest
 from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fractions, binomial_table,
-                     coeff_vector, covariance_check, covariance_failure_lifted, cyc_encoding,
-                     cyc_nullspace, decode_image, det_relation_exact, element_mat, encode_image,
-                     generator_det_exact, int_rows, integer_row, rational, rational_rows,
-                     rep_matrices_exact, slice_dense, t_rows_exact, tau_reduced_rows,
-                     verify_free_by_elimination)
+from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fraction, as_fractions,
+                     binomial_table, coeff_vector, covariance_check, covariance_failure_lifted,
+                     cyc_encoding, cyc_nullspace, decode_image, det_relation_exact, element_mat,
+                     encode_image, generator_det_exact, int_rows, integer_row, rational,
+                     rational_rows, rep_matrices_exact, slice_dense, t_rows_exact,
+                     tau_reduced_rows, verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -374,11 +374,15 @@ def test_tau_structure_reports_absence(sess, fault):
     assert [r.witness is not None for r in records] == expected
 
 
-def test_covariance_failure_matches_substitution_oracle(sess):
+def test_covariance_failure_matches_substitution_oracle(sess, monkeypatch):
     # the integer predicate against substitution and the matrix action, on
     # the lowest-degree slice basis vector of every representation, as is
     # and with one coefficient bumped by 1 (x^d, then x^(d-1) y, of
-    # component 0): it names the first generator, D then T, the oracle rejects
+    # component 0): it names the first generator, D then T, the oracle
+    # rejects.  Then at one degree of each parity other than the residue
+    # mod 8: a nonzero vector with D's support fails T by the central
+    # character, and the zero vector is covariant, both without T rows
+    from g9cov.covariants import CovariantEngine
     from g9cov.group import standard_generators
     from g9cov.poly import VecPoly
     t, d = map(element_mat, standard_generators())
@@ -402,6 +406,30 @@ def test_covariance_failure_matches_substitution_oracle(sess):
             assert engine.covariance_failure(rid, bumped) == expected, (rid, a)
             seen.add(expected)
     assert seen == {"D", "T", None}
+    honest, calls = CovariantEngine._t_rows, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return honest(self, *args)
+    monkeypatch.setattr(CovariantEngine, "_t_rows", counted)
+    off_residue = 0
+    for rid in range(1, 33):
+        rep = sess.rep(rid)
+        residue = engine._symmetry(rid).residue
+        for first in (residue + 1, residue + 2):
+            # the lowest degree of this parity, other than the residue mod 8,
+            # where D allows a term
+            deg = next(e for e in range(first, residue + 8, 2) if engine._d_coords(rep, e))
+            (j, a), *_ = engine._d_coords(rep, deg)
+            comps = [BiPoly()] * rep.dim
+            comps[j] = BiPoly({(a, deg - a): 1})
+            vec = VecPoly(comps, deg)
+            assert covariance_check(vec, decode_image(rep.img_d), d), (rid, deg)
+            assert not covariance_check(vec, decode_image(rep.img_t), t), (rid, deg)
+            assert engine.covariance_failure(rid, vec) == "T", (rid, deg)
+            assert engine.covariance_failure(rid, VecPoly([BiPoly()] * rep.dim, deg)) is None
+            off_residue += 1
+    assert off_residue == 64 and not calls
 
 
 def test_covariance_failure_equals_lifted_path(sess):
@@ -453,12 +481,12 @@ def _rows(engine, rid, d):
 
 
 def test_integer_t_rows_equal_exact_rows(engine):
-    # the integer system is DEN times the CycNum rows, zero rows dropped, and
-    # the swap-reduced system (which must pass its dropped-row check) is the
-    # upper half of its rows times E, with zeta coordinates 0: its rational
-    # coordinate is what _tau_system returns; rho_30 in degree 255 has coefficients
-    # past 2^63, so nothing may wrap: the rows are int64 only through
-    # degree 59, where the entry bound of _t_rows fits
+    # the integer system is DEN times the CycNum rows, which are rational,
+    # zero rows dropped, and the swap-reduced system (which must pass its
+    # dropped-row check) is the upper half of its rows times E;
+    # rho_30 in degree 255 has coefficients past 2^63, so nothing may wrap:
+    # the rows are int64 only through degree 59, where the entry bound of
+    # _t_rows fits
     from g9cov.reps import DEN
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + \
         [(25, 70), (30, 63), (30, 255)]
@@ -469,22 +497,21 @@ def test_integer_t_rows_equal_exact_rows(engine):
         if not coords:
             continue
         full = engine._t_rows(rep, d, coords)
-        assert full.shape == (rep.dim, d + 1, len(coords), 4), (rid, d)
+        assert full.shape == (rep.dim, d + 1, len(coords)), (rid, d)
         assert full.dtype == (np.int64 if d < 60 else object), (rid, d)
-        got = full.reshape(-1, len(coords), 4)
-        got = got[(got != 0).any(axis=(1, 2))]
+        got = full.reshape(-1, len(coords))
+        got = got[(got != 0).any(axis=1)]
         # got[g] = DEN * want[g] = DEN * nums[g] / dens[g], compared over Z
         nums, dens = cyc_encoding([r for r in t_rows_exact(rep, d, coords)
                                    if any(not x.is_zero() for x in r)])
+        assert not nums[..., 1:].any(), (rid, d)
         assert len(dens) == len(got), (rid, d)
-        assert np.array_equal(got.astype(object) * np.array(dens, dtype=object)[:, None, None],
-                              nums.reshape(got.shape) * DEN), (rid, d)
+        assert np.array_equal(got.astype(object) * np.array(dens, dtype=object)[:, None],
+                              nums[..., 0].reshape(got.shape) * DEN), (rid, d)
         reps, mates, reduced = engine._tau_system(rep, d, coords)
         assert reduced.dtype == full.dtype, (rid, d)
         want = tau_reduced_rows(full, d, reps, mates)
-        want = np.array(want, dtype=object).reshape(len(want), len(reps), 4)
-        assert not want[..., 1:].any(), (rid, d)
-        assert reduced.tolist() == want[..., 0].tolist(), (rid, d)
+        assert reduced.tolist() == [[int(x) for x in row] for row in want], (rid, d)
         checked += 1
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
@@ -795,10 +822,11 @@ def _engine_with_images(sess, rid, img_t=None, img_d=None):
 
 def test_irrational_t_system_is_caught(sess):
     # rho_21 conjugated by P = diag(1, z, 1) is an equivalent representation
-    # with the same D image, rho(tau) and central scalar, but its T image
-    # is not rational.  Its slices have irrational normal-form bases
+    # with the same D image, rho(tau) and central scalar (zeta_8^2), but its
+    # T image is not rational.  Its slices have irrational normal-form bases
     # (degree 2: dimension 1 over Q(zeta_8), none over Q), so the rational
-    # solve must not run
+    # solve must not run: _symmetry rejects the representation before any
+    # slice is built, and caches nothing
     from g9cov.covariants import CrossCheckError
     p, p_inv = Mat.diagonal([1, Z, 1]), Mat.diagonal([1, Z ** 7, 1])
     rep = sess.rep(21)
@@ -809,26 +837,31 @@ def test_irrational_t_system_is_caught(sess):
     assert any(isinstance(c, CycNum) and c.key()[1:4] != (0, 0, 0)
                for poly in dense[0].components
                for c in poly.terms.values())
-    with pytest.raises(CrossCheckError, match=r"rho_21 degree 2: the T system is not rational"):
+    with pytest.raises(CrossCheckError, match=r"rho_21: rho\(T\) sqrt\(2\)\^0 is not rational"):
         eng.slice(21, 2)
-    assert not eng._slices
+    assert not eng._slices and not eng._symmetries
     # the genuine rho_21 solves its degree-2 slice
     assert sess.engine.slice(21, 2).dim == 1
 
 
 def test_t_images_are_rational_up_to_sqrt2(engine):
-    # why the rationality check of _tau_system cannot fire: for all 32
-    # representations rho(T) sqrt(2)^(residue mod 2) has zeta coordinates
-    # 0, every solved degree d is the central residue mod 8 (so d and the
-    # residue have one parity), and the binomial rows are integers
+    # why the T rows are rational: for all 32 representations
+    # rho(T) sqrt(2)^(residue mod 2) has zeta coordinates 0 (the check of
+    # _symmetry, which keeps it as _Symmetry.t), every solved degree d is
+    # the central residue mod 8 (so d and the residue have one parity), and
+    # the binomial rows are integers
+    from g9cov.reps import DEN
     sqrt2 = CycNum(0, 1, 0, -1)
     for rid in range(1, 33):
         rep = engine.reps[rid]
-        residue = engine._symmetry(rid).residue
-        t = decode_image(engine.matrices(rid)[engine._t_index]).scale(sqrt2 ** (residue % 2))
-        assert all(x.key()[1:4] == (0, 0, 0) for x in t.entries), rid
+        sym = engine._symmetry(rid)
+        t = decode_image(rep.img_t).scale(sqrt2 ** (sym.residue % 2))
+        assert sym.t.dtype == np.int64 and not sym.t.flags.writeable, rid
+        # as_fraction raises unless the z, z^2 and z^3 coordinates are 0
+        assert sym.t.tolist() == [[as_fraction(t.at(j, l)) * DEN for l in range(rep.dim)]
+                                  for j in range(rep.dim)], rid
         kept = [d for d in range(41) if engine._kept_coords(rep, d) is not None]
-        assert kept == list(range(residue, 41, 8)), rid
+        assert kept == list(range(sym.residue, 41, 8)), rid
 
 
 def test_slice_rejects_negative_degrees(sess):
@@ -877,10 +910,13 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
         images[eng._central_index, 1, 1] = zeta_power(3, DEN)
         eng._mats[9] = images
     elif fault == "tau_entries":
-        # sqrt(2) T makes rho(tau) twice the swap: an involutive pattern
-        # with entries 2, not +-1
-        t = decode_image(sess.rep(9).img_t).scale(CycNum(0, 1, 0, -1))
+        # 2 T keeps rho(T) sqrt(2) rational and makes rho(tau) four times the
+        # swap: an involutive pattern with entries 4, not +-1; the honest
+        # images keep the central scalar zeta_8 (the images built from 2 T
+        # would fail the central check first)
+        t = decode_image(sess.rep(9).img_t).scale(CycNum(2))
         eng, msg = _engine_with_images(sess, 9, img_t=t), rf"rho_9: {tau_msg}"
+        eng._mats[9] = sess.engine.matrices(9)
     elif fault == "tau_order":
         # a 3-cycle for T makes rho(tau) a signed 3-cycle
         cycle = Mat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -903,7 +939,7 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
 
             def tampered(self, rep, d, coords):
                 rows = honest(self, rep, d, coords)
-                rows[0, d, 0, 0] += 1       # row (0, b = 0), dropped as 2b < d
+                rows[0, d, 0] += 1      # row (0, b = 0), dropped as 2b < d
                 return rows
             monkeypatch.setattr(CovariantEngine, "_t_rows", tampered)
     with pytest.raises(CrossCheckError, match=msg):

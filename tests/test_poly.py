@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from g9cov.group import standard_generators
 from g9cov.poly import (BiPoly, NotDivisibleError, VecPoly,
@@ -102,6 +103,45 @@ def test_divide_exact():
         THETA.divide_exact(GAMMA)
     with pytest.raises(ZeroDivisionError):
         THETA.divide_exact(BiPoly())
+
+
+# int and Fraction coefficients, a few terms of degree at most 4 in x and in y
+coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs,
+                        max_size=5).map(BiPoly)
+bounded = settings(max_examples=50, deadline=None)
+
+
+@bounded
+@given(polys, polys, polys)
+def test_ring_axioms(f, g, h):
+    zero, one = BiPoly(), BiPoly.constant(1)
+    assert (f + g) + h == f + (g + h) and f + g == g + f
+    assert f + zero == f and (f + (-f)).is_zero() and f - g == f + (-g)
+    assert (f * g) * h == f * (g * h) and f * g == g * f
+    assert f * one == f and (f * zero).is_zero()
+    assert f * (g + h) == f * g + f * h
+
+
+@bounded
+@given(polys, polys)
+def test_tau_is_an_involutive_ring_automorphism(f, g):
+    assert f.tau().tau() == f
+    assert (f + g).tau() == f.tau() + g.tau()
+    assert (f * g).tau() == f.tau() * g.tau()
+    assert BiPoly.constant(1).tau() == BiPoly.constant(1)
+
+
+@bounded
+@given(polys, polys, coeffs)
+def test_divide_exact_undoes_multiplication(q, g, c):
+    # g divides q g + c only if it divides c, which a nonconstant g does
+    # not when c != 0: a nonzero multiple of g has g's total degree or more
+    assume(not g.is_zero())
+    assert (q * g).divide_exact(g) == q
+    assume(g.degree() >= 1 and c != 0)
+    with pytest.raises(NotDivisibleError):
+        (q * g + BiPoly.constant(c)).divide_exact(g)
 
 
 def test_theta_phi_fixed_by_whole_group(table):

@@ -97,3 +97,17 @@ def test_public_names_resolve():
     assert len(modules) == 11
     for module in modules:
         assert not {"CycNum", "Rat", "Mat"} & set(vars(module)), module.__name__
+
+
+def test_mutant_lines_occur_once_in_src():
+    # tests/mutants.py names each line it mutates by its text: each must
+    # occur exactly once in src/, in the module the mutant names, so the
+    # list cannot rot
+    from mutants import MUTANTS
+    lines = {p.name: [line.strip() for line in p.read_text().splitlines()]
+             for p in Path(g9cov.__file__).parent.glob("*.py")}
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 15
+    for m in MUTANTS:
+        assert lines[m.path].count(m.line) == 1, m.name
+        assert sum(text.count(m.line) for text in lines.values()) == 1, m.name
+        assert all((Path(__file__).parents[1] / t).is_file() for t in m.tests), m.name
