@@ -31,7 +31,7 @@ representation: _symmetry checks that t = rho(T) sqrt(2)^(r mod 2) has
 zeta_8, zeta_8^2 and zeta_8^3 coordinates 0.  A solved degree d is r mod
 8, so scaling the substitution side by sqrt(2)^d, which makes it the
 integer coefficients of (x+y)^a (x-y)^(d-a), scales rho(T) to
-2^(d // 2) t.  rref of a rational matrix never leaves Q, so its
+2^(d // 2) t.  Elimination of a rational matrix never leaves Q, so its
 normal-form nullspace over Q(zeta_8) is the one over Q, byte for byte.
 A is solved as B, the rows (j, b) with 2b >= d of A E: about half the
 unknowns and half the rows.  Three facts make this exact:
@@ -44,8 +44,8 @@ unknowns and half the rows.  Three facts make this exact:
     with 2b < d are dropped, so null(A E) = null(B);
   * each unknown sits at its pair's right-most column, so E maps the
     canonical nullspace normal form of B onto that of A: basis vector v_f
-    is 1 at its free column f, 0 at the other free columns and has no
-    support right of f, exactly what rref + nullspace_from_rref produce.
+    is 1 at its free column f (no pivot of the reduced row echelon form),
+    0 at the other free columns and has no support right of f.
 
 linalg.certified_nullspace solves the integer matrix B multimodularly
 (Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
@@ -66,17 +66,17 @@ accepted only if exact checks prove it, whatever primes were used:
 The k vectors then span the nullspace, and a nullspace vector whose last
 nonzero coordinate is f exists only for non-pivot f, so they are the
 normal-form basis of B, and E maps them to that of A, byte for byte.
-Should the prime table run out, exact rref of B is the fallback.  The
-certificate never reads Molien: each slice dimension is still cross
-checked against the Molien coefficient, so the linear solver and the
-character-theoretic pipeline certify each other degree by degree.
+Should the prime table run out, linalg.rref of B, exact over Q, is the
+fallback.  The certificate never reads Molien: each slice dimension is
+still cross checked against the Molien coefficient, so the linear solver
+and the character-theoretic pipeline certify each other degree by degree.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
 complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1 (RowReducer, on the integer numerator
-rows of the slice bases and of their theta and phi shifts; a generator is
-kept as a primitive integer row over its positive pivot, the row's first
+normalized to leading coefficient 1 (linalg.RowReducer, on the integer
+numerator rows of the slices and of their theta and phi shifts; each
+generator is a primitive integer row over its positive pivot, its first
 nonzero entry).  The sweep stops at the top degree of the Molien numerator.
 The module is free (Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's
 criterion (Bull. AMS 1 (1979)) rank-many covariants, independent over
@@ -106,15 +106,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, prod
+from math import comb, prod
 
 import numpy as np
 
 from . import group
 from .group import GroupTable, multiply
-from .linalg import certified_nullspace, zeta_power, zeta_shift
 # rref is re-exported: perfbench/spans.py wraps it under this name
-from .linalg import rref  # noqa: F401
+from .linalg import RowReducer, certified_nullspace, rref, zeta_power, zeta_shift  # noqa: F401
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, rep_matrices, scalar_image
@@ -217,28 +216,6 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
             mates.append((len(reps), k, sign[l]))
         reps.append(i)
     return reps, mates
-
-
-class RowReducer:
-    """Incremental row echelon form over Q of integer rows; a non-int entry raises ValueError."""
-
-    def __init__(self):
-        self.rows: dict[int, tuple[int, ...]] = {}
-
-    def add(self, vec) -> tuple[int, ...] | None:
-        """Insert an integer row; returns its residual, primitive with pivot > 0, or None."""
-        red = list(vec)
-        if not all(isinstance(x, int) for x in red):
-            raise ValueError("RowReducer works over Q on integer rows: an entry is not an int")
-        for col, row in sorted(self.rows.items()):
-            if c := red[col]:
-                red = [row[col] * v - c * r for v, r in zip(red, row)]
-        pivot = next((i for i, v in enumerate(red) if v), None)
-        if pivot is None:
-            return None
-        g = gcd(*red) if red[pivot] > 0 else -gcd(*red)
-        red = self.rows[pivot] = tuple(v // g for v in red)
-        return red
 
 
 @lru_cache(maxsize=None)

@@ -5,80 +5,71 @@ basis 1, z, z^2, z^3 (z = zeta_8, z^4 = -1), a matrix as an (n, m, 4)
 int64 array of them over one fixed denominator: CYC_STRUCT multiplies
 coordinates, right_factor turns a matrix into the integer factor of a
 product, and zeta_shift and zeta_power are the signed permutations of
-coordinates that multiplication by z^k makes.  The reference nullspace
-comes from a deterministic reduced row echelon form (rref) whose pivot is
-always the first nonzero entry in column order, so repeated runs give
-byte-identical output; rref runs on Fraction entries (it only needs field
-arithmetic).
+coordinates that multiplication by z^k makes.
 
-certified_nullspace returns the same normal-form nullspace of an integer
-matrix without exact elimination: it reduces the matrix as one int64 numpy
-array modulo word-size primes, lifts the result by CRT and rational
-reconstruction, and returns it only once an exact certificate holds; exact
-rref is the fallback.  It works over Q and returns each basis vector as
-integer numerators over one positive denominator.
+Exact elimination over Q is RowReducer, a fraction-free row echelon form
+of integer rows; rref back-substitutes it into the integer reduced row
+echelon form, canonical for the row space (each pivot is a row's first
+nonzero entry), so repeated runs give byte-identical output.
+
+certified_nullspace returns the normal-form nullspace of an integer matrix
+without exact elimination: it reduces the matrix as one int64 numpy array
+modulo word-size primes, lifts the result by CRT and rational
+reconstruction, and returns it only once an exact certificate holds; the
+nullspace read off rref is the fallback.  It works over Q and returns each
+basis vector as integer numerators over one positive denominator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+class RowReducer:
+    """Incremental row echelon form over Q of integer rows; a non-int entry raises ValueError."""
 
-    Entries are Fraction or int (any exact field scalar works).  Pivot
-    choice is the first nonzero entry in column order, scanning rows top to
-    bottom, which makes the result canonical for the row space.
+    def __init__(self):
+        self.rows: dict[int, tuple[int, ...]] = {}
+
+    def add(self, vec) -> tuple[int, ...] | None:
+        """Insert an integer row; returns its residual, primitive with pivot > 0, or None."""
+        red = list(vec)
+        if not all(isinstance(x, int) for x in red):
+            raise ValueError("RowReducer works over Q on integer rows: an entry is not an int")
+        for col, row in sorted(self.rows.items()):
+            if c := red[col]:
+                red = [row[col] * v - c * r for v, r in zip(red, row)]
+        pivot = next((i for i, v in enumerate(red) if v), None)
+        if pivot is None:
+            return None
+        g = gcd(*red) if red[pivot] > 0 else -gcd(*red)
+        red = self.rows[pivot] = tuple(v // g for v in red)
+        return red
+
+
+def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of integer rows; returns (rows, pivot columns).
+
+    RowReducer's rows, back-substituted last pivot first: each is primitive
+    with a positive pivot (its first nonzero entry) and 0 at every other
+    pivot column, so row / row[pivot] is its row of the reduced echelon form over Q.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * e for e in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if not f:
-                continue
-            row = rows[i]
-            rows[i] = [row[j] - f * prow[j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def nullspace_from_rref(reduced: list[list], pivots: list[int], ncols: int) -> list[list]:
-    """Nullspace basis vectors (as coordinate lists) from an RREF; 0 and 1 are ints."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return basis
+    reducer = RowReducer()
+    for row in rows:
+        reducer.add(row)
+    pivots = sorted(reducer.rows)
+    reduced = [list(reducer.rows[p]) for p in pivots]
+    for k in range(len(pivots) - 1, 0, -1):
+        p, low = pivots[k], reduced[k]
+        for i in range(k):
+            if c := reduced[i][p]:
+                row = [low[p] * v - c * r for v, r in zip(reduced[i], low)]
+                g = gcd(*row)
+                reduced[i] = [v // g for v in row]
+    return reduced, pivots
 
 
 # -- Z[zeta_8] integer coordinates ------------------------------------------------
@@ -253,17 +244,22 @@ def _certify(rows: np.ndarray, max_abs: int, vecs: np.ndarray, dens: list[int],
 
 def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None = None
                         ) -> tuple[np.ndarray, list[int]]:
-    """The nullspace basis of nullspace_from_rref(rref(rows)) over Q, computed mod p.
+    """The normal-form nullspace basis of an integer matrix over Q, computed mod p.
 
     rows is an integer matrix (nrows, ncols) of Python ints or int64, zero
-    rows allowed.  Returns (nums, dens): basis vector i is nums[i] / dens[i],
-    nums a (len(dens), ncols) array of Python ints (dtype object), dens[i] > 0.
-    Eliminates it modulo ELIMINATION_PRIMES until the reconstructed basis
-    passes _certify, at a prime where the rank is ncols - len(basis).  A
-    rank mod p never exceeds the true rank, so the nullity is at most
-    len(basis); the certified vectors are independent nullspace vectors in
-    normal form, hence the unique normal-form basis.  If the primes run
-    out, falls back to exact rref.  Counts primes, rejected primes,
+    rows allowed.  A free column f is one that is no pivot of the reduced
+    row echelon form R of rows; basis vector v_f is 1 at f, 0 at the other
+    free columns and -R[i][f] at the pivot column of row i, so it has no
+    support right of f.  Returns (nums, dens): basis vector i is
+    nums[i] / dens[i], nums a (len(dens), ncols) array of Python ints (dtype
+    object), dens[i] > 0.  Eliminates rows modulo ELIMINATION_PRIMES until
+    the reconstructed basis passes _certify, at a prime where the rank is
+    ncols - len(basis).  A rank mod p never exceeds the true rank, so the
+    nullity is at most len(basis); the certified vectors are independent
+    nullspace vectors in normal form, hence the unique normal-form basis.
+    If the primes run out, reads the basis off rref, exact over Q: v_f is
+    den at f and -r[f] den / r[p] at the pivot p of each row r, den the lcm
+    of the denominators of the r[f] / r[p].  Counts primes, rejected primes,
     certificate primes and fallbacks in `counters`.
     """
     counters = Counter() if counters is None else counters
@@ -294,9 +290,12 @@ def certified_nullspace(rows: np.ndarray, ncols: int, counters: Counter | None =
         if rec is not None and _certify(rows, max_abs, rec[0], rec[1], free, counters):
             return rec
     counters["fallbacks"] += 1
-    reduced, pivots = rref([[Fraction(x) for x in row] for row in rows.tolist()])
-    basis = nullspace_from_rref(reduced, pivots, ncols)     # int and Fraction entries
-    dens = [lcm(*(x.denominator for x in v)) for v in basis]
-    nums = [[x.numerator * (den // x.denominator) for x in v] for v, den in zip(basis, dens)]
-    return np.array(nums, dtype=object).reshape(len(basis), ncols), dens
+    reduced, pivots = rref(rows.tolist())
+    free = sorted(set(range(ncols)) - set(pivots))
+    nums, dens = np.zeros((len(free), ncols), dtype=object), []
+    for i, f in enumerate(free):
+        dens.append(lcm(*(r[p] // gcd(r[f], r[p]) for r, p in zip(reduced, pivots))))
+        nums[i, f] = dens[i]
+        nums[i, pivots] = [-r[f] * dens[i] // r[p] for r, p in zip(reduced, pivots)]
+    return nums, dens
 

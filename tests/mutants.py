@@ -58,6 +58,9 @@ MUTANTS = (
            "if any(abs(z) > limit for z in nums):", "if False:", (LINALG,)),
     Mutant("pivot_shift_rejected", "linalg.py",
            "elif got[0] != pivots:", "elif False:", (LINALG,)),
+    # the exact fallback (linalg.rref)
+    Mutant("rref_back_substitution", "linalg.py",
+           "if c := reduced[i][p]:", "if False:", (LINALG, COVARIANTS)),
     # the swap reduction and the T rows (covariants.CovariantEngine)
     Mutant("swap_is_t_d2_t", "covariants.py",
            "if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):",
@@ -88,7 +91,15 @@ MUTANTS = (
            "if not self._invariants_independent:", "if False:", (COVARIANTS,)),
     Mutant("free_determinant_nonzero", "covariants.py",
            "if self.generator_det(rid).is_zero():", "if False:", (COVARIANTS,)),
-    # representations and Molien
+    # the group's classes, representations and Molien
+    Mutant("reference_classes_distinct", "group.py",
+           "if bid in seen_blocks:", "if False:", ("tests/test_group.py",)),
+    Mutant("census_dimensions", "reps.py",
+           "if dims != expected:", "if False:", ("tests/test_reps.py",)),
+    Mutant("census_sum_of_squares", "reps.py",
+           "if total != len(table):", "if False:", ("tests/test_reps.py",)),
+    Mutant("gram_trace_bound", "reps.py",
+           "if np.abs(traces).max() > TRACE_BOUND:", "if False:", ("tests/test_reps.py",)),
     Mutant("coord_bound", "reps.py",
            "if nums.size and np.abs(nums).max() > COORD_BOUND:", "if False:",
            ("tests/test_reps.py",)),
@@ -98,6 +109,8 @@ MUTANTS = (
     Mutant("class_factor_integrality", "molien.py",
            "if any(x % group.DEN for x in tr) or any(x % group.DEN ** 2 for x in dt):",
            "if False:", ("tests/test_molien.py",)),
+    Mutant("molien_numerator_sum", "molien.py",
+           "if total != rep.dim:", "if False:", ("tests/test_molien.py",)),
 )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from g9cov import group
 from g9cov.covariants import CovariantEngine, FreenessError, RowReducer, _poly_det
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import CYC_STRUCT, nullspace_from_rref, rref, zeta_shift
+from g9cov.linalg import CYC_STRUCT, zeta_shift
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
 
@@ -455,6 +455,64 @@ def rep_matrices_exact(rep, table):
     return tuple(mats)
 
 
+# -- exact elimination over a field ------------------------------------------------
+#
+# The reference for linalg.rref, which reduces integer rows fraction free
+# to primitive ones: over their pivots, the same rows and pivot columns.
+
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    Entries are Fraction or int (any exact field scalar works).  Pivot
+    choice is the first nonzero entry in column order, scanning rows top to
+    bottom, which makes the result canonical for the row space.
+    """
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * e for e in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if not f:
+                continue
+            row = rows[i]
+            rows[i] = [row[j] - f * prow[j] for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def nullspace_from_rref(reduced: list[list], pivots: list[int], ncols: int) -> list[list]:
+    """Nullspace basis vectors (as coordinate lists) from an RREF; 0 and 1 are ints."""
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
 # -- the CycNum construction of the 32 representations ------------------------------
 #
 # The reference for reps.build_all, which builds the same generator images
@@ -588,7 +646,7 @@ def build_all_exact(table) -> list[ExactRepresentation]:
 class CycRowReducer:
     """Incremental row echelon form over Q(zeta_8) on CycNum entries.
 
-    The reference for covariants.RowReducer, which reduces integer rows to
+    The reference for linalg.RowReducer, which reduces integer rows to
     primitive ones: over their pivots, the same normalized residuals, in the
     same order.
     """

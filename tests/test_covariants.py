@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -12,9 +12,10 @@ from g9cov.poly import BiPoly, fundamental_invariants
 from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fraction, as_fractions,
                      binomial_table, coeff_vector, covariance_check, covariance_failure_lifted,
                      cyc_encoding, cyc_nullspace, decode_image, det_relation_exact, element_mat,
-                     encode_image, generator_det_exact, int_rows, integer_row, rational,
-                     rational_rows, rep_matrices_exact, slice_dense, t_rows_exact,
-                     tau_reduced_rows, verify_free_by_elimination)
+                     encode_image, generator_det_exact, int_rows, integer_row,
+                     nullspace_from_rref, rational, rational_rows, rep_matrices_exact, rref,
+                     scalar_product, slice_dense, t_rows_exact, tau_reduced_rows,
+                     verify_free_by_elimination)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -138,6 +139,28 @@ def test_free_module_spans(engine):
         report = engine.verify_free(rid)
         assert report == {"rep": rid, "generator_degrees": engine.generators(rid).degrees}
         assert verify_free_by_elimination(engine, rid, 64) == report
+
+
+@pytest.mark.parametrize("rid, d", [(21, 250), (31, 121)])
+def test_deep_slice_is_spanned_by_free_products(engine, rid, d):
+    # verify_free proves the products theta^a phi^b g_j independent and, in
+    # each degree, as many as the Molien coefficient.  So a deep slice is
+    # their span when they are dim many and each product p lies in it: in
+    # normal form, L p = sum_i p[f_i] (L / den_i) nums_i, with f_i the free
+    # column of vector i and L the lcm of the dens.  That is a product of
+    # integer rows, and it shares nothing with the deep elimination
+    sl = engine.slice(rid, d)
+    assert engine.verify_free(rid)["generator_degrees"] == engine.generators(rid).degrees
+    prods = [g.mul_poly(scalar_product(engine.theta, engine.phi, (d - gd - 24 * b) // 8, b))
+             for gd, g in engine.generators(rid).gens
+             for b in range((d - gd) // 24 + 1) if (d - gd) % 8 == 0]
+    assert len(prods) == sl.dim > 0
+    free = [max(c for c, x in enumerate(row) if x) for row in sl.nums.tolist()]
+    assert [sl.nums[i, f] for i, f in enumerate(free)] == list(sl.dens)
+    rows = np.array([integer_row(coeff_vector(p, sl.coords)) for p in prods], dtype=object)
+    scale = lcm(*sl.dens)
+    weights = np.array([scale // den for den in sl.dens], dtype=object)[:, None]
+    assert np.array_equal(scale * rows, rows[:, free] @ (weights * sl.nums))
 
 
 def test_row_reducer_equals_cyclotomic_reference():
@@ -616,7 +639,6 @@ def test_generator_det_equals_cyclotomic_reference(engine):
 
 
 def _oracle(rows, ncols):
-    from g9cov.linalg import nullspace_from_rref, rref
     reduced, pivots = rref(list(rows))
     return nullspace_from_rref(reduced, pivots, ncols)
 
@@ -675,17 +697,19 @@ def test_certified_nullspace_equals_exact_rref(engine):
 
 def _verify_counting_fractions(sess, monkeypatch, only):
     """A fresh session after `verify --only <only>`, and the Fractions made
-    through the names linalg and covariants look up, by module."""
+    through the name covariants looks up; linalg has no Fraction at all."""
     from collections import Counter
     from g9cov import cli, covariants, linalg
     from g9cov.covariants import CovariantEngine
     from g9cov.session import Session
+    assert not hasattr(linalg, "Fraction")
     calls = Counter()
-    for module in (linalg, covariants):
-        def counting(*args, _make=module.Fraction, _name=module.__name__):
-            calls[_name] += 1
-            return _make(*args)
-        monkeypatch.setattr(module, "Fraction", counting)
+
+    def counting(*args, _make=covariants.Fraction):
+        calls[covariants.__name__] += 1
+        return _make(*args)
+
+    monkeypatch.setattr(covariants, "Fraction", counting)
     fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
     monkeypatch.setattr(cli, "get_session", lambda: fresh)
     assert cli.main(["verify", "--only", only]) == 0
@@ -695,14 +719,12 @@ def _verify_counting_fractions(sess, monkeypatch, only):
 def test_crosscheck_makes_no_fraction(sess, monkeypatch):
     # verify's crosscheck on a fresh session carries every slice basis as
     # integer numerators over one denominator: no Fraction is made through
-    # the names linalg and covariants look up
-    from g9cov import linalg
+    # the name covariants looks up
     fresh, calls = _verify_counting_fractions(sess, monkeypatch, "crosscheck")
     assert fresh.engine.counters["slices_solved"] > 100 and not calls
-    # the counters see the Fractions that printing a basis and rref make
+    # the counter sees the Fractions that printing a basis makes
     fresh.engine.slice(29, 27).basis
-    linalg.rref([[2, 1]])
-    assert calls["g9cov.covariants"] > 0 and calls["g9cov.linalg"] > 0
+    assert calls["g9cov.covariants"] > 0
 
 
 def test_generator_extraction_makes_no_fraction(sess, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -167,6 +168,22 @@ def test_reference_matching_rejects_wrong_group():
     small.compute_classes()
     with pytest.raises(ReferenceMismatchError):
         match_reference_classes(small)
+
+
+def test_reference_matching_rejects_conjugate_representatives(table, monkeypatch):
+    # z*T replaced by another element of the class of T: every representative
+    # is in the group and there are still 32 of them, but two share a class
+    from g9cov import group
+    from g9cov.group import ReferenceMismatchError
+    reps = reference_class_matrices()
+    labels = [label for label, _ in reps]
+    t = table.lookup(reps[labels.index("T")][1])
+    other = next(i for i in table.classes[table.class_of[t]] if i != t)
+    reps[labels.index("z*T")] = ("z*T", table.elements[other].coords)
+    monkeypatch.setattr(group, "reference_class_matrices", lambda: reps)
+    with pytest.raises(ReferenceMismatchError,
+                       match=r"^representative z\*T is conjugate to an earlier representative$"):
+        group.match_reference_classes(copy.copy(table))
 
 
 def test_conjugation_permutes_classes(table):

@@ -1,17 +1,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 
+from g9cov import linalg
 from g9cov.group import standard_generators
 from g9cov.linalg import (CERTIFICATE_PRIMES, ELIMINATION_PRIMES, _certify, _nullspace_mod,
-                          _reconstruct, certified_nullspace, nullspace_from_rref, rref)
+                          _reconstruct, certified_nullspace)
 from oracles import (I_UNIT, ONE, ZERO, CycNum, Mat, ShapeError, SingularMatrixError, _is_prime,
                      _primes_1_mod_8, as_fractions, element_mat, int_rows, kron, mat_from_json,
-                     mat_pow, mat_to_json, rational, solve_exact)
+                     mat_pow, mat_to_json, nullspace_from_rref, rational, rref, solve_exact)
 
 
 def rnd_mat(rng, n, m=None, span=3):
@@ -86,7 +87,40 @@ def test_nullspace_exactness_and_rank():
         assert len(rref([list(v) for v in basis])[1]) == len(basis)   # independent
 
 
-def test_certified_nullspace_matches_rref_on_rational_rows():
+def test_integer_rref_matches_field_rref():
+    # linalg.rref against the Fraction oracle on seeded integer matrices with
+    # zero rows, duplicate rows, negative leading entries and entries past
+    # 2^64: the same pivots, each row the oracle row times its pivot entry,
+    # primitive and with a positive pivot; and a matrix with no rows
+    rng = random.Random(41)
+    systems = [[], [[0, 0, 0]], [[-4, 6, 2], [2, -3, -1]], [[0, -3, 6], [0, 0, 5], [7, 1, 0]]]
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        span = 2 ** 70 if rng.random() < 0.2 else 5
+        rows = [[rng.randint(-span, span) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(rng.randint(1, 6))]
+        rows += [[0] * ncols] + [list(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+        rows += [[-x for x in rng.choice(rows)]]
+        rng.shuffle(rows)
+        systems.append(rows)
+    seen_big = 0
+    for rows in systems:
+        got, pivots = linalg.rref(rows)
+        want, want_pivots = rref([[Fraction(x) for x in r] for r in rows])
+        assert pivots == want_pivots, rows
+        assert len(got) == len(pivots)
+        for row, ref, p in zip(got, want, pivots):
+            assert all(type(x) is int for x in row) and row[p] > 0 and gcd(*row) == 1
+            assert row == [x * row[p] for x in ref], rows
+            assert not any(row[q] for q in pivots if q != p)
+        seen_big += any(abs(x) > 2 ** 64 for r in got for x in r)
+    assert seen_big > 3
+    # a non-int entry is refused by the RowReducer underneath
+    with pytest.raises(ValueError, match="RowReducer works over Q"):
+        linalg.rref([[Fraction(1, 2), 1]])
+
+
+def test_certified_nullspace_matches_rref_on_rational_rows(monkeypatch):
     # dependent rows with fractional entries, each scaled to integers by its
     # least common denominator: low rank, many free columns; then an
     # all-zero matrix, one with no rows, zero rows interleaved with nonzero
@@ -113,6 +147,16 @@ def test_certified_nullspace_matches_rref_on_rational_rows():
         ncols = rows.shape[1]
         assert solved(rows, ncols, counters) == \
             oracle_nullspace([[rational(x) for x in r] for r in rows.tolist()], ncols)
+        # with no elimination primes the exact fallback gives the same bytes;
+        # a zero matrix needs no elimination at all
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "ELIMINATION_PRIMES", ())
+            forced = Counter()
+            nums, dens = certified_nullspace(rows, ncols, forced)
+        want = certified_nullspace(rows, ncols)
+        assert (nums.tolist(), dens) == (want[0].tolist(), want[1])
+        assert all(type(x) is int for x in nums.flat) and all(den > 0 for den in dens)
+        assert forced["fallbacks"] == (1 if rows.any() else 0) and not forced["primes"]
     assert counters["fallbacks"] == 0 and counters["primes_rejected"] == 0
 
 
@@ -190,7 +234,6 @@ def test_later_pivots_at_a_later_prime_are_rejected(monkeypatch):
     # reconstruct.  The second prime is made to report the same rank with a
     # later pivot, column 1 for column 0: its residues must not be combined,
     # the prime is counted as rejected, and the basis is still rref's
-    from g9cov import linalg
     a, b = 2 ** 40 + 15, 2 ** 40 - 3
     honest, seen = linalg._nullspace_mod, []
 
@@ -216,7 +259,6 @@ def test_certificate_bound_is_not_int64(monkeypatch):
     # modulo each of them; only a bound computed without wrapping asks for
     # the fourth, which sees it.  certified_nullspace hands _certify max|B|
     # of the int64 rows as a Python int
-    from g9cov import linalg
     a, b = 2 ** 40 + 15, 2 ** 40 - 3
     rows = np.array([[a, b], [2 * a, 2 * b]], dtype=np.int64)
     vecs = np.array([[-b, a]], dtype=object)

@@ -107,6 +107,13 @@ def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
             molien_series(r, sess.table, sess.engine.matrices(r.rid))
 
 
+def test_numerator_must_sum_to_the_dimension(sess):
+    # rho_1's images under the name of rho_9: a valid numerator, 1, whose
+    # coefficients sum to 1, not to dim rho_9 = 2
+    with pytest.raises(MolienError, match=r"^rho_9: numerator coefficients sum to 1, not dim 2$"):
+        molien_series(sess.rep(9), sess.table, sess.engine.matrices(1))
+
+
 def test_class_numerator_needs_integral_class_data():
     # the class data is read off the element's coordinates: trace 1/2 with
     # det 0, then trace 1 with det 1/2

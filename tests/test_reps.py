@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from g9cov.linalg import CYC_STRUCT
 from g9cov.group import class_sizes
 from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
-from g9cov.reps import (COORD_BOUND, CensusError, ExtractionError, ImageError,
+from g9cov.reps import (COORD_BOUND, TRACE_BOUND, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, _tensor, build_all, character_gram,
                         extract_subrep, rep_matrices, scalar_image,
                         verify_census, verify_homomorphism)
@@ -331,6 +332,32 @@ def test_integer_gram_equals_inner_product(sess, chars):
         raw = sum((size * a * b.conj() for size, a, b in zip(sizes, rows[4], rows[j])),
                   CycNum(0))
         assert decode(gram[4, j], scale) == raw / len(sess.table), j
+
+
+def test_census_rejects_a_wrong_dimension_multiset(sess):
+    # rho_32, of dimension 4, replaced by a second rho_1
+    reps = [r for r in sess.reps if r.rid != 32] + [sess.rep(1)]
+    with pytest.raises(CensusError,
+                       match=r"^dimension multiset \[(1, ){9}(2, ){12}(3, ){8}4, 4, 4\] is wrong$"):
+        verify_census(reps, sess.table, sess.traces)
+
+
+def test_census_rejects_a_table_of_the_wrong_order(sess):
+    # the 32 right dimensions, whose squares sum to 192, against 96 elements
+    short = copy.copy(sess.table)
+    short.elements = short.elements[:96]
+    with pytest.raises(CensusError, match=r"^sum of squared dimensions is 192, not 96$"):
+        verify_census(sess.reps, short, sess.traces)
+
+
+def test_character_gram_refuses_traces_past_the_bound(sess):
+    # the int64 Gram product is exact only for coordinates within TRACE_BOUND
+    traces = sess.traces.copy()
+    traces[4, 3, 1] = -TRACE_BOUND
+    character_gram(traces, sess.table)
+    traces[4, 3, 1] = -TRACE_BOUND - 1
+    with pytest.raises(CensusError, match=rf"^a trace coordinate exceeds {TRACE_BOUND}$"):
+        character_gram(traces, sess.table)
 
 
 def test_census_names_a_tampered_pair(sess):
