@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out file that cannot be written).  All output is deterministic: identical
 inputs produce byte-identical bytes.
 --degree and --terms are at most MAX_DEGREE (256); the slowest slice in
-range, rho_30 in degree 255, takes about 0.74 s cold on a 2-core x86-64 box.
+range, rho_30 in degree 255, takes about 0.87 s cold on a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import group, poly, reference
+from .covariants import T_SYSTEM_DEGREE
 from .cyclo import render_zeta, to_json
 from .group import class_orders, class_sizes
 # molien_series is re-exported: perfbench/spans.py wraps it under this name
@@ -282,7 +283,7 @@ def _check_molien(sess: Session) -> str:
 
 def _check_crosscheck(sess: Session) -> str:
     # slice() raises CrossCheckError, naming the rep and the degree, on a mismatch
-    points = [(rid, d) for rid in range(1, 33) for d in range(0, 41)]
+    points = [(rid, d) for rid in range(1, 33) for d in range(T_SYSTEM_DEGREE + 1)]
     for rid, d in points:
         sess.engine.slice(rid, d)
     return f"solver vs Molien dimension at {len(points)} (rep, degree) points"
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--degree", type=int, required=True,
                    help=f"0..{MAX_DEGREE}; the slowest slice, rho_30 in degree 255, "
-                        "takes about 0.74 s on a 2-core x86-64 box")
+                        "takes about 0.87 s on a 2-core x86-64 box")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 

@@ -47,29 +47,27 @@ unknowns and half the rows.  Three facts make this exact:
     is 1 at its free column f (no pivot of the reduced row echelon form),
     0 at the other free columns and has no support right of f.
 
-linalg.certified_nullspace solves the integer matrix B multimodularly
-(Cabay, "Exact solution of linear equations", SYMSAM 1971; rational
-reconstruction after Wang, SYMSAC 1981): it is eliminated as one int64
-array modulo primes p, and the residues are combined by CRT and lifted
-to integer numerators over one denominator per vector.  The result is
-accepted only if exact checks prove it, whatever primes were used:
+linalg.rref reduces the integer matrix B exactly, and
+linalg.rref_nullspace reads the normal-form basis off it.  Every slice
+dimension is cross checked against the Molien coefficient; for a T system
+the linear solver and the character-theoretic pipeline so certify each
+other degree by degree.
 
-  * every vector has the normal form above, so the vectors are
-    independent;
-  * at some prime the rank is ncols - k; a rank mod p never exceeds the
-    rank over Q, so the nullity is at most k;
-  * B v = 0, by bounded CRT: each entry of the integer-scaled product
-    is at most ncols * max|B| * max|V| in absolute value and vanishes
-    modulo certificate primes whose product exceeds twice that, so it
-    is 0.
-
-The k vectors then span the nullspace, and a nullspace vector whose last
-nonzero coordinate is f exists only for non-pivot f, so they are the
-normal-form basis of B, and E maps them to that of A, byte for byte.
-Should the prime table run out, linalg.rref of B, exact over Q, is the
-fallback.  The certificate never reads Molien: each slice dimension is
-still cross checked against the Molien coefficient, so the linear solver
-and the character-theoretic pipeline certify each other degree by degree.
+The T system is solved through degree T_SYSTEM_DEGREE, verify's
+crosscheck range.  Above it, slice d is the span of decomposables(d),
+theta * M_(d-8) + phi * M_(d-24), on the unknowns of the swap pairing;
+the lower slices above T_SYSTEM_DEGREE are built first, in a loop up
+from the bottom.  This span lies in M_d, since the lower slices lie in M
+and theta and phi are rho_1-invariant (covariance_failure, once per
+engine), and the Molien cross check then makes it all of M_d, a subspace
+of full dimension.  The freeness theorem below says it has that
+dimension, the generators having degree at most 30; the code does not
+assume it.  The normal form is rref with the columns reversed: the pivot
+of each row is then its last nonzero column, its free column f, so read
+back reversed each primitive row is nums_i with den_i its positive
+pivot.  No independent solver runs above T_SYSTEM_DEGREE in verify; the
+tests compare the span with the T system solved by rref at sampled
+degrees up to 250.
 
 Generators of the module over the invariant ring C[theta, phi] are
 extracted bottom up: at each degree the new generators are an RREF
@@ -112,12 +110,15 @@ import numpy as np
 
 from . import group
 from .group import GroupTable, multiply
-# rref is re-exported: perfbench/spans.py wraps it under this name
-from .linalg import RowReducer, certified_nullspace, rref, zeta_power, zeta_shift  # noqa: F401
+from .linalg import RowReducer, rref, rref_nullspace, zeta_power, zeta_shift
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, rep_matrices, scalar_image
 from . import reference
+
+# slices through this degree solve the T system; above it they are spanned
+# by the products of lower slices with theta and phi (module docstring)
+T_SYSTEM_DEGREE = 40
 
 
 class CrossCheckError(RuntimeError):
@@ -258,9 +259,8 @@ class CovariantEngine:
         if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):
             raise CrossCheckError("T D^2 T is not the swap (x, y) -> (y, x)")
         self._central_index = table.lookup(scalar_image(2, zeta_power(1, group.DEN)))
-        # slices_solved, and the rows and cells (rows x columns) of their
-        # systems; primes, primes_rejected, certificate_primes and fallbacks
-        # of certified_nullspace
+        # slices_solved by a T system, and the rows and cells (rows x
+        # columns) of those systems
         self.counters: Counter[str] = Counter()
 
     # -- cached building blocks ---------------------------------------------------
@@ -423,7 +423,13 @@ class CovariantEngine:
         return "T" if image.any() else None
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
-        """The space of homogeneous degree-d covariants of rho_rid."""
+        """The space of homogeneous degree-d covariants of rho_rid.
+
+        Through T_SYSTEM_DEGREE the nullspace of the T system, above it the
+        span of theta * M_(d-8) + phi * M_(d-24) (see the module docstring);
+        CrossCheckError names the representation and the degree if theta or
+        phi is not rho_1-invariant there.
+        """
         if d < 0:
             raise ValueError(f"rho_{rid} degree {d}: the degree is negative")
         if (rid, d) in self._slices:
@@ -433,9 +439,23 @@ class CovariantEngine:
         if coords is None:
             coords, nums, dens = [], np.zeros((0, 0), dtype=object), []
         else:
-            reps, mates, rows = self._tau_system(rep, d, coords)
-            u, dens = certified_nullspace(rows, len(reps), self.counters)
-            self.counters.update(slices_solved=1, rows=len(rows), cells=rows.size)
+            if d <= T_SYSTEM_DEGREE:
+                reps, mates, rows = self._tau_system(rep, d, coords)
+                u, dens = rref_nullspace(*rref(rows.tolist()), len(reps))
+                self.counters.update(slices_solved=1, rows=len(rows), cells=rows.size)
+            elif not self._invariants_covariant:
+                raise CrossCheckError(f"rho_{rid} degree {d}: theta or phi is not "
+                                      f"rho_1-invariant")
+            else:
+                # lowest first, so that no call recurses past one level
+                for low in range(d - (d - T_SYSTEM_DEGREE - 1) // 8 * 8, d, 8):
+                    self.slice(rid, low)
+                sym = self._symmetry(rid)
+                reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
+                reduced, pivots = rref([list(row[reps[::-1]])
+                                        for row in self.decomposables(rid, d)])
+                u = np.array(reduced, dtype=object).reshape(len(pivots), len(reps))[::-1, ::-1]
+                dens = [row[p] for row, p in zip(reduced[::-1], pivots[::-1])]
             nums = np.zeros((len(dens), len(coords)), dtype=object)    # E u
             nums[:, reps] = u
             if mates:
@@ -459,7 +479,7 @@ class CovariantEngine:
         A term c x^s y^(e-s) of theta or phi adds c times the lower slice's
         numerator rows at slice d's coordinates with x-exponents shifted by s.
         """
-        index = {c: i for i, c in enumerate(self.slice(rid, d).coords)}
+        index = {c: i for i, c in enumerate(self._kept_coords(self.reps[rid], d) or ())}
         out = []
         for f, shift in ((self.theta, 8), (self.phi, 24)):
             if d < shift:
@@ -540,6 +560,11 @@ class CovariantEngine:
         if self.generator_det(rid).is_zero():
             raise FreenessError(f"rho_{rid}: generator determinant is zero")
         return {"rep": rid, "generator_degrees": genset.degrees}
+
+    @cached_property
+    def _invariants_covariant(self) -> bool:
+        """theta and phi are rho_1-invariant, so they map covariants to covariants."""
+        return not any(self.covariance_failure(1, VecPoly([f])) for f in (self.theta, self.phi))
 
     @cached_property
     def _invariants_independent(self) -> bool:

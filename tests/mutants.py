@@ -6,14 +6,15 @@ Run by hand from the root of the repository; pytest does not collect it:
 
 Each mutant replaces one source line, which must occur exactly once in
 src/ (a Tier-1 test keeps the list from rotting), by a line that makes its
-check a no-op.  The script first runs every listed test file on an
-unmutated copy of src/, tests/ and pyproject.toml and stops unless they all
-pass.  Then, for each mutant, it applies the one mutation to a fresh copy
-and runs the mutant's test files with pytest: a failed test (exit 1) or a
-timeout kills the mutant, a clean pass lets it survive, and any other exit
-(a collection or usage error) stops the script.  The exit status is 1 if a
-survivor is not marked equivalent, with the reason why no test can tell it
-from the original.
+check a no-op or, for a computation that no check repeats, gets it wrong.
+The script first runs every listed test file on an unmutated copy of
+src/, tests/ and pyproject.toml and stops unless they all pass.  Then,
+for each mutant, it applies the one mutation to a fresh copy and runs the
+mutant's test files with pytest: a failed test (exit 1) or a timeout
+kills the mutant, a clean pass lets it survive, and any other exit (a
+collection or usage error) stops the script.  The exit status is 1 if a
+survivor is not marked equivalent, with the reason why no test can tell
+it from the original.
 
 Reference: DeMillo, Lipton and Sayward, "Hints on test data selection",
 IEEE Computer 11(4), 1978.
@@ -46,19 +47,7 @@ class Mutant(NamedTuple):
 LINALG, COVARIANTS = "tests/test_linalg.py", "tests/test_covariants.py"
 
 MUTANTS = (
-    # the multimodular certificate (linalg.certified_nullspace)
-    Mutant("certify_normal_form", "linalg.py",
-           "if v[f] != dens[i] or v[free[:i]].any() or v[f + 1:].any():", "if False:",
-           (LINALG, COVARIANTS)),
-    Mutant("certify_int64_bound", "linalg.py",
-           "if ncols * (q - 1) ** 2 >= 2 ** 63:", "if False:", (LINALG,)),
-    Mutant("certify_primes_run_out", "linalg.py",
-           "return cleared > 2 * bound", "return True", (LINALG,)),
-    Mutant("reconstruct_numerator_limit", "linalg.py",
-           "if any(abs(z) > limit for z in nums):", "if False:", (LINALG,)),
-    Mutant("pivot_shift_rejected", "linalg.py",
-           "elif got[0] != pivots:", "elif False:", (LINALG,)),
-    # the exact fallback (linalg.rref)
+    # exact elimination (linalg.rref)
     Mutant("rref_back_substitution", "linalg.py",
            "if c := reduced[i][p]:", "if False:", (LINALG, COVARIANTS)),
     # the swap reduction and the T rows (covariants.CovariantEngine)
@@ -80,6 +69,12 @@ MUTANTS = (
            'return "T" if coeffs.any() else None', "return None", (COVARIANTS,)),
     Mutant("slice_equals_molien", "covariants.py",
            "if expected != result.dim:", "if False:", (COVARIANTS,)),
+    # the free-product span above T_SYSTEM_DEGREE
+    Mutant("deep_invariants_covariant", "covariants.py",
+           "elif not self._invariants_covariant:", "elif False:", (COVARIANTS,)),
+    Mutant("deep_read_back", "covariants.py",
+           "dens = [row[p] for row, p in zip(reduced[::-1], pivots[::-1])]",
+           "dens = [row[-1 - p] for row, p in zip(reduced[::-1], pivots[::-1])]", (COVARIANTS,)),
     # generators and freeness
     Mutant("generator_count", "covariants.py",
            "if len(gens) != rep.dim:", "if False:", (COVARIANTS,)),

@@ -683,7 +683,7 @@ def coeff_vector(vec, coords):
 
 
 def as_fractions(nums, dens):
-    """certified_nullspace's (nums, dens) as vectors of Fractions."""
+    """Integer numerators nums[i] over one denominator dens[i] per vector, as Fraction vectors."""
     return [[Fraction(n, den) for n in row] for row, den in zip(nums.tolist(), dens)]
 
 
@@ -771,35 +771,6 @@ def closure_exact(gens, limit=CLOSURE_LIMIT):
                 right[name].append(index[k])
         frontier = next_frontier
     return mats, words, parents, right
-
-
-def _is_prime(n):
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for odd 7 < n < 3.2e9."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_1_mod_8(below, count):
-    """The `count` largest primes p < below with p = 1 (mod 8), descending."""
-    out = []
-    n = (below - 2) // 8 * 8 + 1
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 8
-    return tuple(out)
 
 
 def inner_product(row_a, row_b, table):
@@ -1000,7 +971,7 @@ def cyc_encoding(rows):
 
 
 def int_rows(rows):
-    """CycNum rows as the integer Z[zeta_8] array certified_nullspace takes.
+    """CycNum rows as an integer Z[zeta_8] array, one row of coordinates per row.
 
     Each row is scaled by its least common denominator, which leaves the
     nullspace unchanged.
@@ -1009,7 +980,7 @@ def int_rows(rows):
 
 
 def rational_rows(rows):
-    """Rational CycNum rows as the integer matrix certified_nullspace takes.
+    """Rational CycNum rows as an integer matrix.
 
     Each row is scaled by its least common denominator; raises ValueError
     if an entry has a nonzero z, z^2 or z^3 coordinate.
@@ -1111,7 +1082,7 @@ def slice_dense(engine, rid, d):
     """Reference solver: the plain T and D constraint system, no pruning.
 
     Certifies that CovariantEngine.slice, which drops coordinates by the
-    central and diagonal-D constraints and solves multimodularly, computes
+    central and diagonal-D constraints and solves what is left exactly, computes
     the same normal-form basis.  Returns that basis as a tuple of VecPoly,
     like CovariantSlice.basis.
     """

@@ -79,9 +79,10 @@ def test_molien_all_reps(capsys):
 
 
 # sha256 of stdout: the molien pins cover every degree through 256 of all
-# 32 series, the verify pin every check's detail line; the deep slice, a
-# basis reconstructed from 16 primes, guards the multiprime path; the group
-# and chartable pins guard the element rendering and the class order
+# 32 series, the verify pin every check's detail line; the deep slice, the
+# top of a ladder of 27 free-product spans above degree 40, guards that
+# path; the group and chartable pins guard the element rendering and the
+# class order
 PINNED_OUTPUTS = [
     (["verify"], "78737441582a6c61dbbecd1a3ce035d751f27406c2e619f64cdb08c32cf1643d"),
     (["molien", "--rep", "all", "--terms", "256", "--numerator"],

@@ -316,15 +316,19 @@ def test_cross_check_guards_against_wrong_molien(sess):
 
 def test_cross_check_above_degree_64(sess):
     # every degree reads the same exact numerator, so a wrong coefficient
-    # must be fatal above degree 64 too
+    # must be fatal above degree 64 too.  A deep slice is built on the
+    # slices below it, which are checked first, so the numerator is wrong
+    # only from degree 70 up: the lower slices pass and degree 70 fails
     from dataclasses import replace
     from g9cov.covariants import CovariantEngine, CrossCheckError
     good = sess.engine.molien(3)
     assert sess.engine.slice(3, 70).dim == good.coefficient(70) == 3
     eng = CovariantEngine(sess.table, sess.reps)
-    eng._molien[3] = replace(good, numerator=((6, 2),))
-    with pytest.raises(CrossCheckError, match="rho_3 degree 70"):
+    eng._molien[3] = replace(good, numerator=((6, 1), (70, 1)))
+    with pytest.raises(CrossCheckError, match="rho_3 degree 70: solver dimension 3, "
+                                              "Molien coefficient 4"):
         eng.slice(3, 70)
+    assert (3, 62) in eng._slices
 
 
 def test_det_relations_all(engine):
@@ -576,8 +580,8 @@ def test_oracle_binomial_table_equals_convolution():
 
 def test_slice_path_builds_no_cycnum_rows(sess):
     # no g9cov module can reach CycNum (test_public_names_resolve): the T
-    # system is an int64 array, eliminated as one, and the certified basis
-    # is int and Fraction
+    # system is an int64 array, eliminated over Z, and the basis is int and
+    # Fraction
     from g9cov import linalg
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
@@ -585,8 +589,10 @@ def test_slice_path_builds_no_cycnum_rows(sess):
     coords = eng._kept_coords(rep, 27)
     reps, _, rows = eng._tau_system(rep, 27, coords)
     assert rows.dtype == np.int64
-    got = linalg._nullspace_mod(rows, linalg.ELIMINATION_PRIMES[0])
-    assert len(got[0]) + len(got[1]) == len(reps)
+    reduced, pivots = linalg.rref(rows.tolist())
+    nums, dens = linalg.rref_nullspace(reduced, pivots, len(reps))
+    assert len(pivots) + len(dens) == len(reps)
+    assert {type(x) for x in nums.flat} | {type(x) for x in dens} == {int}
     sl = eng.slice(29, 27)
     want = _oracle(t_rows_exact(rep, 27, coords), len(coords))
     assert sl.coords == tuple(coords) and as_fractions(sl.nums, sl.dens) == want
@@ -669,30 +675,87 @@ def test_cyc_nullspace_equals_cycnum_rref(engine):
 
 
 def test_certified_nullspace_equals_exact_rref(engine):
-    # the multimodular solver over Q, on the rational rows of the full system
-    # (rational_rows checks that their zeta coordinates are 0) and on the
-    # engine's swap-reduced one, against the exact elimination oracle over
-    # Q(zeta_8) on every slice with rows through degree 40, and on two deep
-    # slices: the rational solve of the module docstring, checked case by case
-    from collections import Counter
-    from g9cov.linalg import certified_nullspace
+    # rref_nullspace over Q, on the rational rows of the full system
+    # (rational_rows checks that their zeta coordinates are 0), and the
+    # engine's slice, against the exact elimination oracle over Q(zeta_8) on
+    # every slice with rows through degree 40, and on two deep slices, which
+    # the engine spans by free products: the rational solve of the module
+    # docstring, checked case by case
+    from g9cov import linalg
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + [(25, 70), (30, 63)]
-    counters = Counter()
     solved = 0
     for rid, d in cases:
         rows, ncols = _rows(engine, rid, d)
         if rows:
             want = cyc_nullspace(int_rows(rows), ncols)
-            got = as_fractions(*certified_nullspace(rational_rows(rows), ncols, counters))
-            assert got == want, (rid, d)
-            # the swap-reduced system of the engine gives the same basis
+            exact = linalg.rref(rational_rows(rows).tolist())
+            assert as_fractions(*linalg.rref_nullspace(*exact, ncols)) == want, (rid, d)
             coords = engine._kept_coords(engine.reps[rid], d)
             sl = engine.slice(rid, d)
             assert as_fractions(sl.nums, sl.dens) == want, (rid, d)
             assert [coeff_vector(b, coords) for b in sl.basis] == want, (rid, d)
             solved += 1
     assert solved == 163
-    assert counters["fallbacks"] == 0 and counters["certificate_primes"] > 0
+
+
+def test_deep_slices_equal_t_system_solve(engine):
+    # above T_SYSTEM_DEGREE a slice is the reduced span of the theta and phi
+    # products of lower slices; its (nums, dens) must be the T system's
+    # normal-form nullspace byte for byte, at every nonzero slice of degrees
+    # 41 to 70 and at three deep points
+    from g9cov import linalg
+    from g9cov.covariants import T_SYSTEM_DEGREE
+    assert T_SYSTEM_DEGREE == 40
+    cases = [(r, d) for r in range(1, 33) for d in range(41, 71)
+             if engine.molien(r).coefficient(d)] + [(31, 121), (29, 123), (21, 250)]
+    for rid, d in cases:
+        sl = engine.slice(rid, d)
+        rep = engine.reps[rid]
+        reps, _, rows = engine._tau_system(rep, d, engine._kept_coords(rep, d))
+        nums, dens = linalg.rref_nullspace(*linalg.rref(rows.tolist()), len(reps))
+        assert (sl.nums[:, reps].tolist(), list(sl.dens)) == (nums.tolist(), dens), (rid, d)
+    assert len(cases) == 123
+
+
+def test_deep_slice_builds_its_ladder_bottom_up(sess, monkeypatch):
+    # rho_29 at degree 123 spans the products of the deep slices 43, 51, ..,
+    # 115 below it, built lowest first: each call then finds its own lower
+    # slices cached, so slice calls nest at most three deep (a deep slice, a
+    # lower one, a T system) whatever the degree, and the ladder stays cached
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    honest, depth, deepest = CovariantEngine.slice, [0], [0]
+
+    def nested(self, rid, d):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return honest(self, rid, d)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(CovariantEngine, "slice", nested)
+    eng.slice(29, 123)
+    assert deepest[0] == 3
+    assert sorted(d for r, d in eng._slices if r == 29 and d > 40) == list(range(43, 124, 8))
+    assert eng.counters["slices_solved"] == len([d for r, d in eng._slices if d <= 40])
+
+
+@pytest.mark.parametrize("form", ["theta", "phi"])
+def test_deep_slice_needs_invariant_theta_and_phi(sess, form):
+    # a theta or phi moved by T (x^e added) would span products that are not
+    # covariants: a deep slice must refuse before it forms any, naming the
+    # representation and the degree; the T systems below are unaffected
+    from g9cov.covariants import CovariantEngine, CrossCheckError
+    from g9cov.poly import VecPoly
+    eng = CovariantEngine(sess.table, sess.reps)
+    e = 8 if form == "theta" else 24
+    setattr(eng, form, getattr(eng, form) + BiPoly({(e, 0): 1}))
+    assert eng.covariance_failure(1, VecPoly([getattr(eng, form)])) == "T"
+    with pytest.raises(CrossCheckError,
+                       match=r"rho_21 degree 58: theta or phi is not rho_1-invariant"):
+        eng.slice(21, 58)
+    assert not [d for _, d in eng._slices if d > 40]
+    assert eng.slice(21, 34).dim == sess.engine.slice(21, 34).dim
 
 
 def _verify_counting_fractions(sess, monkeypatch, only):
@@ -741,84 +804,23 @@ def test_generator_extraction_makes_no_fraction(sess, monkeypatch):
     assert calls["g9cov.covariants"] > 0
 
 
-def test_engine_counts_slices_and_primes(sess):
+def test_engine_counts_slices(sess, monkeypatch):
+    from collections import Counter
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
     eng.slice(29, 27)
     eng.slice(29, 27)       # cached
     eng.slice(29, 28)       # ruled out by the central character
-    assert eng.counters["slices_solved"] == 1
     # 28 kept columns pair into 14 unknowns; the 4 x 14 rows (j, b) with
     # 2b >= 27 are all nonzero
-    assert eng.counters["rows"] == 56 and eng.counters["cells"] == 56 * 14
-    assert eng.counters["primes"] >= 1 and eng.counters["certificate_primes"] >= 1
-    assert eng.counters["fallbacks"] == 0
-
-
-@pytest.mark.parametrize("fault", ["off_nullspace", "off_normal_form"])
-def test_corrupted_reconstruction_falls_back(sess, monkeypatch, fault):
-    # a wrong reconstruction: the certificate must reject every attempt, the
-    # exact fallback must engage, and the basis stays right
-    from g9cov import linalg
-    from g9cov.covariants import CovariantEngine
-    honest = linalg._reconstruct
-
-    def corrupt(residues, m):
-        got = honest(residues, m)
-        if got is not None:
-            vecs, dens = got
-            vecs = vecs.copy()
-            if fault == "off_nullspace":
-                # for rho_21 in degree 18 column 0 of the swap-reduced system
-                # is a pivot column left of vector 0's free column 5: caught
-                # by A v = 0
-                vecs[0, 0] += 1
-            else:
-                # v_0 + v_1 stays in the nullspace but is nonzero at the free
-                # column of v_1: caught by the normal form
-                vecs[0] = vecs[0] * dens[1] + vecs[1] * dens[0]
-                dens = [dens[0] * dens[1]] + dens[1:]
-            got = vecs, dens
-        return got
-
-    eng = CovariantEngine(sess.table, sess.reps)
-    monkeypatch.setattr(linalg, "_reconstruct", corrupt)
-    basis = eng.slice(21, 18).basis
-    assert eng.counters["fallbacks"] == 1
-    assert eng.counters["primes"] == len(linalg.ELIMINATION_PRIMES)
-    monkeypatch.undo()
-    assert basis == slice_dense(sess.engine, 21, 18)
-
-
-def test_certificate_needs_enough_primes(engine):
-    # an entry shifted by a product of certificate primes vanishes modulo
-    # each of them; the magnitude bound must demand a prime that sees it,
-    # at whichever pivot column of the first vector the shift lands
-    from collections import Counter
-    from math import prod
-    from g9cov.linalg import CERTIFICATE_PRIMES, _certify
-    rows, ncols = _rows(engine, 29, 35)
-    basis = _oracle(rows, ncols)
-    nums, dens = cyc_encoding(basis)
-    vecs = nums[..., 0]
-    assert not nums[..., 1:].any()      # the basis is rational
-    free = [max(c for c in range(ncols) if v[c]) for v in basis]
-    pivots = sorted(set(range(free[0])) - set(free))[:4]
-    assert len(pivots) == 4
-    system = rational_rows(rows)
-    max_abs = max(abs(x) for x in system.flat)
-    counters = Counter()
-    assert _certify(system, max_abs, vecs, list(dens), free, counters)
-    honest = counters["certificate_primes"]
-    for pivot in pivots:
-        for shift in (1, prod(CERTIFICATE_PRIMES[:honest + 2])):
-            bad = vecs.copy()
-            bad[0, pivot] += shift
-            counters = Counter()
-            assert not _certify(system, max_abs, bad, list(dens), free, counters), \
-                (pivot, shift)
-            assert counters["certificate_primes"] < len(CERTIFICATE_PRIMES)
-        assert counters["certificate_primes"] > honest + 2
+    assert eng.counters == Counter(slices_solved=1, rows=56, cells=56 * 14)
+    # verify's crosscheck solves 165 T systems; a deep slice above it solves
+    # none, its lower slices through degree 40 being cached
+    fresh, _ = _verify_counting_fractions(sess, monkeypatch, "crosscheck")
+    want = Counter(slices_solved=165, rows=3192, cells=31063)
+    assert fresh.engine.counters == want
+    fresh.engine.slice(29, 59)
+    assert fresh.engine.counters == want
 
 
 def test_tau_pairing_keeps_right_most_coordinates():
