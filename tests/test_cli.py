@@ -79,10 +79,10 @@ def test_molien_all_reps(capsys):
 
 
 # sha256 of stdout: the molien pins cover every degree through 256 of all
-# 32 series, the verify pin every check's detail line; the deep slice, the
-# top of a ladder of 27 free-product spans above degree 40, guards that
-# path; the group and chartable pins guard the element rendering and the
-# class order
+# 32 series, the verify pin every check's detail line; the deep slices,
+# spans of the generators' free products above degree 40, guard that path,
+# rho_30 in degree 255 being the slowest slice in range; the group and
+# chartable pins guard the element rendering and the class order
 PINNED_OUTPUTS = [
     (["verify"], "78737441582a6c61dbbecd1a3ce035d751f27406c2e619f64cdb08c32cf1643d"),
     (["molien", "--rep", "all", "--terms", "256", "--numerator"],
@@ -91,6 +91,8 @@ PINNED_OUTPUTS = [
      "5e14d27315f681901124c3568042f495c4bd5930aeda9aba2b73b3289daccfdf"),
     (["covariants", "--rep", "21", "--degree", "250"],
      "4df4f6101febaa495523fdd7cbaecaeb89eb6a7166bbd9abc0ea11076efd2f21"),
+    (["covariants", "--rep", "30", "--degree", "255"],
+     "0b11ea806343be108c1415a69081e3729c25169b930695472779940c75383f61"),
     (["group", "--format", "json"],
      "7c06b9c6580bba7d3df33ecd1d2440d19ae56c0bf71e183fdd9ab5185865055c"),
     (["group"], "37a68cd09a24610b7476a291b4739003ce7539d66db7ff43bf04d28c610b6a76"),
@@ -104,8 +106,8 @@ PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
                          ids=["verify", "molien", "molien-json", "covariants-21-250",
-                              "group-json", "group", "chartable-json", "chartable-csv",
-                              "chartable-latex"])
+                              "covariants-30-255", "group-json", "group", "chartable-json",
+                              "chartable-csv", "chartable-latex"])
 def test_output_bytes_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -208,15 +210,31 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "FAIL invariants: phi = delta^2 + 66 gamma^4 fails" in out
 
 
+def test_verify_invariants_checks_the_psi_identity(capsys, monkeypatch):
+    # 2 theta is as invariant as theta and leaves phi = delta^2 + 66 gamma^4
+    # alone: only theta^3 - phi = 42 gamma^4, which makes the covariant
+    # engine's psi the sparse gamma^4, can fail, and it must be named
+    gamma, theta, delta, phi = poly.fundamental_invariants()
+    monkeypatch.setattr(poly, "fundamental_invariants",
+                        lambda: (gamma, theta.scale(2), delta, phi))
+    code, out = run_cli(capsys, "verify", "--only", "invariants")
+    assert code == 1
+    assert out == ("FAIL invariants: theta^3 - phi = 42 gamma^4 fails\n"
+                   "verification FAILED (first failure: invariants)\n")
+
+
 @pytest.mark.parametrize("form, terms, moved_by, message", [
-    # x^2 + y^2: fixed by T, not by D
-    ("theta", {(2, 0): 1, (0, 2): 1}, "D", "theta/phi moved by element {}"),
-    # x^4 + y^4: fixed by D, not by T
-    ("theta", {(4, 0): 1, (0, 4): 1}, "T", "theta/phi moved by element {}"),
-    # x^5 y moved from 1 to 2: D support kept; the phi identity and tau fail too
+    # x^2 + y^2: fixed by T, not by D; the psi identity fails too
+    ("theta", {(2, 0): 1, (0, 2): 1}, "D",
+     "theta^3 - phi = 42 gamma^4 fails; theta/phi moved by element {}"),
+    # x^4 + y^4: fixed by D, not by T; the psi identity fails too
+    ("theta", {(4, 0): 1, (0, 4): 1}, "T",
+     "theta^3 - phi = 42 gamma^4 fails; theta/phi moved by element {}"),
+    # x^5 y moved from 1 to 2: D support kept; both gamma^4 identities and
+    # tau fail too
     ("gamma", {(5, 1): 2, (1, 5): -1}, "T",
-     "phi = delta^2 + 66 gamma^4 fails; tau action on gamma/theta fails; "
-     "gamma is not rho_3-covariant at element {}"),
+     "phi = delta^2 + 66 gamma^4 fails; theta^3 - phi = 42 gamma^4 fails; "
+     "tau action on gamma/theta fails; gamma is not rho_3-covariant at element {}"),
     # x^8 y^4 moved from -33 to -32: D support kept; the phi identity fails too
     ("delta", {(12, 0): 1, (8, 4): -32, (4, 8): -33, (0, 12): 1}, "T",
      "phi = delta^2 + 66 gamma^4 fails; delta is not rho_5-covariant at element {}"),

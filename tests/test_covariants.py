@@ -88,25 +88,26 @@ def test_extraction_rejects_wrong_numerator(sess):
 
 
 def test_extraction_rejects_surplus_generators(sess, monkeypatch):
-    # with no decomposables every basis vector of every slice is new:
-    # rho_13 (degrees 5, 13) gets theta * g_5 as a third generator at degree
-    # 13, which the final count check rejects
+    # with no products every basis vector of every slice is new: rho_13
+    # (degrees 5, 13) gets theta * g_5 as a third generator at degree 13,
+    # which the final count check rejects
     from g9cov.covariants import CovariantEngine, FreenessError
     eng = CovariantEngine(sess.table, sess.reps)
-    monkeypatch.setattr(eng, "decomposables", lambda rid, d: [])
+    monkeypatch.setattr(eng, "products", lambda rid, d, gens: [])
     with pytest.raises(FreenessError, match=r"rho_13: 3 generators by degree 13, expected 2"):
         eng.generators(13)
 
 
-def test_decomposables_reject_a_product_off_the_slice(sess):
-    # x^7 y in place of theta shifts the degree-5 basis of rho_13 to
+def test_products_reject_a_product_off_the_slice(sess):
+    # x^7 y in place of theta shifts the degree-5 generator of rho_13 to
     # x-exponents that the diagonal-D constraint rules out in degree 13
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
-    assert len(eng.decomposables(13, 13)) == 1
+    gens = sess.engine.generators(13).rows
+    assert len(eng.products(13, 13, gens)) == 1
     eng.theta = BiPoly({(7, 1): 1})
     with pytest.raises(ValueError, match=r"rho_13 degree 13: a product term is off the slice"):
-        eng.decomposables(13, 13)
+        eng.products(13, 13, gens)
 
 
 def test_generators_are_covariants(sess):
@@ -224,13 +225,13 @@ def _engine_with_generators(sess, rid, gens):
 
 
 def test_generators_reject_wrong_degrees(sess, monkeypatch):
-    # with the degree-5 slice counted as decomposable and nothing at degree
-    # 13, rho_13 gets its two generators both in degree 13: the count is
-    # right, so only the degree check can reject them
+    # with the degree-5 slice counted as products and nothing at degree 13,
+    # rho_13 gets its two generators both in degree 13: the count is right,
+    # so only the degree check can reject them
     from g9cov.covariants import CovariantEngine, FreenessError
     eng = CovariantEngine(sess.table, sess.reps)
-    monkeypatch.setattr(eng, "decomposables",
-                        lambda rid, d: list(eng.slice(rid, 5).nums) if d == 5 else [])
+    monkeypatch.setattr(eng, "products",
+                        lambda rid, d, gens: list(eng.slice(rid, 5).nums) if d == 5 else [])
     with pytest.raises(FreenessError, match=re.escape(
             "rho_13: generator degrees (13, 13) by degree 13, "
             "Molien numerator degrees (5, 13)")):
@@ -315,20 +316,21 @@ def test_cross_check_guards_against_wrong_molien(sess):
 
 
 def test_cross_check_above_degree_64(sess):
-    # every degree reads the same exact numerator, so a wrong coefficient
-    # must be fatal above degree 64 too.  A deep slice is built on the
-    # slices below it, which are checked first, so the numerator is wrong
-    # only from degree 70 up: the lower slices pass and degree 70 fails
+    # every degree reads the same exact numerator, so a wrong term must be
+    # fatal above degree 64 too.  A deep slice is spanned by the products of
+    # the generators, which the sweep through T_SYSTEM_DEGREE finds; a
+    # numerator term at degree 70 is then a generator degree that no sweep
+    # reached, and the degree check rejects it before any deep slice forms
     from dataclasses import replace
-    from g9cov.covariants import CovariantEngine, CrossCheckError
+    from g9cov.covariants import CovariantEngine, FreenessError
     good = sess.engine.molien(3)
     assert sess.engine.slice(3, 70).dim == good.coefficient(70) == 3
     eng = CovariantEngine(sess.table, sess.reps)
     eng._molien[3] = replace(good, numerator=((6, 1), (70, 1)))
-    with pytest.raises(CrossCheckError, match="rho_3 degree 70: solver dimension 3, "
-                                              "Molien coefficient 4"):
+    with pytest.raises(FreenessError, match=re.escape(
+            "rho_3: generator degrees (6,) by degree 40, Molien numerator degrees (6, 70)")):
         eng.slice(3, 70)
-    assert (3, 62) in eng._slices
+    assert not [d for _, d in eng._slices if d > 40]
 
 
 def test_det_relations_all(engine):
@@ -717,11 +719,11 @@ def test_deep_slices_equal_t_system_solve(engine):
     assert len(cases) == 123
 
 
-def test_deep_slice_builds_its_ladder_bottom_up(sess, monkeypatch):
-    # rho_29 at degree 123 spans the products of the deep slices 43, 51, ..,
-    # 115 below it, built lowest first: each call then finds its own lower
-    # slices cached, so slice calls nest at most three deep (a deep slice, a
-    # lower one, a T system) whatever the degree, and the ladder stays cached
+def test_deep_slice_solves_no_lower_deep_slice(sess, monkeypatch):
+    # rho_29 at degree 123 spans the products of its generators, which the
+    # sweep finds on T systems: slice calls nest two deep (the deep slice,
+    # then a T system under generators()) whatever the degree, and no other
+    # slice above T_SYSTEM_DEGREE is solved or cached
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
     honest, depth, deepest = CovariantEngine.slice, [0], [0]
@@ -735,9 +737,24 @@ def test_deep_slice_builds_its_ladder_bottom_up(sess, monkeypatch):
             depth[0] -= 1
     monkeypatch.setattr(CovariantEngine, "slice", nested)
     eng.slice(29, 123)
-    assert deepest[0] == 3
-    assert sorted(d for r, d in eng._slices if r == 29 and d > 40) == list(range(43, 124, 8))
+    assert deepest[0] == 2
+    assert [key for key in eng._slices if key[1] > 40] == [(29, 123)]
     assert eng.counters["slices_solved"] == len([d for r, d in eng._slices if d <= 40])
+
+
+def test_deep_slice_rejects_generators_that_span_too_little(sess):
+    # theta * g_5 in place of g_13 keeps rho_13's generator degrees (5, 13),
+    # but its products repeat those of g_5: at degree 45 they span 2 of the
+    # 4 dimensions that Molien counts, and the cross check must refuse
+    from g9cov.covariants import CovariantEngine, CrossCheckError, GeneratorSet
+    eng = CovariantEngine(sess.table, sess.reps)
+    g5 = sess.engine.generators(13).rows[0]
+    (theta_g5,) = eng.products(13, 13, [g5])
+    coords = tuple(eng._kept_coords(eng.reps[13], 13))
+    eng._gens[13] = GeneratorSet(13, 2, (g5, (13, coords, tuple(theta_g5.tolist()))))
+    with pytest.raises(CrossCheckError, match=r"rho_13 degree 45: solver dimension 2, "
+                                              r"Molien coefficient 4"):
+        eng.slice(13, 45)
 
 
 @pytest.mark.parametrize("form", ["theta", "phi"])
