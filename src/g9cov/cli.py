@@ -160,7 +160,7 @@ def _molien_payload(sess: Session, rid: int, terms: int) -> dict:
 
 
 def cmd_molien(args, sess: Session) -> int:
-    rids = list(range(1, 33)) if args.rep == "all" else [_rep_id(args.rep)]
+    rids = list(range(1, 33)) if args.rep == "all" else [args.rep]
     sess.engine.build_images(rids)
     payloads = [_molien_payload(sess, rid, args.terms) for rid in rids]
     if args.format == "json":
@@ -180,7 +180,7 @@ def cmd_molien(args, sess: Session) -> int:
 
 
 def cmd_covariants(args, sess: Session) -> int:
-    rid = _rep_id(args.rep)
+    rid = args.rep
     sl = sess.engine.slice(rid, args.degree)
     if args.format == "json":
         data = {"rep": rid, "degree": args.degree, "dim": sl.dim,
@@ -195,7 +195,7 @@ def cmd_covariants(args, sess: Session) -> int:
 
 
 def cmd_generators(args, sess: Session) -> int:
-    rid = _rep_id(args.rep)
+    rid = args.rep
     engine = sess.engine
     genset = engine.generators(rid)
     det = None
@@ -471,9 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --rep is parsed once here: the handlers read an int, or "all" for molien
     if args.command in ("molien", "covariants", "generators") and args.rep != "all":
         try:
-            _rep_id(args.rep)
+            args.rep = _rep_id(args.rep)
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
     if args.command != "molien" and getattr(args, "rep", None) == "all":

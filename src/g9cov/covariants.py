@@ -88,6 +88,14 @@ independence and span without elimination:
     Molien coefficient dim M(rho)_d: their degrees are the numerator's
     multiset (checked by generators() and again by verify_free), so the
     count is the closed form of MolienResult.coefficient; they span M_d.
+
+det_relation factors det[g_1 .. g_m] as c delta^e gamma^k (Stanley,
+J. Algebra 49 (1977)), every rank alike: for rank 1 this is the closed
+form gamma^k delta^e of the generator, which verify_linear_generators
+reads.  delta and gamma are coprime (delta is nonzero on the six lines
+of gamma = -x y (x^4 - y^4)), so (e, k) is unique; for e in (2, 1, 0) the
+degree fixes k, and one coefficient ratio and one exact comparison
+(_multiple) decide each candidate.  No polynomial division is needed.
 """
 
 from __future__ import annotations
@@ -105,7 +113,7 @@ from . import group
 from .group import GroupTable, multiply
 from .linalg import RowReducer, rref, rref_nullspace, zeta_power, zeta_shift
 from .molien import MolienResult, molien_series
-from .poly import BiPoly, NotDivisibleError, VecPoly, fundamental_invariants
+from .poly import BiPoly, VecPoly, fundamental_invariants
 from .reps import DEN, Representation, rep_matrices, scalar_image
 from . import reference
 
@@ -177,7 +185,6 @@ class GeneratorSet:
 class TauRecord:
     degree: int
     found: bool
-    witness: VecPoly | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,8 +574,7 @@ class CovariantEngine:
     def _invariants_independent(self) -> bool:
         """theta and phi are nonzero and phi is not a multiple of theta^3 (module docstring)."""
         theta3 = self.theta ** 3
-        return not (theta3.is_zero() or self.phi.is_zero()
-                    or self.phi.normalized() == theta3.normalized())
+        return not (theta3.is_zero() or self.phi.is_zero()) and _multiple(self.phi, theta3) is None
 
     # -- determinant factorization -----------------------------------------------------
 
@@ -587,30 +593,22 @@ class CovariantEngine:
         return self._dets[rid]
 
     def det_relation(self, rid: int) -> tuple[int, int, Fraction]:
-        """Factor det[generators] as c * delta^e * gamma^k; returns (e, k, c)."""
-        genset = self.generators(rid)
+        """Factor det[generators] as c * delta^e * gamma^k; returns (e, k, c).
+
+        delta and gamma are coprime, so (e, k) is unique: each candidate of
+        the determinant's degree is one exact comparison (_multiple).  For
+        rank 1 the determinant is the generator, gamma^k delta^e times c.
+        """
         det = self.generator_det(rid)
         if det.is_zero():
             raise FactorizationError(f"rho_{rid}: generator determinant is zero")
-        total = det.degree()
-        if total != sum(genset.degrees):
-            raise FactorizationError(f"rho_{rid}: determinant degree {total}")
-        rest, e = _divide_out(det, self.delta * self.delta, 2)
-        if e == 0:
-            rest, e = _divide_out(det, self.delta, 1)
-            if e == 0:
-                raise FactorizationError(f"rho_{rid}: delta does not divide")
-        k, r = divmod(total - 12 * e, 6)
-        if r or k < 0:
-            raise FactorizationError(
-                f"rho_{rid}: degree {total} incompatible with e={e}")
-        rest, ok = _divide_out(rest, self.gamma ** k, 1) if k else (rest, 1)
-        if not ok:
-            raise FactorizationError(f"rho_{rid}: gamma^{k} does not divide")
-        terms = list(rest.terms.items())
-        if len(terms) != 1 or terms[0][0] != (0, 0):
-            raise FactorizationError(f"rho_{rid}: nonconstant quotient {rest!r}")
-        return e, k, terms[0][1]
+        deg = det.degree()
+        for e in (2, 1, 0):
+            k, r = divmod(deg - 12 * e, 6)
+            if not r and k >= 0 and (c := _multiple(det, self.delta ** e * self.gamma ** k)):
+                return e, k, c
+        raise FactorizationError(f"rho_{rid}: determinant of degree {deg} is not "
+                                 f"c * delta^e * gamma^k")
 
     # -- swap-symmetry structure ----------------------------------------------------------
 
@@ -624,8 +622,9 @@ class CovariantEngine:
         Every covariant satisfies F o tau = rho(tau) F (tau = T D^2 T, see
         the module docstring), and _symmetry certifies rho(tau) exactly as a
         signed permutation.  So when that permutation is the reversal with
-        every sign s, each generator is its own witness; this is checked
-        exactly all the same.  Otherwise every record has found=False.
+        every sign s, each generator is its own swap-symmetric
+        representative; this is checked exactly on its integer row all the
+        same.  Otherwise every record has found=False.
         """
         m = self.reps[rid].dim
         if m < 3:
@@ -633,49 +632,42 @@ class CovariantEngine:
         s = reference.TAU_SIGNS[rid]
         sym = self._symmetry(rid)
         pattern = sym.perm == tuple(range(m - 1, -1, -1)) and sym.sign == (s,) * m
-        genset = self.generators(rid)
         records = []
-        for (d, coords, row), (_, g) in zip(genset.rows, genset.gens):
+        for d, coords, row in self.generators(rid).rows:
             coeff = dict(zip(coords, row))
             found = pattern and all(v == s * coeff.get((m - 1 - l, d - a), 0)
                                     for (l, a), v in coeff.items())
-            records.append(TauRecord(d, found, g if found else None))
+            records.append(TauRecord(d, found))
         return records
 
     # -- rank-1 closed forms -----------------------------------------------------------------
 
-    def verify_linear_generators(self) -> dict[int, int]:
+    def verify_linear_generators(self) -> dict[int, Fraction]:
         """The eight rank-1 modules are generated by gamma^a delta^b.
 
-        Returns the proportionality constant per representation; raises
-        GeneratorMismatchError when an extracted generator is not a scalar
-        multiple of its octahedral closed form.
+        Returns, per representation, the constant c with gamma^a delta^b =
+        c * generator; raises GeneratorMismatchError when det_relation
+        factors the generator with other exponents.
         """
         out = {}
         for rid, (a, b) in reference.LINEAR_GENERATOR_POWERS.items():
-            genset = self.generators(rid)
-            if len(genset.gens) != 1:
-                raise GeneratorMismatchError(f"rho_{rid}: expected one generator")
-            d, g = genset.gens[0]
-            expected = (self.gamma ** a) * (self.delta ** b)
-            if d != expected.degree():
-                raise GeneratorMismatchError(
-                    f"rho_{rid}: generator degree {d}, expected {expected.degree()}")
-            poly = g.components[0]
-            _, lead = expected.leading()
-            if poly != expected.normalized():
-                raise GeneratorMismatchError(
-                    f"rho_{rid}: generator is not proportional to the closed form")
-            out[rid] = lead
+            e, k, c = self.det_relation(rid)
+            if (k, e) != (a, b):
+                raise GeneratorMismatchError(f"rho_{rid}: generator is a multiple of "
+                                             f"gamma^{k} delta^{e}, expected gamma^{a} delta^{b}")
+            out[rid] = 1 / c
         return out
 
 
-def _divide_out(poly: BiPoly, divisor: BiPoly, power: int) -> tuple[BiPoly, int]:
-    """Try an exact division; returns (quotient, power) or (poly, 0)."""
-    try:
-        return poly.divide_exact(divisor), power
-    except NotDivisibleError:
-        return poly, 0
+def _multiple(f: BiPoly, g: BiPoly):
+    """The nonzero c with f = c * g, or None; g is nonzero.
+
+    One coefficient ratio gives the only candidate, and one exact
+    comparison decides it.
+    """
+    k, v = next(iter(g.terms.items()))
+    c = Fraction(1) / v * f.terms.get(k, 0)
+    return c if c and f == g.scale(c) else None
 
 
 def _poly_det(mat: list[list[BiPoly]]) -> BiPoly:

@@ -22,11 +22,6 @@ and satisfy phi = delta^2 + 66 gamma^4 exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
-
-
-class NotDivisibleError(ArithmeticError):
-    """Exact division was requested but the divisor does not divide."""
 
 
 def _exact(c):
@@ -52,10 +47,6 @@ class BiPoly:
                 if _exact(c):
                     clean[(a, b)] = c
         self.terms = clean
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff=1) -> BiPoly:
-        return cls({(a, b): coeff})
 
     @classmethod
     def constant(cls, c) -> BiPoly:
@@ -179,43 +170,6 @@ class BiPoly:
         p = BiPoly.__new__(BiPoly)
         p.terms = {(b, a): c for (a, b), c in self.terms.items()}
         return p
-
-    # -- division ------------------------------------------------------------------
-
-    def leading(self) -> tuple[tuple[int, int], object]:
-        """Graded-lex leading term (exponent pair, coefficient)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self.terms, key=_grlex_key)
-        return k, self.terms[k]
-
-    def divide_exact(self, g: BiPoly) -> BiPoly:
-        """Quotient q with self = q * g, by leading-term elimination.
-
-        Raises NotDivisibleError when g does not divide exactly and
-        ZeroDivisionError on a zero divisor.
-        """
-        if g.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        (ga, gb), gc = g.leading()
-        gc_inv = Fraction(1) / gc
-        q = BiPoly()
-        r = self
-        while not r.is_zero():
-            (ra, rb), rc = r.leading()
-            if ra < ga or rb < gb:
-                raise NotDivisibleError("leading term not divisible")
-            t = BiPoly.monomial(ra - ga, rb - gb, rc * gc_inv)
-            q = q + t
-            r = r - t * g
-        return q
-
-    def normalized(self) -> BiPoly:
-        """Scaled so the graded-lex leading coefficient is 1."""
-        if self.is_zero():
-            return self
-        _, c = self.leading()
-        return self.scale(Fraction(1) / c)
 
     # -- text form -----------------------------------------------------------------
 

@@ -89,7 +89,18 @@ MUTANTS = (
            "if not self._invariants_independent:", "if False:", (COVARIANTS,)),
     Mutant("free_determinant_nonzero", "covariants.py",
            "if self.generator_det(rid).is_zero():", "if False:", (COVARIANTS,)),
-    # the group's classes, representations and Molien
+    # determinant factorization and the rank-1 closed forms
+    Mutant("multiple_compares", "covariants.py",
+           "return c if c and f == g.scale(c) else None", "return c if c else None",
+           (COVARIANTS,)),
+    Mutant("linear_exponents", "covariants.py",
+           "if (k, e) != (a, b):", "if False:", (COVARIANTS,)),
+    # the group's products, classes, representations and Molien
+    Mutant("multiply_in_lattice", "group.py",
+           "if rem.any():", "if False:", ("tests/test_group.py",)),
+    Mutant("closure_product_bound", "group.py",
+           "if rem.any() or np.abs(prod).max() > COORD_BOUND:", "if False:",
+           ("tests/test_group.py",)),
     Mutant("reference_classes_distinct", "group.py",
            "if bid in seen_blocks:", "if False:", ("tests/test_group.py",)),
     Mutant("census_dimensions", "reps.py",

@@ -709,14 +709,14 @@ def generator_det_exact(engine, rid):
 
 
 def det_relation_exact(engine, rid):
-    """CovariantEngine.det_relation with every division in CycNum arithmetic.
+    """CovariantEngine.det_relation with its coefficient ratio and exact
+    comparison in CycNum arithmetic.
 
-    Runs the factorization on a fresh engine holding the same generators,
-    generator_det_exact as their determinant and gamma, delta lifted to
-    CycNum, so its constant comes back as a CycNum.
+    Runs the factorization on a fresh engine holding generator_det_exact as
+    the determinant and gamma, delta lifted to CycNum, so its constant
+    comes back as a CycNum.
     """
     eng = CovariantEngine(engine.table, list(engine.reps.values()))
-    eng._gens[rid] = engine.generators(rid)
     eng._dets[rid] = generator_det_exact(engine, rid)
     eng.gamma, eng.delta = as_cyc(engine.gamma), as_cyc(engine.delta)
     return eng.det_relation(rid)

@@ -171,9 +171,9 @@ def test_criterion_11_tau_structure(sess):
         records = sess.engine.tau_structure(rid)
         assert len(records) == sess.rep(rid).dim
         outcomes[rid] = [(r.degree, r.found) for r in records]
-        for r in records:
+        for r, (_, gen) in zip(records, sess.engine.generators(rid).gens):
             assert r.found, f"no swap-symmetric representative: rho_{rid} degree {r.degree}"
-            w = r.witness.components
+            w = gen.components
             s = reference.TAU_SIGNS[rid]
             if len(w) == 3:
                 assert w[2] == w[0].tau().scale(s)

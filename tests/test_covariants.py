@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from g9cov import reference
 from g9cov.covariants import RowReducer
 from g9cov.poly import BiPoly, fundamental_invariants
-from oracles import (ONE, CycNum, CycRowReducer, Mat, Z, as_fraction, as_fractions,
+from oracles import (I_UNIT, ONE, CycNum, CycRowReducer, Mat, Z, as_fraction, as_fractions,
                      binomial_table, coeff_vector, covariance_check, covariance_failure_lifted,
                      cyc_encoding, cyc_nullspace, decode_image, det_relation_exact, element_mat,
                      encode_image, generator_det_exact, int_rows, integer_row,
@@ -23,7 +24,7 @@ GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 def test_solve_degree_examples(engine):
     sl = engine.slice(3, 6)
     assert sl.dim == 1
-    assert sl.basis[0].components[0] in (GAMMA, GAMMA.normalized(), -GAMMA)
+    assert sl.basis[0].components[0] in (GAMMA, -GAMMA)
 
     sl = engine.slice(9, 1)
     assert sl.dim == 1
@@ -297,10 +298,59 @@ def test_det_relation_examples(engine):
     assert sum(engine.generators(29).degrees) == 60
 
 
-def test_det_relation_rejects_rank_one(engine):
-    from g9cov.covariants import FactorizationError
-    with pytest.raises(FactorizationError):
-        engine.det_relation(3)
+def test_det_relation_factors_rank_one(engine):
+    # a rank-1 determinant is the generator, gamma^a delta^b over its
+    # leading coefficient (-1)^a
+    for rid, (a, b) in reference.LINEAR_GENERATOR_POWERS.items():
+        assert engine.det_relation(rid) == (b, a, (-1) ** a), rid
+
+
+def test_det_relation_recovers_every_factorization(sess):
+    # delta and gamma are coprime, so c delta^e gamma^k gives back (e, k, c)
+    from g9cov.covariants import CovariantEngine
+    eng = CovariantEngine(sess.table, sess.reps)
+    for e, k, c in product((0, 1, 2), range(7), (1, -1, Fraction(3, 7), Fraction(-22, 5), 66)):
+        eng._dets[9] = (DELTA ** e * GAMMA ** k).scale(c)
+        assert eng.det_relation(9) == (e, k, c), (e, k, c)
+
+
+def test_delta_and_gamma_are_coprime():
+    # gamma, of degree 6, vanishes at six points on distinct lines, so their
+    # lines are all its linear factors; delta is nonzero at each, so no
+    # factor of gamma divides delta and (e, k) in c delta^e gamma^k is unique
+    def at(f, x, y):
+        return sum(c * x ** a * y ** b for (a, b), c in f.terms.items())
+
+    points = [(1, 0), (0, 1), (1, 1), (1, -1), (1, I_UNIT), (1, -I_UNIT)]
+    assert all(x1 * y2 != x2 * y1 for (x1, y1), (x2, y2) in combinations(points, 2))
+    assert GAMMA.degree() == len(points)
+    assert all(at(GAMMA, x, y) == 0 for x, y in points)
+    assert [at(DELTA, x, y) for x, y in points] == [1, 1, -64, -64, -64, -64]
+
+
+def test_det_relation_rejects_a_perturbed_determinant(sess):
+    # one term of a true determinant doubled: no c delta^e gamma^k is equal
+    from g9cov.covariants import CovariantEngine, FactorizationError
+    for rid in (5, 13, 29):
+        eng = CovariantEngine(sess.table, sess.reps)
+        terms = dict(sess.engine.generator_det(rid).terms)
+        top = max(terms)
+        terms[top] *= 2
+        eng._dets[rid] = BiPoly(terms)
+        with pytest.raises(FactorizationError, match=re.escape(
+                f"rho_{rid}: determinant of degree {eng._dets[rid].degree()} is not "
+                f"c * delta^e * gamma^k")):
+            eng.det_relation(rid)
+
+
+def test_linear_generators_reject_wrong_exponents(sess):
+    # gamma delta, over its leading coefficient -1, in place of rho_3's gamma
+    from g9cov.covariants import GeneratorMismatchError
+    from g9cov.poly import VecPoly
+    eng = _engine_with_generators(sess, 3, ((18, VecPoly([-(GAMMA * DELTA)])),))
+    with pytest.raises(GeneratorMismatchError, match=re.escape(
+            "rho_3: generator is a multiple of gamma^1 delta^1, expected gamma^1 delta^0")):
+        eng.verify_linear_generators()
 
 
 def test_cross_check_guards_against_wrong_molien(sess):
@@ -346,13 +396,12 @@ def test_tau_structure_examples(engine):
     recs = engine.tau_structure(21)
     assert [r.degree for r in recs] == [2, 10, 18]
     assert all(r.found for r in recs)
-    w = recs[0].witness
-    f, g, h = w.components
+    f, g, h = engine.generators(21).gens[0][1].components
     assert h == f.tau() and g.tau() == g
 
     recs = engine.tau_structure(23)
     assert all(r.found for r in recs)
-    f, g, h = recs[0].witness.components
+    f, g, h = engine.generators(23).gens[0][1].components
     assert h == -f.tau() and g.tau() == -g
 
     assert engine.tau_structure(5) == []  # rank 1: out of pattern scope
@@ -360,14 +409,14 @@ def test_tau_structure_examples(engine):
 
 def test_tau_structure_quadruples(engine):
     for rid in (29, 30):
-        for rec in engine.tau_structure(rid):
+        for rec, (_, gen) in zip(engine.tau_structure(rid), engine.generators(rid).gens):
             assert rec.found
-            f, g, gt, ft = rec.witness.components
+            f, g, gt, ft = gen.components
             assert gt == g.tau() and ft == f.tau()
     for rid in (31, 32):
-        for rec in engine.tau_structure(rid):
+        for rec, (_, gen) in zip(engine.tau_structure(rid), engine.generators(rid).gens):
             assert rec.found
-            f, g, gt, ft = rec.witness.components
+            f, g, gt, ft = gen.components
             assert gt == -g.tau() and ft == -f.tau()
 
 
@@ -400,7 +449,6 @@ def test_tau_structure_reports_absence(sess, fault):
         expected = [False, True, True]
     records = eng.tau_structure(21)
     assert [r.found for r in records] == expected
-    assert [r.witness is not None for r in records] == expected
 
 
 def test_covariance_failure_matches_substitution_oracle(sess, monkeypatch):
@@ -643,7 +691,6 @@ def test_generator_det_equals_cyclotomic_reference(engine):
         assert got == want, rid
         if isinstance(want, tuple):
             assert isinstance(want[2], CycNum) and isinstance(got[2], (int, Fraction)), rid
-    assert isinstance(outcome(type(engine).det_relation, 3), str)
 
 
 def _oracle(rows, ncols):

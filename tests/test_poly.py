@@ -1,11 +1,10 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from g9cov.group import standard_generators
-from g9cov.poly import (BiPoly, NotDivisibleError, VecPoly,
-                        fundamental_invariants)
+from g9cov.poly import BiPoly, VecPoly, fundamental_invariants
 from oracles import (I_UNIT, CycNum, Mat, approx, coeff_vector, element_mat, mat_apply,
                      vec_substitute)
 
@@ -96,15 +95,6 @@ def test_tau():
         assert (f * g).tau() == f.tau() * g.tau()
 
 
-def test_divide_exact():
-    assert (GAMMA * DELTA).divide_exact(GAMMA) == DELTA
-    assert (PHI - DELTA * DELTA).divide_exact(GAMMA ** 4) == BiPoly.constant(66)
-    with pytest.raises(NotDivisibleError):
-        THETA.divide_exact(GAMMA)
-    with pytest.raises(ZeroDivisionError):
-        THETA.divide_exact(BiPoly())
-
-
 # int and Fraction coefficients, a few terms of degree at most 4 in x and in y
 coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
 polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs,
@@ -130,18 +120,6 @@ def test_tau_is_an_involutive_ring_automorphism(f, g):
     assert (f + g).tau() == f.tau() + g.tau()
     assert (f * g).tau() == f.tau() * g.tau()
     assert BiPoly.constant(1).tau() == BiPoly.constant(1)
-
-
-@bounded
-@given(polys, polys, coeffs)
-def test_divide_exact_undoes_multiplication(q, g, c):
-    # g divides q g + c only if it divides c, which a nonconstant g does
-    # not when c != 0: a nonzero multiple of g has g's total degree or more
-    assume(not g.is_zero())
-    assert (q * g).divide_exact(g) == q
-    assume(g.degree() >= 1 and c != 0)
-    with pytest.raises(NotDivisibleError):
-        (q * g + BiPoly.constant(c)).divide_exact(g)
 
 
 def test_theta_phi_fixed_by_whole_group(table):

@@ -16,17 +16,17 @@ from oracles import decode_rows, rep_matrices_exact
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _run(fresh, argv, capsys):
-    args = cli.build_parser().parse_args(argv)
-    {"group": cli.cmd_group, "molien": cli.cmd_molien}[argv[0]](args, fresh)
+def _run(fresh, argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "get_session", lambda: fresh)
+    assert cli.main(argv) == 0
     capsys.readouterr()
 
 
-def test_session_builds_images_on_first_read(capsys):
+def test_session_builds_images_on_first_read(capsys, monkeypatch):
     fresh = get_session.__wrapped__()
     assert fresh.engine._mats == {}          # the session build itself reads no images
     assert "traces" not in vars(fresh)
-    _run(fresh, ["group"], capsys)
+    _run(fresh, ["group"], capsys, monkeypatch)
     assert fresh.engine._mats == {}          # the group listing reads no images
     assert np.array_equal(fresh.engine.matrices(29),
                           reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
@@ -38,12 +38,12 @@ def test_session_builds_images_on_first_read(capsys):
     assert sorted(fresh.engine._mats) == list(range(1, 33))
 
 
-def test_one_rep_queries_build_only_that_rep(capsys):
+def test_one_rep_queries_build_only_that_rep(capsys, monkeypatch):
     fresh = get_session.__wrapped__()
     fresh.engine.slice(29, 3)
     assert list(fresh.engine._mats) == [29]
     fresh = get_session.__wrapped__()
-    _run(fresh, ["molien", "--rep", "29"], capsys)
+    _run(fresh, ["molien", "--rep", "29"], capsys, monkeypatch)
     assert list(fresh.engine._mats) == [29]
 
 
