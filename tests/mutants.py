@@ -8,11 +8,11 @@ Each mutant replaces one source line, which must occur exactly once in
 src/ (a Tier-1 test keeps the list from rotting), by a line that makes its
 check a no-op or, for a computation that no check repeats, gets it wrong.
 The script first runs every listed test file on an unmutated copy of
-src/, tests/ and pyproject.toml and stops unless they all pass.  Then,
-for each mutant, it applies the one mutation to a fresh copy and runs the
-mutant's test files with pytest: a failed test (exit 1) or a timeout
-kills the mutant, a clean pass lets it survive, and any other exit (a
-collection or usage error) stops the script.  The exit status is 1 if a
+src/, tests/, perfbench/ and pyproject.toml and stops unless they all
+pass.  Then, for each mutant, it applies the one mutation to a fresh copy
+and runs the mutant's test files with pytest: a failed test (exit 1) or a
+timeout kills the mutant, a clean pass lets it survive, and any other exit
+(a collection or usage error) stops the script.  The exit status is 1 if a
 survivor is not marked equivalent, with the reason why no test can tell
 it from the original.
 
@@ -95,6 +95,9 @@ MUTANTS = (
            (COVARIANTS,)),
     Mutant("linear_exponents", "covariants.py",
            "if (k, e) != (a, b):", "if False:", (COVARIANTS,)),
+    # the verify determinants line: one comparison with the reference exponents
+    Mutant("determinant_exponents", "cli.py",
+           "if (e, k) != reference.DET_EXPONENTS[rid]:", "if False:", ("tests/test_cli.py",)),
     # the group's products, classes, representations and Molien
     Mutant("multiply_in_lattice", "group.py",
            "if rem.any():", "if False:", ("tests/test_group.py",)),
@@ -144,7 +147,8 @@ def pytest_exit(mutant: Mutant | None, tests: tuple[str, ...]) -> int | None:
     with tempfile.TemporaryDirectory(prefix="g9cov-mutant-") as tmp:
         tree = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        for name in ("src", "tests"):
+        # tests/test_cli.py also reads perfbench/ (it checks the names spans.py wraps)
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
         if mutant is not None:

@@ -693,6 +693,38 @@ def integer_row(values):
     return [x.numerator * (den // x.denominator) for x in values]
 
 
+def parse_poly_text(text):
+    """The BiPoly whose to_text() is text, for int and Fraction coefficients.
+
+    to_text writes the terms as [-]body, then " + body" or " - body", each
+    body being coeff, monomial or coeff*monomial with monomial x^a*y^b
+    (an exponent 1 omitted); "0" is the zero polynomial.
+    """
+    if text == "0":
+        return BiPoly()
+    tokens = text.split(" ")
+    first = tokens[0]
+    signed = [(-1 if first.startswith("-") else 1, first.removeprefix("-"))]
+    for sign, body in zip(tokens[1::2], tokens[2::2]):
+        if sign not in ("+", "-"):
+            raise ValueError(f"no sign between the terms of {text!r}")
+        signed.append((-1 if sign == "-" else 1, body))
+    terms = {}
+    for sign, body in signed:
+        coeff, exps = Fraction(1), {"x": 0, "y": 0}
+        for factor in body.split("*"):
+            var, _, power = factor.partition("^")
+            if var in exps:
+                exps[var] = int(power or 1)
+            else:
+                coeff = Fraction(factor)
+        mono = (exps["x"], exps["y"])
+        if mono in terms or not coeff:
+            raise ValueError(f"monomial {mono} twice, or with coefficient 0, in {text!r}")
+        terms[mono] = sign * coeff
+    return BiPoly(terms)
+
+
 def as_cyc(p):
     """A BiPoly with every coefficient lifted to CycNum."""
     return BiPoly({k: rational(c) for k, c in p.terms.items()})

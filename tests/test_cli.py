@@ -259,6 +259,15 @@ def test_verify_tau_reports_a_wrong_sign(capsys, monkeypatch):
             "[(21, 2), (21, 10), (21, 18)]\n") in out
 
 
+def test_verify_determinants_compares_the_exponents(capsys, monkeypatch):
+    # the comparison with DET_EXPONENTS alone carries the determinants line
+    monkeypatch.setitem(reference.DET_EXPONENTS, 29, (2, 5))
+    code, out = run_cli(capsys, "verify", "--only", "determinants")
+    assert code == 1
+    assert out == ("FAIL determinants: rho_29 exponents (2,6)\n"
+                   "verification FAILED (first failure: determinants)\n")
+
+
 def test_perfbench_spans_find_every_wrapped_name(monkeypatch):
     # perfbench/spans.py wraps module names of g9cov; renaming or deleting
     # one of them breaks `perfbench/run.py --trace 1`, and must fail here
@@ -283,6 +292,36 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["numerator"] == [[0, 1]]
+
+
+# one command per output shape: a dict, latex blocks, a list of dicts, text
+# lines, a dict with nested lists, verify lines
+@pytest.mark.parametrize("argv", [
+    ["group", "--format", "json"],
+    ["chartable", "--format", "latex"],
+    ["molien", "--rep", "all", "--format", "json"],
+    ["covariants", "--rep", "9", "--degree", "1"],
+    ["generators", "--rep", "29", "--format", "json"],
+    ["verify", "--only", "group"],
+], ids=["group-json", "chartable-latex", "molien-all-json", "covariants-text",
+        "generators-json", "verify"])
+def test_out_file_gets_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == code == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_out_file_gets_a_failing_verify(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(reference.DET_EXPONENTS, 29, (2, 5))
+    target = tmp_path / "verify.txt"
+    code = cli.main(["verify", "--only", "determinants", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and captured.err == ""
+    assert target.read_text() == ("FAIL determinants: rho_29 exponents (2,6)\n"
+                                  "verification FAILED (first failure: determinants)\n")
 
 
 @pytest.mark.parametrize("argv", [["group"], ["verify", "--only", "group"]])

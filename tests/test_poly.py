@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g9cov.group import standard_generators
 from g9cov.poly import BiPoly, VecPoly, fundamental_invariants
 from oracles import (I_UNIT, CycNum, Mat, approx, coeff_vector, element_mat, mat_apply,
-                     vec_substitute)
+                     parse_poly_text, vec_substitute)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
 
@@ -147,3 +147,18 @@ def test_poly_text_form():
     assert DELTA.to_text() == "x^12 - 33*x^8*y^4 - 33*x^4*y^8 + y^12"
     p = BiPoly({(2, 3): CycNum(1, 0, 1, 0)})
     assert p.to_text() == "(z^2+1)*x^2*y^3"
+
+
+# homogeneous of degree at most 12, int and Fraction coefficients of several digits
+wide_coeffs = st.one_of(st.integers(-10**6, 10**6),
+                        st.fractions(-10**3, 10**3, max_denominator=10**3))
+homogeneous = st.integers(0, 12).flatmap(lambda d: st.dictionaries(
+    st.integers(0, d).map(lambda a: (a, d - a)), wide_coeffs, max_size=d + 1)).map(BiPoly)
+
+
+@bounded
+@given(homogeneous)
+@example(BiPoly())
+@example(DELTA)
+def test_poly_text_form_round_trips(p):
+    assert parse_poly_text(p.to_text()) == p
