@@ -9,9 +9,10 @@ invariants (covariants) over the invariant ring C[theta, phi].
 
 import os
 
-# g9cov builds no float array: every numpy product is int64 or object, so
-# BLAS is never called.  One OpenBLAS thread saves the worker threads it
-# would start (and spin) at numpy's import; a value the user sets still wins.
+# Only verify imports numpy, and builds no float array there: every numpy
+# product is int64, so BLAS is never called.  One OpenBLAS thread saves the
+# worker threads it would start (and spin) at numpy's import; a value the
+# user sets still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .group import GroupTable, build_group, standard_generators

@@ -24,8 +24,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import group, poly, reference
 from .covariants import T_SYSTEM_DEGREE
 from .cyclo import render_zeta, to_json
@@ -74,7 +72,7 @@ def cmd_group(args, sess: Session) -> dict | list:
             "elements": [{"index": e.index, "word": e.word,
                           "matrix": {"rows": len(e.coords), "cols": len(e.coords),
                                      "entries": [to_json(c, group.DEN)
-                                                 for c in e.coords.reshape(-1, 4).tolist()]}}
+                                                 for row in e.coords for c in row]}}
                          for e in table.elements],
             "classes": classes,
         }
@@ -98,7 +96,7 @@ def cmd_chartable(args, sess: Session) -> dict | list:
     labels = table.class_labels
     orders = class_orders(table)
     sizes = class_sizes(table)
-    rows = [[render_zeta(t, DEN) for t in row] for row in sess.traces.tolist()]
+    rows = [[render_zeta(t, DEN) for t in row] for row in sess.traces]
     if args.format == "json":
         return {"classes": labels, "ord": orders, "sizes": sizes,
                 "rows": {f"chi_{i+1}": row for i, row in enumerate(rows)}}
@@ -143,7 +141,6 @@ def _molien_payload(sess: Session, rid: int, terms: int) -> dict:
 
 def cmd_molien(args, sess: Session) -> dict | list:
     rids = list(range(1, 33)) if args.rep == "all" else [args.rep]
-    sess.engine.build_images(rids)
     payloads = [_molien_payload(sess, rid, args.terms) for rid in rids]
     if args.format == "json":
         return payloads[0] if len(payloads) == 1 else payloads
@@ -220,16 +217,19 @@ def _check_census(sess: Session) -> str:
 
 
 def _check_homomorphism(sess: Session) -> str:
+    sess.engine.build_images([r.rid for r in sess.reps])     # one BFS per dimension
     pairs = sum(verify_homomorphism(r, sess.table, sess.engine.matrices(r.rid))
                 for r in sess.reps)
     return f"{pairs} ordered pairs certified"
 
 
 def _check_chartable(sess: Session, strict: bool) -> str:
-    ref, chars = DEN * reference.printed_character_table(), sess.traces
-    strict_bad = [i + 1 for i in range(32) if not np.array_equal(chars[i], ref[i])]
+    chars = sess.traces
+    ref = [tuple(tuple(DEN * c for c in x) for x in row)
+           for row in reference.printed_character_table()]
+    strict_bad = [i + 1 for i in range(32) if chars[i] != ref[i]]
     for row, src in reference.CHARACTER_ROW_SOURCE.items():
-        if not np.array_equal(ref[row - 1], chars[src - 1]):
+        if ref[row - 1] != chars[src - 1]:
             raise CheckFailure(
                 f"reference row {row} does not match chi_{src} either")
     if not strict_bad:

@@ -25,8 +25,9 @@ consequences of the same covariance condition:
     s_l = -1, or whose partner is not kept, is 0.
 
 What is left is the T constraint A on the kept coefficients, built
-(times reps.DEN) as an integer matrix, int64 whenever a bound from d and
-rho(T) proves it fits.  It is rational by one exact check per
+(times reps.DEN) as an integer matrix of Python ints, column by column.
+The central scalar is read off the image of zI (reps.central_residue), no
+other image is built.  A is rational by one exact check per
 representation: _symmetry checks that t = rho(T) sqrt(2)^(r mod 2) has
 zeta_8, zeta_8^2 and zeta_8^3 coordinates 0.  A solved degree d is r mod
 8, so scaling the substitution side by sqrt(2)^d, which makes it the
@@ -106,15 +107,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import comb, gcd, prod
-
-import numpy as np
+from operator import add, neg, sub
 
 from . import group
 from .group import GroupTable, multiply
 from .linalg import RowReducer, rref, rref_nullspace, zeta_power, zeta_shift
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
-from .reps import DEN, Representation, rep_matrices, scalar_image
+from .reps import (DEN, CensusError, Representation, central_residue, class_traces,
+                   rep_matrices)
 from . import reference
 
 # slices through this degree solve the T system; above it they are spanned
@@ -141,12 +142,12 @@ class GeneratorMismatchError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CovariantSlice:
-    """Basis vector i has coefficient nums[i, c] / dens[i] at coords[c]."""
+    """Basis vector i has coefficient nums[i][c] / dens[i] at coords[c]."""
     rep_id: int
     rank: int                             # components of each vector
     degree: int
     coords: tuple[tuple[int, int], ...]   # (component, x-exponent) positions
-    nums: np.ndarray                      # (dim, len(coords)) Python ints, read-only
+    nums: tuple[tuple[int, ...], ...]     # dim rows of len(coords) Python ints
     dens: tuple[int, ...]
 
     @property
@@ -157,7 +158,7 @@ class CovariantSlice:
     def basis(self) -> tuple[VecPoly, ...]:
         return tuple(VecPoly.from_coeffs(self.coords, [Fraction(n, den) for n in row],
                                          self.rank, self.degree)
-                     for row, den in zip(self.nums.tolist(), self.dens))
+                     for row, den in zip(self.nums, self.dens))
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class TauRecord:
 class _Symmetry:
     residue: int                # the central scalar is zeta_8^residue
     expo: tuple[int, ...]       # rho(D)_jj = i^expo[j], so rho(D^2)_jj = (-1)^expo[j]
-    t: np.ndarray               # rho(T) sqrt(2)^(residue mod 2) times DEN: int64, read-only
+    t: tuple[tuple[int, ...], ...]   # rho(T) sqrt(2)^(residue mod 2) times DEN, rows
     perm: tuple[int, ...]       # rho(tau) has sign[l] at (l, perm[l]), tau = T D^2 T
     sign: tuple[int, ...]
 
@@ -220,25 +221,19 @@ def _tau_pairing(coords: list[tuple[int, int]], d: int, perm: tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
-def _binomial_table(d: int) -> np.ndarray:
-    """table[a, b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
+def _binomial_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """table[a][b] = coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a).
 
     Row 0 is (x-y)^d.  For P_a = (x+y)^a (x-y)^(d-a), y (P_a + P_(a+1)) =
     x (P_(a+1) - P_a), so each next row is a running sum of the previous.
-    Every entry is at most 2^d in absolute value and every step entry, a sum
-    of two, at most 2^(d+1): int64 for d <= 61, Python ints above.  The
-    table is read-only, so one cached copy serves every engine.
+    The table is a tuple of tuples, so one cached copy serves every engine.
     """
-    dtype = np.int64 if d <= 61 else object
-    table = np.empty((d + 1, d + 1), dtype=dtype)
-    table[0] = [comb(d, b) * (-1) ** (d - b) for b in range(d + 1)]
+    table = [tuple(comb(d, b) * (-1) ** (d - b) for b in range(d + 1))]
     for a in range(d):
-        step = np.empty(d + 1, dtype=dtype)
-        step[0] = (-1) ** (d - a - 1)
-        step[1:] = -(table[a, :-1] + table[a, 1:])
-        table[a + 1] = np.cumsum(step)
-    table.flags.writeable = False
-    return table
+        prev = table[a]
+        step = [(-1) ** (d - a - 1)] + [-(x + y) for x, y in zip(prev, prev[1:])]
+        table.append(tuple(accumulate(step)))
+    return tuple(table)
 
 
 class CovariantEngine:
@@ -248,24 +243,24 @@ class CovariantEngine:
         self.table = table
         self.reps = {r.rid: r for r in reps}
         self.gamma, self.theta, self.delta, self.phi = fundamental_invariants()
-        self._mats: dict[int, np.ndarray] = {}
+        self._mats: dict[int, object] = {}      # verify's int64 images
         self._molien: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
         self._dets: dict[int, BiPoly] = {}
         self._symmetries: dict[int, _Symmetry] = {}
         t, d = table.gens["T"], table.gens["D"]
-        swap = np.array([[0, 1], [1, 0]])[:, :, None] * zeta_power(0, group.DEN)
-        if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):
+        one, zero = zeta_power(0, group.DEN), (0, 0, 0, 0)
+        if multiply(multiply(t, d), multiply(d, t)) != ((zero, one), (one, zero)):
             raise CrossCheckError("T D^2 T is not the swap (x, y) -> (y, x)")
-        self._central_index = table.lookup(scalar_image(2, zeta_power(1, group.DEN)))
         # slices_solved by a T system, and the rows and cells (rows x
         # columns) of those systems
         self.counters: Counter[str] = Counter()
 
     # -- cached building blocks ---------------------------------------------------
 
-    def matrices(self, rid: int) -> np.ndarray:
+    def matrices(self, rid: int):
+        """The int64 images of all elements under rho_rid (verify only; numpy)."""
         self.build_images([rid])
         return self._mats[rid]
 
@@ -278,8 +273,8 @@ class CovariantEngine:
 
     def molien(self, rid: int) -> MolienResult:
         if rid not in self._molien:
-            self._molien[rid] = molien_series(self.reps[rid], self.table,
-                                              self.matrices(rid))
+            rep = self.reps[rid]
+            self._molien[rid] = molien_series(rep, self.table, class_traces(rep, self.table))
         return self._molien[rid]
 
     # -- the slice solver -----------------------------------------------------------
@@ -294,39 +289,36 @@ class CovariantEngine:
         """
         if rid not in self._symmetries:
             rep = self.reps[rid]
-            ids = np.arange(rep.dim)
-            diag = rep.img_d[ids, ids]
-            if not np.array_equal(rep.img_d, np.eye(rep.dim, dtype=np.int64)[:, :, None] * diag):
+            ids = range(rep.dim)
+            diag = [rep.img_d[j][j] for j in ids]
+            if any(rep.img_d[j][l] != (0, 0, 0, 0) for j in ids for l in ids if j != l):
                 raise CrossCheckError(f"rho_{rid}: D image is not diagonal")
-            i_powers = np.stack([zeta_power(2 * e, DEN) for e in range(4)])
-            hits = (diag[:, None] == i_powers).all(axis=2)
-            if not hits.any(axis=1).all():
+            i_powers = [zeta_power(2 * e, DEN) for e in range(4)]
+            if not all(x in i_powers for x in diag):
                 raise CrossCheckError(f"rho_{rid}: a D eigenvalue is not a power of i")
-            expo = tuple(hits.argmax(axis=1).tolist())
-            central = self.matrices(rid)[self._central_index]
-            if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):
-                raise CrossCheckError(f"rho_{rid}: central element is not scalar")
-            residue = next((k for k in range(8)
-                            if np.array_equal(zeta_power(k, DEN), central[0, 0])), None)
-            if residue is None:
-                raise CrossCheckError(f"rho_{rid}: central scalar is not a power of zeta_8")
+            expo = tuple(i_powers.index(x) for x in diag)
+            try:
+                residue = central_residue(rep, self.table)
+            except CensusError as exc:
+                raise CrossCheckError(str(exc)) from None
             odd = residue % 2
-            t = zeta_shift(rep.img_t, 1) - zeta_shift(rep.img_t, 3) if odd else rep.img_t
-            if t[..., 1:].any():
+            t = [[tuple(p - q for p, q in zip(zeta_shift(x, 1), zeta_shift(x, 3)))
+                  for x in row] for row in rep.img_t] if odd else rep.img_t
+            if any(x[1:] != (0, 0, 0) for row in t for x in row):
                 raise CrossCheckError(f"rho_{rid}: rho(T) sqrt(2)^{odd} is not rational")
-            t = t[..., 0].copy()
-            t.flags.writeable = False
+            t = tuple(tuple(x[0] for x in row) for row in t)
             # rho(tau) = rho(T) diag((-1)^e_j) rho(T) is tau / (DEN^2 2^odd)
-            tau = t * (-1) ** np.array(expo) @ t
-            perm = (tau != 0).argmax(axis=1)
-            sign = tau[ids, perm] // (DEN ** 2 << odd)
-            signed = (sign * (DEN ** 2 << odd))[:, None] * np.eye(rep.dim, dtype=np.int64)[perm]
-            if not (np.isin(sign, (-1, 1)).all() and np.array_equal(tau, signed)
-                    and np.array_equal(perm[perm], ids) and np.array_equal(sign[perm], sign)):
+            tau = [[sum(t[j][k] * (-1) ** expo[k] * t[k][l] for k in ids) for l in ids]
+                   for j in ids]
+            unit = DEN ** 2 << odd
+            perm = tuple(next((l for l in ids if tau[j][l]), 0) for j in ids)
+            sign = tuple(tau[j][perm[j]] // unit for j in ids)
+            signed = [[sign[j] * unit if l == perm[j] else 0 for l in ids] for j in ids]
+            if not (all(x in (-1, 1) for x in sign) and tau == signed
+                    and all(perm[perm[j]] == j and sign[perm[j]] == sign[j] for j in ids)):
                 raise CrossCheckError(f"rho_{rid}: rho(T) rho(D)^2 rho(T) is not a "
                                       f"signed permutation of order 2")
-            self._symmetries[rid] = _Symmetry(residue, expo, t, tuple(perm.tolist()),
-                                              tuple(sign.tolist()))
+            self._symmetries[rid] = _Symmetry(residue, expo, t, perm, sign)
         return self._symmetries[rid]
 
     def _d_coords(self, rep: Representation, d: int) -> list[tuple[int, int]]:
@@ -347,30 +339,30 @@ class CovariantEngine:
         return self._d_coords(rep, d)
 
     def _t_rows(self, rep: Representation, d: int,
-                coords: list[tuple[int, int]]) -> np.ndarray:
-        """The T constraint on the coefficients at coords, times DEN, over Z.
+                coords: list[tuple[int, int]]) -> list[list[int]]:
+        """The T constraint on the coefficients at coords, times DEN, over Z, by columns.
 
         Requires d = residue (mod 8), as at every solved degree.  Row (j, b)
         is DEN * u[a, b] at each column (j, a), u the _binomial_table(d),
         minus 2^(d // 2) _Symmetry.t at the columns (l, b): the substitution
-        side scaled by sqrt(2)^d (see the module docstring).  Returns
-        (m, d + 1, len(coords)) integers, row (j, b) at [j, d - b]: int64 when
-        twice the entry bound (|u[a, b]| <= 2^d) fits, so that _tau_system's
-        sums of two columns do too, else Python ints.
+        side scaled by sqrt(2)^d (see the module docstring).  Returns one
+        column per coordinate, each a list of m (d + 1) Python ints with row
+        (j, b) at j (d + 1) + d - b.
         """
-        t = self._symmetry(rep.rid).t
-        bound = DEN * 2 ** d + int(np.abs(t).max()) * 2 ** (d // 2)
-        dtype = np.int64 if 2 * bound < 2 ** 63 else object
-        scaled = t.astype(dtype) * 2 ** (d // 2)
-        comp, expo = np.array(coords, dtype=int).reshape(-1, 2).T
-        cols = np.arange(len(coords))
-        rows = np.zeros((rep.dim, d + 1, len(coords)), dtype=dtype)
-        rows[comp, :, cols] = DEN * _binomial_table(d)[expo, ::-1].astype(dtype)
-        rows[:, d - expo, cols] -= scaled[:, comp]
-        return rows
+        t, n = self._symmetry(rep.rid).t, d + 1
+        scale = 2 ** (d // 2)
+        u = _binomial_table(d)
+        cols = []
+        for l, a in coords:
+            col = [0] * (rep.dim * n)
+            col[l * n:(l + 1) * n] = [DEN * v for v in reversed(u[a])]
+            for j, row in enumerate(t):
+                col[j * n + d - a] -= scale * row[l]
+            cols.append(col)
+        return cols
 
     def _tau_system(self, rep: Representation, d: int, coords: list[tuple[int, int]]
-                    ) -> tuple[list[int], list[tuple[int, int, int]], np.ndarray]:
+                    ) -> tuple[list[int], list[tuple[int, int, int]], list[tuple[int, ...]]]:
         """The T constraint on the swap-paired unknowns: (reps, mates, rows).
 
         Unknown g is the coefficient at coords[reps[g]]; (g, k, s) in mates
@@ -379,24 +371,24 @@ class CovariantEngine:
         descending, zero rows dropped; each other row (j, b) must equal
         rho(D^2)_jj times row (j, d - b), or CrossCheckError names the
         representation and the degree.  rows is B as an integer matrix,
-        shape (len(B), len(reps)).
+        len(B) tuples of len(reps) Python ints.
         """
         sym = self._symmetry(rep.rid)
         reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
-        rows = self._t_rows(rep, d, coords)
-        if mates:
-            g, k, s = np.array(mates).T
-            mate = rows[:, :, k]
-            mate *= s       # in place: the peak stays at twice the full system
-            rows[:, :, np.array(reps)[g]] += mate
-        rows = rows[:, :, reps]
-        h = d // 2 + 1
-        d2 = (-1) ** np.array(sym.expo)[:, None, None]
-        if not np.array_equal(rows[:, h:], rows[:, ::-1][:, h:] * d2):
-            raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
-                                  f"rho(D^2) times its swapped row")
-        rows = rows[:, :h].reshape(rep.dim * h, len(reps))
-        return reps, mates, rows[rows.any(axis=1)]
+        cols = self._t_rows(rep, d, coords)
+        for g, k, s in mates:
+            cols[reps[g]] = list(map(add if s > 0 else sub, cols[reps[g]], cols[k]))
+        cols = [cols[i] for i in reps]
+        n, h = d + 1, d // 2 + 1
+        for col in cols:
+            for j, e in enumerate(sym.expo):
+                block, swapped = col[j * n:(j + 1) * n], col[j * n:j * n + n - h][::-1]
+                if block[h:] != (list(map(neg, swapped)) if e % 2 else swapped):
+                    raise CrossCheckError(f"rho_{rep.rid} degree {d}: a dropped T row is not "
+                                          f"rho(D^2) times its swapped row")
+        rows = [row for j in range(rep.dim)
+                for row in zip(*(col[j * n:j * n + h] for col in cols)) if any(row)]
+        return reps, mates, rows
 
     def covariance_failure(self, rid: int, vec: VecPoly) -> str | None:
         """The first generator, "D" then "T", at which vec is not rho_rid-covariant.
@@ -411,16 +403,19 @@ class CovariantEngine:
         rep = self.reps[rid]
         coords = self._d_coords(rep, vec.degree)
         index = {c: i for i, c in enumerate(coords)}
-        coeffs = np.zeros(len(coords), dtype=object)
+        coeffs = [0] * len(coords)
         for j, p in enumerate(vec.components):
             for (a, _), c in p.terms.items():
                 if (j, a) not in index:
                     return "D"
                 coeffs[index[j, a]] = c
         if (vec.degree - self._symmetry(rid).residue) % 8:
-            return "T" if coeffs.any() else None
-        image = np.tensordot(self._t_rows(rep, vec.degree, coords), coeffs, axes=(2, 0))
-        return "T" if image.any() else None
+            return "T" if any(coeffs) else None
+        image = [0] * (rep.dim * (vec.degree + 1))
+        for c, col in zip(coeffs, self._t_rows(rep, vec.degree, coords)):
+            if c:
+                image = [x + c * y for x, y in zip(image, col)]
+        return "T" if any(image) else None
 
     def slice(self, rid: int, d: int) -> CovariantSlice:
         """The space of homogeneous degree-d covariants of rho_rid.
@@ -437,29 +432,32 @@ class CovariantEngine:
         rep = self.reps[rid]
         coords = self._kept_coords(rep, d)
         if coords is None:
-            coords, nums, dens = [], np.zeros((0, 0), dtype=object), []
+            coords, nums, dens = [], (), []
         else:
             if d <= T_SYSTEM_DEGREE:
                 reps, mates, rows = self._tau_system(rep, d, coords)
-                u, dens = rref_nullspace(*rref(rows.tolist()), len(reps))
-                self.counters.update(slices_solved=1, rows=len(rows), cells=rows.size)
+                u, dens = rref_nullspace(*rref(rows), len(reps))
+                self.counters.update(slices_solved=1, rows=len(rows),
+                                     cells=len(rows) * len(reps))
             elif not self._invariants_covariant:
                 raise CrossCheckError(f"rho_{rid} degree {d}: theta or phi is not "
                                       f"rho_1-invariant")
             else:
                 sym = self._symmetry(rid)
                 reps, mates = _tau_pairing(coords, d, sym.perm, sym.sign)
-                reduced, pivots = rref([list(row[reps[::-1]]) for row in
+                reduced, pivots = rref([[row[i] for i in reversed(reps)] for row in
                                         self.products(rid, d, self.generators(rid).rows)])
-                u = np.array(reduced, dtype=object).reshape(len(pivots), len(reps))[::-1, ::-1]
+                u = [row[::-1] for row in reversed(reduced)]
                 dens = [row[p] for row, p in zip(reduced[::-1], pivots[::-1])]
-            nums = np.zeros((len(dens), len(coords)), dtype=object)    # E u
-            nums[:, reps] = u
-            if mates:
-                g, k, s = map(list, zip(*mates))
-                nums[:, k] = u[:, g] * np.array(s, dtype=object)
-        nums.flags.writeable = False
-        result = CovariantSlice(rid, rep.dim, d, tuple(coords), nums, tuple(dens))
+            nums = []                                   # E u
+            for row in u:
+                full = [0] * len(coords)
+                for g, i in enumerate(reps):
+                    full[i] = row[g]
+                for g, k, s in mates:
+                    full[k] = s * row[g]
+                nums.append(tuple(full))
+        result = CovariantSlice(rid, rep.dim, d, tuple(coords), tuple(nums), tuple(dens))
         expected = self.molien(rid).coefficient(d)
         if expected != result.dim:
             raise CrossCheckError(
@@ -470,7 +468,7 @@ class CovariantEngine:
 
     # -- generators -------------------------------------------------------------------
 
-    def products(self, rid: int, d: int, gens) -> list[np.ndarray]:
+    def products(self, rid: int, d: int, gens) -> list[list[int]]:
         """Integer rows of theta^a psi^b g at slice d's coordinates, in a fixed order.
 
         gens holds (degree, coords, row) as GeneratorSet.rows does; each g of
@@ -479,19 +477,21 @@ class CovariantEngine:
         times g's row at slice d's coordinates with x-exponents shifted by s.
         """
         index = {c: i for i, c in enumerate(self._kept_coords(self.reps[rid], d) or ())}
-        gens = [(e, coords, np.array(row, dtype=object)) for e, coords, row in gens if e < d]
+        gens = [g for g in gens if g[0] < d]
         thetas = list(accumulate([BiPoly.constant(1)] + [self.theta] * (d // 8), BiPoly.__mul__))
         psis = list(accumulate([BiPoly.constant(1)] + [self.psi] * (d // 24), BiPoly.__mul__))
         out = []
         for b, (e, coords, vec) in product(range(d // 24, -1, -1), gens):
             if (a := (d - e) // 8 - 3 * b) < 0:
                 continue
-            row = np.zeros(len(index), dtype=object)
+            row = [0] * len(index)
             for (s, _), c in (thetas[a] * psis[b]).terms.items():
                 cols = [index.get((j, x + s)) for j, x in coords]
                 if None in cols:
                     raise ValueError(f"rho_{rid} degree {d}: a product term is off the slice")
-                row[cols] += c * vec
+                for col, v in zip(cols, vec):
+                    if v:
+                        row[col] += c * v
             out.append(row)
         return out
 

@@ -1,11 +1,12 @@
 """Enumeration of the reflection group G9 from its two generators.
 
-A group element is an (n, n, 4) int64 array of Z[zeta_8] coordinates
-over DEN = 2, as G9 lies in (1/2) Z[zeta_8]; the generators, the closure
-input and lookup all use that format.  The group is built by
-breadth-first closure under right multiplication by the generators, so
-every element carries a shortest generator word and the element order
-(BFS layer, then discovery order) is deterministic.  On top of the
+A group element is an n x n matrix of Z[zeta_8] coordinates over DEN = 2,
+as G9 lies in (1/2) Z[zeta_8]: a tuple of rows, each entry the tuple of
+four Python ints of linalg.  The generators, the closure input and lookup
+all use that format, and the matrix itself is the lookup key.  The group
+is built by breadth-first closure under right multiplication by the
+generators, so every element carries a shortest generator word and the
+element order (BFS layer, then discovery order) is deterministic.  On top of the
 closure we compute the Cayley table (read off the BFS tree, so only the
 generators are multiplied as matrices), inverses, element orders and the
 conjugacy classes, and align the classes with the reference column
@@ -14,20 +15,23 @@ order: the 32 classes are represented by the elements
     z^k I (k=0..7),  z^k D^2 (k=0..3),  z^k D (k=0..7),
     z^k T (k=0..3),  z^k TD (k=0..7),
 
-with z = zeta_8, built from the generator coordinates.
+with z = zeta_8, built from the generator coordinates (CLASS_BASES).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import right_factor, zeta_power, zeta_shift
+from .linalg import mat_mul, mat_quotient, scalar_image, zeta_power, zeta_shift
 
 CLOSURE_LIMIT = 10_000
 DEN = 2
-COORD_BOUND = 2 ** 24       # n x n products sum 4n terms below 2^48: int64 for n < 2^13
+# no coordinate of G9 exceeds DEN; the bound stops a generator of infinite
+# order with growing entries at its first large power, not at CLOSURE_LIMIT
+COORD_BOUND = 2 ** 24
+
+# the reference classes, in column order: z^k base for k < count
+CLASS_BASES = (("I", 8), ("D^2", 4), ("D", 8), ("T", 4), ("TD", 8))
 
 
 class NotFinitelyClosedError(RuntimeError):
@@ -38,32 +42,26 @@ class ReferenceMismatchError(RuntimeError):
     """The enumerated group does not match the reference class structure."""
 
 
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
-
-
-def standard_generators() -> tuple[np.ndarray, np.ndarray]:
+def standard_generators() -> tuple[tuple, tuple]:
     """The defining generators T = (1/sqrt2)[[1,1],[1,-1]] and D = diag(1, i).
 
-    Read-only (2, 2, 4) int64 coordinates over DEN: 1/sqrt2 = (z - z^3)/2.
+    (2, 2, 4) coordinates over DEN: 1/sqrt2 = (z - z^3)/2.
     """
-    h = np.array([0, 1, 0, -1])
-    t = np.array([[h, h], [h, -h]], dtype=np.int64)
-    d = np.zeros((2, 2, 4), dtype=np.int64)
-    d[0, 0], d[1, 1] = zeta_power(0, DEN), zeta_power(2, DEN)
-    return _read_only(t), _read_only(d)
+    h, minus_h, zero = (0, 1, 0, -1), (0, -1, 0, 1), (0, 0, 0, 0)
+    t = ((h, h), (h, minus_h))
+    d = ((zeta_power(0, DEN), zero), (zero, zeta_power(2, DEN)))
+    return t, d
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product a b of n x n coordinate arrays over DEN.
+def multiply(a: tuple, b: tuple) -> tuple:
+    """The product a b of n x n coordinate matrices over DEN.
 
     ValueError if it leaves (1/DEN) Z[zeta_8].
     """
-    prod, rem = np.divmod(a.reshape(len(a), -1) @ right_factor(b), DEN)
-    if rem.any():
+    prod = mat_quotient(mat_mul(a, b), DEN)
+    if prod is None:
         raise ValueError(f"a product leaves (1/{DEN}) Z[zeta_8]")
-    return prod.reshape(a.shape)
+    return prod
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +70,16 @@ class GroupElement:
     word: str        # left-to-right product of generators, "" for the identity
     parent: int      # index of the element this was discovered from (-1 for identity)
     last: str        # generator appended to the parent's word ("" for identity)
-    coords: np.ndarray   # read-only (n, n, 4) int64 coordinates over DEN
+    coords: tuple        # n x n coordinates over DEN, a tuple of rows
 
 
 class GroupTable:
     """The closed group with Cayley table, inverses, orders and classes."""
 
     def __init__(self, elements: list[GroupElement], index: dict,
-                 gens: dict[str, np.ndarray], right: dict[str, list[int]]):
+                 gens: dict[str, tuple], right: dict[str, list[int]]):
         self.elements = elements
-        self.index = index      # flattened coordinates over DEN -> index
+        self.index = index      # coordinates over DEN -> index
         self.gens = gens        # generator coordinates over DEN
         self.right = right      # right[name][i] = index of element i * gens[name]
         self.identity: int | None = None
@@ -97,9 +95,9 @@ class GroupTable:
     def __len__(self):
         return len(self.elements)
 
-    def lookup(self, coords: np.ndarray) -> int:
+    def lookup(self, coords: tuple) -> int:
         """Index of the element with these coordinates over DEN; KeyError if absent."""
-        return self.index[tuple(np.ravel(coords).tolist())]
+        return self.index[coords]
 
     # -- derived structure -------------------------------------------------------
 
@@ -110,13 +108,10 @@ class GroupTable:
         associativity i * j = (i * parent(j)) * last(j): the right action of
         each generator, which the closure recorded, is the only matrix product.
         """
-        n = len(self.elements)
-        right = {name: np.array(perm) for name, perm in self.right.items()}
-        cols = np.empty((n, n), dtype=np.int64)     # cols[j, i] = i * j
-        cols[0] = np.arange(n)                      # element 0 is the identity
+        cols = [list(range(len(self.elements)))]    # cols[j][i] = i * j; 0 is the identity
         for e in self.elements[1:]:
-            cols[e.index] = right[e.last][cols[e.parent]]
-        self.product = cols.T.tolist()
+            cols.append(list(map(self.right[e.last].__getitem__, cols[e.parent])))
+        self.product = [list(row) for row in zip(*cols)]
         self.inverse = [row.index(0) for row in self.product]
         self.identity = 0
 
@@ -152,48 +147,42 @@ class GroupTable:
         self.class_of = class_of
 
 
-def closure(gens: list[tuple[str, np.ndarray]], limit: int = CLOSURE_LIMIT) -> GroupTable:
+def _within_bound(coords: tuple) -> bool:
+    flat = [c for row in coords for x in row for c in x]
+    return all(type(c) is int for c in flat) and max(map(abs, flat)) <= COORD_BOUND
+
+
+def closure(gens: list[tuple[str, tuple]], limit: int = CLOSURE_LIMIT) -> GroupTable:
     """Breadth-first closure of invertible matrices given as coordinates over DEN.
 
     Each element records a minimal-length word over the generator names.
-    Each BFS layer is multiplied by one generator at a time in int64
-    coordinates over DEN; ValueError names a generator that is not integer
-    coordinates within COORD_BOUND, or a word that leaves (1/DEN) Z[zeta_8]
-    or COORD_BOUND.  Raises NotFinitelyClosedError past ``limit`` elements.
+    Each element of a BFS layer is multiplied by one generator at a time;
+    ValueError names a generator that is not integer coordinates within
+    COORD_BOUND, or a word that leaves (1/DEN) Z[zeta_8] or COORD_BOUND.
+    Raises NotFinitelyClosedError past ``limit`` elements.
     """
-    n = len(gens[0][1])
-    factors = {}
     for name, g in gens:
-        g = np.asarray(g)
-        if g.dtype.kind not in "iu" or np.abs(g).max() > COORD_BOUND:
+        if not _within_bound(g):
             raise ValueError(f"generator {name} is not integer coordinates within COORD_BOUND")
-        factors[name] = right_factor(g.astype(np.int64))
-    ident = _read_only(np.eye(n, dtype=np.int64)[:, :, None] * zeta_power(0, DEN))
+    ident = scalar_image(len(gens[0][1]), zeta_power(0, DEN))
     elements = [GroupElement(0, "", -1, "", ident)]
-    index = {tuple(ident.ravel().tolist()): 0}
+    index = {ident: 0}
     right: dict[str, list[int]] = {name: [] for name, _ in gens}
     frontier = [0]
     while frontier:
         length = len(elements[frontier[0]].word) + 1
-        layer = np.stack([elements[i].coords for i in frontier]).reshape(-1, 4 * n)
-        prods, keys = {}, {}
-        for name, factor in factors.items():
-            prod, rem = np.divmod(layer @ factor, DEN)
-            if rem.any() or np.abs(prod).max() > COORD_BOUND:
-                raise ValueError(f"a word of length {length} ending in {name} leaves "
-                                 f"(1/{DEN}) Z[zeta_8] or COORD_BOUND")
-            prods[name] = _read_only(prod.reshape(-1, n, n, 4))
-            keys[name] = list(map(tuple, prod.reshape(len(frontier), -1).tolist()))
         next_frontier = []
-        for row, ei in enumerate(frontier):
-            for name in factors:
-                k = keys[name][row]
+        for ei in frontier:
+            for name, g in gens:
+                k = mat_quotient(mat_mul(elements[ei].coords, g), DEN)
                 if k not in index:
+                    if k is None or not _within_bound(k):
+                        raise ValueError(f"a word of length {length} ending in {name} leaves "
+                                         f"(1/{DEN}) Z[zeta_8] or COORD_BOUND")
                     idx = len(elements)
                     if idx >= limit:
                         raise NotFinitelyClosedError(f"closure exceeded {limit} elements")
-                    elements.append(GroupElement(idx, elements[ei].word + name, ei, name,
-                                                 prods[name][row]))
+                    elements.append(GroupElement(idx, elements[ei].word + name, ei, name, k))
                     index[k] = idx
                     next_frontier.append(idx)
                 right[name].append(index[k])
@@ -212,20 +201,21 @@ def build_group() -> GroupTable:
     return table
 
 
-def reference_class_matrices() -> list[tuple[str, np.ndarray]]:
+def reference_class_matrices() -> list[tuple[str, tuple]]:
     """The 32 literal class representatives in reference column order.
 
     Coordinates over DEN, built from the generators by integer products and
     z^k shifts; no group table is read.
     """
     t, d = standard_generators()
-    bases = {"I": np.eye(2, dtype=np.int64)[:, :, None] * zeta_power(0, DEN),
+    bases = {"I": scalar_image(2, zeta_power(0, DEN)),
              "D^2": multiply(d, d), "D": d, "T": t, "TD": multiply(t, d)}
-    reps: list[tuple[str, np.ndarray]] = []
-    for base, count in (("I", 8), ("D^2", 4), ("D", 8), ("T", 4), ("TD", 8)):
+    reps: list[tuple[str, tuple]] = []
+    for base, count in CLASS_BASES:
         for k in range(count):
             label = base if k == 0 else f"z*{base}" if k == 1 else f"z^{k}*{base}"
-            reps.append((label, zeta_shift(bases[base], k)))
+            reps.append((label, tuple(tuple(zeta_shift(x, k) for x in row)
+                                      for row in bases[base])))
     return reps
 
 
@@ -268,3 +258,9 @@ def class_sizes(table: GroupTable) -> list[int]:
 def class_orders(table: GroupTable) -> list[int]:
     """Element orders of the reference representatives, in column order."""
     return [table.orders[i] for i in table.class_reps]
+
+
+def class_inverses(table: GroupTable) -> list[int]:
+    """The column of the class of each reference representative's inverse."""
+    column = {b: pos for pos, b in enumerate(table.class_block_order)}
+    return [column[table.class_of[table.inverse[i]]] for i in table.class_reps]

@@ -19,8 +19,8 @@ table is exposed in both orders:
 * printed_character_table() is the verbatim printed order, which verify
   reports on its chartable line as a named, documented deviation.
 
-Both are read-only int64 (32, 32, 4) arrays of the entries' integer
-Z[zeta_8] coordinates (see cyclo), over denominator 1.
+Both are (32, 32, 4) nested tuples of the entries' integer Z[zeta_8]
+coordinates (see cyclo), over denominator 1.
 
 The degree tables below are consistent with the package numbering and
 each other.  The erratum is decided by the reference data alone: zI is
@@ -33,8 +33,6 @@ keep it.
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 from .cyclo import parse_zeta
 
@@ -123,29 +121,24 @@ CHARACTER_ROW_SOURCE.update({29: 30, 30: 31, 31: 29})
 
 
 @lru_cache(maxsize=1)
-def printed_character_table() -> np.ndarray:
+def printed_character_table() -> tuple:
     """The reference character table in the printed row order (rows 29..31
-    hold chi_30, chi_31, chi_29): read-only int64 (32, 32, 4) integer
-    coordinates over denominator 1, parsed once."""
-    rows = [[parse_zeta(tok) for tok in line.split()] for line in _CHARACTER_ROWS]
+    hold chi_30, chi_31, chi_29): (32, 32, 4) integer coordinates over
+    denominator 1 as nested tuples, parsed once."""
+    rows = tuple(tuple(parse_zeta(tok) for tok in line.split()) for line in _CHARACTER_ROWS)
     for row in rows:
         if len(row) != 32:
             raise ValueError(f"reference row has {len(row)} entries")
-    out = np.array(rows, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    return rows
 
 
 @lru_cache(maxsize=1)
-def character_table() -> np.ndarray:
+def character_table() -> tuple:
     """The reference character table in the package numbering: row i - 1
     holds chi_i, i.e. the printed row r with CHARACTER_ROW_SOURCE[r] == i.
-    Read-only int64 (32, 32, 4) coordinates over denominator 1."""
-    out = np.empty_like(printed_character_table())
-    for row, src in CHARACTER_ROW_SOURCE.items():
-        out[src - 1] = printed_character_table()[row - 1]
-    out.flags.writeable = False
-    return out
+    (32, 32, 4) nested tuples of coordinates over denominator 1."""
+    source = {src: row for row, src in CHARACTER_ROW_SOURCE.items()}
+    return tuple(printed_character_table()[source[i] - 1] for i in range(1, 33))
 
 
 # Octahedral-form exponents (a, b) of the rank-1 generators gamma^a delta^b

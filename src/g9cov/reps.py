@@ -24,40 +24,54 @@ internal inconsistency of the reference character table against this
 numbering (rows 29..31).
 
 Every image entry lies in (1/4) Z[zeta_8], and the construction runs on
-the format every later layer reads: (m, m, 4) int64 numerators over
-DEN = 4, read-only.  rho_9 is the group's own generator coordinates, the
-linear characters are coordinate scalars, and a tensor product (a twist
-is one with a linear character) is one einsum through CYC_STRUCT.  Each
-extraction basis is made of 0/1 columns with disjoint supports, so the
-restricted matrix M is read off the support rows of rho(s) V.  Exactness
-is checked where it could fail: every product is divided by DEN under a
-divisibility and |coordinate| <= COORD_BOUND check (ImageError names the
-representation), V M = rho(s) V is checked exactly for each extraction
-(ExtractionError), and T^2 = I and D^4 = I for every representation.
+the format every later layer reads: m x m matrices of Z[zeta_8]
+coordinates over DEN = 4, tuples of Python ints (see linalg).  rho_9 is
+the group's own generator coordinates, the linear characters are
+coordinate scalars, and a tensor product (a twist is one with a linear
+character) is the Kronecker product of the entries.  Each extraction
+basis is made of 0/1 columns with disjoint supports, so the restricted
+matrix M is read off the support rows of rho(s) V.  Exactness is checked
+where it could fail: every product is divided by DEN under a divisibility
+check (ImageError names the representation), V M = rho(s) V is checked
+exactly for each extraction (ExtractionError), and T^2 = I and D^4 = I
+for every representation.
 
-rep_matrices builds the images of all elements BFS layer by layer as one
+image(rep, word) is the product of the generator images along a word, and
+the characters need no other image.  zI is central, so rho(zI) is a
+scalar zeta_8^r I (central_residue checks that exactly, on the image of
+the word of zI in the table), and the reference representative z^k h of a
+class is the group element (zI)^k h, so
+
+    tr rho(z^k h) = zeta_8^(r k) tr rho(h)
+
+for the five bases h in {I, D^2, D, T, TD} of group.CLASS_BASES:
+class_traces reads the 32 class traces off five images, whose words are
+read from the table.  They are the characters as coordinates over DEN:
+verify compares them with DEN times the reference rows, chartable renders
+them with cyclo.render_zeta, and Molien sums them.
+
+Only verify reads the images of all 192 elements, and only verify imports
+numpy, inside rep_matrices, verify_homomorphism, character_gram and
+verify_census.  rep_matrices builds the images BFS layer by layer as one
 int64 array per representation, (|G|, m, m, 4) coordinates over DEN, one
-BFS for all the given reps of one dimension (an all-rep read runs one per
-dimension).  The homomorphism check, the class traces, the census Gram
-matrix, the central scalar and the Molien sums read these arrays.  Each
-integer path ends in an exact check: divisibility and |coordinate| <=
+BFS for all the given reps of one dimension, for the homomorphism check
+on the Cayley edges; the census Gram matrix is one int64 product.  Each
+int64 path ends in an exact check: divisibility and |coordinate| <=
 COORD_BOUND per layer (so an image product, m <= 4 times 16 coordinate
-products, stays below 2^63), the Gram equality, and Molien integrality.
-The class traces (character_table) are the characters in the same format,
-coordinates over DEN: verify compares them with DEN times the reference
-rows, and chartable renders them with cyclo.render_zeta.
+products, stays below 2^63), |trace coordinate| <= TRACE_BOUND for the
+Gram, and the Gram equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from . import group
 from .cyclo import render_zeta
 from .group import GroupTable, class_sizes
-from .linalg import CYC_STRUCT, right_factor, zeta_power
+from .linalg import (cyc_mul, mat_mul, mat_quotient, right_factor, scalar_image, zeta_power,
+                     zeta_shift)
 
 # (rho_k(T), rho_k(D)) for k = 1..8 as powers of zeta_8:
 # (1, 1), (1, -1), (1, i), (1, -i), (-1, 1), (-1, -1), (-1, i), (-1, -i)
@@ -67,8 +81,8 @@ LINEAR_IMAGES = [(t, d) for t in (0, 4) for d in (0, 4, 2, 6)]
 FAITHFUL_TWISTS = [1, 3, 2, 4, 5, 7, 6, 8]
 
 DEN = 4
-COORD_BOUND = 2 ** 28
-TRACE_BOUND = 2 ** 26
+COORD_BOUND = 2 ** 28       # int64 images in rep_matrices
+TRACE_BOUND = 2 ** 26       # int64 traces in character_gram
 
 
 class ExtractionError(RuntimeError):
@@ -80,42 +94,70 @@ class ImageError(RuntimeError):
 
 
 class CensusError(RuntimeError):
-    """Dimension census or orthogonality of the characters failed."""
+    """The central element is not a scalar power of zeta_8, or the dimension
+    census or the orthogonality of the characters failed."""
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
     rid: int
     dim: int
-    img_t: np.ndarray   # (dim, dim, 4) int64 numerators over DEN, read-only
-    img_d: np.ndarray
-
-    def image(self, name: str) -> np.ndarray:
-        return {"T": self.img_t, "D": self.img_d}[name]
+    img_t: tuple    # dim x dim coordinates over DEN, a tuple of rows
+    img_d: tuple
 
 
-def _check_relations(rid: int, t: np.ndarray, d: np.ndarray) -> None:
-    ident = scalar_image(len(t), [DEN, 0, 0, 0])
-    if not np.array_equal(_times([rid], t, right_factor(t), "T^2"), ident):
+def _add(xs) -> tuple[int, int, int, int]:
+    """The sum of the numbers with coordinates xs (at least one)."""
+    return tuple(map(sum, zip(*xs)))
+
+
+def _over_den(rid: int, full: tuple, what: str) -> tuple:
+    """full / DEN for a product full of matrices of rho_rid.
+
+    ImageError, naming the representation, if it leaves (1/DEN) Z[zeta_8].
+    """
+    quotient = mat_quotient(full, DEN)
+    if quotient is None:
+        raise ImageError(f"rho_{rid}: {what} is not in (1/{DEN}) Z[zeta_8]")
+    return quotient
+
+
+def _times(rid: int, a: tuple, b: tuple, what: str) -> tuple:
+    """a b over DEN for matrices of rho_rid (see _over_den)."""
+    return _over_den(rid, mat_mul(a, b), what)
+
+
+def image(rep: Representation, word: str) -> tuple:
+    """rho(s_1 ... s_k) over DEN for the word s_1 ... s_k over T and D.
+
+    The product of the generator images along the word; ImageError names
+    the representation and the length of a prefix whose image leaves
+    (1/DEN) Z[zeta_8].
+    """
+    gens = {"T": rep.img_t, "D": rep.img_d}
+    out = scalar_image(rep.dim, zeta_power(0, DEN))
+    for n, s in enumerate(word, start=1):
+        out = gens[s] if n == 1 else _times(rep.rid, out, gens[s],
+                                            f"an image of word length {n}")
+    return out
+
+
+def _check_relations(rid: int, t: tuple, d: tuple) -> None:
+    ident = scalar_image(len(t), zeta_power(0, DEN))
+    if _times(rid, t, t, "T^2") != ident:
         raise ExtractionError(f"rho_{rid}: T image is not an involution")
-    d2 = _times([rid], d, right_factor(d), "D^2")
-    if not np.array_equal(_times([rid], d2, right_factor(d2), "D^4"), ident):
+    d2 = _times(rid, d, d, "D^2")
+    if _times(rid, d2, d2, "D^4") != ident:
         raise ExtractionError(f"rho_{rid}: D image has order not dividing 4")
 
 
 def _tensor(rid: int, a: Representation, b: Representation) -> Representation:
-    """rho_rid = a (x) b, its images over DEN in lexicographic basis order.
-
-    A factor coordinate is a group coordinate, a unit, a product already
-    divided under COORD_BOUND = 2^28, or two of those summed by an
-    extraction: below 2^30, so a product coordinate, a sum of 4 products of
-    two, stays below 2^62.
-    """
+    """rho_rid = a (x) b, its images over DEN in lexicographic basis order."""
     out = []
     for x, y in ((a.img_t, b.img_t), (a.img_d, b.img_d)):
-        m, n = len(x), len(y)
-        full = np.einsum("ijp,klq,pqr->ikjlr", x, y, CYC_STRUCT).reshape(m * n, m * n, 4)
-        out.append(_over_den([rid], full, "a tensor product"))
+        full = tuple(tuple(cyc_mul(p, q) for p in xrow for q in yrow)
+                     for xrow in x for yrow in y)
+        out.append(_over_den(rid, full, "a tensor product"))
     return Representation(rid, a.dim * b.dim, *out)
 
 
@@ -129,14 +171,16 @@ def extract_subrep(rid: int, parent: Representation,
     off, and V M = rho(s) V is then checked exactly for s in {T, D}:
     ExtractionError if an image leaves the span.
     """
-    v = np.zeros((parent.dim, len(supports)), dtype=np.int64)
-    for i, rows in enumerate(supports):
-        v[rows, i] = 1
+    zero = ((0, 0, 0, 0),) * len(supports)
     images = []
-    for name in ("T", "D"):
-        image = np.einsum("ijr,jk->ikr", parent.image(name), v)
-        m = image[[rows[0] for rows in supports]]
-        if not np.array_equal(np.einsum("ik,kjr->ijr", v, m), image):
+    for name, img in (("T", parent.img_t), ("D", parent.img_d)):
+        moved = tuple(tuple(_add([row[r] for r in rows]) for rows in supports) for row in img)
+        m = tuple(moved[rows[0]] for rows in supports)
+        vm = [zero] * parent.dim
+        for i, rows in enumerate(supports):
+            for r in rows:
+                vm[r] = m[i]
+        if tuple(vm) != moved:
             raise ExtractionError(f"rho_{rid}: the subspace is not invariant "
                                   f"under the {name} image")
         images.append(m)
@@ -152,7 +196,9 @@ def build_all(table: GroupTable) -> list[Representation]:
                                  scalar_image(1, zeta_power(d, DEN)))
 
     # table.right[s][0] is the element s (element 0 is the identity)
-    nat = [table.elements[table.right[s][0]].coords * (DEN // group.DEN) for s in ("T", "D")]
+    scale = DEN // group.DEN
+    nat = [tuple(tuple(tuple(scale * c for c in x) for x in row)
+                 for row in table.elements[table.right[s][0]].coords) for s in ("T", "D")]
     reps[9] = Representation(9, 2, *nat)
     for pos, k in enumerate(FAITHFUL_TWISTS[1:], start=10):
         reps[pos] = _tensor(pos, reps[k], reps[9])
@@ -177,91 +223,120 @@ def build_all(table: GroupTable) -> list[Representation]:
         raise ExtractionError("construction did not produce 32 representations")
     for r in out:
         _check_relations(r.rid, r.img_t, r.img_d)
-        r.img_t.flags.writeable = r.img_d.flags.writeable = False
     return out
 
 
-def scalar_image(m: int, w) -> np.ndarray:
-    """w I_m for the coordinates w of one number."""
-    return np.eye(m, dtype=np.int64)[:, :, None] * np.asarray(w, dtype=np.int64)
+# -- the characters -------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def central_residue(rep: Representation, table: GroupTable) -> int:
+    """The r with rho(zI) = zeta_8^r I, read off the image of zI's word in the table.
+
+    CensusError, naming the representation, unless that image is a scalar
+    matrix whose scalar is a power of zeta_8.  Cached per (rep, table), both
+    compared by identity.
+    """
+    word = table.elements[table.lookup(scalar_image(2, zeta_power(1, group.DEN)))].word
+    central = image(rep, word)
+    if central != scalar_image(rep.dim, central[0][0]):
+        raise CensusError(f"rho_{rep.rid}: central element is not scalar")
+    residue = next((k for k in range(8) if zeta_power(k, DEN) == central[0][0]), None)
+    if residue is None:
+        raise CensusError(f"rho_{rep.rid}: central scalar is not a power of zeta_8")
+    return residue
 
 
-def _check_bound(rid: int, nums: np.ndarray) -> None:
-    if nums.size and np.abs(nums).max() > COORD_BOUND:
+@lru_cache(maxsize=64)
+def class_traces(rep: Representation, table: GroupTable) -> tuple:
+    """The 32 class traces of rep over DEN in reference column order: its character.
+
+    Five images, one per base h of group.CLASS_BASES, and the central
+    residue r: tr rho(z^k h) = zeta_8^(r k) tr rho(h) (module docstring).
+    Cached per (rep, table), both compared by identity.
+    """
+    r = central_residue(rep, table)
+    out, pos = [], 0
+    for _, count in group.CLASS_BASES:
+        h = image(rep, table.elements[table.class_reps[pos]].word)
+        tr = _add([h[j][j] for j in range(rep.dim)])
+        out += [zeta_shift(tr, r * k) for k in range(count)]
+        pos += count
+    return tuple(out)
+
+
+def character_table(reps: list[Representation], table: GroupTable) -> tuple:
+    """The class traces of each representation, (len(reps), 32, 4) coordinates over DEN."""
+    return tuple(class_traces(r, table) for r in reps)
+
+
+# -- verify's whole-group checks, in int64 numpy -------------------------------------------
+
+def _check_bound(rid: int, nums) -> None:
+    if nums.size and abs(nums).max() > COORD_BOUND:
         raise ImageError(f"rho_{rid}: an image coordinate exceeds {COORD_BOUND}")
 
 
-def _over_den(rids: list[int], full: np.ndarray, what: str) -> np.ndarray:
-    """full / DEN for products full of images of reps rids, stacked on axis 0.
+def _batch_times(rids: list[int], a, factor, what: str):
+    """a b over DEN for the int64 images a (n, ..., m, m, 4) of reps rids.
 
-    ImageError names the first rep whose product leaves (1/DEN) Z[zeta_8]
-    or COORD_BOUND.
+    factor is right_factor(b), one per rep stacked (n, 4m, 4m).  ImageError
+    names the first rep whose product leaves (1/DEN) Z[zeta_8] or COORD_BOUND.
     """
+    full = a.reshape(len(rids), -1, factor.shape[-1]) @ factor
     for bad, text in ((full % DEN, f"{what} is not in (1/{DEN}) Z[zeta_8]"),
-                      (np.abs(full) > DEN * COORD_BOUND,
+                      (abs(full) > DEN * COORD_BOUND,
                        f"an image coordinate exceeds {COORD_BOUND} in {what}")):
         if bad.any():
             rid = rids[int(bad.reshape(len(rids), -1).any(axis=1).argmax())]
             raise ImageError(f"rho_{rid}: {text}")
-    return full // DEN
+    return (full // DEN).reshape(a.shape)
 
 
-def _times(rids: list[int], a: np.ndarray, factor: np.ndarray, what: str) -> np.ndarray:
-    """a b over DEN for the images a (n, ..., m, m, 4) of reps rids, factor = right_factor(b)
-    or one per rep stacked (n, 4m, 4m); ImageError names the first rep that fails.
-    """
-    full = a.reshape(len(rids), -1, factor.shape[-1]) @ factor
-    return _over_den(rids, full, what).reshape(a.shape)
-
-
-def rep_matrices(reps: list[Representation], table: GroupTable) -> list[np.ndarray]:
+def rep_matrices(reps: list[Representation], table: GroupTable) -> list:
     """Images of all elements under representations of one dimension m.
 
-    Returns one read-only (|G|, m, m, 4) int64 array over DEN per rep.  One
-    BFS serves them all: per layer and generator s, the elements whose word
-    ends in s get their parents' images times rho(s), for every rep in one
-    batched matmul; ImageError names the representation that failed.
+    Returns one read-only (|G|, m, m, 4) int64 numpy array over DEN per
+    rep.  One BFS serves them all: per layer and generator s, the elements
+    whose word ends in s get their parents' images times rho(s), for every
+    rep in one batched matmul; ImageError names the representation that failed.
     """
+    import numpy as np
+
     m, rids = reps[0].dim, [r.rid for r in reps]
     for r in reps:
-        _check_bound(r.rid, np.stack([r.img_t, r.img_d]))
-    factors = {name: np.stack([right_factor(r.image(name)) for r in reps])
+        _check_bound(r.rid, np.array([r.img_t, r.img_d]))
+    factors = {name: np.array([right_factor(image(r, name)) for r in reps], dtype=np.int64)
                for name in table.gens}
     out = np.zeros((len(reps), len(table), m, m, 4), dtype=np.int64)
-    out[:, table.identity] = scalar_image(m, [DEN, 0, 0, 0])
+    out[:, table.identity] = scalar_image(m, zeta_power(0, DEN))
     steps: dict[tuple[int, str], list[int]] = {}
     for e in table.elements[1:]:          # element 0 is the identity
         steps.setdefault((len(e.word), e.last), []).append(e.index)
     for (length, name), kids in steps.items():
-        out[:, kids] = _times(rids, out[:, [table.elements[k].parent for k in kids]],
-                              factors[name], f"an image of word length {length}")
+        out[:, kids] = _batch_times(rids, out[:, [table.elements[k].parent for k in kids]],
+                                    factors[name], f"an image of word length {length}")
     out.flags.writeable = False
     return list(out)
 
 
-def class_traces(images: np.ndarray, table: GroupTable) -> np.ndarray:
-    """(32, 4) trace numerators over DEN at the reference classes, in column order."""
-    return np.einsum("cjjr->cr", images[table.class_reps])
-
-
-def character_table(images: list[np.ndarray], table: GroupTable) -> np.ndarray:
-    """Class traces of each representation's images, (len(images), 32, 4)."""
-    return np.stack([class_traces(x, table) for x in images])
-
-
-def character_gram(traces: np.ndarray, table: GroupTable) -> np.ndarray:
+def character_gram(traces, table: GroupTable):
     """|G| DEN^2 <chi_i, chi_j> for trace numerators X: X diag|C| conj(X)^T in int64."""
+    import numpy as np
+
+    traces = np.asarray(traces)
     if np.abs(traces).max() > TRACE_BOUND:
         raise CensusError(f"a trace coordinate exceeds {TRACE_BOUND}")
     n = len(traces)
     conj = traces[..., [0, 3, 2, 1]] * np.array([1, -1, -1, -1])
     weighted = conj.transpose(1, 0, 2) * np.array(class_sizes(table))[:, None, None]
-    return (traces.reshape(n, -1) @ right_factor(weighted)).reshape(n, n, 4)
+    factor = np.array(right_factor(weighted.tolist()), dtype=np.int64)
+    return (traces.reshape(n, -1) @ factor).reshape(n, n, 4)
 
 
-def verify_census(reps: list[Representation], table: GroupTable,
-                  traces: np.ndarray) -> dict:
+def verify_census(reps: list[Representation], table: GroupTable, traces) -> dict:
     """Dimension census and full orthonormality: the Gram matrix is |G| DEN^2 I."""
+    import numpy as np
+
     dims = sorted(r.dim for r in reps)
     expected = sorted([1] * 8 + [2] * 12 + [3] * 8 + [4] * 4)
     if dims != expected:
@@ -281,20 +356,23 @@ def verify_census(reps: list[Representation], table: GroupTable,
 
 # -- homomorphism certification on the Cayley edges -------------------------------
 
-def verify_homomorphism(rep: Representation, table: GroupTable, mats: np.ndarray) -> int:
+def verify_homomorphism(rep: Representation, table: GroupTable, mats) -> int:
     """Check rho(g) rho(h) = rho(gh) for every ordered pair of elements.
 
     G9 = <T, D>: if rho(e) = I and rho(g) rho(s) = rho(gs) for all g and s in
     {T, D}, then h = h's gives rho(g) rho(h) = rho(gh') rho(s) = rho(gh).
-    So only the 2 * |G| Cayley edges are checked, one int64 product through
-    CYC_STRUCT per generator on the image numerators, exact within COORD_BOUND.
-    Returns the number of ordered pairs certified.
+    So only the 2 * |G| Cayley edges are checked, one int64 product per
+    generator on the image numerators of rep_matrices, exact within
+    COORD_BOUND.  Returns the number of ordered pairs certified.
     """
-    if not np.array_equal(mats[table.identity], scalar_image(rep.dim, [DEN, 0, 0, 0])):
+    import numpy as np
+
+    if not np.array_equal(mats[table.identity], scalar_image(rep.dim, zeta_power(0, DEN))):
         raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
     _check_bound(rep.rid, mats)
     for s in (table.right[name][0] for name in table.gens):
-        lhs = (mats.reshape(-1, 4 * rep.dim) @ right_factor(mats[s])).reshape(mats.shape)
+        factor = np.array(right_factor(mats[s].tolist()), dtype=np.int64)
+        lhs = (mats.reshape(-1, 4 * rep.dim) @ factor).reshape(mats.shape)
         bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
         if bad.any():
             g = int(np.flatnonzero(bad)[0])

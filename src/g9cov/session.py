@@ -1,22 +1,22 @@
 """One-stop construction of the group, representations and covariant engine.
 
 Building the session (group closure, Cayley table, conjugacy classes, 32
-integer generator image pairs) takes about 5 ms on a 2-core x86-64 Xeon
-box (median of 15 in one process) and builds no element image.  The
-integer images (`engine.matrices(rid)`, see reps), their class traces
-(`traces`, the characters as integer Z[zeta_8] coordinates over reps.DEN)
-and everything downstream are built on first read and cached; tests and CLI
-commands share one session.  `traces` and `molien --rep all` build every
-missing image, one reps.rep_matrices call per dimension; any other read
-builds one representation's images.
+generator image pairs) takes about 10 ms on a 2-core x86-64 Xeon box
+(median of 15 cold processes) and builds no element image.  Everything
+downstream is built on first read and cached; tests and CLI commands
+share one session.  `traces` (the characters as Z[zeta_8] coordinates
+over reps.DEN) reads five images and the central scalar per
+representation (reps.class_traces), and the slice solver reads only the
+generator images and the image of zI.  No query imports numpy: only
+verify's homomorphism and census checks build the images of all 192
+elements (`engine.matrices(rid)`, reps.rep_matrices) in int64 numpy
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .covariants import CovariantEngine
 from .group import GroupTable, build_group
@@ -31,10 +31,9 @@ class Session:
     engine: CovariantEngine
 
     @cached_property
-    def traces(self) -> np.ndarray:
-        """(32, 32, 4) class-trace numerators over reps.DEN, rows by rep id."""
-        self.engine.build_images(list(self.engine.reps))
-        return character_table([self.engine.matrices(r.rid) for r in self.reps], self.table)
+    def traces(self) -> tuple:
+        """(32, 32, 4) class-trace numerators over reps.DEN as tuples, rows by rep id."""
+        return character_table(self.reps, self.table)
 
     def rep(self, rid: int) -> Representation:
         return self.engine.reps[rid]

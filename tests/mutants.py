@@ -52,21 +52,21 @@ MUTANTS = (
            "if c := reduced[i][p]:", "if False:", (LINALG, COVARIANTS)),
     # the swap reduction and the T rows (covariants.CovariantEngine)
     Mutant("swap_is_t_d2_t", "covariants.py",
-           "if not np.array_equal(multiply(multiply(t, d), multiply(d, t)), swap):",
+           "if multiply(multiply(t, d), multiply(d, t)) != ((zero, one), (one, zero)):",
            "if False:", (COVARIANTS,)),
-    Mutant("central_not_scalar", "covariants.py",
-           "if not np.array_equal(central, scalar_image(rep.dim, central[0, 0])):",
+    Mutant("central_not_scalar", "reps.py",
+           "if central != scalar_image(rep.dim, central[0][0]):",
            "if False:", (COVARIANTS,)),
     Mutant("t_rational_per_rep", "covariants.py",
-           "if t[..., 1:].any():", "if False:", (COVARIANTS,)),
+           "if any(x[1:] != (0, 0, 0) for row in t for x in row):", "if False:", (COVARIANTS,)),
     Mutant("tau_signed_entries", "covariants.py",
-           "if not (np.isin(sign, (-1, 1)).all() and np.array_equal(tau, signed)",
+           "if not (all(x in (-1, 1) for x in sign) and tau == signed",
            "if not (True", (COVARIANTS,)),
     Mutant("dropped_row", "covariants.py",
-           "if not np.array_equal(rows[:, h:], rows[:, ::-1][:, h:] * d2):", "if False:",
+           "if block[h:] != (list(map(neg, swapped)) if e % 2 else swapped):", "if False:",
            (COVARIANTS,)),
     Mutant("off_residue_central_character", "covariants.py",
-           'return "T" if coeffs.any() else None', "return None", (COVARIANTS,)),
+           'return "T" if any(coeffs) else None', "return None", (COVARIANTS,)),
     Mutant("slice_equals_molien", "covariants.py",
            "if expected != result.dim:", "if False:", (COVARIANTS,)),
     # the free products, and their span above T_SYSTEM_DEGREE
@@ -100,9 +100,9 @@ MUTANTS = (
            "if (e, k) != reference.DET_EXPONENTS[rid]:", "if False:", ("tests/test_cli.py",)),
     # the group's products, classes, representations and Molien
     Mutant("multiply_in_lattice", "group.py",
-           "if rem.any():", "if False:", ("tests/test_group.py",)),
+           "if prod is None:", "if False:", ("tests/test_group.py",)),
     Mutant("closure_product_bound", "group.py",
-           "if rem.any() or np.abs(prod).max() > COORD_BOUND:", "if False:",
+           "if k is None or not _within_bound(k):", "if False:",
            ("tests/test_group.py",)),
     Mutant("reference_classes_distinct", "group.py",
            "if bid in seen_blocks:", "if False:", ("tests/test_group.py",)),
@@ -113,16 +113,22 @@ MUTANTS = (
     Mutant("gram_trace_bound", "reps.py",
            "if np.abs(traces).max() > TRACE_BOUND:", "if False:", ("tests/test_reps.py",)),
     Mutant("coord_bound", "reps.py",
-           "if nums.size and np.abs(nums).max() > COORD_BOUND:", "if False:",
+           "if nums.size and abs(nums).max() > COORD_BOUND:", "if False:",
            ("tests/test_reps.py",)),
     Mutant("extraction_invariance", "reps.py",
-           'if not np.array_equal(np.einsum("ik,kjr->ijr", v, m), image):', "if False:",
+           "if tuple(vm) != moved:", "if False:", ("tests/test_reps.py",)),
+    # the characters: tr rho(z^k h) = zeta_8^(r k) tr rho(h), caught by the
+    # census and by the comparison with the reference table
+    Mutant("class_traces_central_power", "reps.py",
+           "out += [zeta_shift(tr, r * k) for k in range(count)]", "out += [tr] * count",
            ("tests/test_reps.py",)),
     Mutant("class_factor_integrality", "molien.py",
            "if any(x % group.DEN for x in tr) or any(x % group.DEN ** 2 for x in dt):",
            "if False:", ("tests/test_molien.py",)),
     Mutant("molien_numerator_sum", "molien.py",
            "if total != rep.dim:", "if False:", ("tests/test_molien.py",)),
+    Mutant("molien_packing_bound", "molien.py",
+           "if bound >= 1 << (SLOT - 1):", "if False:", ("tests/test_molien.py",)),
 )
 
 

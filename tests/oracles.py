@@ -18,7 +18,6 @@ import numpy as np
 from g9cov import group
 from g9cov.covariants import CovariantEngine, FreenessError, RowReducer, _poly_det
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
-from g9cov.linalg import CYC_STRUCT, zeta_shift
 from g9cov.poly import BiPoly, VecPoly
 from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
 
@@ -411,21 +410,46 @@ def as_fraction(x):
     return x.coeffs[0]
 
 
+# CYC_STRUCT[p, q, r] is the coefficient of z^r in z^p * z^q modulo z^4 + 1,
+# so the coordinates of a product are einsum("p,q,pqr->r", a, b, CYC_STRUCT).
+CYC_STRUCT = np.zeros((4, 4, 4), dtype=np.int64)
+for _p in range(4):
+    for _q in range(4):
+        CYC_STRUCT[_p, _q, (_p + _q) % 4] = 1 if _p + _q < 4 else -1
+
+
+def zeta_shift(x, k):
+    """z^k times the numbers with integer coordinates x[..., 4], as an array."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    for p in range(4):
+        q = p + k
+        out[..., q % 4] = x[..., p] if q % 8 < 4 else -x[..., p]
+    return out
+
+
+def as_tuples(array):
+    """An integer array (or nested lists) as the nested tuples of Python ints of g9cov."""
+    def nest(x):
+        return tuple(map(nest, x)) if isinstance(x, list) else x
+    return nest(np.asarray(array).tolist())
+
+
 def decode_image(image, den=DEN):
-    """An (m, m, 4) int array over den (default reps.DEN) as a CycNum matrix."""
+    """An m x m matrix of coordinates over den (default reps.DEN) as a CycNum matrix."""
     m = len(image)
-    return Mat(m, m, [CycNum(*map(int, e), den=den) for e in image.reshape(-1, 4)])
+    return Mat(m, m, [CycNum(*map(int, e), den=den) for e in np.asarray(image).reshape(-1, 4)])
 
 
 def encode_image(mat, den=DEN):
-    """A matrix over (1/den) Z[zeta_8] as (rows, cols, 4) int64 numerators over den.
+    """A matrix over (1/den) Z[zeta_8] as nested tuples of integer numerators over den.
 
     ValueError if an entry lies outside (1/den) Z[zeta_8].
     """
     nums, (lcd,) = cyc_encoding([mat.entries])
     if den % lcd:
         raise ValueError(f"an entry of {mat} is not in (1/{den}) Z[zeta_8]")
-    return (nums.reshape(mat.rows, mat.cols, 4) * (den // lcd)).astype(np.int64)
+    return as_tuples(nums.reshape(mat.rows, mat.cols, 4) * (den // lcd))
 
 
 def element_mat(coords):
@@ -445,7 +469,7 @@ def rep_matrices_exact(rep, table):
     The reference for reps.rep_matrices, which builds the same images as
     int64 Z[zeta_8] numerators.  Cached: the images never change.
     """
-    gens = {name: decode_image(rep.image(name)) for name in ("T", "D")}
+    gens = {"T": decode_image(rep.img_t), "D": decode_image(rep.img_d)}
     mats = [None] * len(table)
     for e in table.elements:
         if e.parent < 0:
@@ -684,7 +708,7 @@ def coeff_vector(vec, coords):
 
 def as_fractions(nums, dens):
     """Integer numerators nums[i] over one denominator dens[i] per vector, as Fraction vectors."""
-    return [[Fraction(n, den) for n in row] for row, den in zip(nums.tolist(), dens)]
+    return [[Fraction(int(n), den) for n in row] for row, den in zip(nums, dens)]
 
 
 def integer_row(values):

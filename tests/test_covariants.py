@@ -157,12 +157,13 @@ def test_deep_slice_is_spanned_by_free_products(engine, rid, d):
              for gd, g in engine.generators(rid).gens
              for b in range((d - gd) // 24 + 1) if (d - gd) % 8 == 0]
     assert len(prods) == sl.dim > 0
-    free = [max(c for c, x in enumerate(row) if x) for row in sl.nums.tolist()]
-    assert [sl.nums[i, f] for i, f in enumerate(free)] == list(sl.dens)
+    free = [max(c for c, x in enumerate(row) if x) for row in sl.nums]
+    assert [sl.nums[i][f] for i, f in enumerate(free)] == list(sl.dens)
     rows = np.array([integer_row(coeff_vector(p, sl.coords)) for p in prods], dtype=object)
     scale = lcm(*sl.dens)
     weights = np.array([scale // den for den in sl.dens], dtype=object)[:, None]
-    assert np.array_equal(scale * rows, rows[:, free] @ (weights * sl.nums))
+    nums = np.array(sl.nums, dtype=object)
+    assert np.array_equal(scale * rows, rows[:, free] @ (weights * nums))
 
 
 def test_row_reducer_equals_cyclotomic_reference():
@@ -562,8 +563,7 @@ def test_integer_t_rows_equal_exact_rows(engine):
     # zero rows dropped, and the swap-reduced system (which must pass its
     # dropped-row check) is the upper half of its rows times E;
     # rho_30 in degree 255 has coefficients past 2^63, so nothing may wrap:
-    # the rows are int64 only through degree 59, where the entry bound of
-    # _t_rows fits
+    # the columns are Python ints
     from g9cov.reps import DEN
     cases = [(r, d) for r in range(1, 33) for d in range(41)] + \
         [(25, 70), (30, 63), (30, 255)]
@@ -573,9 +573,11 @@ def test_integer_t_rows_equal_exact_rows(engine):
         coords = engine._kept_coords(rep, d)
         if not coords:
             continue
-        full = engine._t_rows(rep, d, coords)
-        assert full.shape == (rep.dim, d + 1, len(coords)), (rid, d)
-        assert full.dtype == (np.int64 if d < 60 else object), (rid, d)
+        cols = engine._t_rows(rep, d, coords)
+        assert [len(col) for col in cols] == [rep.dim * (d + 1)] * len(coords), (rid, d)
+        assert {type(x) for col in cols for x in col} == {int}, (rid, d)
+        # row (j, b) of the system sits at j (d + 1) + d - b of each column
+        full = np.array(cols, dtype=object).T.reshape(rep.dim, d + 1, len(coords))
         got = full.reshape(-1, len(coords))
         got = got[(got != 0).any(axis=1)]
         # got[g] = DEN * want[g] = DEN * nums[g] / dens[g], compared over Z
@@ -583,29 +585,28 @@ def test_integer_t_rows_equal_exact_rows(engine):
                                    if any(not x.is_zero() for x in r)])
         assert not nums[..., 1:].any(), (rid, d)
         assert len(dens) == len(got), (rid, d)
-        assert np.array_equal(got.astype(object) * np.array(dens, dtype=object)[:, None],
+        assert np.array_equal(got * np.array(dens, dtype=object)[:, None],
                               nums[..., 0].reshape(got.shape) * DEN), (rid, d)
         reps, mates, reduced = engine._tau_system(rep, d, coords)
-        assert reduced.dtype == full.dtype, (rid, d)
         want = tau_reduced_rows(full, d, reps, mates)
-        assert reduced.tolist() == [[int(x) for x in row] for row in want], (rid, d)
+        assert [list(row) for row in reduced] == [[int(x) for x in row] for row in want], (rid, d)
         checked += 1
     assert checked == 164
     assert max(abs(x) for x in got.flat) > 2 ** 63
-    assert max(abs(x) for x in reduced.flat) > 2 ** 63
+    assert max(abs(x) for row in reduced for x in row) > 2 ** 63
 
 
 def test_binomial_table_closed_form():
-    # coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), from math.comb; every
-    # entry is at most 2^d, so the table is int64 exactly through d = 61
+    # coefficient of x^b y^(d-b) in (x+y)^a (x-y)^(d-a), from math.comb, in
+    # Python ints on both sides of 2^63 (every entry is at most 2^d)
     from g9cov.covariants import _binomial_table
     for d in range(71):
         table = _binomial_table(d)
-        assert table.dtype == (np.int64 if d <= 61 else object), d
+        assert type(table) is tuple and {type(row) for row in table} == {tuple}, d
         want = [[sum(comb(a, i) * comb(d - a, b - i) * (-1) ** (d - a - b + i)
                      for i in range(max(0, b - d + a), min(a, b) + 1))
                  for b in range(d + 1)] for a in range(d + 1)]
-        assert table.tolist() == want, d
+        assert [list(row) for row in table] == want, d
 
 
 def test_oracle_binomial_table_equals_convolution():
@@ -625,28 +626,29 @@ def test_oracle_binomial_table_equals_convolution():
             want.append(row)
         assert binomial_table(d) == want, d
     for d in (0, 1, 2, 5, 8, 13, 40, 61, 62, 100):
-        assert binomial_table(d) == _binomial_table(d).tolist(), d
+        assert binomial_table(d) == [list(row) for row in _binomial_table(d)], d
 
 
 def test_slice_path_builds_no_cycnum_rows(sess):
     # no g9cov module can reach CycNum (test_public_names_resolve): the T
-    # system is an int64 array, eliminated over Z, and the basis is int and
-    # Fraction
+    # system is rows of Python ints, eliminated over Z, and the basis is int
+    # and Fraction
     from g9cov import linalg
     from g9cov.covariants import CovariantEngine
     eng = CovariantEngine(sess.table, sess.reps)
     rep = eng.reps[29]
     coords = eng._kept_coords(rep, 27)
     reps, _, rows = eng._tau_system(rep, 27, coords)
-    assert rows.dtype == np.int64
-    reduced, pivots = linalg.rref(rows.tolist())
+    assert {type(x) for row in rows for x in row} == {int}
+    reduced, pivots = linalg.rref(rows)
     nums, dens = linalg.rref_nullspace(reduced, pivots, len(reps))
     assert len(pivots) + len(dens) == len(reps)
-    assert {type(x) for x in nums.flat} | {type(x) for x in dens} == {int}
+    assert {type(x) for row in nums for x in row} | {type(x) for x in dens} == {int}
     sl = eng.slice(29, 27)
     want = _oracle(t_rows_exact(rep, 27, coords), len(coords))
     assert sl.coords == tuple(coords) and as_fractions(sl.nums, sl.dens) == want
-    assert all(type(x) is int for x in sl.nums.flat) and not sl.nums.flags.writeable
+    assert type(sl.nums) is tuple and {type(row) for row in sl.nums} == {tuple}
+    assert {type(x) for row in sl.nums for x in row} == {int}
     basis = [coeff_vector(b, coords) for b in sl.basis]
     assert basis == want
     assert {type(x) for vec in basis for x in vec} <= {int, Fraction}
@@ -669,6 +671,29 @@ def test_covariant_layer_builds_no_cycnum(sess):
     assert eng.det_relation(5)[:2] == (1, 0)
     types = {type(c) for p in polys for c in p.terms.values()}
     assert types and types <= {int, Fraction}
+
+
+def test_determinant_exponents_predicted_from_rho_t_and_rho_d(engine):
+    # Stanley (J. Algebra 49 (1977)): the determinant of a basis of a free
+    # covariant module is c prod_H l_H^(m_H), m_H read off the eigenvalues
+    # of rho at the reflection fixing H.  For G9: the 6 lines of gamma are
+    # fixed by D = diag(1, i), so k = sum_j expo_j for rho(D)_jj = i^expo_j;
+    # the 12 lines of delta are fixed by T, so e = (dim - chi(T)) / 2, the
+    # multiplicity of -1 in rho(T), chi(T) read off the five base traces
+    from g9cov.reps import DEN, class_traces
+    column = engine.table.class_labels.index("T")
+    for rid in range(1, 33):
+        rep = engine.reps[rid]
+        chi_t = class_traces(rep, engine.table)[column]
+        assert chi_t[1:] == (0, 0, 0) and chi_t[0] % DEN == 0, rid
+        e, odd = divmod(rep.dim - chi_t[0] // DEN, 2)
+        k = sum(engine._symmetry(rid).expo)
+        assert not odd, rid
+        assert engine.det_relation(rid)[:2] == (e, k), rid
+        if rid <= 8:
+            assert reference.LINEAR_GENERATOR_POWERS[rid] == (k, e), rid
+        else:
+            assert reference.DET_EXPONENTS[rid] == (e, k), rid
 
 
 def test_generator_det_equals_cyclotomic_reference(engine):
@@ -761,8 +786,9 @@ def test_deep_slices_equal_t_system_solve(engine):
         sl = engine.slice(rid, d)
         rep = engine.reps[rid]
         reps, _, rows = engine._tau_system(rep, d, engine._kept_coords(rep, d))
-        nums, dens = linalg.rref_nullspace(*linalg.rref(rows.tolist()), len(reps))
-        assert (sl.nums[:, reps].tolist(), list(sl.dens)) == (nums.tolist(), dens), (rid, d)
+        nums, dens = linalg.rref_nullspace(*linalg.rref(rows), len(reps))
+        assert ([[row[i] for i in reps] for row in sl.nums], list(sl.dens)) == (nums, dens), \
+            (rid, d)
     assert len(cases) == 123
 
 
@@ -798,7 +824,7 @@ def test_deep_slice_rejects_generators_that_span_too_little(sess):
     g5 = sess.engine.generators(13).rows[0]
     (theta_g5,) = eng.products(13, 13, [g5])
     coords = tuple(eng._kept_coords(eng.reps[13], 13))
-    eng._gens[13] = GeneratorSet(13, 2, (g5, (13, coords, tuple(theta_g5.tolist()))))
+    eng._gens[13] = GeneratorSet(13, 2, (g5, (13, coords, tuple(theta_g5))))
     with pytest.raises(CrossCheckError, match=r"rho_13 degree 45: solver dimension 2, "
                                               r"Molien coefficient 4"):
         eng.slice(13, 45)
@@ -944,10 +970,11 @@ def test_t_images_are_rational_up_to_sqrt2(engine):
         rep = engine.reps[rid]
         sym = engine._symmetry(rid)
         t = decode_image(rep.img_t).scale(sqrt2 ** (sym.residue % 2))
-        assert sym.t.dtype == np.int64 and not sym.t.flags.writeable, rid
+        assert type(sym.t) is tuple and {type(row) for row in sym.t} == {tuple}, rid
         # as_fraction raises unless the z, z^2 and z^3 coordinates are 0
-        assert sym.t.tolist() == [[as_fraction(t.at(j, l)) * DEN for l in range(rep.dim)]
-                                  for j in range(rep.dim)], rid
+        assert [list(row) for row in sym.t] == [[as_fraction(t.at(j, l)) * DEN
+                                                 for l in range(rep.dim)]
+                                                for j in range(rep.dim)], rid
         kept = [d for d in range(41) if engine._kept_coords(rep, d) is not None]
         assert kept == list(range(sym.residue, 41, 8)), rid
 
@@ -968,12 +995,21 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
     # every fact the swap reduction rests on is checked exactly, and each
     # fault is caught by its own check, named in the message
     import copy
-    from g9cov import covariants
+    from g9cov import covariants, group, reps
     from g9cov.covariants import CovariantEngine, CrossCheckError
     from g9cov.linalg import zeta_power
     from g9cov.reps import DEN, scalar_image
     tau_msg = r"rho\(T\) rho\(D\)\^2 rho\(T\) is not a signed permutation of order 2"
     rid, d = 9, 1
+    table = sess.table
+    word = table.elements[table.lookup(scalar_image(2, zeta_power(1, group.DEN)))].word
+
+    def with_central(eng, central):
+        # reps.image gives zI's word (read from the table) the image central
+        # under the engine's rho_9, a fresh object, so no cached residue is read
+        fake, honest = eng.reps[9], reps.image
+        monkeypatch.setattr(reps, "image", lambda rep, w: central if rep is fake and w == word
+                            else honest(rep, w))
     if fault == "swap":
         table = copy.copy(sess.table)
         table.gens = dict(table.gens, D=table.gens["T"])
@@ -985,26 +1021,23 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
             r"rho_9: a D eigenvalue is not a power of i"
     elif fault == "central":
         # zI acting by 2
-        eng, msg = CovariantEngine(sess.table, sess.reps), \
+        eng, msg = _engine_with_images(sess, 9), \
             r"rho_9: central scalar is not a power of zeta_8"
-        images = eng.matrices(9).copy()
-        images[eng._central_index] = scalar_image(2, [2 * DEN, 0, 0, 0])
-        eng._mats[9] = images
+        with_central(eng, scalar_image(2, [2 * DEN, 0, 0, 0]))
     elif fault == "central_not_scalar":
         # zI acting by diag(z, z^3)
-        eng, msg = CovariantEngine(sess.table, sess.reps), \
+        eng, msg = _engine_with_images(sess, 9), \
             r"rho_9: central element is not scalar"
-        images = eng.matrices(9).copy()
-        images[eng._central_index, 1, 1] = zeta_power(3, DEN)
-        eng._mats[9] = images
+        z = scalar_image(2, zeta_power(1, DEN))
+        with_central(eng, (z[0], (z[1][0], zeta_power(3, DEN))))
     elif fault == "tau_entries":
         # 2 T keeps rho(T) sqrt(2) rational and makes rho(tau) four times the
         # swap: an involutive pattern with entries 4, not +-1; the honest
-        # images keep the central scalar zeta_8 (the images built from 2 T
+        # central image keeps the scalar zeta_8 (the image built from 2 T
         # would fail the central check first)
         t = decode_image(sess.rep(9).img_t).scale(CycNum(2))
         eng, msg = _engine_with_images(sess, 9, img_t=t), rf"rho_9: {tau_msg}"
-        eng._mats[9] = sess.engine.matrices(9)
+        with_central(eng, reps.image(sess.rep(9), word))
     elif fault == "tau_order":
         # a 3-cycle for T makes rho(tau) a signed 3-cycle
         cycle = Mat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -1026,9 +1059,9 @@ def test_swap_reduction_faults_are_caught(sess, monkeypatch, fault):
             honest = CovariantEngine._t_rows
 
             def tampered(self, rep, d, coords):
-                rows = honest(self, rep, d, coords)
-                rows[0, d, 0] += 1      # row (0, b = 0), dropped as 2b < d
-                return rows
+                cols = honest(self, rep, d, coords)
+                cols[0][d] += 1         # row (0, b = 0), dropped as 2b < d
+                return cols
             monkeypatch.setattr(CovariantEngine, "_t_rows", tampered)
     with pytest.raises(CrossCheckError, match=msg):
         eng.slice(rid, d)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -208,14 +207,14 @@ def test_parse_inverts_render(nums):
 def test_text_forms_on_characters_and_group_elements(sess):
     # the 1024 character values over reps.DEN and the 192 x 4 element entries
     # over group.DEN, as the chartable and group --format json commands see them
-    values = [(t, DEN) for t in sess.traces.reshape(-1, 4)]
-    values += [(c, group.DEN) for e in sess.table.elements for c in e.coords.reshape(-1, 4)]
+    values = [(t, DEN) for row in sess.traces for t in row]
+    values += [(c, group.DEN) for e in sess.table.elements for row in e.coords for c in row]
     assert len(values) == 1024 + 192 * 4
     for nums, den in values:
         want = CycNum._make(tuple(int(n) for n in nums), den)
         assert render_zeta(nums, den) == str(want) and to_json(nums, den) == want.to_json()
-    for t in sess.traces.reshape(-1, 4):
-        assert np.array_equal(DEN * np.array(parse_zeta(render_zeta(t, DEN))), t)
+    for t in (t for row in sess.traces for t in row):
+        assert tuple(DEN * x for x in parse_zeta(render_zeta(t, DEN))) == t
 
 
 def test_rational_predicates():

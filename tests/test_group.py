@@ -28,7 +28,8 @@ def test_closure_guard():
     with pytest.raises(ValueError, match=r"is not in \(1/2\) Z\[zeta_8\]"):
         element_coords(third)
     big = element_coords(Mat.diagonal([Fraction(COORD_BOUND + 1, 2), 1]))
-    for bad in (big, shear / 1.0):
+    floats = tuple(tuple(tuple(float(c) for c in x) for x in row) for row in shear)
+    for bad in (big, floats):
         with pytest.raises(ValueError, match=r"generator S is not integer coordinates within"):
             closure([("T", standard_generators()[0]), ("S", bad)])
     # products are checked too: S^2 = diag(1/4, 1) leaves (1/2) Z[zeta_8],

@@ -4,7 +4,8 @@ import pytest
 
 from g9cov import molien, reference
 from g9cov.group import GroupElement, GroupTable
-from g9cov.molien import MolienError, _class_factors, _class_numerator, molien_series
+from g9cov.molien import MolienError, _class_factors, _class_numerator, _unpack, molien_series
+from g9cov.reps import class_traces
 from oracles import (ZERO, CycNum, Mat, _det2, element_coords, element_mat,
                      molien_series_elementwise, rep_matrices_exact)
 
@@ -72,7 +73,7 @@ def test_numerator_matches_generator_degrees(engine):
 
 
 def test_class_sum_equals_element_sum(sess):
-    # the int64 class sum against the CycNum element sum, through degree 64
+    # the packed integer class sum against the CycNum element sum, through degree 64
     for r in sess.reps:
         naive = molien_series_elementwise(sess.table, 64, rep_matrices_exact(r, sess.table))
         assert naive == list(sess.engine.molien(r.rid).series(64)), r.rid
@@ -95,23 +96,32 @@ def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
     target = sess.table.class_labels[0]
 
     def tampered(label, trace, det):
-        out = _class_numerator(label, trace, det)
-        if label == target:
-            out = out.copy()
-            out[16, 0] += 1
-        return out
+        packed, height = _class_numerator(label, trace, det)
+        if label == target:     # coordinate 0 of t^16, packed
+            packed = (packed[0] + (1 << (16 * molien.SLOT)),) + packed[1:]
+        return packed, height
 
     monkeypatch.setattr(molien, "_class_numerator", tampered)
     for r in sess.reps:
         with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^16 is"):
-            molien_series(r, sess.table, sess.engine.matrices(r.rid))
+            molien_series(r, sess.table, class_traces(r, sess.table))
 
 
 def test_numerator_must_sum_to_the_dimension(sess):
     # rho_1's images under the name of rho_9: a valid numerator, 1, whose
     # coefficients sum to 1, not to dim rho_9 = 2
     with pytest.raises(MolienError, match=r"^rho_9: numerator coefficients sum to 1, not dim 2$"):
-        molien_series(sess.rep(9), sess.table, sess.engine.matrices(1))
+        molien_series(sess.rep(9), sess.table, class_traces(sess.rep(1), sess.table))
+
+
+def test_class_sum_refuses_weights_past_the_packing_bound(sess):
+    # the digits of the packed class sum are exact only below 2^(SLOT - 1):
+    # traces 2^60 times too large would alias, so the sum is refused
+    rep = sess.rep(9)
+    huge = tuple(tuple(x << 60 for x in t) for t in class_traces(rep, sess.table))
+    with pytest.raises(MolienError, match=rf"^rho_9: the class sum exceeds "
+                                          rf"2\^{molien.SLOT - 1} per coefficient$"):
+        molien_series(rep, sess.table, huge)
 
 
 def test_class_numerator_needs_integral_class_data():
@@ -124,7 +134,7 @@ def test_class_numerator_needs_integral_class_data():
     with pytest.raises(MolienError, match=r"class x: Q_c needs integral trace and det, "
                                           r"got 1, 1/2$"):
         _class_factors(one_class_table(Mat.from_rows([[h, h], [-h, h]])))
-    assert not _class_numerator("x", ONE, ONE).flags.writeable
+    assert type(_class_numerator("x", ONE, ONE)) is tuple   # cached and shared
 
 
 def test_class_numerator_rejects_factor_that_does_not_divide():
@@ -143,8 +153,10 @@ def test_class_numerator_times_class_factor_is_denominator(table):
         m = element_mat(table.elements[r].coords)
         tr, det = m.trace(), _det2(m)
         assert factors[pos] == (label, integral(tr), integral(det)), label
-        q = [CycNum(*row) for row in _class_numerator(label, integral(tr),
-                                                      integral(det)).tolist()]
+        packed, height = _class_numerator(label, integral(tr), integral(det))
+        rows = list(zip(*map(_unpack, packed)))
+        assert height == max(abs(x) for row in rows for x in row), label
+        q = [CycNum(*row) for row in rows]
         assert len(q) == 31
         q += [ZERO, ZERO]
         prod = [q[n] - (tr * q[n - 1] if n >= 1 else ZERO)
@@ -157,21 +169,22 @@ def test_class_numerator_built_once_per_class(sess):
     # class numerators, not one per (rep, class) pair, and share them
     _class_numerator.cache_clear()
     for r in sess.reps:
-        molien_series(r, sess.table, sess.engine.matrices(r.rid))
+        molien_series(r, sess.table, class_traces(r, sess.table))
     info = _class_numerator.cache_info()
     assert info.misses <= 32 and info.misses + info.hits > 32, info
     for label, r in zip(sess.table.class_labels, sess.table.class_reps):
         m = element_mat(sess.table.elements[r].coords)
-        assert not _class_numerator(label, integral(m.trace()),
-                                    integral(_det2(m))).flags.writeable, label
+        assert type(_class_numerator(label, integral(m.trace()),
+                                     integral(_det2(m)))) is tuple, label
 
 
 def test_cutoff_guard(sess):
     # the numerator is exact, so no series length is too short to read it
     # and there is no cutoff left to pass: 40 terms, once refused, are the
     # head of the same series read to degree 256
-    res = molien_series(sess.reps[0], sess.table, sess.engine.matrices(1))
+    traces = class_traces(sess.reps[0], sess.table)
+    res = molien_series(sess.reps[0], sess.table, traces)
     assert res.numerator == ((0, 1),)
     assert res.series(40) == res.series(256)[:41]
     with pytest.raises(TypeError):
-        molien_series(sess.reps[0], sess.table, sess.engine.matrices(1), 40)
+        molien_series(sess.reps[0], sess.table, traces, 40)

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from g9cov import reference
-from g9cov.group import build_group, standard_generators
-from g9cov.linalg import CYC_STRUCT
+from g9cov.group import build_group, class_inverses, standard_generators
 from g9cov.group import class_sizes
 from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
 from g9cov.reps import (COORD_BOUND, TRACE_BOUND, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, _tensor, build_all, character_gram,
-                        extract_subrep, rep_matrices, scalar_image,
+                        class_traces, extract_subrep, image, rep_matrices, scalar_image,
                         verify_census, verify_homomorphism)
-from oracles import (HALF_SQRT2, I_UNIT, ZERO, CycNum, Mat, as_fraction, build_all_exact,
-                     decode, decode_image, decode_images, decode_rows, element_coords,
-                     element_mat, encode_image, inner_product, mat_pow, rep_matrices_exact)
+from oracles import (CYC_STRUCT, HALF_SQRT2, I_UNIT, ZERO, CycNum, Mat, as_fraction, as_tuples,
+                     build_all_exact, decode, decode_image, decode_images, decode_rows,
+                     element_coords, element_mat, encode_image, inner_product, mat_pow,
+                     rep_matrices_exact)
 
 H = Fraction(1, 2)
 
@@ -83,32 +83,37 @@ def test_extract_subrep_rejects_non_invariant_span(reps):
 
 @pytest.mark.parametrize("quarters, match", [
     (1, r"^rho_21: a tensor product is not in \(1/4\) Z\[zeta_8\]$"),
-    (2 ** 18, rf"^rho_21: an image coordinate exceeds {COORD_BOUND} in a tensor product$"),
+    (2 ** 18, rf"^rho_21: an image coordinate exceeds {COORD_BOUND}$"),
 ], ids=["sixteenth", "bound"])
-def test_tensor_product_checks_its_range(quarters, match):
-    # (1/4) (x) (1/4) = 1/16 leaves (1/4) Z[zeta_8]; 2^16 (x) 2^16 is 2^34 quarters
+def test_tensor_product_checks_its_range(table, quarters, match):
+    # (1/4) (x) (1/4) = 1/16 leaves (1/4) Z[zeta_8]; 2^16 (x) 2^16 is 2^34
+    # quarters: exact in the Python ints of the construction, and refused by
+    # the int64 BFS of verify, the one place where the bound matters
     x = scalar_image(1, [quarters, 0, 0, 0])
     one_dim = Representation(1, 1, x, x)
     with pytest.raises(ImageError, match=match):
-        _tensor(21, one_dim, one_dim)
+        rep_matrices([_tensor(21, one_dim, one_dim)], table)
 
 
 def test_build_all_makes_no_cycnum_arithmetic():
     # no g9cov module can reach CycNum or Mat (test_public_names_resolve): the
-    # group, the construction, the engine, every image, Molien and the
-    # symmetry checks read int64 coordinates only
+    # group, the construction, the engine, Molien and the symmetry checks
+    # read tuples of Python int coordinates, and verify's images are int64
     table = build_group()
     out = build_all(table)
     engine = CovariantEngine(table, out)
-    engine.build_images(list(range(1, 33)))
     for rid in range(1, 33):
         engine.molien(rid)
         engine._symmetry(rid)
+    assert engine._mats == {}
+    engine.build_images(list(range(1, 33)))
     assert [r.rid for r in out] == list(range(1, 33))
     for r in out:
-        for image in (r.img_t, r.img_d):
-            assert image.dtype == np.int64 and image.shape == (r.dim, r.dim, 4), r.rid
-            assert not image.flags.writeable, r.rid
+        for img in (r.img_t, r.img_d):
+            assert type(img) is tuple and len(img) == r.dim, r.rid
+            assert all(type(row) is tuple and len(row) == r.dim for row in img), r.rid
+            assert {(type(x), len(x)) for row in img for x in row} == {(tuple, 4)}, r.rid
+            assert {type(c) for row in img for x in row for c in x} == {int}, r.rid
         assert engine.matrices(r.rid).dtype == np.int64, r.rid
 
 
@@ -127,16 +132,16 @@ def test_relation_check_rejects_scaled_generators(reps, rid):
     r = by_id(reps, rid)
     _check_relations(rid, r.img_t, r.img_d)
     with pytest.raises(ExtractionError, match=rf"rho_{rid}: T image is not an involution"):
-        _check_relations(rid, _times_zeta(r.img_t, 2), r.img_d)
+        _check_relations(rid, as_tuples(_times_zeta(r.img_t, 2)), r.img_d)
     with pytest.raises(ExtractionError, match=rf"rho_{rid}: D image has order not dividing 4"):
-        _check_relations(rid, r.img_t, _times_zeta(r.img_d, 1))
+        _check_relations(rid, r.img_t, as_tuples(_times_zeta(r.img_d, 1)))
 
 
 def evaluate(rep, word):
     """Image of a group element given by its generator word."""
     m = Mat.identity(rep.dim)
     for ch in word:
-        m = m.matmul(decode_image(rep.image(ch)))
+        m = m.matmul(decode_image(image(rep, ch)))
     return m
 
 
@@ -204,6 +209,21 @@ def test_twist_coherence(chars):
         got = chars[rid - 1]
         expect = [a * b for a, b in zip(chars[k - 1], chars[base - 1])]
         assert got == expect
+
+
+def test_five_base_traces_equal_traces_of_all_images(sess):
+    # the class traces read off five images and the central scalar against
+    # the einsum traces of the int64 images of all 192 elements, for all 32
+    # reps; and the column that Molien reads for s^-1 against the traces of
+    # the images of the inverses of the representatives
+    table = sess.table
+    inverse = class_inverses(table)
+    for r in sess.reps:
+        images = sess.engine.matrices(r.rid)
+        got = class_traces(r, table)
+        assert got == as_tuples(np.einsum("cjjr->cr", images[table.class_reps])), r.rid
+        at_inverse = np.einsum("cjjr->cr", images[table.inverse][table.class_reps])
+        assert tuple(got[c] for c in inverse) == as_tuples(at_inverse), r.rid
 
 
 def test_homomorphism_single_rep(sess):
@@ -286,9 +306,12 @@ def test_kernel_rejects_images_outside_its_range(table, d_coords, match):
 
 
 def test_images_read_through_traces_equal_exact_oracle(sess):
-    # an all-rep read builds the images one dimension batch at a time
+    # the traces read no image of the BFS; an all-rep read of the images
+    # builds them one dimension batch at a time
     fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
-    assert np.array_equal(fresh.traces, sess.traces)
+    assert fresh.traces == sess.traces
+    assert fresh.engine._mats == {}
+    fresh.engine.build_images(list(range(1, 33)))
     assert sorted(fresh.engine._mats) == list(range(1, 33))
     for r in sess.reps:
         images = fresh.engine._mats[r.rid]
@@ -311,7 +334,7 @@ def test_batched_images_name_the_failing_rep(sess, rid, scale, match):
     assert next(r.rid for r in reps if r.dim == by_id(reps, rid).dim) != rid
     fresh = Session(sess.table, reps, CovariantEngine(sess.table, reps))
     with pytest.raises(ImageError, match=match):
-        fresh.traces
+        fresh.engine.build_images(list(range(1, 33)))
 
 
 def test_integer_gram_equals_inner_product(sess, chars):
@@ -323,7 +346,7 @@ def test_integer_gram_equals_inner_product(sess, chars):
         for j in range(32):
             want = inner_product(chars[i], chars[j], sess.table)
             assert decode(gram[i, j], scale) == CycNum(want), (i, j)
-    bad = sess.traces.copy()
+    bad = np.array(sess.traces)
     bad[4, 3, 0] += 1
     gram = character_gram(bad, sess.table)
     rows = decode_rows(bad)
@@ -352,7 +375,7 @@ def test_census_rejects_a_table_of_the_wrong_order(sess):
 
 def test_character_gram_refuses_traces_past_the_bound(sess):
     # the int64 Gram product is exact only for coordinates within TRACE_BOUND
-    traces = sess.traces.copy()
+    traces = np.array(sess.traces)
     traces[4, 3, 1] = -TRACE_BOUND
     character_gram(traces, sess.table)
     traces[4, 3, 1] = -TRACE_BOUND - 1
@@ -362,7 +385,7 @@ def test_character_gram_refuses_traces_past_the_bound(sess):
 
 def test_census_names_a_tampered_pair(sess):
     # chi_5 at the class of z^3 I moved by 1/4: its pairing with chi_1 breaks first
-    bad = sess.traces.copy()
+    bad = np.array(sess.traces)
     bad[4, 3, 0] += 1
     with pytest.raises(CensusError, match=r"^<chi_1, chi_5> = .*, expected 0$"):
         verify_census(sess.reps, sess.table, bad)
@@ -408,15 +431,17 @@ def test_reference_character_table_numbering_from_reference_data():
 
 
 def test_printed_character_table_is_read_only():
-    # parsed once and shared by every caller, so no caller may change it
+    # parsed once and shared by every caller, so no caller may change it:
+    # nested tuples of 32 rows of 32 coordinate tuples
     printed, ordered = reference.printed_character_table(), reference.character_table()
     assert printed is reference.printed_character_table()
     for table in (printed, ordered):
-        assert table.shape == (32, 32, 4) and table.dtype == np.int64
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0] = 7
-    assert printed[0, 0].tolist() == [1, 0, 0, 0]
+        assert type(table) is tuple and [len(row) for row in table] == [32] * 32
+        assert {(type(row), type(x), len(x)) for row in table for x in row} == \
+            {(tuple, tuple, 4)}
+        with pytest.raises(TypeError):
+            table[0][0] = 7
+    assert printed[0][0] == (1, 0, 0, 0)
     # the package order is the printed order under CHARACTER_ROW_SOURCE
     for row, src in reference.CHARACTER_ROW_SOURCE.items():
-        assert np.array_equal(ordered[src - 1], printed[row - 1]), row
+        assert ordered[src - 1] == printed[row - 1], row

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +29,63 @@ def test_session_builds_images_on_first_read(capsys, monkeypatch):
     assert "traces" not in vars(fresh)
     _run(fresh, ["group"], capsys, monkeypatch)
     assert fresh.engine._mats == {}          # the group listing reads no images
-    assert np.array_equal(fresh.engine.matrices(29),
-                          reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
-    assert list(fresh.engine._mats) == [29]
     built = {r.rid: rep_matrices_exact(r, fresh.table) for r in fresh.reps}
     at_reference = [[built[r.rid][i].trace() for i in fresh.table.class_reps]
                     for r in fresh.reps]
     assert decode_rows(fresh.traces) == at_reference
-    assert sorted(fresh.engine._mats) == list(range(1, 33))
+    assert fresh.engine._mats == {}          # nor do the traces
+    assert np.array_equal(fresh.engine.matrices(29),
+                          reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
+    assert list(fresh.engine._mats) == [29]
 
 
 def test_one_rep_queries_build_only_that_rep(capsys, monkeypatch):
+    # a slice and a Molien series read the generator images and the image
+    # of zI, and build no image of the BFS at all
     fresh = get_session.__wrapped__()
     fresh.engine.slice(29, 3)
-    assert list(fresh.engine._mats) == [29]
+    assert fresh.engine._mats == {}
     fresh = get_session.__wrapped__()
     _run(fresh, ["molien", "--rep", "29"], capsys, monkeypatch)
-    assert list(fresh.engine._mats) == [29]
+    assert fresh.engine._mats == {}
+
+
+def test_queries_build_no_image_of_the_bfs(capsys, monkeypatch):
+    # a cold deep query once built all 192 images of rho_1 to read the
+    # central scalar; now no query calls rep_matrices under any of its names
+    def refuse(*args):
+        raise AssertionError("a query called rep_matrices")
+    for owner in (reps, session, covariants, molien):
+        monkeypatch.setattr(owner, "rep_matrices", refuse)
+    fresh = get_session.__wrapped__()
+    for argv in (["covariants", "--rep", "22", "--degree", "30"],
+                 ["covariants", "--rep", "30", "--degree", "63"],
+                 ["generators", "--rep", "29"], ["chartable"], ["molien", "--rep", "all"]):
+        _run(fresh, argv, capsys, monkeypatch)
+    assert fresh.engine._mats == {}
+
+
+def test_queries_never_import_numpy():
+    # the query commands run on Python ints; verify's whole-group checks
+    # are the one place that imports numpy
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        from g9cov import cli
+        assert "numpy" not in sys.modules
+        argvs = [["group"], ["chartable", "--format", "latex"], ["molien", "--rep", "all"],
+                 ["covariants", "--rep", "9", "--degree", "30"],
+                 ["covariants", "--rep", "30", "--degree", "63"], ["generators", "--rep", "29"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in argvs]
+        assert codes == [0] * len(argvs), codes
+        assert "numpy" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--only", "homomorphism"]) == 0
+        assert "numpy" in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(g9cov.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):
