@@ -7,14 +7,6 @@ series, and computes and verifies the modules of vector-valued
 invariants (covariants) over the invariant ring C[theta, phi].
 """
 
-import os
-
-# Only verify imports numpy, and builds no float array there: every numpy
-# product is int64, so BLAS is never called.  One OpenBLAS thread saves the
-# worker threads it would start (and spin) at numpy's import; a value the
-# user sets still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .group import GroupTable, build_group, standard_generators
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants

@@ -3,7 +3,7 @@
 A rho-covariant is a vector F of homogeneous polynomials with
 F(s x) = rho(s) F(x) for every group element s.  The two generator
 constraints suffice: covariance multiplies along words, and that rho is
-a homomorphism is certified on the Cayley edges (reps.verify_homomorphism).
+a homomorphism is certified by G9's presentation (reps.verify_homomorphism).
 
 The degree-d slice is computed as the nullspace of an exact linear
 system on the coefficients c_(j,a) of x^a y^(d-a) in F_j.  Three
@@ -114,7 +114,8 @@ from .group import GroupTable, multiply
 from .linalg import RowReducer, rref, rref_nullspace, zeta_power, zeta_shift
 from .molien import MolienResult, molien_series
 from .poly import BiPoly, VecPoly, fundamental_invariants
-from .reps import (DEN, CensusError, Representation, central_residue, class_traces,
+# rep_matrices is re-exported: perfbench/spans.py wraps it under this name
+from .reps import (DEN, CensusError, Representation, central_residue, class_traces,  # noqa: F401
                    rep_matrices)
 from . import reference
 
@@ -243,7 +244,6 @@ class CovariantEngine:
         self.table = table
         self.reps = {r.rid: r for r in reps}
         self.gamma, self.theta, self.delta, self.phi = fundamental_invariants()
-        self._mats: dict[int, object] = {}      # verify's int64 images
         self._molien: dict[int, MolienResult] = {}
         self._slices: dict[tuple[int, int], CovariantSlice] = {}
         self._gens: dict[int, GeneratorSet] = {}
@@ -258,18 +258,6 @@ class CovariantEngine:
         self.counters: Counter[str] = Counter()
 
     # -- cached building blocks ---------------------------------------------------
-
-    def matrices(self, rid: int):
-        """The int64 images of all elements under rho_rid (verify only; numpy)."""
-        self.build_images([rid])
-        return self._mats[rid]
-
-    def build_images(self, rids: list[int]) -> None:
-        """Build the images of rids not yet built, one rep_matrices call per dimension."""
-        missing = [self.reps[rid] for rid in rids if rid not in self._mats]
-        for m in sorted({r.dim for r in missing}):
-            batch = [r for r in missing if r.dim == m]
-            self._mats.update(zip((r.rid for r in batch), rep_matrices(batch, self.table)))
 
     def molien(self, rid: int) -> MolienResult:
         if rid not in self._molien:

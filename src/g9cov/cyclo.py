@@ -2,7 +2,8 @@
 
 g9cov carries a number of Q(zeta_8) as four integer coordinates over a
 denominator, (n0 + n1*z + n2*z^2 + n3*z^3) / den with z = zeta_8 =
-e^{i*pi/4} and z^4 = -1; linalg does arithmetic on int64 arrays of them.
+e^{i*pi/4} and z^4 = -1; linalg does arithmetic on tuples of Python ints
+of them.
 This module holds only their text forms: render_zeta and to_json write a
 number in lowest terms (the gcd of the four numerators and den is 1, den
 positive), and parse_zeta reads the integer notation back.  Useful

@@ -7,7 +7,7 @@ mat_mul multiplies such matrices (cyc_mul two numbers), mat_quotient
 divides one by its denominator exactly, zeta_shift and zeta_power are the
 signed permutations of coordinates that multiplication by z^k makes, and
 right_factor turns a matrix into the integer factor of a product, which
-the numpy checks of reps stack into int64 arrays.
+the int64 numpy oracle reps.rep_matrices stacks into arrays.
 
 Exact elimination over Q is RowReducer, a fraction-free row echelon form
 of integer rows; rref back-substitutes it into the integer reduced row

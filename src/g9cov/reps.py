@@ -50,28 +50,23 @@ read from the table.  They are the characters as coordinates over DEN:
 verify compares them with DEN times the reference rows, chartable renders
 them with cyclo.render_zeta, and Molien sums them.
 
-Only verify reads the images of all 192 elements, and only verify imports
-numpy, inside rep_matrices, verify_homomorphism, character_gram and
-verify_census.  rep_matrices builds the images BFS layer by layer as one
-int64 array per representation, (|G|, m, m, 4) coordinates over DEN, one
-BFS for all the given reps of one dimension, for the homomorphism check
-on the Cayley edges; the census Gram matrix is one int64 product.  Each
-int64 path ends in an exact check: divisibility and |coordinate| <=
-COORD_BOUND per layer (so an image product, m <= 4 times 16 coordinate
-products, stays below 2^63), |trace coordinate| <= TRACE_BOUND for the
-Gram, and the Gram equality.
+verify certifies the homomorphism by G9's presentation (verify_homomorphism)
+and the orthogonality of the characters by their Gram matrix on Python
+ints (verify_census), so no production path builds the images of all 192
+elements.  rep_matrices still builds them, as int64 numpy arrays: it is
+a test oracle, and no module of g9cov calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import group
 from .cyclo import render_zeta
 from .group import GroupTable, class_sizes
-from .linalg import (cyc_mul, mat_mul, mat_quotient, right_factor, scalar_image, zeta_power,
-                     zeta_shift)
+from .linalg import (_dot, cyc_mul, mat_mul, mat_quotient, right_factor, scalar_image,
+                     zeta_power, zeta_shift)
 
 # (rho_k(T), rho_k(D)) for k = 1..8 as powers of zeta_8:
 # (1, 1), (1, -1), (1, i), (1, -i), (-1, 1), (-1, -1), (-1, i), (-1, -i)
@@ -82,7 +77,10 @@ FAITHFUL_TWISTS = [1, 3, 2, 4, 5, 7, 6, 8]
 
 DEN = 4
 COORD_BOUND = 2 ** 28       # int64 images in rep_matrices
-TRACE_BOUND = 2 ** 26       # int64 traces in character_gram
+
+# Coxeter's presentation 4[6]2 of G9, <T, D | T^2 = D^4 = 1, (TD)^3 = (DT)^3>,
+# as pairs of equal words; the presented group has order 192
+PRESENTATION = (("TT", ""), ("DDDD", ""), ("TDTDTD", "DTDTDT"))
 
 
 class ExtractionError(RuntimeError):
@@ -90,12 +88,12 @@ class ExtractionError(RuntimeError):
 
 
 class ImageError(RuntimeError):
-    """An image left (1/DEN) Z[zeta_8] or the int64 coordinate bound."""
+    """An image left (1/DEN) Z[zeta_8], or rep_matrices' int64 coordinate bound."""
 
 
 class CensusError(RuntimeError):
     """The central element is not a scalar power of zeta_8, or the dimension
-    census or the orthogonality of the characters failed."""
+    census, the orthogonality of the characters or the presentation failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +267,7 @@ def character_table(reps: list[Representation], table: GroupTable) -> tuple:
     return tuple(class_traces(r, table) for r in reps)
 
 
-# -- verify's whole-group checks, in int64 numpy -------------------------------------------
+# -- rep_matrices: the images of all elements in int64 numpy (a test oracle) ----------
 
 def _check_bound(rid: int, nums) -> None:
     if nums.size and abs(nums).max() > COORD_BOUND:
@@ -293,12 +291,14 @@ def _batch_times(rids: list[int], a, factor, what: str):
 
 
 def rep_matrices(reps: list[Representation], table: GroupTable) -> list:
-    """Images of all elements under representations of one dimension m.
+    """Images of all elements under representations of one dimension m: a test oracle.
 
-    Returns one read-only (|G|, m, m, 4) int64 numpy array over DEN per
-    rep.  One BFS serves them all: per layer and generator s, the elements
-    whose word ends in s get their parents' images times rho(s), for every
-    rep in one batched matmul; ImageError names the representation that failed.
+    No module of g9cov calls it: verify_homomorphism certifies the
+    homomorphism by G9's presentation instead.  Returns one read-only
+    (|G|, m, m, 4) int64 numpy array over DEN per rep.  One BFS serves them
+    all: per layer and generator s, the elements whose word ends in s get
+    their parents' images times rho(s), for every rep in one batched
+    matmul; ImageError names the representation that failed.
     """
     import numpy as np
 
@@ -319,24 +319,23 @@ def rep_matrices(reps: list[Representation], table: GroupTable) -> list:
     return list(out)
 
 
-def character_gram(traces, table: GroupTable):
-    """|G| DEN^2 <chi_i, chi_j> for trace numerators X: X diag|C| conj(X)^T in int64."""
-    import numpy as np
+# -- verify's whole-group checks --------------------------------------------------------
 
-    traces = np.asarray(traces)
-    if np.abs(traces).max() > TRACE_BOUND:
-        raise CensusError(f"a trace coordinate exceeds {TRACE_BOUND}")
-    n = len(traces)
-    conj = traces[..., [0, 3, 2, 1]] * np.array([1, -1, -1, -1])
-    weighted = conj.transpose(1, 0, 2) * np.array(class_sizes(table))[:, None, None]
-    factor = np.array(right_factor(weighted.tolist()), dtype=np.int64)
-    return (traces.reshape(n, -1) @ factor).reshape(n, n, 4)
+def character_gram(traces, table: GroupTable) -> dict:
+    """|G| DEN^2 <chi_i, chi_j> for i <= j: (X diag|C| conj(X)^T)_ij on Python ints.
+
+    Keyed by (i, j).  |C| is real, so the entry at (j, i) is the
+    conjugate of the one at (i, j) for any traces X, and is not computed.
+    """
+    sizes = class_sizes(table)
+    conj = [[(s * x[0], -s * x[3], -s * x[2], -s * x[1]) for s, x in zip(sizes, row)]
+            for row in traces]
+    return {(i, j): _dot(traces[i], conj[j])
+            for i in range(len(traces)) for j in range(i, len(traces))}
 
 
 def verify_census(reps: list[Representation], table: GroupTable, traces) -> dict:
     """Dimension census and full orthonormality: the Gram matrix is |G| DEN^2 I."""
-    import numpy as np
-
     dims = sorted(r.dim for r in reps)
     expected = sorted([1] * 8 + [2] * 12 + [3] * 8 + [4] * 4)
     if dims != expected:
@@ -344,37 +343,35 @@ def verify_census(reps: list[Representation], table: GroupTable, traces) -> dict
     total = sum(r.dim ** 2 for r in reps)
     if total != len(table):
         raise CensusError(f"sum of squared dimensions is {total}, not {len(table)}")
-    gram = character_gram(traces, table)
     scale = len(table) * DEN * DEN
-    bad = np.argwhere((gram != scalar_image(len(reps), [scale, 0, 0, 0])).any(axis=2))
-    if len(bad):
-        i, j = bad[0]
-        raise CensusError(f"<chi_{i+1}, chi_{j+1}> = {render_zeta(gram[i, j], scale)}, "
-                          f"expected {int(i == j)}")
+    for (i, j), x in character_gram(traces, table).items():
+        if x != (scale * (i == j), 0, 0, 0):
+            raise CensusError(f"<chi_{i+1}, chi_{j+1}> = {render_zeta(x, scale)}, "
+                              f"expected {int(i == j)}")
     return {"dims": dims, "sum_squares": total, "pairs_checked": len(reps) ** 2}
 
 
-# -- homomorphism certification on the Cayley edges -------------------------------
+def verify_homomorphism(rep: Representation, table: GroupTable) -> int:
+    """Certify rho(g) rho(h) = rho(gh) for every ordered pair of elements.
 
-def verify_homomorphism(rep: Representation, table: GroupTable, mats) -> int:
-    """Check rho(g) rho(h) = rho(gh) for every ordered pair of elements.
-
-    G9 = <T, D>: if rho(e) = I and rho(g) rho(s) = rho(gs) for all g and s in
-    {T, D}, then h = h's gives rho(g) rho(h) = rho(gh') rho(s) = rho(gh).
-    So only the 2 * |G| Cayley edges are checked, one int64 product per
-    generator on the image numerators of rep_matrices, exact within
-    COORD_BOUND.  Returns the number of ordered pairs certified.
+    G9 has the presentation <T, D | T^2 = D^4 = 1, (TD)^3 = (DT)^3> of
+    order 192 (Coxeter, Regular Complex Polytopes, 1974; Broue, Malle and
+    Rouquier, J. reine angew. Math. 500, 1998).  The table's T and D
+    satisfy its relations and the table has 192 elements, so the table is
+    that group; generator images that satisfy the relations then extend
+    to a homomorphism, whose image of g is the product along g's word.
+    Each relation is compared exactly in the table and on rho's images
+    (CensusError names the relation, ImageError the representation whose
+    image leaves (1/DEN) Z[zeta_8]).  Returns the number of ordered pairs
+    certified.
     """
-    import numpy as np
-
-    if not np.array_equal(mats[table.identity], scalar_image(rep.dim, zeta_power(0, DEN))):
-        raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
-    _check_bound(rep.rid, mats)
-    for s in (table.right[name][0] for name in table.gens):
-        factor = np.array(right_factor(mats[s].tolist()), dtype=np.int64)
-        lhs = (mats.reshape(-1, 4 * rep.dim) @ factor).reshape(mats.shape)
-        bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
-        if bad.any():
-            g = int(np.flatnonzero(bad)[0])
-            raise CensusError(f"rho_{rep.rid}: homomorphism fails at pair ({g}, {s})")
+    if len(table) != 192:
+        raise CensusError(f"the group table has {len(table)} elements, not 192")
+    for lhs, rhs in PRESENTATION:
+        ends = [reduce(lambda g, s: table.right[s][g], word, table.identity)
+                for word in (lhs, rhs)]
+        if ends[0] != ends[1]:
+            raise CensusError(f"the group table breaks the relation {lhs} = {rhs or '1'}")
+        if image(rep, lhs) != image(rep, rhs):
+            raise CensusError(f"rho_{rep.rid}: the relation {lhs} = {rhs or '1'} fails")
     return len(table) ** 2

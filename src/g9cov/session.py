@@ -7,10 +7,9 @@ downstream is built on first read and cached; tests and CLI commands
 share one session.  `traces` (the characters as Z[zeta_8] coordinates
 over reps.DEN) reads five images and the central scalar per
 representation (reps.class_traces), and the slice solver reads only the
-generator images and the image of zI.  No query imports numpy: only
-verify's homomorphism and census checks build the images of all 192
-elements (`engine.matrices(rid)`, reps.rep_matrices) in int64 numpy
-arrays.
+generator images and the image of zI.  No command builds the images of
+all 192 elements or imports numpy, verify included: it certifies the
+homomorphism by G9's presentation and the census on Python ints.
 """
 
 from __future__ import annotations

@@ -1,7 +1,14 @@
-import pytest
+import os
 
-from g9cov.session import get_session
-from oracles import decode_rows
+# Only the tests import numpy, for int64 oracles that never call BLAS: one
+# OpenBLAS thread saves the worker threads numpy would start (and spin) at
+# its import.  A value set before the run still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from g9cov.session import get_session  # noqa: E402
+from oracles import decode_rows  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -110,8 +110,13 @@ MUTANTS = (
            "if dims != expected:", "if False:", ("tests/test_reps.py",)),
     Mutant("census_sum_of_squares", "reps.py",
            "if total != len(table):", "if False:", ("tests/test_reps.py",)),
-    Mutant("gram_trace_bound", "reps.py",
-           "if np.abs(traces).max() > TRACE_BOUND:", "if False:", ("tests/test_reps.py",)),
+    Mutant("census_gram_equality", "reps.py",
+           "if x != (scale * (i == j), 0, 0, 0):", "if False:", ("tests/test_reps.py",)),
+    # the homomorphism: G9's presentation, in the table and on the images
+    Mutant("presentation_in_table", "reps.py",
+           "if ends[0] != ends[1]:", "if False:", ("tests/test_reps.py",)),
+    Mutant("presentation_on_images", "reps.py",
+           "if image(rep, lhs) != image(rep, rhs):", "if False:", ("tests/test_reps.py",)),
     Mutant("coord_bound", "reps.py",
            "if nums.size and abs(nums).max() > COORD_BOUND:", "if False:",
            ("tests/test_reps.py",)),

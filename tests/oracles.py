@@ -19,7 +19,8 @@ from g9cov import group
 from g9cov.covariants import CovariantEngine, FreenessError, RowReducer, _poly_det
 from g9cov.group import CLOSURE_LIMIT, NotFinitelyClosedError
 from g9cov.poly import BiPoly, VecPoly
-from g9cov.reps import DEN, FAITHFUL_TWISTS, ExtractionError
+from g9cov.linalg import right_factor, scalar_image, zeta_power
+from g9cov.reps import DEN, FAITHFUL_TWISTS, CensusError, ExtractionError, _check_bound
 
 
 # -- CycNum: exact arithmetic in Q(zeta_8) ---------------------------------------------
@@ -477,6 +478,111 @@ def rep_matrices_exact(rep, table):
         else:
             mats[e.index] = mats[e.parent].matmul(gens[e.last])
     return tuple(mats)
+
+
+def homomorphism_on_cayley_edges(rep, table, mats):
+    """Check rho(g) rho(h) = rho(gh) for every ordered pair, on the Cayley edges.
+
+    The reference for reps.verify_homomorphism, which checks G9's
+    presentation instead.  G9 = <T, D>: if rho(e) = I and rho(g) rho(s) =
+    rho(gs) for all g and s in {T, D}, then h = h's gives rho(g) rho(h) =
+    rho(gh') rho(s) = rho(gh).  So only the 2 |G| Cayley edges are checked,
+    one int64 product per generator on the image numerators mats of
+    reps.rep_matrices, exact within COORD_BOUND.  Returns the number of
+    ordered pairs certified.
+    """
+    if not np.array_equal(mats[table.identity], scalar_image(rep.dim, zeta_power(0, DEN))):
+        raise CensusError(f"rho_{rep.rid}: the identity is not sent to I")
+    _check_bound(rep.rid, mats)
+    for s in (table.right[name][0] for name in table.gens):
+        factor = np.array(right_factor(mats[s].tolist()), dtype=np.int64)
+        lhs = (mats.reshape(-1, 4 * rep.dim) @ factor).reshape(mats.shape)
+        bad = (lhs != DEN * mats[[row[s] for row in table.product]]).any(axis=(1, 2, 3))
+        if bad.any():
+            g = int(np.flatnonzero(bad)[0])
+            raise CensusError(f"rho_{rep.rid}: homomorphism fails at pair ({g}, {s})")
+    return len(table) ** 2
+
+
+def coset_count(relators, gens="TD", limit=10_000):
+    """The order of <gens | relators> by coset enumeration over the trivial subgroup.
+
+    Todd-Coxeter in the HLT strategy with coincidence handling (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, sec. 5.1).
+    A relator is a word in the letters of gens and their inverses, written
+    in lower case.  RuntimeError past limit cosets.
+    """
+    letters = gens + gens.lower()
+    table = [dict.fromkeys(letters)]    # table[c][x] = c.x, None while undefined
+    rep_of = [0]                        # rep_of[c] = c while c is live
+
+    def find(c):
+        while rep_of[c] != c:
+            c = rep_of[c]
+        return c
+
+    def define(c, x):
+        if len(table) >= limit:
+            raise RuntimeError(f"coset enumeration passed {limit} cosets")
+        table.append(dict.fromkeys(letters))
+        rep_of.append(len(rep_of))
+        table[c][x], table[-1][x.swapcase()] = len(table) - 1, c
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(a, b):
+            a, b = sorted((find(a), find(b)))
+            if a != b:
+                rep_of[b] = a
+                queue.append(b)
+
+        merge(a, b)
+        for c in queue:             # merge appends while this runs
+            for x in letters:
+                d = table[c][x]
+                if d is None:
+                    continue
+                table[d][x.swapcase()] = None
+                mu, nu = find(c), find(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x.swapcase()] is not None:
+                    merge(mu, table[nu][x.swapcase()])
+                else:
+                    table[mu][x], table[nu][x.swapcase()] = nu, mu
+
+    def scan_and_fill(c, word):
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = table[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j].swapcase()] is not None:
+                b, j = table[b][word[j].swapcase()], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][word[i]], table[b][word[i].swapcase()] = b, f
+                return
+            define(f, word[i])
+
+    c = 0
+    while c < len(table):
+        for word in relators:
+            if rep_of[c] != c:
+                break
+            scan_and_fill(c, word)
+        if rep_of[c] == c:
+            for x in letters:
+                if table[c][x] is None:
+                    define(c, x)
+        c += 1
+    return sum(rep_of[c] == c for c in range(len(table)))
 
 
 # -- exact elimination over a field ------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_03_census_and_orthogonality(sess, chars):
 def test_criterion_04_homomorphism_certification(sess):
     total = 0
     for r in sess.reps:
-        total += verify_homomorphism(r, sess.table, sess.engine.matrices(r.rid))
+        total += verify_homomorphism(r, sess.table)
     assert total == 32 * 192 * 192
     _ok("criterion 4: 36864 ordered pairs certified for each of 32 representations")
 

@@ -5,24 +5,34 @@ import numpy as np
 import pytest
 
 from g9cov import reference
-from g9cov.group import build_group, class_inverses, standard_generators
+from g9cov.group import build_group, class_inverses, multiply, standard_generators
 from g9cov.group import class_sizes
 from g9cov.covariants import CovariantEngine
 from g9cov.session import Session
-from g9cov.reps import (COORD_BOUND, TRACE_BOUND, CensusError, ExtractionError, ImageError,
+from g9cov.reps import (COORD_BOUND, PRESENTATION, CensusError, ExtractionError, ImageError,
                         Representation, _check_relations, _tensor, build_all, character_gram,
                         class_traces, extract_subrep, image, rep_matrices, scalar_image,
                         verify_census, verify_homomorphism)
 from oracles import (CYC_STRUCT, HALF_SQRT2, I_UNIT, ZERO, CycNum, Mat, as_fraction, as_tuples,
-                     build_all_exact, decode, decode_image, decode_images, decode_rows,
-                     element_coords, element_mat, encode_image, inner_product, mat_pow,
-                     rep_matrices_exact)
+                     build_all_exact, coset_count, decode, decode_image, decode_images,
+                     decode_rows, element_coords, element_mat, encode_image,
+                     homomorphism_on_cayley_edges, inner_product, mat_pow, rep_matrices_exact)
 
 H = Fraction(1, 2)
 
 
 def by_id(reps, rid):
     return next(r for r in reps if r.rid == rid)
+
+
+@pytest.fixture(scope="module")
+def images(sess):
+    """rid -> the int64 images of all elements under rho_rid (the rep_matrices oracle)."""
+    out = {}
+    for m in (1, 2, 3, 4):
+        batch = [r for r in sess.reps if r.dim == m]
+        out.update(zip((r.rid for r in batch), rep_matrices(batch, sess.table)))
+    return out
 
 
 def test_sym2_extraction_matrices(reps):
@@ -98,15 +108,13 @@ def test_tensor_product_checks_its_range(table, quarters, match):
 def test_build_all_makes_no_cycnum_arithmetic():
     # no g9cov module can reach CycNum or Mat (test_public_names_resolve): the
     # group, the construction, the engine, Molien and the symmetry checks
-    # read tuples of Python int coordinates, and verify's images are int64
+    # read tuples of Python int coordinates
     table = build_group()
     out = build_all(table)
     engine = CovariantEngine(table, out)
     for rid in range(1, 33):
         engine.molien(rid)
         engine._symmetry(rid)
-    assert engine._mats == {}
-    engine.build_images(list(range(1, 33)))
     assert [r.rid for r in out] == list(range(1, 33))
     for r in out:
         for img in (r.img_t, r.img_d):
@@ -114,7 +122,6 @@ def test_build_all_makes_no_cycnum_arithmetic():
             assert all(type(row) is tuple and len(row) == r.dim for row in img), r.rid
             assert {(type(x), len(x)) for row in img for x in row} == {(tuple, 4)}, r.rid
             assert {type(c) for row in img for x in row for c in x} == {int}, r.rid
-        assert engine.matrices(r.rid).dtype == np.int64, r.rid
 
 
 def test_build_all_equals_cycnum_construction(table, reps):
@@ -211,7 +218,7 @@ def test_twist_coherence(chars):
         assert got == expect
 
 
-def test_five_base_traces_equal_traces_of_all_images(sess):
+def test_five_base_traces_equal_traces_of_all_images(sess, images):
     # the class traces read off five images and the central scalar against
     # the einsum traces of the int64 images of all 192 elements, for all 32
     # reps; and the column that Molien reads for s^-1 against the traces of
@@ -219,16 +226,98 @@ def test_five_base_traces_equal_traces_of_all_images(sess):
     table = sess.table
     inverse = class_inverses(table)
     for r in sess.reps:
-        images = sess.engine.matrices(r.rid)
         got = class_traces(r, table)
-        assert got == as_tuples(np.einsum("cjjr->cr", images[table.class_reps])), r.rid
-        at_inverse = np.einsum("cjjr->cr", images[table.inverse][table.class_reps])
+        mats = images[r.rid]
+        assert got == as_tuples(np.einsum("cjjr->cr", mats[table.class_reps])), r.rid
+        at_inverse = np.einsum("cjjr->cr", mats[table.inverse][table.class_reps])
         assert tuple(got[c] for c in inverse) == as_tuples(at_inverse), r.rid
 
 
 def test_homomorphism_single_rep(sess):
-    images = sess.engine.matrices(29)
-    assert verify_homomorphism(sess.reps[28], sess.table, images) == 192 * 192
+    assert verify_homomorphism(sess.rep(29), sess.table) == 192 * 192
+
+
+def _relators():
+    # lhs = rhs as the relator lhs rhs^-1, an inverse letter in lower case
+    return [lhs + rhs[::-1].swapcase() for lhs, rhs in PRESENTATION]
+
+
+def test_presentation_has_order_192():
+    # the theorem verify_homomorphism cites, by coset enumeration over the
+    # trivial subgroup; first the enumerator on two groups of known order:
+    # S_3 = <T, D | T^2, D^2, (TD)^3> and G(4, 1, 2) = <T, D | T^2, D^4,
+    # (TD)^2 (DT)^-2> of order 4^2 2! = 32
+    assert coset_count(["TT", "DD", "TDTDTD"]) == 6
+    assert coset_count(["TT", "DDDD", "TDTDtdtd"]) == 32
+    assert _relators() == ["TT", "DDDD", "TDTDTDtdtdtd"]
+    assert coset_count(_relators()) == 192
+
+
+def test_braid_length_is_six(table):
+    # on the group's own 2x2 generators, the alternating words TDT... and
+    # DTD... of length n first agree at n = 6: no shorter braid relation holds
+    equal = []
+    for n in range(1, 7):
+        ends = [table.elements[table.identity].coords] * 2
+        for k in range(n):
+            ends = [multiply(ends[0], table.gens["TD"[k % 2]]),
+                    multiply(ends[1], table.gens["DT"[k % 2]])]
+        equal.append(ends[0] == ends[1])
+    assert equal == [False] * 5 + [True]
+
+
+def test_presentation_agrees_with_cayley_edges(sess, images):
+    # the relation certificate and the int64 Cayley-edge oracle on all 32 reps
+    for r in sess.reps:
+        assert verify_homomorphism(r, sess.table) == 192 * 192, r.rid
+        assert homomorphism_on_cayley_edges(r, sess.table, images[r.rid]) == 192 * 192, r.rid
+
+
+def _negate_d00(rep):
+    d = [list(row) for row in rep.img_d]
+    d[0][0] = tuple(-c for c in d[0][0])
+    return Representation(rep.rid, rep.dim, rep.img_t, tuple(map(tuple, d)))
+
+
+def test_tampered_generator_images_agree_with_cayley_edges(sess):
+    # rho(D)_00 negated: rho_21 keeps T^2 = D^4 = I but breaks the braid
+    # relation, and the oracle an edge of D; rho_9 becomes a representation
+    # with the character of rho_14, which both accept; for rho_29 an image
+    # leaves (1/4) Z[zeta_8], and both name rho_29
+    table = sess.table
+    bad = _negate_d00(sess.rep(21))
+    _check_relations(21, bad.img_t, bad.img_d)
+    with pytest.raises(CensusError, match=r"^rho_21: the relation TDTDTD = DTDTDT fails$"):
+        verify_homomorphism(bad, table)
+    with pytest.raises(CensusError, match=r"^rho_21: homomorphism fails at pair \(22, 1\)$"):
+        homomorphism_on_cayley_edges(bad, table, rep_matrices([bad], table)[0])
+    other = _negate_d00(sess.rep(9))
+    assert class_traces(other, table) == sess.traces[13]
+    assert verify_homomorphism(other, table) == 192 * 192
+    assert homomorphism_on_cayley_edges(other, table, rep_matrices([other], table)[0]) == \
+        192 * 192
+    bad = _negate_d00(sess.rep(29))
+    outside = r"^rho_29: an image of word length 5 is not in \(1/4\) Z\[zeta_8\]$"
+    with pytest.raises(ImageError, match=outside):
+        verify_homomorphism(bad, table)
+    with pytest.raises(ImageError, match=outside):
+        rep_matrices([bad], table)
+
+
+def test_presentation_checks_the_group_table(sess):
+    # D's right action replaced by D^2's: T^2 = 1 and (D^2)^4 = 1 hold, and the
+    # braid relation fails in the table although every rep satisfies it;
+    # a table of 96 elements is refused by its order
+    tampered = copy.copy(sess.table)
+    d = sess.table.right["D"]
+    tampered.right = dict(sess.table.right, D=[d[d[g]] for g in range(len(d))])
+    with pytest.raises(CensusError,
+                       match=r"^the group table breaks the relation TDTDTD = DTDTDT$"):
+        verify_homomorphism(sess.rep(1), tampered)
+    short = copy.copy(sess.table)
+    short.elements = short.elements[:96]
+    with pytest.raises(CensusError, match=r"^the group table has 96 elements, not 192$"):
+        verify_homomorphism(sess.rep(1), short)
 
 
 def _times_zeta(images, k):
@@ -236,22 +325,25 @@ def _times_zeta(images, k):
     return np.einsum("...p,pr->...r", images, CYC_STRUCT[:, k])
 
 
-def test_homomorphism_catches_every_single_corrupted_image(sess):
+# The three tests below corrupt element images, which verify no longer
+# builds: they test the Cayley-edge oracle that verify_homomorphism replaced.
+
+def test_homomorphism_catches_every_single_corrupted_image(sess, images):
     # the Cayley edges of T and D touch every element, so scaling any one
     # non-identity image by z^2 breaks some edge
-    rep, mats = sess.rep(29), sess.engine.matrices(29)
+    rep, mats = sess.rep(29), images[29]
     for g in range(1, len(sess.table)):
         bad = mats.copy()
         bad[g] = _times_zeta(mats[g], 2)
         with pytest.raises(CensusError, match="rho_29: homomorphism fails"):
-            verify_homomorphism(rep, sess.table, bad)
+            homomorphism_on_cayley_edges(rep, sess.table, bad)
 
 
-def test_homomorphism_checks_the_edges_of_both_generators(sess):
+def test_homomorphism_checks_the_edges_of_both_generators(sess, images):
     # scaling a whole right coset g<s> by z^2 keeps every s-edge intact
     # (g = the other generator keeps e and s out of it), so only the other
     # generator's edges can expose it
-    table, rep, mats = sess.table, sess.rep(29), sess.engine.matrices(29)
+    table, rep, mats = sess.table, sess.rep(29), images[29]
     for name, other_name in (("T", "D"), ("D", "T")):
         s, other = table.lookup(table.gens[name]), table.lookup(table.gens[other_name])
         coset, x = [other], table.product[other][s]
@@ -261,35 +353,36 @@ def test_homomorphism_checks_the_edges_of_both_generators(sess):
         bad = mats.copy()
         bad[coset] = _times_zeta(mats[coset], 2)
         with pytest.raises(CensusError, match=rf", {other}\)$"):
-            verify_homomorphism(rep, table, bad)
+            homomorphism_on_cayley_edges(rep, table, bad)
 
 
-def test_homomorphism_requires_identity_image(sess):
+def test_homomorphism_requires_identity_image(sess, images):
     # all-zero images satisfy every edge 0 * 0 = 0; only rho(e) = I rules them out
     with pytest.raises(CensusError, match="identity"):
-        verify_homomorphism(sess.rep(29), sess.table,
-                            np.zeros_like(sess.engine.matrices(29)))
+        homomorphism_on_cayley_edges(sess.rep(29), sess.table, np.zeros_like(images[29]))
 
 
 def test_wrong_generator_image_fails_edge_check(table):
     # diag(1, z) has order 8, so images built along the BFS words of G9
-    # cannot form a homomorphism
+    # cannot form a homomorphism: the presentation names D^4 = 1, the
+    # oracle an edge
     t = element_mat(standard_generators()[0])
     bad = Representation(9, 2, encode_image(t), encode_image(Mat.diagonal([1, CycNum.zeta(1)])))
+    with pytest.raises(CensusError, match=r"^rho_9: the relation DDDD = 1 fails$"):
+        verify_homomorphism(bad, table)
     with pytest.raises(CensusError, match="rho_9: homomorphism fails"):
-        verify_homomorphism(bad, table, rep_matrices([bad], table)[0])
+        homomorphism_on_cayley_edges(bad, table, rep_matrices([bad], table)[0])
 
 
-def test_kernel_images_equal_exact_oracle(sess):
+def test_kernel_images_equal_exact_oracle(sess, images):
     # every coordinate of every image of every representation, decoded
     for r in sess.reps:
-        assert decode_images(sess.engine.matrices(r.rid)) == \
-            list(rep_matrices_exact(r, sess.table)), r.rid
+        assert decode_images(images[r.rid]) == list(rep_matrices_exact(r, sess.table)), r.rid
 
 
-def test_kernel_images_are_read_only(sess):
+def test_kernel_images_are_read_only(images):
     with pytest.raises(ValueError):
-        sess.engine.matrices(9)[0, 0, 0, 0] = 0
+        images[9][0, 0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("d_coords, match", [
@@ -305,18 +398,14 @@ def test_kernel_rejects_images_outside_its_range(table, d_coords, match):
         rep_matrices([bad], table)
 
 
-def test_images_read_through_traces_equal_exact_oracle(sess):
-    # the traces read no image of the BFS; an all-rep read of the images
-    # builds them one dimension batch at a time
+def test_images_read_through_traces_equal_exact_oracle(sess, images, monkeypatch):
+    # a fresh session reads its traces without the images of the BFS, and
+    # the oracle's images, one batch per dimension, are read-only
+    monkeypatch.setattr("g9cov.reps.rep_matrices", None)
     fresh = Session(sess.table, sess.reps, CovariantEngine(sess.table, sess.reps))
     assert fresh.traces == sess.traces
-    assert fresh.engine._mats == {}
-    fresh.engine.build_images(list(range(1, 33)))
-    assert sorted(fresh.engine._mats) == list(range(1, 33))
-    for r in sess.reps:
-        images = fresh.engine._mats[r.rid]
-        assert not images.flags.writeable
-        assert decode_images(images) == list(rep_matrices_exact(r, sess.table)), r.rid
+    assert sorted(images) == list(range(1, 33))
+    assert not any(images[rid].flags.writeable for rid in images)
 
 
 @pytest.mark.parametrize("rid, scale, match", [
@@ -331,30 +420,37 @@ def test_batched_images_name_the_failing_rep(sess, rid, scale, match):
     reps = [Representation(r.rid, r.dim, r.img_t,
                            encode_image(decode_image(r.img_d).scale(scale)))
             if r.rid == rid else r for r in sess.reps]
-    assert next(r.rid for r in reps if r.dim == by_id(reps, rid).dim) != rid
-    fresh = Session(sess.table, reps, CovariantEngine(sess.table, reps))
+    batch = [r for r in reps if r.dim == by_id(reps, rid).dim]
+    assert batch[0].rid != rid
     with pytest.raises(ImageError, match=match):
-        fresh.engine.build_images(list(range(1, 33)))
+        rep_matrices(batch, sess.table)
+
+
+def _moved(traces, rid, col, quarters):
+    """traces with chi_rid at class col moved by quarters / 4."""
+    rows = [list(row) for row in traces]
+    x = rows[rid - 1][col]
+    rows[rid - 1][col] = (x[0] + quarters, *x[1:])
+    return tuple(map(tuple, rows))
 
 
 def test_integer_gram_equals_inner_product(sess, chars):
-    # every census Gram entry against the CycNum class sum, on the true
-    # traces and on traces with chi_5 moved by 1/4 at the class of z^3 I
+    # the census Gram entries i <= j against the CycNum class sum, on the
+    # true traces and on traces with chi_5 moved by 2^70 / 4, past int64,
+    # at the class of z^3 I
     scale = len(sess.table) * 16
     gram = character_gram(sess.traces, sess.table)
-    for i in range(32):
-        for j in range(32):
-            want = inner_product(chars[i], chars[j], sess.table)
-            assert decode(gram[i, j], scale) == CycNum(want), (i, j)
-    bad = np.array(sess.traces)
-    bad[4, 3, 0] += 1
+    assert sorted(gram) == [(i, j) for i in range(32) for j in range(i, 32)]
+    for (i, j), x in gram.items():
+        assert decode(x, scale) == CycNum(inner_product(chars[i], chars[j], sess.table)), (i, j)
+    bad = _moved(sess.traces, 5, 3, 2 ** 70)
     gram = character_gram(bad, sess.table)
     rows = decode_rows(bad)
     sizes = class_sizes(sess.table)
-    for j in range(32):
-        raw = sum((size * a * b.conj() for size, a, b in zip(sizes, rows[4], rows[j])),
+    for i, j in gram:
+        raw = sum((size * a * b.conj() for size, a, b in zip(sizes, rows[i], rows[j])),
                   CycNum(0))
-        assert decode(gram[4, j], scale) == raw / len(sess.table), j
+        assert decode(gram[i, j], scale) == raw / len(sess.table), (i, j)
 
 
 def test_census_rejects_a_wrong_dimension_multiset(sess):
@@ -373,22 +469,10 @@ def test_census_rejects_a_table_of_the_wrong_order(sess):
         verify_census(sess.reps, short, sess.traces)
 
 
-def test_character_gram_refuses_traces_past_the_bound(sess):
-    # the int64 Gram product is exact only for coordinates within TRACE_BOUND
-    traces = np.array(sess.traces)
-    traces[4, 3, 1] = -TRACE_BOUND
-    character_gram(traces, sess.table)
-    traces[4, 3, 1] = -TRACE_BOUND - 1
-    with pytest.raises(CensusError, match=rf"^a trace coordinate exceeds {TRACE_BOUND}$"):
-        character_gram(traces, sess.table)
-
-
 def test_census_names_a_tampered_pair(sess):
     # chi_5 at the class of z^3 I moved by 1/4: its pairing with chi_1 breaks first
-    bad = np.array(sess.traces)
-    bad[4, 3, 0] += 1
-    with pytest.raises(CensusError, match=r"^<chi_1, chi_5> = .*, expected 0$"):
-        verify_census(sess.reps, sess.table, bad)
+    with pytest.raises(CensusError, match=r"^<chi_1, chi_5> = 1/768, expected 0$"):
+        verify_census(sess.reps, sess.table, _moved(sess.traces, 5, 3, 1))
 
 
 def test_character_table_vs_reference_detailed(chars):

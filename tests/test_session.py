@@ -7,8 +7,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
-
 import g9cov
 from g9cov import cli, covariants, cyclo, molien, reps, session
 from g9cov.session import get_session
@@ -23,65 +21,70 @@ def _run(fresh, argv, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _refuse_images(monkeypatch):
+    # the images of all 192 elements: rep_matrices under each of its names
+    def refuse(*args):
+        raise AssertionError("a command called rep_matrices")
+    for owner in (reps, session, covariants, molien):
+        monkeypatch.setattr(owner, "rep_matrices", refuse)
+
+
 def test_session_builds_images_on_first_read(capsys, monkeypatch):
+    # the session builds its traces on first read, from five images per
+    # rep: neither the build, nor the group listing, nor the traces read
+    # the images of all 192 elements
+    _refuse_images(monkeypatch)
     fresh = get_session.__wrapped__()
-    assert fresh.engine._mats == {}          # the session build itself reads no images
     assert "traces" not in vars(fresh)
     _run(fresh, ["group"], capsys, monkeypatch)
-    assert fresh.engine._mats == {}          # the group listing reads no images
+    assert "traces" not in vars(fresh)
     built = {r.rid: rep_matrices_exact(r, fresh.table) for r in fresh.reps}
     at_reference = [[built[r.rid][i].trace() for i in fresh.table.class_reps]
                     for r in fresh.reps]
     assert decode_rows(fresh.traces) == at_reference
-    assert fresh.engine._mats == {}          # nor do the traces
-    assert np.array_equal(fresh.engine.matrices(29),
-                          reps.rep_matrices([fresh.rep(29)], fresh.table)[0])
-    assert list(fresh.engine._mats) == [29]
 
 
 def test_one_rep_queries_build_only_that_rep(capsys, monkeypatch):
     # a slice and a Molien series read the generator images and the image
     # of zI, and build no image of the BFS at all
+    _refuse_images(monkeypatch)
     fresh = get_session.__wrapped__()
     fresh.engine.slice(29, 3)
-    assert fresh.engine._mats == {}
+    assert list(fresh.engine._symmetries) == [29]
     fresh = get_session.__wrapped__()
     _run(fresh, ["molien", "--rep", "29"], capsys, monkeypatch)
-    assert fresh.engine._mats == {}
+    assert list(fresh.engine._molien) == [29]
 
 
 def test_queries_build_no_image_of_the_bfs(capsys, monkeypatch):
     # a cold deep query once built all 192 images of rho_1 to read the
-    # central scalar; now no query calls rep_matrices under any of its names
-    def refuse(*args):
-        raise AssertionError("a query called rep_matrices")
-    for owner in (reps, session, covariants, molien):
-        monkeypatch.setattr(owner, "rep_matrices", refuse)
+    # central scalar; now no command calls rep_matrices under any of its
+    # names, verify included
+    _refuse_images(monkeypatch)
     fresh = get_session.__wrapped__()
     for argv in (["covariants", "--rep", "22", "--degree", "30"],
                  ["covariants", "--rep", "30", "--degree", "63"],
-                 ["generators", "--rep", "29"], ["chartable"], ["molien", "--rep", "all"]):
+                 ["generators", "--rep", "29"], ["chartable"], ["molien", "--rep", "all"],
+                 ["verify", "--only", "census,homomorphism"]):
         _run(fresh, argv, capsys, monkeypatch)
-    assert fresh.engine._mats == {}
 
 
 def test_queries_never_import_numpy():
-    # the query commands run on Python ints; verify's whole-group checks
-    # are the one place that imports numpy
+    # every command runs on Python ints: verify certifies the homomorphism
+    # by G9's presentation and the census on integer traces, so not even
+    # a full verify imports numpy
     probe = textwrap.dedent("""
         import contextlib, io, sys
         from g9cov import cli
         assert "numpy" not in sys.modules
         argvs = [["group"], ["chartable", "--format", "latex"], ["molien", "--rep", "all"],
                  ["covariants", "--rep", "9", "--degree", "30"],
-                 ["covariants", "--rep", "30", "--degree", "63"], ["generators", "--rep", "29"]]
+                 ["covariants", "--rep", "30", "--degree", "63"], ["generators", "--rep", "29"],
+                 ["verify"]]
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in argvs]
         assert codes == [0] * len(argvs), codes
         assert "numpy" not in sys.modules
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--only", "homomorphism"]) == 0
-        assert "numpy" in sys.modules
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(g9cov.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
@@ -107,21 +110,18 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     assert [getattr(owner, attr) for owner, attr in names] == before
 
 
-def test_import_sets_one_blas_thread():
-    # importing g9cov (as conftest did here) sets the variable, so the child
-    # starts without it; a value set before the import is kept
+def test_tests_set_one_blas_thread():
+    # conftest sets the variable before the oracles import numpy; g9cov
+    # itself neither imports numpy nor touches the environment, and starts
+    # no thread
+    assert "OPENBLAS_NUM_THREADS" in os.environ
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(g9cov.__file__).resolve().parents[1])
-    probe = ("import os, g9cov; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
-             "len(os.listdir('/proc/self/task')))")
-
-    def run():
-        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True).stdout.split()
-
-    assert run() == ["1", "1"]          # the variable and the thread count
-    env["OPENBLAS_NUM_THREADS"] = "2"
-    assert run()[0] == "2"
+    probe = ("import os, sys, g9cov; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir('/proc/self/task')), 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["None", "1", "False"]
 
 
 def test_public_names_resolve():
