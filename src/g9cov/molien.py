@@ -1,37 +1,31 @@
 """Equivariant Molien series for the covariant modules.
 
 The Hilbert series of the module of rho-covariants is the group average of
-tr(rho(s^{-1})) / det(I - t s), with the denominator taken in the natural
-2x2 action.  Both the numerator trace and det(I - t s) = 1 - tr(s) t +
-det(s) t^2 are class functions, so the sum runs over the 32 conjugacy
-classes weighted by class size, in Python ints on Z[zeta_8] coordinates:
-tr rho(s^-1) is the character's entry in the column of the class of s^-1
-(group.class_inverses), and tr s and det s come from the coordinates of
-the class representatives s.
+tr rho(s^-1) / det(I - t s), s in the natural 2x2 action (Molien's formula;
+Stanley, Bull. AMS 1 (1979)).  An element of G9 has order dividing 24, and
+one with a repeated eigenvalue is scalar of order dividing 8, so
+det(I - t s) divides (1 - t^8)(1 - t^24), the denominator of the invariant
+ring C[theta, phi], and Q_s = (1 - t^8)(1 - t^24) / det(I - t s) is a
+polynomial of degree 30.  The series is exactly P_rho / ((1 - t^8)(1 - t^24))
+in every degree, P_rho the group average of tr rho(s^-1) Q_s.
 
-The invariant ring is C[theta, phi] with degrees 8 and 24.  Every element
-of G9 has order dividing 24, and an element with a repeated eigenvalue is
-scalar, so central of order dividing 8; hence det(I - t s_c) divides
-(1 - t^8)(1 - t^24) and, for every class c,
+The centre cuts the average to five class terms.  zI is central, and
+rho(zI) = zeta_8^r I, as tr rho(zI) = zeta_8^r dim forces every eigenvalue
+of that image of finite order to be zeta_8^r.  So tr rho((z^k s)^-1) =
+zeta_8^(-r k) tr rho(s^-1) and, (1 - t^8)(1 - t^24) being fixed by
+t -> zeta_8 t, Q_(z^k s)(t) = Q_s(zeta_8^k t): the eight elements z^k s
+add sum_k zeta_8^(k (n - r)) times the term of s to t^n, which is 0 unless
+n = r (mod 8), as in covariants' central constraint.  The 32 classes are
+z^k h for the five bases h of group.CLASS_BASES, the table's representative
+of class (h, k) being the matrix zeta_8^k h, so for n = r (mod 8)
 
-    Q_c = (1 - t^8)(1 - t^24) / det(I - t s_c)
+    P_rho[n] = sum_h (sum_(k < count) |C_(z^k h)|) tr rho(h^-1) Q_h[n] / |G|
 
-is a polynomial of degree 30.  It is computed once per class by exact
-division from the low end, and the two remainder terms (t^31, t^32) are
-checked to be zero.  The numerator P_rho is then a finite class sum of
-|C| tr rho(s_c^-1) Q_c over |G|, proven to have non-negative integer
-coefficients summing to dim(rho), and the Hilbert series is exactly
-P_rho / ((1 - t^8)(1 - t^24)) in every degree: no series is truncated.
-Since the covariant module is free over C[theta, phi] (Chevalley, Amer.
-J. Math. 77 (1955)), P_rho also lists its generator degrees (Stanley,
-Bull. AMS 1 (1979)).
-
-The class sum runs on packed polynomials (Kronecker substitution): Q_c is
-kept as four integers, coordinate p of Q_c being sum_n Q_c[n][p] 2^(SLOT n),
-so each class costs 16 integer products, not 16 (TOP + 1).  The digits are
-read back exactly: every coefficient of the sum is checked, from the
-heights of the Q_c and of the weights, to lie below 2^(SLOT - 1) in
-absolute value.
+with tr rho(h^-1) read in the column of the class of h^-1, and P_rho[n] = 0
+otherwise.  Each Q_h is divided out exactly, and P_rho is proven to have
+non-negative integer coefficients summing to dim(rho).  The covariant
+module is free over C[theta, phi] (Chevalley, Amer. J. Math. 77 (1955)), so
+P_rho also lists its generator degrees (Stanley).
 """
 
 from __future__ import annotations
@@ -41,18 +35,17 @@ from functools import lru_cache
 
 from . import group
 from .group import GroupTable, class_inverses, class_sizes
-from .linalg import cyc_mul
+from .linalg import cyc_mul, zeta_shift
 from .cyclo import render_zeta
 from .reps import DEN, Representation
 # rep_matrices is re-exported: perfbench/spans.py wraps it under this name
 from .reps import rep_matrices  # noqa: F401
 
-TOP = 30        # degree of each class numerator Q_c
-SLOT = 64       # bits per coefficient of a packed polynomial
+TOP = 30        # degree of each class numerator Q_h
 
 
 class MolienError(RuntimeError):
-    """A class numerator or a Molien numerator coefficient failed an exact check."""
+    """A class numerator, the central character or a numerator coefficient failed a check."""
 
 
 @dataclass(frozen=True)
@@ -81,98 +74,77 @@ class MolienResult:
         return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _class_numerator(label: str, trace: tuple[int, ...], det: tuple[int, ...]
-                     ) -> tuple[tuple[int, int, int, int], int]:
-    """Z[zeta_8] coordinates of (1 - t^8)(1 - t^24) / (1 - trace*t + det*t^2).
+                     ) -> tuple[tuple[int, int, int, int], ...]:
+    """Q_h[0] .. Q_h[TOP] of (1 - t^8)(1 - t^24) / (1 - trace t + det t^2), class label.
 
-    Returns Q_c for the class named label packed (coordinate p as
-    sum_n Q_c[n][p] 2^(SLOT n), n <= TOP) and its height, the largest
-    |Q_c[n][p]|; trace and det are integer coordinate tuples.
-    Exact division from the low end by q_n = u_n + trace q_(n-1) -
-    det q_(n-2), u the dividend: the power series quotient is a polynomial
-    of degree TOP exactly when the remainder terms q_(TOP+1), q_(TOP+2)
-    vanish, since u_n = 0 above TOP + 2 and every later term follows from
-    those two.
-    Memoized per class: Q_c does not depend on the representation.
+    trace, det and each Q_h[n] are integer coordinate tuples.  Exact division
+    from the low end, q_n = u_n + trace q_(n-1) - det q_(n-2) for the dividend
+    u: the quotient is a polynomial exactly when q_(TOP+1) and q_(TOP+2)
+    vanish, since u_n = 0 above TOP + 2.  Memoized per class: Q_h does not
+    depend on the representation.
     """
     dividend = {0: 1, 8: -1, 24: -1, 32: 1}        # (1 - t^8)(1 - t^24)
-    out: list[tuple[int, ...]] = []
+    q = [(0, 0, 0, 0)] * 2                          # q_(-2), q_(-1)
     for n in range(TOP + 3):
-        q = [dividend.get(n, 0), 0, 0, 0]
-        if n >= 1:
-            q = [x + y for x, y in zip(q, cyc_mul(out[n - 1], trace))]
-        if n >= 2:
-            q = [x - y for x, y in zip(q, cyc_mul(out[n - 2], det))]
-        out.append(tuple(q))
-    if any(map(any, out[TOP + 1:])):
+        q.append(tuple(u + x - y for u, x, y in zip((dividend.get(n, 0), 0, 0, 0),
+                                                     cyc_mul(q[-1], trace), cyc_mul(q[-2], det))))
+    if any(map(any, q[TOP + 3:])):
         raise MolienError(f"class {label}: 1 - ({render_zeta(trace, 1)})t + "
                           f"({render_zeta(det, 1)})t^2 does not divide (1 - t^8)(1 - t^24)")
-    packed = tuple(sum(q[p] << (SLOT * n) for n, q in enumerate(out[:TOP + 1]))
-                   for p in range(4))
-    return packed, max(abs(x) for q in out for x in q)
-
-
-def _unpack(x: int) -> list[int]:
-    """The TOP + 1 signed digits of a packed polynomial, each below 2^(SLOT - 1)."""
-    digits, half = [], 1 << (SLOT - 1)
-    for _ in range(TOP + 1):
-        d = ((x + half) & ((1 << SLOT) - 1)) - half
-        digits.append(d)
-        x = (x - d) >> SLOT
-    return digits
+    return tuple(q[2:TOP + 3])
 
 
 @lru_cache(maxsize=2)
-def _class_factors(table: GroupTable) -> tuple[tuple[str, tuple, tuple], ...]:
-    """(label, tr s, det s) of the natural matrix s at each reference class.
+def _class_factors(table: GroupTable) -> tuple[tuple[int, int, str, tuple, tuple], ...]:
+    """(size, inverse, label, tr h, det h) for each base h of group.CLASS_BASES.
 
-    tr s and det s as integer coordinate tuples; MolienError names the
-    first class where either is not integral.
+    size is sum_k |C_(z^k h)|, inverse the column of the class of h^-1, tr h
+    and det h integer coordinate tuples; MolienError names the first base
+    where either is not integral.
     """
-    out = []
-    for label, r in zip(table.class_labels, table.class_reps):
-        (a, b), (c, d) = table.elements[r].coords
+    sizes, inverse = class_sizes(table), class_inverses(table)
+    out, pos = [], 0
+    for _, count in group.CLASS_BASES:
+        label = table.class_labels[pos]
+        (a, b), (c, d) = table.elements[table.class_reps[pos]].coords
         tr = [x + y for x, y in zip(a, d)]                                  # over group.DEN
         dt = [x - y for x, y in zip(cyc_mul(a, d), cyc_mul(b, c))]          # over group.DEN^2
         if any(x % group.DEN for x in tr) or any(x % group.DEN ** 2 for x in dt):
-            raise MolienError(f"class {label}: Q_c needs integral trace and det, got "
+            raise MolienError(f"class {label}: Q_h needs integral trace and det, got "
                               f"{render_zeta(tr, group.DEN)}, "
                               f"{render_zeta(dt, group.DEN ** 2)}")
-        out.append((label, tuple(x // group.DEN for x in tr),
-                    tuple(x // group.DEN ** 2 for x in dt)))
+        out.append((sum(sizes[pos:pos + count]), inverse[pos], label,
+                    tuple(x // group.DEN for x in tr), tuple(x // group.DEN ** 2 for x in dt)))
+        pos += count
     return tuple(out)
 
 
 def molien_series(rep: Representation, table: GroupTable, traces: tuple) -> MolienResult:
     """Exact equivariant Molien numerator of rep, from its 32 class traces over reps.DEN.
 
-    One sum over the classes of |C| tr rho(s^-1) Q_c, tr rho(s^-1) read in
-    the column of the class of s^-1, on packed polynomials (module
-    docstring).  Each coefficient must be a non-negative integer, and they
-    must sum to dim(rho).
+    The central residue r from tr rho(zI) = zeta_8^r tr rho(I), then one sum
+    over the five bases per degree n = r (mod 8) (module docstring).  Each
+    coefficient must be a non-negative integer, and they must sum to dim(rho).
     """
-    sizes, inverse = class_sizes(table), class_inverses(table)
-    acc, bound = [0, 0, 0, 0], 0        # coordinate r of the class sum, packed
-    for c, factors in enumerate(_class_factors(table)):
-        weight = [sizes[c] * x for x in traces[inverse[c]]]
-        if not any(weight):
-            continue
-        packed, height = _class_numerator(*factors)
-        bound += 4 * height * max(map(abs, weight))
-        for q, w in enumerate(weight):
-            for p, x in enumerate(packed):
-                if w and x:                 # z^p z^q = -z^(p+q-4) past z^3
-                    acc[(p + q) % 4] += w * x if p + q < 4 else -w * x
-    if bound >= 1 << (SLOT - 1):
-        raise MolienError(f"rho_{rep.rid}: the class sum exceeds 2^{SLOT - 1} per coefficient")
-    acc = list(zip(*map(_unpack, acc)))
+    r = next((k for k in range(8) if traces[1] == zeta_shift(traces[0], k)), None)
+    if r is None:
+        raise MolienError(f"rho_{rep.rid}: tr rho(zI) = {render_zeta(traces[1], DEN)} "
+                          f"is not a power of zeta_8 times the dimension")
+    acc = dict.fromkeys(range(r, TOP + 1, 8), (0, 0, 0, 0))
+    for size, inverse, *factors in _class_factors(table):
+        weight = [size * x for x in traces[inverse]]
+        if any(weight):
+            q = _class_numerator(*factors)
+            for n in acc:
+                acc[n] = tuple(x + y for x, y in zip(acc[n], cyc_mul(weight, q[n])))
     scale = len(table) * DEN
-    bad = [n for n, x in enumerate(acc) if any(x[1:]) or x[0] % scale or x[0] < 0]
+    bad = [n for n, x in acc.items() if any(x[1:]) or x[0] % scale or x[0] < 0]
     if bad:
         raise MolienError(f"rho_{rep.rid}: coefficient of t^{bad[0]} is "
                           f"{render_zeta(acc[bad[0]], scale)} in the Molien numerator")
-    numerator = tuple((d, x[0] // scale) for d, x in enumerate(acc) if x[0])
+    numerator = tuple((n, x[0] // scale) for n, x in acc.items() if x[0])
     total = sum(c for _, c in numerator)
     if total != rep.dim:
         raise MolienError(

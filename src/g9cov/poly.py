@@ -63,9 +63,6 @@ class BiPoly:
         degs = {a + b for a, b in self.terms}
         return len(degs) <= 1
 
-    def coeff(self, a: int, b: int):
-        return self.terms.get((a, b), 0)
-
     # -- ring operations ----------------------------------------------------------
 
     def __add__(self, other: BiPoly) -> BiPoly:

@@ -799,6 +799,11 @@ class CycRowReducer:
         return vec
 
 
+def coeff(p, a, b):
+    """The coefficient of x^a y^b in the BiPoly p, 0 if it has no such term."""
+    return p.terms.get((a, b), 0)
+
+
 def coeff_vector(vec, coords):
     """The coefficients of a VecPoly at the listed (component, x-exponent) coordinates.
 
@@ -809,7 +814,7 @@ def coeff_vector(vec, coords):
         for a, b in p.terms:
             if (j, a) not in cset:
                 raise ValueError(f"unexpected term x^{a} y^{b} in component {j}")
-    return [vec.components[j].coeff(a, vec.degree - a) for j, a in coords]
+    return [coeff(vec.components[j], a, vec.degree - a) for j, a in coords]
 
 
 def as_fractions(nums, dens):

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from g9cov import molien, reference
-from g9cov.group import GroupElement, GroupTable
-from g9cov.molien import MolienError, _class_factors, _class_numerator, _unpack, molien_series
-from g9cov.reps import class_traces
+from g9cov.group import CLASS_BASES, GroupElement, GroupTable, class_inverses, class_sizes
+from g9cov.molien import MolienError, _class_factors, _class_numerator, molien_series
+from g9cov.reps import central_residue, class_traces
 from oracles import (ZERO, CycNum, Mat, _det2, element_coords, element_mat,
-                     molien_series_elementwise, rep_matrices_exact)
+                     inverse_det_series_exact, molien_series_elementwise, rep_matrices_exact)
 
 ONE = (1, 0, 0, 0)      # the integer coordinates of 1
 
@@ -20,9 +20,10 @@ def integral(x):
 
 
 def one_class_table(mat):
-    """A GroupTable holding only the element mat, as the one class x."""
+    """A GroupTable holding only the element mat, as the class x at every reference column."""
     table = GroupTable([GroupElement(0, "", -1, "", element_coords(mat))], {}, {}, {})
-    table.class_labels, table.class_reps = ["x"], [0]
+    table.inverse, table.classes, table.class_of = [0], [[0]], [0]
+    table.class_labels, table.class_reps, table.class_block_order = ["x"] * 32, [0] * 32, [0] * 32
     return table
 
 
@@ -73,7 +74,8 @@ def test_numerator_matches_generator_degrees(engine):
 
 
 def test_class_sum_equals_element_sum(sess):
-    # the packed integer class sum against the CycNum element sum, through degree 64
+    # the five-base sum at n = r (mod 8) against the CycNum sum over all 192
+    # exact images, every coefficient through degree 64, for every residue r
     for r in sess.reps:
         naive = molien_series_elementwise(sess.table, 64, rep_matrices_exact(r, sess.table))
         assert naive == list(sess.engine.molien(r.rid).series(64)), r.rid
@@ -91,19 +93,20 @@ def test_coefficient_closed_form_inverts_denominator(engine):
 
 
 def test_tampered_class_expansion_is_rejected(sess, monkeypatch):
-    # one coefficient of one class's Q_c moved by 1 breaks integrality: at
-    # the identity class chi = dim, so t^16 gains dim / 192
+    # coordinate 0 of Q_I[16 + k] moved by 1 for k < 8 breaks integrality at
+    # t^(16 + r): the 8 central classes carry chi = dim, so it gains dim / 24
     target = sess.table.class_labels[0]
 
     def tampered(label, trace, det):
-        packed, height = _class_numerator(label, trace, det)
-        if label == target:     # coordinate 0 of t^16, packed
-            packed = (packed[0] + (1 << (16 * molien.SLOT)),) + packed[1:]
-        return packed, height
+        q = _class_numerator(label, trace, det)
+        if label == target:
+            q = [(x[0] + (16 <= n < 24),) + x[1:] for n, x in enumerate(q)]
+        return q
 
     monkeypatch.setattr(molien, "_class_numerator", tampered)
     for r in sess.reps:
-        with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^16 is"):
+        n = 16 + central_residue(r, sess.table)
+        with pytest.raises(MolienError, match=rf"rho_{r.rid}: coefficient of t\^{n} is"):
             molien_series(r, sess.table, class_traces(r, sess.table))
 
 
@@ -114,24 +117,24 @@ def test_numerator_must_sum_to_the_dimension(sess):
         molien_series(sess.rep(9), sess.table, class_traces(sess.rep(1), sess.table))
 
 
-def test_class_sum_refuses_weights_past_the_packing_bound(sess):
-    # the digits of the packed class sum are exact only below 2^(SLOT - 1):
-    # traces 2^60 times too large would alias, so the sum is refused
-    rep = sess.rep(9)
-    huge = tuple(tuple(x << 60 for x in t) for t in class_traces(rep, sess.table))
-    with pytest.raises(MolienError, match=rf"^rho_9: the class sum exceeds "
-                                          rf"2\^{molien.SLOT - 1} per coefficient$"):
-        molien_series(rep, sess.table, huge)
+def test_central_character_must_be_a_power_of_zeta(sess):
+    # the five-base sum needs rho(zI) = zeta_8^r I, read off tr rho(zI) =
+    # zeta_8^r dim: rho_9's character with 0 at zI has no such r
+    traces = list(class_traces(sess.rep(9), sess.table))
+    traces[1] = (0, 0, 0, 0)
+    with pytest.raises(MolienError, match=r"^rho_9: tr rho\(zI\) = 0 is not a power of "
+                                          r"zeta_8 times the dimension$"):
+        molien_series(sess.rep(9), sess.table, tuple(traces))
 
 
 def test_class_numerator_needs_integral_class_data():
-    # the class data is read off the element's coordinates: trace 1/2 with
-    # det 0, then trace 1 with det 1/2
+    # the class data is read off the element's coordinates at each base
+    # column: trace 1/2 with det 0, then trace 1 with det 1/2
     h = Fraction(1, 2)
-    with pytest.raises(MolienError, match=r"class x: Q_c needs integral trace and det, "
+    with pytest.raises(MolienError, match=r"class x: Q_h needs integral trace and det, "
                                           r"got 1/2, 0$"):
         _class_factors(one_class_table(Mat.diagonal([h, 0])))
-    with pytest.raises(MolienError, match=r"class x: Q_c needs integral trace and det, "
+    with pytest.raises(MolienError, match=r"class x: Q_h needs integral trace and det, "
                                           r"got 1, 1/2$"):
         _class_factors(one_class_table(Mat.from_rows([[h, h], [-h, h]])))
     assert type(_class_numerator("x", ONE, ONE)) is tuple   # cached and shared
@@ -144,38 +147,52 @@ def test_class_numerator_rejects_factor_that_does_not_divide():
 
 
 def test_class_numerator_times_class_factor_is_denominator(table):
-    # Q_c * (1 - tr t + det t^2) = (1 - t^8)(1 - t^24) exactly, every class
+    # Q_h * (1 - tr t + det t^2) = (1 - t^8)(1 - t^24) exactly at each base h,
+    # and the CycNum division for every class z^k h, its representative the
+    # matrix zeta^k h, is Q_h(zeta^k t)
     want = [ZERO] * 33
     for d, v in ((0, 1), (8, -1), (24, -1), (32, 1)):
         want[d] = CycNum(v)
-    factors = _class_factors(table)
-    for pos, (label, r) in enumerate(zip(table.class_labels, table.class_reps)):
-        m = element_mat(table.elements[r].coords)
+    sizes, inverse = class_sizes(table), class_inverses(table)
+    pos = 0
+    for (_, count), factors in zip(CLASS_BASES, _class_factors(table), strict=True):
+        label = table.class_labels[pos]
+        m = element_mat(table.elements[table.class_reps[pos]].coords)
         tr, det = m.trace(), _det2(m)
-        assert factors[pos] == (label, integral(tr), integral(det)), label
-        packed, height = _class_numerator(label, integral(tr), integral(det))
-        rows = list(zip(*map(_unpack, packed)))
-        assert height == max(abs(x) for row in rows for x in row), label
-        q = [CycNum(*row) for row in rows]
+        assert factors == (sum(sizes[pos:pos + count]), inverse[pos], label,
+                           integral(tr), integral(det)), label
+        q = [CycNum(*x) for x in _class_numerator(label, integral(tr), integral(det))]
         assert len(q) == 31
         q += [ZERO, ZERO]
         prod = [q[n] - (tr * q[n - 1] if n >= 1 else ZERO)
                 + (det * q[n - 2] if n >= 2 else ZERO) for n in range(33)]
         assert prod == want, label
+        for k in range(count):
+            m = element_mat(table.elements[table.class_reps[pos + k]].coords)
+            inv = inverse_det_series_exact(m.trace(), _det2(m), 32)
+            div = [sum((want[d] * inv[n - d] for d in (0, 8, 24, 32) if d <= n), ZERO)
+                   for n in range(33)]
+            assert div == [CycNum.zeta(k * n) * x for n, x in enumerate(q)], (label, k)
+        pos += count
+    assert pos == len(table.class_reps)
 
 
 def test_class_numerator_built_once_per_class(sess):
-    # Q_c depends only on the class: all 32 numerators build at most 32
-    # class numerators, not one per (rep, class) pair, and share them
+    # Q_h depends only on the base: all 32 numerators build at most 5 class
+    # numerators, not one per (rep, class) pair, and share them
     _class_numerator.cache_clear()
     for r in sess.reps:
         molien_series(r, sess.table, class_traces(r, sess.table))
     info = _class_numerator.cache_info()
-    assert info.misses <= 32 and info.misses + info.hits > 32, info
-    for label, r in zip(sess.table.class_labels, sess.table.class_reps):
-        m = element_mat(sess.table.elements[r].coords)
+    assert info.misses <= 5 and info.misses + info.hits > 5, info
+    pos = 0
+    for _, count in CLASS_BASES:
+        m = element_mat(sess.table.elements[sess.table.class_reps[pos]].coords)
+        label = sess.table.class_labels[pos]
         assert type(_class_numerator(label, integral(m.trace()),
                                      integral(_det2(m)))) is tuple, label
+        pos += count
+    assert _class_numerator.cache_info().misses == info.misses
 
 
 def test_cutoff_guard(sess):

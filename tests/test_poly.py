@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from g9cov.group import standard_generators
 from g9cov.poly import BiPoly, VecPoly, fundamental_invariants
-from oracles import (I_UNIT, CycNum, Mat, approx, coeff_vector, element_mat, mat_apply,
+from oracles import (I_UNIT, CycNum, Mat, approx, coeff, coeff_vector, element_mat, mat_apply,
                      parse_poly_text, vec_substitute)
 
 GAMMA, THETA, DELTA, PHI = fundamental_invariants()
@@ -18,9 +18,9 @@ def rnd_poly(rng, max_exp=4, terms=4):
 
 def test_invariant_literals():
     assert [p.degree() for p in (GAMMA, THETA, DELTA, PHI)] == [6, 8, 12, 24]
-    assert THETA.coeff(4, 4) == CycNum(14)
-    assert DELTA.coeff(8, 4) == CycNum(-33)
-    assert PHI.coeff(12, 12) == CycNum(2576)
+    assert coeff(THETA, 4, 4) == CycNum(14)
+    assert coeff(DELTA, 8, 4) == CycNum(-33)
+    assert coeff(PHI, 12, 12) == CycNum(2576)
     assert GAMMA.to_text() == "-x^5*y + x*y^5"
 
 
